@@ -38,17 +38,18 @@ def pair_poset(system: CoxeterSystem, pairs: Sequence[tuple[int, int]],
     if leq is None:
         leq = nested_pair_order(system, pairs)
     dims = tuple(system.len_of(b) - system.len_of(a) for a, b in pairs)
-    names = tuple(f"({system.word_str(a)},{system.word_str(b)})" for a, b in pairs)
     dim_arr = np.asarray(dims, dtype=np.int32)
     strict = leq & ~np.eye(n, dtype=bool)
     gap_one = dim_arr[None, :] == dim_arr[:, None] + 1
     lo_idx, hi_idx = np.nonzero(strict & gap_one)
     covers = tuple((int(a), int(b), None) for a, b in zip(lo_idx, hi_idx))
     closure = _transitive_closure_from_covers(n, covers, dims)
+    poset = FinitePoset(dims, leq, covers, tuple(pairs),
+                        lambda p: f"({system.word_str(p[0])},{system.word_str(p[1])})")
     if not np.array_equal(closure, leq):
         i, j = map(int, np.argwhere(closure != leq)[0])
         raise TheoremFalsified(
-            f"{what} is not graded by dimension: relation between {names[i]} and "
-            f"{names[j]} disagrees with the cover closure"
+            f"{what} is not graded by dimension: relation between {poset.names[i]} and "
+            f"{poset.names[j]} disagrees with the cover closure"
         )
-    return FinitePoset(names, dims, leq, covers, tuple(pairs))
+    return poset

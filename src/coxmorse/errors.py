@@ -70,7 +70,7 @@ class CapExceeded(InputError):
     pass
 
 
-class CyclicMatching(InputError):
+class CyclicMatching(Falsification):
     pass
 
 

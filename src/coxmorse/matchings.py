@@ -20,6 +20,7 @@ from .coxeter import CoxeterSystem
 from .errors import (
     CyclicMatching,
     EmptyInterval,
+    InvalidSubset,
     NotAMatching,
     NotComparable,
     TheoremFalsified,
@@ -61,10 +62,9 @@ def labeled_interval(system: CoxeterSystem, v: int, w: int) -> LabeledInterval:
             if lo in index:
                 covers.append((index[lo], index[x], t))
     covers.sort()
-    names = tuple(system.word_str(x) for x in ids)
     dims = tuple(system.len_of(x) - base for x in ids)
     sub = system.bruhat[np.ix_(ids, ids)].copy()
-    poset = FinitePoset(names, dims, sub, tuple(covers), ids)
+    poset = FinitePoset(dims, sub, tuple(covers), ids, system.word_str)
     return LabeledInterval(system, v, w, ids, index, poset)
 
 
@@ -140,44 +140,45 @@ class AcyclicityReport:
 
 def is_acyclic(poset: FinitePoset, matching: Matching) -> AcyclicityReport:
     """Orient unmatched covers downward and matched covers upward; report
-    whether the resulting digraph has a directed cycle (with witness)."""
-    matched = matching.matched_edges()
-    n = poset.n
-    out: list[list[int]] = [[] for _ in range(n)]
+    whether the resulting digraph has a directed cycle (with witness).
+
+    Every cover must join adjacent dims.  Then no two up-steps are
+    consecutive and a cycle has as many up- as down-steps, so it alternates
+    x0 -> M(x0) -> x1 -> M(x1) -> ... between two adjacent dims (Forman's
+    V-paths): x_{i+1} is a lower cover of M(x_i) other than x_i, itself
+    matched upward.  Only that graph on up-matched elements is searched.
+    """
+    partner, dims = matching.partner, poset.dims
+    below: list[list[int]] = [[] for _ in range(poset.n)]
+    state: dict[int, int] = {}  # up-matched elements: 0 new, 1 on path, 2 done
     for lo, hi, _ in poset.covers:
-        if frozenset((lo, hi)) in matched:
-            out[lo].append(hi)
-        else:
-            out[hi].append(lo)
-    for adj in out:
-        adj.sort()
-    color = [0] * n  # 0 new, 1 on stack, 2 done
-    parent_edge: dict[int, int] = {}
-    for root in range(n):
-        if color[root]:
+        if dims[hi] != dims[lo] + 1:
+            raise InvalidSubset(
+                f"cover {poset.names[lo]} < {poset.names[hi]} does not join adjacent dims"
+            )
+        below[hi].append(lo)
+        if partner[lo] == hi:
+            state[lo] = 0
+    for root in state:
+        if state[root]:
             continue
-        stack: list[tuple[int, int]] = [(root, 0)]
-        color[root] = 1
-        while stack:
-            node, k = stack[-1]
-            if k < len(out[node]):
-                stack[-1] = (node, k + 1)
-                nxt = out[node][k]
-                if color[nxt] == 1:
-                    cyc = [nxt]
-                    cur = node
-                    while cur != nxt:
-                        cyc.append(cur)
-                        cur = parent_edge[cur]
-                    cyc.append(nxt)
-                    return AcyclicityReport(False, tuple(reversed(cyc)))
-                if color[nxt] == 0:
-                    color[nxt] = 1
-                    parent_edge[nxt] = node
-                    stack.append((nxt, 0))
-            else:
-                color[node] = 2
-                stack.pop()
+        state[root] = 1
+        path = [root]
+        todo = [iter(below[partner[root]])]
+        while todo:
+            y = next(todo[-1], None)
+            if y is None:
+                state[path.pop()] = 2
+                todo.pop()
+            elif y != path[-1] and y in state:
+                if state[y] == 1:
+                    cyc = path[path.index(y):]
+                    walk = tuple(z for x in cyc for z in (x, partner[x]))
+                    return AcyclicityReport(False, walk + (y,))
+                if state[y] == 0:
+                    state[y] = 1
+                    path.append(y)
+                    todo.append(iter(below[partner[y]]))
     return AcyclicityReport(True)
 
 
@@ -224,34 +225,6 @@ def morse_counts(poset: FinitePoset, matching: Matching) -> MorseSummary:
     return summary
 
 
-def augment_with_bottom(poset: FinitePoset, matching: Matching) -> tuple[FinitePoset, Matching]:
-    """Adjoin a bottom element below all minimal elements; if any minimal
-    element is unmatched, match the bottom with the least-id one.  The
-    extension is re-verified to be acyclic."""
-    n = poset.n
-    bottom = n
-    minimals = poset.minimal_elements()
-    names = poset.names + ("0^",)
-    dims = poset.dims + (min(poset.dims) - 1,)
-    leq = np.zeros((n + 1, n + 1), dtype=bool)
-    leq[:n, :n] = poset.leq
-    leq[bottom, :] = True
-    covers = poset.covers + tuple((bottom, m, None) for m in minimals)
-    payload = poset.payload + (None,) if poset.payload else ()
-    aug = FinitePoset(names, dims, leq, covers, payload)
-    partner = list(matching.partner) + [bottom]
-    unmatched_min = [m for m in minimals if matching.partner[m] == m]
-    if unmatched_min:
-        mate = min(unmatched_min)
-        partner[bottom] = mate
-        partner[mate] = bottom
-    out = Matching(aug, tuple(partner))
-    report = is_acyclic(aug, out)
-    if not report.acyclic:
-        raise TheoremFalsified(f"augmented matching acquired a cycle: {report.cycle}")
-    return aug, out
-
-
 @dataclass(frozen=True)
 class ShellingReport:
     coatom_prefixes: int
@@ -267,44 +240,35 @@ def verify_shelling_subsets(li: LabeledInterval, order: ReflectionOrder,
     every union of the first k-1 lower intervals [v, w_i] must be preserved
     by the matching, and the complement of the union over i < n must be
     exactly [M(w), w]; dually for atoms and upper intervals."""
-    system, poset = li.system, li.poset
+    poset = li.poset
     if matching is None:
         matching = build_matching(li, order)
     rank = order.rank
     top = li.index[li.w]
     bot = li.index[li.v]
-    down = poset.down_adj()
-    up = poset.up_adj()
+    leq = poset.leq
+    partner = np.asarray(matching.partner)
+    coatoms = sorted((rank[t], lo) for lo, hi, t in poset.covers if hi == top)
+    atoms = sorted((rank[t], hi) for lo, hi, t in poset.covers if lo == bot)
 
-    where = f"[{system.word_str(li.v)}, {system.word_str(li.w)}]"
+    def falsified(what: str) -> TheoremFalsified:
+        system = li.system
+        return TheoremFalsified(f"{what} in [{system.word_str(li.v)}, {system.word_str(li.w)}]")
 
-    # unions of the first k lower intervals [v, w_i], k = 0 .. n-1, must be
-    # preserved by the matching; the complement of the (n-1)-union is [M(w), w]
-    coatoms = sorted(((rank[t], x) for x, t in down[top]), key=lambda p: p[0])
-    union: set[int] = set()
-    count_co = 0
-    for k, (_, x) in enumerate(coatoms):
-        if not is_M_subset(matching, union):
-            raise TheoremFalsified(f"coatom prefix union of {k} intervals is not an M-subset in {where}")
-        count_co += 1
-        if k == len(coatoms) - 1:
-            break
-        union |= {z for z in range(poset.n) if poset.leq[z, x]}
-    rest = set(range(poset.n)) - union
-    mw = matching.partner[top]
-    expected = {z for z in range(poset.n) if poset.leq[mw, z]}
-    partition_ok = rest == expected
-    if not partition_ok:
-        raise TheoremFalsified(f"complement of the coatom prefix unions is not [M(w), w] in {where}")
+    # unions of the first k lower intervals [v, w_i], k = 1 .. n-1, must be
+    # preserved by the matching (the empty union trivially is); the
+    # complement of the (n-1)-union is [M(w), w]
+    union = np.zeros(poset.n, dtype=bool)
+    for k, (_, x) in enumerate(coatoms[:-1], 1):
+        union |= leq[:, x]
+        if not union[partner[union]].all():
+            raise falsified(f"coatom prefix union of {k} intervals is not an M-subset")
+    if not np.array_equal(~union, leq[partner[top], :]):
+        raise falsified("complement of the coatom prefix unions is not [M(w), w]")
 
-    atoms = sorted(((rank[t], x) for x, t in up[bot]), key=lambda p: p[0])
-    union = set()
-    count_at = 0
-    for k, (_, x) in enumerate(atoms):
-        if not is_M_subset(matching, union):
-            raise TheoremFalsified(f"atom prefix union of {k} intervals is not an M-subset in {where}")
-        count_at += 1
-        if k == len(atoms) - 1:
-            break
-        union |= {z for z in range(poset.n) if poset.leq[x, z]}
-    return ShellingReport(count_co, count_at, partition_ok)
+    union = np.zeros(poset.n, dtype=bool)
+    for k, (_, x) in enumerate(atoms[:-1], 1):
+        union |= leq[x, :]
+        if not union[partner[union]].all():
+            raise falsified(f"atom prefix union of {k} intervals is not an M-subset")
+    return ShellingReport(len(coatoms), len(atoms), True)

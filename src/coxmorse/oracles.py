@@ -99,6 +99,50 @@ def oracle_reflection_orders(system: CoxeterSystem, cap: int = 100_000) -> list[
     return seqs
 
 
+def oracle_directed_cycle(poset: FinitePoset, matching: Matching) -> tuple[int, ...] | None:
+    """A directed cycle of the whole Hasse digraph with matched covers
+    oriented up and all others down, as a closed walk, or None; a plain
+    depth-first search that assumes nothing about dimensions."""
+    matched = matching.matched_edges()
+    n = poset.n
+    out: list[list[int]] = [[] for _ in range(n)]
+    for lo, hi, _ in poset.covers:
+        if frozenset((lo, hi)) in matched:
+            out[lo].append(hi)
+        else:
+            out[hi].append(lo)
+    for adj in out:
+        adj.sort()
+    color = [0] * n  # 0 new, 1 on stack, 2 done
+    parent_edge: dict[int, int] = {}
+    for root in range(n):
+        if color[root]:
+            continue
+        stack: list[tuple[int, int]] = [(root, 0)]
+        color[root] = 1
+        while stack:
+            node, k = stack[-1]
+            if k < len(out[node]):
+                stack[-1] = (node, k + 1)
+                nxt = out[node][k]
+                if color[nxt] == 1:
+                    cyc = [nxt]
+                    cur = node
+                    while cur != nxt:
+                        cyc.append(cur)
+                        cur = parent_edge[cur]
+                    cyc.append(nxt)
+                    return tuple(reversed(cyc))
+                if color[nxt] == 0:
+                    color[nxt] = 1
+                    parent_edge[nxt] = node
+                    stack.append((nxt, 0))
+            else:
+                color[node] = 2
+                stack.pop()
+    return None
+
+
 def oracle_unmatched_scan(poset: FinitePoset, matching: Matching) -> list[int]:
     """Recount the fixed points of a matching by an independent pass."""
     for i, p in enumerate(matching.partner):

@@ -2,16 +2,17 @@
 purity/thinness checks, edge-labeled chain analysis, and JSON/DOT export.
 
 A :class:`FinitePoset` stores the full order relation as a boolean matrix
-plus the cover edges (= transitive reduction).  Each element carries a
-display name, an integer dimension (cell dimension for face posets, rank
-from the bottom for interval posets), and an optional payload.  Posets are
-immutable after construction.
+plus the cover edges (= transitive reduction).  Each element carries an
+integer dimension (cell dimension for face posets, rank from the bottom for
+interval posets) and a payload; its display name is built from the payload,
+on first use only.  Posets are immutable after construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -28,15 +29,21 @@ CHAIN_CAP_DEFAULT = 1_000_000
 
 @dataclass(frozen=True)
 class FinitePoset:
-    names: tuple[str, ...]
     dims: tuple[int, ...]
     leq: np.ndarray  # (n, n) bool, leq[i, j] iff i <= j
     covers: tuple[tuple[int, int, int | None], ...]  # (lo, hi, label)
-    payload: tuple = ()
+    payload: tuple  # one entry per element
+    name_of: Callable[[Any], str] = str  # display name of a payload entry
 
     @property
     def n(self) -> int:
-        return len(self.names)
+        return len(self.dims)
+
+    @cached_property
+    def names(self) -> tuple[str, ...]:
+        """Display names, built from the payload when first read (reports
+        and error messages only)."""
+        return tuple(map(self.name_of, self.payload))
 
     def up_adj(self) -> list[list[tuple[int, int | None]]]:
         adj: list[list[tuple[int, int | None]]] = [[] for _ in range(self.n)]
@@ -49,10 +56,6 @@ class FinitePoset:
         for lo, hi, lab in self.covers:
             adj[hi].append((lo, lab))
         return adj
-
-    def minimal_elements(self) -> list[int]:
-        has_down = {hi for _, hi, _ in self.covers}
-        return [i for i in range(self.n) if i not in has_down]
 
     def __repr__(self) -> str:
         return f"FinitePoset(n={self.n}, covers={len(self.covers)})"
@@ -71,9 +74,9 @@ def _transitive_closure_from_covers(n: int, covers: Sequence[tuple[int, int, int
 
 
 def poset_from_covers(names: Sequence[str], dims: Sequence[int],
-                      covers: Iterable[tuple[int, int, int | None]],
-                      payload: Sequence = ()) -> FinitePoset:
+                      covers: Iterable[tuple[int, int, int | None]]) -> FinitePoset:
     """Build a poset from cover edges; the order is their transitive closure.
+    The names are the payload.
 
     Every cover must strictly increase ``dims``; this keeps closure
     computation a single upward sweep.
@@ -84,13 +87,13 @@ def poset_from_covers(names: Sequence[str], dims: Sequence[int],
         if dims[lo] >= dims[hi]:
             raise InvalidSubset(f"cover {lo}->{hi} does not increase dimension")
     leq = _transitive_closure_from_covers(n, covers, dims)
-    return FinitePoset(tuple(names), tuple(dims), leq, covers, tuple(payload) or ())
+    return FinitePoset(tuple(dims), leq, covers, tuple(names))
 
 
 def poset_from_leq(names: Sequence[str], dims: Sequence[int], leq: np.ndarray,
-                   labels: Mapping[tuple[int, int], int] | None = None,
-                   payload: Sequence = ()) -> FinitePoset:
-    """Build a poset from an order matrix; covers are the transitive reduction."""
+                   labels: Mapping[tuple[int, int], int] | None = None) -> FinitePoset:
+    """Build a poset from an order matrix; covers are the transitive reduction.
+    The names are the payload."""
     n = len(names)
     verify_poset_axioms(leq)
     strict = leq & ~np.eye(n, dtype=bool)
@@ -102,8 +105,7 @@ def poset_from_leq(names: Sequence[str], dims: Sequence[int], leq: np.ndarray,
                 lab = labels.get((int(lo), int(hi))) if labels else None
                 covers.append((int(lo), int(hi), lab))
     covers.sort()
-    return FinitePoset(tuple(names), tuple(dims), leq.copy(), tuple(covers),
-                       tuple(payload) or ())
+    return FinitePoset(tuple(dims), leq.copy(), tuple(covers), tuple(names))
 
 
 def verify_poset_axioms(leq: np.ndarray) -> None:
@@ -128,13 +130,12 @@ def interval(poset: FinitePoset, x: int, y: int) -> FinitePoset:
         for lo, hi, lab in poset.covers
         if lo in index and hi in index
     )
-    payload = tuple(poset.payload[int(z)] for z in members) if poset.payload else ()
     return FinitePoset(
-        tuple(poset.names[int(z)] for z in members),
         tuple(poset.dims[int(z)] for z in members),
         poset.leq[np.ix_(members, members)].copy(),
         covers,
-        payload,
+        tuple(poset.payload[int(z)] for z in members),
+        poset.name_of,
     )
 
 

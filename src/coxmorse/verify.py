@@ -65,9 +65,9 @@ class CheckReport:
 
 def _timed(fn):
     def wrapper(*args, **kwargs) -> CheckReport:
-        t0 = time.time()
+        t0 = time.perf_counter()
         report: CheckReport = fn(*args, **kwargs)
-        report.seconds = time.time() - t0
+        report.seconds = time.perf_counter() - t0
         return report
 
     return wrapper

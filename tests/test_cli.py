@@ -151,3 +151,26 @@ def test_bad_suite_level_exits_with_usage(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["suite", "--level", "bogus"])
     assert exc.value.code == 2
+
+
+def test_cyclic_matching_exits_as_falsification(monkeypatch, capsys):
+    # a cycle in a matching the code built falsifies the instance: exit 3
+    import coxmorse.cli as cli
+    from coxmorse.matchings import Matching
+
+    def cyclic_matching(li, order):
+        up = {}
+        for lo, hi, _ in li.poset.covers:
+            up.setdefault(lo, set()).add(hi)
+        # x0, x1 both covered by y0 and y1: x0 -> y0 -> x1 -> y1 -> x0
+        x0, x1, y0, y1 = next((a, b, *sorted(up[a] & up[b])[:2]) for a in up for b in up
+                              if a < b and len(up[a] & up[b]) >= 2)
+        partner = list(range(li.poset.n))
+        partner[x0], partner[y0], partner[x1], partner[y1] = y0, x0, y1, x1
+        return Matching(li.poset, tuple(partner))
+
+    monkeypatch.setattr(cli, "build_matching", cyclic_matching)
+    monkeypatch.setattr(cli, "verify_shelling_subsets", lambda *args: None)
+    code, out, err = run(capsys, "matching", "--group", "A2", "--interval", "e", "1.2.1")
+    assert code == 3 and out == ""
+    assert "FALSIFIED: matching has a directed cycle" in err

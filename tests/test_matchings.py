@@ -1,10 +1,18 @@
 """Matching construction, acyclicity, M-subsets, Morse counts."""
 
+import re
+
 import pytest
 
-from coxmorse.errors import CyclicMatching, EmptyInterval, NotAMatching
+from coxmorse.errors import (
+    CyclicMatching,
+    EmptyInterval,
+    InvalidSubset,
+    NotAMatching,
+    TheoremFalsified,
+)
 from coxmorse.matchings import (
-    augment_with_bottom,
+    Matching,
     build_matching,
     is_M_subset,
     is_acyclic,
@@ -115,6 +123,12 @@ def test_acyclicity_detects_cycles():
         morse_counts(poset, m)
 
 
+def test_acyclicity_needs_covers_between_adjacent_dims():
+    poset = poset_from_covers(["a", "b", "c"], [0, 1, 2], [(0, 1, None), (0, 2, None)])
+    with pytest.raises(InvalidSubset, match="a < c"):
+        is_acyclic(poset, matching_from_pairs(poset, [(0, 1)]))
+
+
 def test_matching_from_pairs_validation():
     poset = poset_from_covers(["a", "b"], [0, 1], [(0, 1, None)])
     with pytest.raises(NotAMatching):
@@ -136,19 +150,6 @@ def test_morse_counts_and_certificate(system):
     assert morse_counts(point, m0).counts == {0: 1}
 
 
-def test_augment_with_bottom(system):
-    s = system("A2")
-    sp = build_springer_poset(s, set(), set())
-    matching, summary = springer_matching(sp)
-    aug, extended = augment_with_bottom(sp.poset, matching)
-    assert aug.n == sp.poset.n + 1
-    assert extended.is_complete()           # the bottom eats the lone unmatched cell
-    assert min(aug.dims) == -1
-    point = poset_from_covers(["pt"], [0], [])
-    aug2, m2 = augment_with_bottom(point, matching_from_pairs(point, []))
-    assert m2.is_complete() and aug2.n == 2
-
-
 def test_shelling_on_all_a2_intervals(system):
     s = system("A2")
     for order in all_orders(s):
@@ -156,3 +157,25 @@ def test_shelling_on_all_a2_intervals(system):
             li = labeled_interval(s, v, w)
             report = verify_shelling_subsets(li, order)
             assert report.partition_ok
+
+
+def test_shelling_check_fires_on_swapped_partners(system):
+    # the bottom takes M(w), a coatom other than the smallest-label w_1, so
+    # already the first coatom prefix union [v, w_1] is no longer preserved
+    s = system("A3")
+    order = order_from_reduced_word(s, [1, 2, 3, 1, 2, 1])
+    checked = 0
+    for v, w in s.comparable_pairs(strict=True):
+        li = labeled_interval(s, v, w)
+        if li.rank < 2:
+            continue
+        m = build_matching(li, order)
+        bot, top = li.index[v], li.index[w]
+        partner = list(m.partner)
+        partner[bot], partner[top] = partner[top], partner[bot]
+        message = (f"coatom prefix union of 1 intervals is not an M-subset "
+                   f"in [{s.word_str(v)}, {s.word_str(w)}]")
+        with pytest.raises(TheoremFalsified, match=re.escape(message)):
+            verify_shelling_subsets(li, order, Matching(li.poset, tuple(partner)))
+        checked += 1
+    assert checked == 189 - 58  # every nontrivial interval but the 58 covers

@@ -1,18 +1,28 @@
 """Brute-force oracles, and production-vs-oracle equivalences."""
 
+import random
+
 import pytest
 
 from coxmorse.errors import CapExceeded
-from coxmorse.matchings import build_matching, labeled_interval, matching_from_pairs
+from coxmorse.matchings import (
+    Matching,
+    build_matching,
+    is_acyclic,
+    labeled_interval,
+    matching_from_pairs,
+)
 from coxmorse.oracles import (
     oracle_bruhat_leq,
     oracle_demazure,
+    oracle_directed_cycle,
     oracle_reduced_words,
     oracle_reflection_orders,
     oracle_unmatched_scan,
 )
 from coxmorse.posets import poset_from_covers
 from coxmorse.reflection_orders import order_from_reduced_word, validate
+from coxmorse.verify import all_orders
 
 
 def test_bruhat_oracle_trivia(system):
@@ -84,3 +94,46 @@ def test_unmatched_scan(system):
     assert oracle_unmatched_scan(li.poset, m) == []
     point = poset_from_covers(["pt"], [0], [])
     assert oracle_unmatched_scan(point, matching_from_pairs(point, [])) == [0]
+
+
+def agrees_with_cycle_oracle(poset, matching):
+    """is_acyclic and the general search agree; a reported cycle is a closed
+    walk along edges of the modified Hasse diagram.  Returns acyclicity."""
+    report = is_acyclic(poset, matching)
+    assert report.acyclic == (oracle_directed_cycle(poset, matching) is None)
+    if not report.acyclic:
+        edges = {(lo, hi) if matching.partner[lo] == hi else (hi, lo)
+                 for lo, hi, _ in poset.covers}
+        cycle = report.cycle
+        assert len(cycle) >= 5 and cycle[0] == cycle[-1]
+        assert all(step in edges for step in zip(cycle, cycle[1:]))
+    return report.acyclic
+
+
+def test_acyclicity_agrees_with_oracle_on_a3(system):
+    s = system("A3")
+    orders = all_orders(s)
+    assert len(orders) == 16
+    for v, w in s.comparable_pairs(strict=True):
+        li = labeled_interval(s, v, w)
+        for order in orders:
+            assert agrees_with_cycle_oracle(li.poset, build_matching(li, order))
+
+
+def test_acyclicity_agrees_with_oracle_on_tampered_matchings(system):
+    # the two stacked squares of test_acyclicity_detects_cycles
+    squares = poset_from_covers(
+        ["a", "b", "c", "d"], [0, 1, 0, 1],
+        [(0, 1, None), (2, 1, None), (2, 3, None), (0, 3, None)])
+    assert not agrees_with_cycle_oracle(squares, matching_from_pairs(squares, [(0, 1), (2, 3)]))
+    # random sets of disjoint covers of the whole A3 order, cyclic or not
+    poset = labeled_interval(system("A3"), 0, system("A3").w0).poset
+    rng = random.Random(11)
+    verdicts = set()
+    for _ in range(300):
+        partner = list(range(poset.n))
+        for lo, hi, _ in rng.sample(poset.covers, rng.randrange(1, 40)):
+            if partner[lo] == lo and partner[hi] == hi:
+                partner[lo], partner[hi] = hi, lo
+        verdicts.add(agrees_with_cycle_oracle(poset, Matching(poset, tuple(partner))))
+    assert verdicts == {True, False}

@@ -21,7 +21,7 @@ from .coxeter import DEFAULT_MAX_ELEMENTS, CoxeterMatrix, CoxeterSystem, build_s
 from .errors import Falsification, InputError, InvalidSubset
 from .fibers import build_fiber_poset, build_qk, fiber_matching, generalized_quotient, verify_convexity
 from .matchings import build_matching, labeled_interval, morse_counts, verify_shelling_subsets
-from .oracles import oracle_bruhat_leq, oracle_unmatched_scan
+from .oracles import oracle_bruhat_leq, oracle_interval_ids, oracle_unmatched_scan
 from .posets import euler_characteristic, poset_to_dot
 from .reflection_orders import order_from_reduced_word, shortlex_order
 from .springer import build_springer_poset, springer_matching
@@ -119,6 +119,15 @@ def cmd_matching(args) -> int:
     w = system.parse_word(args.interval[1])
     order = _order_from_args(system, args)
     li = labeled_interval(system, v, w)
+    if args.paranoid:
+        members = oracle_interval_ids(system, v, w)
+        if members != list(li.ids):
+            x = min(set(members) ^ set(li.ids))
+            side = "the oracle" if x in members else "the extracted interval"
+            raise Falsification(
+                f"interval [{system.word_str(v)}, {system.word_str(w)}] disagrees with "
+                f"the cover-search oracle at {system.word_str(x)} (only in {side})"
+            )
     matching = build_matching(li, order)
     shelling = verify_shelling_subsets(li, order, matching)
     summary = morse_counts(li.poset, matching)

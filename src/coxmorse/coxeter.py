@@ -345,6 +345,8 @@ class CoxeterSystem:
         tops = np.nonzero(self.length == w0_len)[0]
         assert len(tops) == 1, "longest element must be unique"
         self.w0 = int(tops[0])
+        # ids of length k are the range _length_start[k] .. _length_start[k + 1]
+        self._length_start = np.searchsorted(self.length, np.arange(w0_len + 2))
 
         # reflections: conjugacy closure of the generators
         simples = [int(self.right[0, g]) for g in range(rank)]
@@ -473,15 +475,18 @@ class CoxeterSystem:
     def bruhat(self) -> np.ndarray:
         """Boolean incidence matrix, bruhat[v, w] iff v <= w.
 
-        Built by upward closure from the cover relation; O(|W|^2) bytes,
-        computed on first use.
+        Row v is the upper set of v: v itself together with the rows of its
+        up-covers.  Ids are sorted by length, so walking them downwards
+        finds every up-cover row complete, and each step ORs whole
+        contiguous rows.  Computed on first use; O(|W|^2) bytes.
         """
         n = self.size
         b = np.zeros((n, n), dtype=bool)
-        for w in range(n):  # ids are sorted by length
-            b[w, w] = True
-            for v, _ in self._covers_down[w]:
-                b[:, w] |= b[:, v]
+        for v in range(n - 1, -1, -1):
+            row = b[v]
+            row[v] = True
+            for u, _ in self._covers_up[v]:
+                np.bitwise_or(row, b[u], out=row)
         return b
 
     def bruhat_leq(self, v: int, w: int) -> bool:
@@ -499,7 +504,11 @@ class CoxeterSystem:
         return [(int(v), int(w)) for v, w in zip(vs, ws) if not strict or v != w]
 
     def interval_ids(self, v: int, w: int) -> list[int]:
-        return [int(z) for z in np.nonzero(self.bruhat[v, :] & self.bruhat[:, w])[0]]
+        """Ids of [v, w], ascending; only lengths l(v)..l(w) are scanned."""
+        b = self.bruhat
+        lo = self._length_start[self.length[v]]
+        hi = self._length_start[self.length[w] + 1]
+        return (np.flatnonzero(b[v, lo:hi] & b[lo:hi, w]) + lo).tolist()
 
     # -- Demazure-type operations -------------------------------------------
 

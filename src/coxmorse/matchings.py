@@ -63,7 +63,7 @@ def labeled_interval(system: CoxeterSystem, v: int, w: int) -> LabeledInterval:
                 covers.append((index[lo], index[x], t))
     covers.sort()
     dims = tuple(system.len_of(x) - base for x in ids)
-    sub = system.bruhat[np.ix_(ids, ids)].copy()
+    sub = system.bruhat[np.ix_(ids, ids)]
     poset = FinitePoset(dims, sub, tuple(covers), ids, system.word_str)
     return LabeledInterval(system, v, w, ids, index, poset)
 

@@ -32,6 +32,22 @@ def oracle_bruhat_leq(system: CoxeterSystem, v: int, w: int) -> bool:
     return recurse(v, len(word0))
 
 
+def oracle_interval_ids(system: CoxeterSystem, v: int, w: int) -> list[int]:
+    """Ids of [v, w], ascending: the elements reached from w down Bruhat
+    covers while staying above v by the subword test (intervals are graded,
+    so every member is reached).  Never reads the Bruhat matrix."""
+    if not oracle_bruhat_leq(system, v, w):
+        return []
+    seen, stack = {w}, [w]
+    while stack:
+        y = stack.pop()
+        for x, _ in system.bruhat_covers_down(y):
+            if x not in seen and oracle_bruhat_leq(system, v, x):
+                seen.add(x)
+                stack.append(x)
+    return sorted(seen)
+
+
 def _lower_set(system: CoxeterSystem, x: int) -> list[int]:
     return [y for y in range(system.size) if system.bruhat_leq(y, x)]
 

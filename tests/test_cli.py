@@ -174,3 +174,21 @@ def test_cyclic_matching_exits_as_falsification(monkeypatch, capsys):
     code, out, err = run(capsys, "matching", "--group", "A2", "--interval", "e", "1.2.1")
     assert code == 3 and out == ""
     assert "FALSIFIED: matching has a directed cycle" in err
+
+
+def test_paranoid_matching_rechecks_interval_members(monkeypatch, capsys):
+    # one flipped closure entry drops 2.3 from [2, 2.3.1.2]; only the
+    # cover-search recheck under --paranoid can see it
+    import coxmorse.cli as cli
+    from coxmorse import build_system
+
+    a3 = build_system("A3")  # fresh: never corrupt the session-cached system
+    v, x = a3.parse_word("2"), a3.parse_word("2.3")
+    assert a3.bruhat[v, x]
+    a3.bruhat[v, x] = False
+    monkeypatch.setattr(cli, "_system_from_args", lambda args: a3)
+    argv = ["matching", "--group", "A3", "--interval", "2", "2.3.1.2"]
+    code, out, err = run(capsys, *argv, "--paranoid")
+    assert code == 3 and out == ""
+    assert ("FALSIFIED: interval [2, 2.1.3.2] disagrees with the cover-search oracle "
+            "at 2.3 (only in the oracle)") in err

@@ -31,12 +31,45 @@ def test_bruhat_oracle_trivia(system):
     assert not oracle_bruhat_leq(s, s.simple(1), s.simple(2))
 
 
-@pytest.mark.parametrize("name", ["A3", "B3"])
+@pytest.mark.parametrize("name", ["A3", "B3", "H3", "B2", "I2(5)"])
 def test_bruhat_oracle_matches_production(system, name):
     s = system(name)
     for v in range(s.size):
         for w in range(s.size):
             assert oracle_bruhat_leq(s, v, w) == s.bruhat_leq(v, w)
+
+
+def _oracle_order(s):
+    return [[oracle_bruhat_leq(s, v, w) for w in range(s.size)] for v in range(s.size)]
+
+
+def _assert_intervals_match_oracle(s, leq, pairs):
+    for v, w in pairs:
+        expected = [x for x in range(s.size) if leq[v][x] and leq[x][w]]
+        assert s.interval_ids(v, w) == expected, (v, w)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3"])
+def test_interval_ids_match_oracle_on_all_pairs(system, name):
+    s = system(name)
+    leq = _oracle_order(s)
+    pairs = [(v, w) for v in range(s.size) for w in range(s.size) if leq[v][w]]
+    _assert_intervals_match_oracle(s, leq, pairs)
+
+
+def test_interval_ids_match_oracle_at_length_boundaries(system):
+    # endpoints that open or close a length block catch off-by-one offsets
+    s = system("H3")
+    leq = _oracle_order(s)
+    by_length = {}
+    for x in range(s.size):
+        by_length.setdefault(s.len_of(x), []).append(x)
+    edges = {x for block in by_length.values() for x in (block[0], block[-1])}
+    pairs = [(v, w) for v in range(s.size) for w in range(s.size)
+             if leq[v][w] and (v in edges or w in edges)]
+    assert (0, s.w0) in pairs
+    _assert_intervals_match_oracle(s, leq, pairs)
+    assert s.interval_ids(s.w0, 0) == []
 
 
 def test_demazure_oracle_trivia(system):

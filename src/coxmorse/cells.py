@@ -8,13 +8,64 @@ whole order (gradedness of the face poset) is asserted, not assumed.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .coxeter import CoxeterSystem
-from .errors import TheoremFalsified
+from .errors import OrderTooLarge, TheoremFalsified
 from .posets import FinitePoset, _transitive_closure_from_covers
+
+# Largest dense order matrix (n x n bools) a pair poset may allocate; the
+# cover-closure check holds up to three matrices of this size at once.
+MAX_ORDER_BYTES = 1 << 29
+
+
+def check_order_size(n: int, what: str) -> None:
+    """Raise :class:`OrderTooLarge` before a dense n x n order is allocated
+    beyond ``MAX_ORDER_BYTES``."""
+    if n * n > MAX_ORDER_BYTES:
+        raise OrderTooLarge(
+            f"{what} has {n} cells; its dense order needs {n * n / 2**20:.0f} MiB, "
+            f"above the limit of {MAX_ORDER_BYTES / 2**20:.0f} MiB"
+        )
+
+
+def graded_covers(leq: np.ndarray, dims: Sequence[int], what: str,
+                  name: Callable[[int], str] = str) -> tuple[tuple[int, int, None], ...]:
+    """The covers of the order ``leq``, checked to be graded by ``dims``.
+
+    The comparable pairs whose dims differ by one are taken as covers and
+    closed; the closure must equal ``leq``.  Equality makes ``leq``
+    reflexive, antisymmetric and transitive, and every cover a step of one
+    dim.  Otherwise :class:`TheoremFalsified` names the first disagreeing
+    entry (``name`` formats an index) and the axiom it breaks.  Covers come
+    sorted by (lo, hi).
+    """
+    dim_arr = np.asarray(dims)
+    gap_one = dim_arr[:, None] + 1 == dim_arr[None, :]
+    gap_one &= leq
+    lo_idx, hi_idx = np.nonzero(gap_one)
+    del gap_one   # freed before the closure takes its place
+    covers = tuple((lo, hi, None) for lo, hi in zip(lo_idx.tolist(), hi_idx.tolist()))
+    diff = _transitive_closure_from_covers(len(dims), covers, dims)
+    np.not_equal(diff, leq, out=diff)
+    if diff.any():
+        i, j = divmod(int(diff.argmax()), len(dims))
+        if i == j:
+            raise TheoremFalsified(f"{what} is not reflexive at {name(i)}")
+        if not leq[i, j]:
+            raise TheoremFalsified(
+                f"{what} is not transitive: {name(i)} <= {name(j)} follows from the covers "
+                f"but is missing"
+            )
+        if leq[j, i]:
+            raise TheoremFalsified(f"{what} is not antisymmetric at {name(i)}, {name(j)}")
+        raise TheoremFalsified(
+            f"{what} is not graded by dimension: relation between {name(i)} and "
+            f"{name(j)} disagrees with the cover closure"
+        )
+    return covers
 
 
 def nested_pair_order(system: CoxeterSystem, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
@@ -23,33 +74,26 @@ def nested_pair_order(system: CoxeterSystem, pairs: Sequence[tuple[int, int]]) -
     v = np.asarray([p[0] for p in pairs], dtype=np.int32)
     w = np.asarray([p[1] for p in pairs], dtype=np.int32)
     b = system.bruhat
-    v_ok = b[np.ix_(v, v)]    # v_ok[i, j] = v_i <= v_j
-    w_ok = b[np.ix_(w, w)]
-    return v_ok.T & w_ok      # v_j <= v_i and w_i <= w_j
+    # gather columns into small |W| x n tables, then whole rows of those:
+    # row copies are far faster than np.ix_ on an n x n result
+    leq = np.ascontiguousarray(b[v].T)[v]       # [i, j] = v_j <= v_i
+    leq &= np.ascontiguousarray(b[:, w])[w]     # [i, j] = w_i <= w_j
+    return leq
+
+
+def pair_name(system: CoxeterSystem, pair: tuple[int, int]) -> str:
+    return f"({system.word_str(pair[0])},{system.word_str(pair[1])})"
 
 
 def pair_poset(system: CoxeterSystem, pairs: Sequence[tuple[int, int]],
                leq: np.ndarray | None = None, what: str = "pair poset") -> FinitePoset:
     """Build the poset of cell pairs.  ``leq`` defaults to the nested-interval
-    order; covers are dimension-gap-one pairs, and their closure is checked
-    against the order (raising on a gradedness violation)."""
+    order; its covers are the dimension-gap-one pairs, checked by
+    :func:`graded_covers`."""
     pairs = [(int(a), int(b)) for a, b in pairs]
-    n = len(pairs)
+    check_order_size(len(pairs), what)
     if leq is None:
         leq = nested_pair_order(system, pairs)
     dims = tuple(system.len_of(b) - system.len_of(a) for a, b in pairs)
-    dim_arr = np.asarray(dims, dtype=np.int32)
-    strict = leq & ~np.eye(n, dtype=bool)
-    gap_one = dim_arr[None, :] == dim_arr[:, None] + 1
-    lo_idx, hi_idx = np.nonzero(strict & gap_one)
-    covers = tuple((int(a), int(b), None) for a, b in zip(lo_idx, hi_idx))
-    closure = _transitive_closure_from_covers(n, covers, dims)
-    poset = FinitePoset(dims, leq, covers, tuple(pairs),
-                        lambda p: f"({system.word_str(p[0])},{system.word_str(p[1])})")
-    if not np.array_equal(closure, leq):
-        i, j = map(int, np.argwhere(closure != leq)[0])
-        raise TheoremFalsified(
-            f"{what} is not graded by dimension: relation between {poset.names[i]} and "
-            f"{poset.names[j]} disagrees with the cover closure"
-        )
-    return poset
+    covers = graded_covers(leq, dims, what, lambda k: pair_name(system, pairs[k]))
+    return FinitePoset(dims, leq, covers, tuple(pairs), lambda p: pair_name(system, p))

@@ -70,6 +70,10 @@ class CapExceeded(InputError):
     pass
 
 
+class OrderTooLarge(InputError):
+    pass
+
+
 class CyclicMatching(Falsification):
     pass
 

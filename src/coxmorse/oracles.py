@@ -48,6 +48,23 @@ def oracle_interval_ids(system: CoxeterSystem, v: int, w: int) -> list[int]:
     return sorted(seen)
 
 
+def oracle_springer_member(system: CoxeterSystem, v: int, w: int, J, Jprime) -> bool:
+    """The Springer membership conditions for one pair, tested one by one:
+    v <= w; each i in J a left descent of w with v not <= s_i w; each j in
+    J' a left ascent of v with s_j v not <= w."""
+    if not system.bruhat_leq(v, w):
+        return False
+    for i in J:
+        sw = system.left[w, i - 1]
+        if system.length[sw] > system.length[w] or system.bruhat_leq(v, int(sw)):
+            return False
+    for j in Jprime:
+        sv = system.left[v, j - 1]
+        if system.length[sv] < system.length[v] or system.bruhat_leq(int(sv), w):
+            return False
+    return True
+
+
 def _lower_set(system: CoxeterSystem, x: int) -> list[int]:
     return [y for y in range(system.size) if system.bruhat_leq(y, x)]
 

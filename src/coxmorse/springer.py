@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .cells import pair_poset
 from .coxeter import CoxeterSystem
 from .errors import (
@@ -55,18 +57,30 @@ class SpringerPoset:
         return self.system.mul(self.system.longest(self.Jprime), self.system.w0)
 
 
-def _member(system: CoxeterSystem, v: int, w: int, J, Jprime) -> bool:
-    if not system.bruhat_leq(v, w):
-        return False
+def _members(system: CoxeterSystem, J, Jprime) -> list[tuple[int, int]]:
+    """Pairs (v, w) of Z sorted by (dimension, v, w); one row operation per
+    v selects its w: v <= w, each i in J a left descent of w with
+    v not <= s_i w, and (for a v with every j in J' a left ascent)
+    s_j v not <= w."""
+    b, left, length = system.bruhat, system.left, system.length
+    w_ok = np.ones(system.size, dtype=bool)
     for i in J:
-        sw = system.left[w, i - 1]
-        if system.length[sw] > system.length[w] or system.bruhat_leq(v, int(sw)):
-            return False
-    for j in Jprime:
-        sv = system.left[v, j - 1]
-        if system.length[sv] < system.length[v] or system.bruhat_leq(int(sv), w):
-            return False
-    return True
+        w_ok &= length[left[:, i - 1]] < length
+    vs, ws = [], []
+    for v in range(system.size):
+        if any(length[left[v, j - 1]] < length[v] for j in Jprime):
+            continue
+        row = b[v] & w_ok
+        for i in J:
+            row &= ~b[v, left[:, i - 1]]
+        for j in Jprime:
+            row &= ~b[left[v, j - 1]]
+        hits = np.flatnonzero(row)
+        vs.append(np.full(len(hits), v))
+        ws.append(hits)
+    v_arr, w_arr = np.concatenate(vs), np.concatenate(ws)
+    order = np.lexsort((w_arr, v_arr, length[w_arr] - length[v_arr]))
+    return list(zip(v_arr[order].tolist(), w_arr[order].tolist()))
 
 
 def build_springer_poset(system: CoxeterSystem, J, Jprime) -> SpringerPoset:
@@ -74,11 +88,7 @@ def build_springer_poset(system: CoxeterSystem, J, Jprime) -> SpringerPoset:
     Jprime = system.check_subset(Jprime)
     if J & Jprime:
         raise OverlappingSubsets(f"J and J' overlap: {sorted(J & Jprime)}")
-    members = []
-    for v, w in system.comparable_pairs():
-        if _member(system, v, w, J, Jprime):
-            members.append((v, w))
-    members.sort(key=lambda p: (system.len_of(p[1]) - system.len_of(p[0]), p))
+    members = _members(system, J, Jprime)
     sp = SpringerPoset(system, J, Jprime, tuple(members),
                        pair_poset(system, members, what="springer pair poset"))
     _check_membership_invariants(sp)
@@ -114,11 +124,15 @@ def build_slices(sp: SpringerPoset, v: int) -> tuple[list[int], list[int], list[
         raise NotMinimalCosetRep(
             f"{system.word_str(v)} has a left descent in J'={sorted(sp.Jprime)}"
         )
-    above = [w for w in range(system.size) if system.bruhat_leq(v, w)]
-    p_v = [w for w in above
-           if all(not system.bruhat_leq(int(system.left[v, j - 1]), w) for j in sp.Jprime)]
-    q_v = [w for w in above
-           if all(not system.bruhat_leq(v, int(system.left[w, i - 1])) for i in sp.J)]
+    b, left = system.bruhat, system.left
+    above = b[v]
+    p_v = above.copy()
+    for j in sp.Jprime:
+        p_v &= ~b[left[v, j - 1]]
+    q_v = above.copy()
+    for i in sp.J:
+        q_v &= ~b[v, left[:, i - 1]]
+    above, p_v, q_v = (np.flatnonzero(x).tolist() for x in (above, p_v, q_v))
     z_v = [w for w in above if (v, w) in sp.index]
     assert z_v == sorted(set(p_v) & set(q_v)), "slice is not the intersection of P_v and Q_v"
     return z_v, p_v, q_v

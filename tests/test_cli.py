@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from coxmorse import cells
 from coxmorse.cli import main, parse_subset
 from coxmorse.errors import InvalidSubset
 
@@ -192,3 +193,10 @@ def test_paranoid_matching_rechecks_interval_members(monkeypatch, capsys):
     assert code == 3 and out == ""
     assert ("FALSIFIED: interval [2, 2.1.3.2] disagrees with the cover-search oracle "
             "at 2.3 (only in the oracle)") in err
+
+
+def test_oversized_pair_order_exits_as_usage_error(capsys, monkeypatch):
+    monkeypatch.setattr(cells, "MAX_ORDER_BYTES", 19 * 19 - 1)
+    code, out, err = run(capsys, "springer", "--group", "A2", "--J", "{}", "--Jprime", "{}")
+    assert code == 2 and out == ""
+    assert err.startswith("error: springer pair poset has 19 cells")

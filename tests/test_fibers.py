@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from coxmorse.errors import NotComparable, NotMinimalCosetRep
+from coxmorse import build_system
+from coxmorse.errors import NotComparable, NotMinimalCosetRep, PropositionFalsified
 from coxmorse.fibers import (
     build_fiber_poset,
     build_qk,
@@ -14,6 +15,7 @@ from coxmorse.fibers import (
     z_upper,
 )
 from coxmorse.cells import nested_pair_order
+from coxmorse.oracles import oracle_bruhat_leq
 
 
 def test_qk_empty_k_reduces_to_nested_order(system):
@@ -173,3 +175,56 @@ def test_fiber_certificates_a3_spot(system):
                 assert (slice_b == [a]) == (a == gq.z_tilde)
             found += 1
     assert found > 0
+
+
+def matmul_order_axioms(leq):
+    """Reflexive, antisymmetric and transitive, the last by a float32 matrix
+    product (exact: every entry counts at most n < 2^24 paths)."""
+    n = leq.shape[0]
+    square = (leq.astype(np.float32) @ leq.astype(np.float32)) > 0
+    return (bool(leq.diagonal().all())
+            and not (leq & leq.T & ~np.eye(n, dtype=bool)).any()
+            and not (square & ~leq).any())
+
+
+@pytest.mark.parametrize("name", ["A3", "B3"])
+def test_qk_passes_the_matmul_order_check(system, name):
+    s = system(name)
+    for r in range(1 << s.rank):
+        K = {i + 1 for i in range(s.rank) if r >> i & 1}
+        assert matmul_order_axioms(build_qk(s, K).leq), sorted(K)
+
+
+def test_qk_order_matches_brute_force_on_a3(system):
+    # (v', w') <= (v, w) iff v <= v'u <= w'u <= w for some u in W_K, by the
+    # subword oracle; members are the pairs v <= w with w in W^K
+    s = system("A3")
+    ob = {(x, y): oracle_bruhat_leq(s, x, y) for x in range(s.size) for y in range(s.size)}
+    for r in range(1 << s.rank):
+        K = {i + 1 for i in range(s.rank) if r >> i & 1}
+        qk = build_qk(s, K)
+        sub = s.parabolic(K)
+        assert set(qk.members) == {(v, w) for (v, w), le in ob.items()
+                                   if le and not s.descents(w, "right") & K}
+        for i, (vp, wp) in enumerate(qk.members):
+            shifted = [(s.mul(vp, u), s.mul(wp, u)) for u in sub.elements]
+            for j, (v, w) in enumerate(qk.members):
+                want = any(ob[v, a] and ob[a, b] and ob[b, w] for a, b in shifted)
+                assert qk.leq[i, j] == want, (sorted(K), qk.members[i], qk.members[j])
+
+
+def test_fiber_descriptions_disagree_without_one_inversion(monkeypatch):
+    # fault injection: N_R(v') loses a reflection, so the inversion-based
+    # descriptions (iii) and (iv) admit a pair that (i) and (ii) exclude
+    s = build_system("A3")
+    qk = build_qk(s, {1})
+    lower = (s.parse_word("1"), s.parse_word("1.2"))
+    upper = (s.parse_word("1"), s.parse_word("2.1.3.2"))
+    build_fiber_poset(qk, lower, upper)
+    n_r = s.right_inversion_reflections(lower[0])
+    assert n_r == {s.simple(1)}
+    monkeypatch.setitem(s._n_r_cache, lower[0], n_r - {s.simple(1)})
+    with pytest.raises(PropositionFalsified,
+                       match=r"fiber descriptions disagree \(defining vs cover-restricted\): "
+                             r"\[\('e', '1'\)\]"):
+        build_fiber_poset(qk, lower, upper)

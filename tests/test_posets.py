@@ -1,12 +1,15 @@
 """Generic poset machinery: intervals, chains, thinness, labeled chains."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from coxmorse.cells import pair_poset
-from coxmorse.errors import ELViolation, NotComparable, NotPure
+from coxmorse import cells
+from coxmorse.cells import graded_covers, pair_poset
+from coxmorse.errors import ELViolation, NotComparable, NotPure, OrderTooLarge, TheoremFalsified
+from coxmorse.fibers import build_qk
 from coxmorse.matchings import labeled_interval
 from coxmorse.posets import (
     all_maximal_chains,
@@ -17,11 +20,11 @@ from coxmorse.posets import (
     is_thin,
     poset_from_covers,
     poset_from_json,
-    poset_from_leq,
     poset_to_dot,
     poset_to_json,
 )
 from coxmorse.reflection_orders import order_from_reduced_word
+from coxmorse.springer import build_springer_poset
 
 
 def chain_poset(n):
@@ -38,7 +41,7 @@ def boolean_2():
 
 def test_closure_reduction_roundtrip():
     p = boolean_2()
-    q = poset_from_leq(p.names, p.dims, p.leq)
+    q = poset_from_covers(p.names, p.dims, graded_covers(p.leq, p.dims, "diamond"))
     assert q.covers == tuple((lo, hi, None) for lo, hi, _ in p.covers)
     assert np.array_equal(q.leq, p.leq)
 
@@ -97,9 +100,8 @@ def test_purity_and_thinness():
     lop = poset_from_covers(["a", "b", "c", "d"], [0, 1, 2, 3],
                             [(0, 1, None), (1, 2, None), (2, 3, None)])
     assert is_pure(lop)
-    uneven = poset_from_leq(
-        ["x", "m", "y"], [0, 1, 2],
-        np.array([[1, 1, 1], [0, 1, 1], [0, 0, 1]], dtype=bool))
+    uneven = poset_from_covers(["x", "m", "y"], [0, 1, 2], [(0, 1, None), (1, 2, None)])
+    assert np.array_equal(uneven.leq, np.array([[1, 1, 1], [0, 1, 1], [0, 0, 1]], dtype=bool))
     # x < m < y and the direct relation x < y: still pure (chains equal)
     assert is_pure(uneven)
 
@@ -193,3 +195,42 @@ def test_fixture_bottom_is_not_below_all_figure_elements(system):
     assert not s.bruhat_leq(s.parse_word("1"), s.parse_word("3.2.3"))
     li = labeled_interval(s, s.parse_word("1"), w)
     assert li.poset.n == 8
+
+
+def test_order_check_names_the_failed_axiom():
+    # x < m < y by dims 0, 1, 2; each matrix breaks one axiom
+    dims = [0, 1, 2]
+    chain = np.array([[1, 1, 1], [0, 1, 1], [0, 0, 1]], dtype=bool)
+    assert graded_covers(chain, dims, "chain") == ((0, 1, None), (1, 2, None))
+    broken = {
+        "not transitive": [[1, 1, 0], [0, 1, 1], [0, 0, 1]],
+        "not graded by dimension": [[1, 0, 1], [0, 1, 0], [0, 0, 1]],
+        "not reflexive": [[1, 1, 1], [0, 0, 1], [0, 0, 1]],
+        "not antisymmetric": [[1, 1, 1], [1, 1, 1], [0, 0, 1]],
+    }
+    for axiom, rows in broken.items():
+        with pytest.raises(TheoremFalsified, match=f"chain is {axiom}"):
+            graded_covers(np.array(rows, dtype=bool), dims, "chain")
+    # transitive, but x < y skips dim 1: the only relation is not a cover step
+    with pytest.raises(TheoremFalsified, match="not graded by dimension"):
+        graded_covers(np.array([[1, 1], [0, 1]], dtype=bool), [0, 2], "gap")
+
+
+@pytest.mark.parametrize("name", ["A3", "B3"])
+def test_pair_order_guard_fires_before_allocating(system, monkeypatch, name):
+    s = system(name)
+    n = len(s.comparable_pairs())     # cells of both posets below
+    monkeypatch.setattr(cells, "MAX_ORDER_BYTES", n * n - 1)
+    builds = [("springer pair poset", lambda: build_springer_poset(s, set(), set())),
+              ("q_k relation", lambda: build_qk(s, set()))]
+    for what, build in builds:
+        tracemalloc.start()
+        try:
+            with pytest.raises(OrderTooLarge, match=f"{what} has {n} cells"):
+                build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n, f"{what} allocated {peak} bytes before the guard"
+    monkeypatch.setattr(cells, "MAX_ORDER_BYTES", n * n)
+    assert len(build_qk(s, set()).members) == n

@@ -3,6 +3,7 @@
 import pytest
 
 from coxmorse.errors import NotMinimalCosetRep, OverlappingSubsets
+from coxmorse.oracles import oracle_springer_member
 from coxmorse.posets import euler_characteristic, is_pure
 from coxmorse.springer import (
     build_slices,
@@ -154,3 +155,14 @@ def test_springer_poset_is_pure_for_empty_sets(system):
     s = system("A2")
     sp = build_springer_poset(s, set(), set())
     assert is_pure(sp.poset)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "A4"])
+def test_members_match_the_per_pair_oracle(system, name):
+    s = system(name)
+    pairs = s.comparable_pairs()
+    for J, Jp in disjoint_pairs(s.rank):
+        sp = build_springer_poset(s, J, Jp)
+        want = {(v, w) for v, w in pairs if oracle_springer_member(s, v, w, J, Jp)}
+        assert set(sp.members) == want, (sorted(J), sorted(Jp))
+        assert len(sp.members) == len(want)

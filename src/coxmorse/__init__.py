@@ -3,7 +3,6 @@
 from .coxeter import (
     CoxeterMatrix,
     CoxeterSystem,
-    Element,
     ParabolicSubset,
     build_system,
 )
@@ -30,7 +29,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CoxeterMatrix",
     "CoxeterSystem",
-    "Element",
     "LabeledInterval",
     "Matching",
     "MorseSummary",

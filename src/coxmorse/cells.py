@@ -4,17 +4,21 @@ These appear as face posets of unions of cells: the order nests intervals,
 (x', y') <= (x, y) iff x <= x' <= y' <= y (a larger pair is a larger cell).
 Covers are the dimension-gap-one comparable pairs; that they generate the
 whole order (gradedness of the face poset) is asserted, not assumed.
+Such a poset is matched slice by slice (:func:`slice_matching`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .coxeter import CoxeterSystem
 from .errors import OrderTooLarge, TheoremFalsified
+from .matchings import (Matching, MorseSummary, build_matching, is_M_subset,
+                        labeled_interval, morse_counts)
 from .posets import FinitePoset, _transitive_closure_from_covers
+from .reflection_orders import ReflectionOrder
 
 # Largest dense order matrix (n x n bools) a pair poset may allocate; the
 # cover-closure check holds up to three matrices of this size at once.
@@ -97,3 +101,52 @@ def pair_poset(system: CoxeterSystem, pairs: Sequence[tuple[int, int]],
     dims = tuple(system.len_of(b) - system.len_of(a) for a, b in pairs)
     covers = graded_covers(leq, dims, what, lambda k: pair_name(system, pairs[k]))
     return FinitePoset(dims, leq, covers, tuple(pairs), lambda p: pair_name(system, p))
+
+
+def slice_matching(system: CoxeterSystem, poset: FinitePoset,
+                   index: dict[tuple[int, int], int], slices: Iterable[tuple],
+                   order: ReflectionOrder, apex: int,
+                   what: str) -> tuple[Matching, MorseSummary]:
+    """Glue the interval matchings of the slices into one matching of a
+    pair poset.
+
+    A slice (x, top, subsets, z_x) has base x, the slice z_x = {y : (x, y)
+    in the poset} inside [x, top], and (label, elements) subsets of
+    [x, top].  The matching M of [x, top] under ``order`` must preserve
+    every subset and z_x; then (x, y) and (x, M(y)) are matched for y in
+    z_x.  Postconditions: every matched pair is a cover, the matching is
+    acyclic (checked by :func:`morse_counts`), and the cell ``apex`` is
+    the only unmatched one.  ``index`` maps a pair to its cell; ``what``
+    names the poset in errors.
+    """
+    partner = list(range(poset.n))
+    for x, top, subsets, z_x in slices:
+        li = labeled_interval(system, x, top)
+        m = build_matching(li, order)
+        for label, subset in (*subsets, ("slice", z_x)):
+            if not is_M_subset(m, (li.index[y] for y in subset)):
+                raise TheoremFalsified(
+                    f"{label} at {system.word_str(x)} is not preserved by the matching "
+                    f"of [{system.word_str(x)}, {system.word_str(top)}] in the {what}"
+                )
+        for y in z_x:
+            a = li.index[y]
+            b = m.partner[a]
+            if a < b:
+                i, j = index[(x, y)], index[(x, li.ids[b])]
+                partner[i], partner[j] = j, i
+    matching = Matching(poset, tuple(partner))
+    cover_set = {frozenset((lo, hi)) for lo, hi, _ in poset.covers}
+    for i, j in matching.pairs:
+        if frozenset((i, j)) not in cover_set:
+            raise TheoremFalsified(
+                f"matched pair {poset.names[i]} -- {poset.names[j]} is not a cover "
+                f"of the {what}"
+            )
+    summary = morse_counts(poset, matching)
+    if summary.unmatched != (apex,):
+        raise TheoremFalsified(
+            f"unmatched cells of the {what} are "
+            f"{[poset.names[i] for i in summary.unmatched]}, expected only {poset.names[apex]}"
+        )
+    return matching, summary

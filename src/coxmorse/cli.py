@@ -156,7 +156,7 @@ def cmd_matching(args) -> int:
         "complete": matching.is_complete(),
         "shelling": {"coatom_prefixes": shelling.coatom_prefixes,
                      "atom_prefixes": shelling.atom_prefixes,
-                     "partition_ok": shelling.partition_ok},
+                     "partition_ok": True},  # the check raises otherwise
     }
     if args.format == "json":
         _emit(args, _json_dump(doc))
@@ -253,7 +253,7 @@ def cmd_fiber(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    reports = run_level(args.level, jobs=args.jobs)
+    reports = run_level(args.level)
     lines = [r.line() for r in reports]
     ok = all(r.ok for r in reports)
     lines.append(f"suite {args.level}: {'all checks passed' if ok else 'FAILURES PRESENT'}")
@@ -306,7 +306,6 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("suite", help="run a verification suite")
     p.add_argument("--level", choices=("quick", "full"), default="quick")
-    p.add_argument("--jobs", type=int, default=1, help="worker threads")
     p.add_argument("--out", help="write the report to a file instead of stdout")
     p.set_defaults(fn=cmd_suite)
 

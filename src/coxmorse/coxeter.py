@@ -25,8 +25,8 @@ from .errors import (
     GroupTooLarge,
     InvalidMatrix,
     InvalidSubset,
-    MixedSystems,
     NotReducedWordOfW0,
+    TheoremFalsified,
 )
 
 DEFAULT_MAX_ELEMENTS = 200_000
@@ -255,8 +255,7 @@ def _coset_enumeration(matrix: CoxeterMatrix, max_elements: int) -> list[list[in
 class CoxeterSystem:
     """A fully enumerated finite Coxeter group.
 
-    All element-valued queries take and return integer ids.  The thin
-    :class:`Element` wrapper provides operator sugar on top of these ids.
+    All element-valued queries take and return integer ids.
     """
 
     def __init__(self, matrix: CoxeterMatrix, max_elements: int = DEFAULT_MAX_ELEMENTS):
@@ -343,7 +342,10 @@ class CoxeterSystem:
 
         w0_len = int(self.length.max())
         tops = np.nonzero(self.length == w0_len)[0]
-        assert len(tops) == 1, "longest element must be unique"
+        if len(tops) != 1:
+            raise TheoremFalsified(
+                f"{self.matrix.label} has {len(tops)} elements of maximal length {w0_len}"
+            )
         self.w0 = int(tops[0])
         # ids of length k are the range _length_start[k] .. _length_start[k + 1]
         self._length_start = np.searchsorted(self.length, np.arange(w0_len + 2))
@@ -361,7 +363,11 @@ class CoxeterSystem:
                     queue.append(u)
         self.reflections = tuple(sorted(refl))
         self.reflection_set = frozenset(self.reflections)
-        assert len(self.reflections) == w0_len, "|T| must equal l(w0)"
+        if len(self.reflections) != w0_len:
+            raise TheoremFalsified(
+                f"{self.matrix.label} has {len(self.reflections)} reflections but "
+                f"l(w0) = {w0_len}"
+            )
 
         # Bruhat covers with labels: v = t*w, l(v) = l(w) - 1
         downs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -388,7 +394,11 @@ class CoxeterSystem:
         star = []
         for g in range(rank):
             img = self.mul(self.mul(self.w0, int(self.right[0, g])), self.w0)
-            assert self.length[img] == 1
+            if self.length[img] != 1:
+                raise TheoremFalsified(
+                    f"w0 s_{g + 1} w0 in {self.matrix.label} has length {self.length[img]}, "
+                    f"not 1"
+                )
             star.append(int(self.first_letter[img]) + 1)
         self.star = tuple(star)
 
@@ -546,7 +556,11 @@ class CoxeterSystem:
             cached = frozenset(
                 t for t in self.reflections if self.length[self.mul(v, t)] < self.length[v]
             )
-            assert len(cached) == self.len_of(v)
+            if len(cached) != self.len_of(v):
+                raise TheoremFalsified(
+                    f"N_R({self.word_str(v)}) in {self.matrix.label} has {len(cached)} "
+                    f"reflections, not l(v) = {self.len_of(v)}"
+                )
             self._n_r_cache[v] = cached
         return cached
 
@@ -581,7 +595,12 @@ class CoxeterSystem:
                     queue.append(y)
         elements = tuple(sorted(elems))
         longest = max(elements, key=lambda x: (self.len_of(x), -x))
-        assert sum(1 for x in elements if self.len_of(x) == self.len_of(longest)) == 1
+        tops = [x for x in elements if self.len_of(x) == self.len_of(longest)]
+        if len(tops) != 1:
+            raise TheoremFalsified(
+                f"W_{sorted(J)} in {self.matrix.label} has {len(tops)} longest elements: "
+                f"{[self.word_str(x) for x in tops]}"
+            )
         min_left = tuple(x for x in range(self.size) if not (self.descents(x, "left") & J))
         min_right = tuple(x for x in range(self.size) if not (self.descents(x, "right") & J))
         sub = ParabolicSubset(J, elements, longest, min_left, min_right)
@@ -611,13 +630,6 @@ class CoxeterSystem:
 
     # -- misc ---------------------------------------------------------------
 
-    def element(self, x: int | str | Iterable[int]) -> "Element":
-        if isinstance(x, str):
-            x = self.parse_word(x)
-        elif not isinstance(x, int):
-            x = self.id_from_word(x)
-        return Element(self, int(x))
-
     def __repr__(self) -> str:
         return f"CoxeterSystem({self.matrix.label!r}, size={self.size})"
 
@@ -631,47 +643,6 @@ class ParabolicSubset:
     longest: int
     min_left: tuple[int, ...]   # {}^J W: no left descents in J
     min_right: tuple[int, ...]  # W^J: no right descents in J
-
-
-@dataclass(frozen=True)
-class Element:
-    """Operator sugar over a system id; equality is id equality."""
-
-    system: CoxeterSystem
-    id: int
-
-    def _check(self, other: "Element") -> None:
-        if self.system is not other.system:
-            raise MixedSystems("elements belong to different Coxeter systems")
-
-    def __mul__(self, other: "Element") -> "Element":
-        self._check(other)
-        return Element(self.system, self.system.mul(self.id, other.id))
-
-    def __invert__(self) -> "Element":
-        return Element(self.system, self.system.inverse(self.id))
-
-    def inverse(self) -> "Element":
-        return ~self
-
-    def __le__(self, other: "Element") -> bool:
-        self._check(other)
-        return self.system.bruhat_leq(self.id, other.id)
-
-    def __lt__(self, other: "Element") -> bool:
-        self._check(other)
-        return self.id != other.id and self.system.bruhat_leq(self.id, other.id)
-
-    @property
-    def length(self) -> int:
-        return self.system.len_of(self.id)
-
-    @property
-    def word(self) -> tuple[int, ...]:
-        return self.system.shortlex_reduced_word(self.id)
-
-    def __repr__(self) -> str:
-        return f"<{self.system.word_str(self.id)}>"
 
 
 def build_system(matrix: CoxeterMatrix | str | Sequence[Sequence[int]],

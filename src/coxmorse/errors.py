@@ -30,10 +30,6 @@ class GroupTooLarge(InputError):
     pass
 
 
-class MixedSystems(InputError):
-    pass
-
-
 class InvalidSubset(InputError):
     pass
 

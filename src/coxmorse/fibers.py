@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cells import check_order_size, graded_covers, pair_name, pair_poset
+from .cells import check_order_size, graded_covers, pair_name, pair_poset, slice_matching
 from .coxeter import CoxeterSystem
 from .errors import (
     AnchorViolation,
@@ -31,16 +31,7 @@ from .errors import (
     PropositionFalsified,
     TheoremFalsified,
 )
-from .matchings import (
-    Matching,
-    MorseSummary,
-    build_matching,
-    is_M_subset,
-    is_acyclic,
-    labeled_interval,
-    morse_counts,
-    restrict_matching,
-)
+from .matchings import Matching, MorseSummary
 from .posets import FinitePoset
 from .reflection_orders import ReflectionOrder, order_for_fiber
 
@@ -289,52 +280,24 @@ def generalized_quotient(fp: FiberPoset) -> GeneralizedQuotient:
 def fiber_matching(fp: FiberPoset,
                    order: ReflectionOrder | None = None) -> tuple[Matching, MorseSummary]:
     """Assemble the fiber matching slice by slice over the generalized
-    quotient; the unique unmatched element must be (z~, z~)."""
+    quotient (:func:`cells.slice_matching`): the slice P_a at a is a
+    singleton iff a = z~, and the unique unmatched element is (z~, z~)."""
     system = fp.system
     gq = generalized_quotient(fp)
     if order is None:
         order = order_for_fiber(system, fp.vprime)
-    n_r = system.right_inversion_reflections(fp.vprime)
-    partner = list(range(len(fp.members)))
+    slices = []
     for a in gq.members:
         p_a = sorted(b for x, b in fp.members if x == a)
         if (p_a == [a]) != (a == gq.z_tilde):
             raise TheoremFalsified(
                 f"slice at {system.word_str(a)} is a singleton iff a = z~ failed"
             )
-        if a == gq.z_tilde:
-            continue
-        li = labeled_interval(system, a, fp.z_prime)
-        m = build_matching(li, order)
-        local = [li.index[b] for b in p_a]
-        if not is_M_subset(m, local):
-            raise TheoremFalsified(
-                f"slice P_a at {system.word_str(a)} is not preserved by the "
-                f"interval matching"
-            )
-        for x, y in restrict_matching(m, local).items():
-            if x >= y:
-                continue
-            i, j = fp.index[(a, li.ids[x])], fp.index[(a, li.ids[y])]
-            partner[i], partner[j] = j, i
-    matching = Matching(fp.poset, tuple(partner))
-    cover_set = {frozenset((lo, hi)) for lo, hi, _ in fp.poset.covers}
-    for i, j in matching.pairs:
-        if frozenset((i, j)) not in cover_set:
-            raise TheoremFalsified(
-                f"matched fiber pair {fp.poset.names[i]} -- {fp.poset.names[j]} "
-                f"is not a cover"
-            )
-    report = is_acyclic(fp.poset, matching)
-    if not report.acyclic:
-        raise TheoremFalsified(f"fiber matching has a cycle: {report.cycle}")
-    expect = fp.index[(gq.z_tilde, gq.z_tilde)]
-    if set(matching.fixed) != {expect}:
-        raise TheoremFalsified(
-            f"unmatched fiber elements are {[fp.poset.names[i] for i in matching.fixed]}, "
-            f"expected only (z~, z~)"
-        )
-    return matching, morse_counts(fp.poset, matching)
+        if a != gq.z_tilde:
+            slices.append((a, fp.z_prime, (), p_a))
+    what = f"fiber pair poset (K={sorted(fp.K)})"
+    return slice_matching(system, fp.poset, fp.index, slices, order,
+                          fp.index[(gq.z_tilde, gq.z_tilde)], what)
 
 
 def verify_convexity(fp: FiberPoset) -> bool:

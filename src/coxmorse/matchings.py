@@ -188,14 +188,6 @@ def is_M_subset(matching: Matching, subset: Iterable[int]) -> bool:
     return all(matching.partner[x] in sub for x in sub)
 
 
-def restrict_matching(matching: Matching, subset: Iterable[int]) -> dict[int, int]:
-    """Partner map of the restriction; requires ``subset`` to be an M-subset."""
-    sub = set(subset)
-    if not is_M_subset(matching, sub):
-        raise NotAMatching("subset is not preserved by the matching")
-    return {x: matching.partner[x] for x in sub}
-
-
 @dataclass(frozen=True)
 class MorseSummary:
     """Unmatched-cell counts by dimension; (1, 0, ..., 0) certifies that the
@@ -219,17 +211,23 @@ def morse_counts(poset: FinitePoset, matching: Matching) -> MorseSummary:
     fixed = matching.fixed
     for x in fixed:
         counts[poset.dims[x]] = counts.get(poset.dims[x], 0) + 1
-    summary = MorseSummary(counts, fixed, True)
-    assert sum(counts.values()) == len(fixed)
-    assert sum((-1) ** d * c for d, c in counts.items()) == euler_characteristic(poset)
-    return summary
+    if sum(counts.values()) != len(fixed):
+        raise TheoremFalsified(
+            f"unmatched counts {counts} do not count the cells {[poset.names[x] for x in fixed]}"
+        )
+    euler = euler_characteristic(poset)
+    if sum((-1) ** d * c for d, c in counts.items()) != euler:
+        raise TheoremFalsified(
+            f"unmatched cells {[poset.names[x] for x in fixed]} (counts {counts}) disagree "
+            f"with the Euler characteristic {euler}"
+        )
+    return MorseSummary(counts, fixed, True)
 
 
 @dataclass(frozen=True)
 class ShellingReport:
     coatom_prefixes: int
     atom_prefixes: int
-    partition_ok: bool
 
 
 def verify_shelling_subsets(li: LabeledInterval, order: ReflectionOrder,
@@ -271,4 +269,4 @@ def verify_shelling_subsets(li: LabeledInterval, order: ReflectionOrder,
         union |= leq[x, :]
         if not union[partner[union]].all():
             raise falsified(f"atom prefix union of {k} intervals is not an M-subset")
-    return ShellingReport(len(coatoms), len(atoms), True)
+    return ShellingReport(len(coatoms), len(atoms))

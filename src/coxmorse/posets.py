@@ -1,5 +1,5 @@
-"""Generic finite poset machinery: Hasse diagrams, intervals, chains,
-purity/thinness checks, edge-labeled chain analysis, and JSON/DOT export.
+"""Generic finite poset machinery: Hasse diagrams, chains, purity/thinness
+checks, edge-labeled chain analysis, and DOT export.
 
 A :class:`FinitePoset` stores the full order relation as a boolean matrix
 plus the cover edges (= transitive reduction).  Each element carries an
@@ -96,26 +96,6 @@ def poset_from_covers(names: Sequence[str], dims: Sequence[int],
     return FinitePoset(tuple(dims), leq, covers, tuple(names))
 
 
-def interval(poset: FinitePoset, x: int, y: int) -> FinitePoset:
-    """Induced subposet {z : x <= z <= y} with inherited covers and labels."""
-    if not poset.leq[x, y]:
-        raise NotComparable(f"{poset.names[x]} is not <= {poset.names[y]}")
-    members = np.nonzero(poset.leq[x, :] & poset.leq[:, y])[0]
-    index = {int(z): k for k, z in enumerate(members)}
-    covers = tuple(
-        (index[lo], index[hi], lab)
-        for lo, hi, lab in poset.covers
-        if lo in index and hi in index
-    )
-    return FinitePoset(
-        tuple(poset.dims[int(z)] for z in members),
-        poset.leq[np.ix_(members, members)].copy(),
-        covers,
-        tuple(poset.payload[int(z)] for z in members),
-        poset.name_of,
-    )
-
-
 @dataclass(frozen=True)
 class MaximalChain:
     """A maximal chain, stored top-down by element index, with the label
@@ -123,9 +103,6 @@ class MaximalChain:
 
     elements: tuple[int, ...]          # y = elements[0] > ... > elements[-1] = x
     labels_up: tuple[int | None, ...]  # labels read from x up to y
-
-    def labels_down(self) -> tuple[int | None, ...]:
-        return tuple(reversed(self.labels_up))
 
 
 def all_maximal_chains(poset: FinitePoset, x: int, y: int,
@@ -279,26 +256,7 @@ def check_el_labeling(poset: FinitePoset, order, x: int, y: int,
     return report
 
 
-# -- serialization ----------------------------------------------------------
-
-
-def poset_to_json(poset: FinitePoset) -> dict:
-    return {
-        "elements": [
-            {"id": i, "name": poset.names[i], "dim": poset.dims[i]} for i in range(poset.n)
-        ],
-        "covers": [
-            {"lo": lo, "hi": hi, "label": lab} for lo, hi, lab in poset.covers
-        ],
-    }
-
-
-def poset_from_json(doc: dict) -> FinitePoset:
-    elements = sorted(doc["elements"], key=lambda e: e["id"])
-    names = [e["name"] for e in elements]
-    dims = [e["dim"] for e in elements]
-    covers = [(c["lo"], c["hi"], c.get("label")) for c in doc["covers"]]
-    return poset_from_covers(names, dims, covers)
+# -- DOT export ---------------------------------------------------------------
 
 
 def poset_to_dot(poset: FinitePoset, highlighted: Iterable[tuple[int, int]] = (),

@@ -11,10 +11,11 @@ fixed element first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .coxeter import CoxeterSystem, reduced_word_of_w0
-from .errors import InvalidSubset, NotReducedWordOfW0, OverlappingSubsets
+from .errors import InvalidSubset, NotReducedWordOfW0, OverlappingSubsets, TheoremFalsified
 
 
 @dataclass(frozen=True)
@@ -23,19 +24,10 @@ class ReflectionOrder:
     sequence: tuple[int, ...]          # reflection ids, position = rank
     word: tuple[int, ...]              # provenance reduced word of w0, 1-based
 
-    @property
+    @cached_property
     def rank(self) -> dict[int, int]:
-        return self._rank_map()
-
-    def _rank_map(self) -> dict[int, int]:
-        cached = getattr(self, "_rank_cache", None)
-        if cached is None:
-            cached = {t: k for k, t in enumerate(self.sequence)}
-            object.__setattr__(self, "_rank_cache", cached)
-        return cached
-
-    def rank_of(self, t: int) -> int:
-        return self._rank_map()[t]
+        """Position of each reflection in the order."""
+        return {t: k for k, t in enumerate(self.sequence)}
 
     def __repr__(self) -> str:
         word = ".".join(str(i) for i in self.word)
@@ -77,7 +69,11 @@ def opposite(order: ReflectionOrder) -> ReflectionOrder:
     system = order.system
     word = tuple(system.star[i - 1] for i in reversed(order.word))
     out = order_from_reduced_word(system, word)
-    assert out.sequence == tuple(reversed(order.sequence))
+    if out.sequence != tuple(reversed(order.sequence)):
+        raise TheoremFalsified(
+            f"the star-reversed word of {order} in {system.matrix.label} does not "
+            f"reverse its order"
+        )
     return out
 
 
@@ -112,7 +108,11 @@ def validate(system: CoxeterSystem, sequence: Sequence[int]) -> ValidationReport
             done.add(key)
             tprime = [t for t in sub if t in refl_set]
             canonical = [t for t in tprime if inv_sets[t] & key == {t}]
-            assert len(canonical) == 2, "dihedral subgroup must have two canonical generators"
+            if len(canonical) != 2:
+                raise TheoremFalsified(
+                    f"dihedral subgroup of {system.word_str(t1)}, {system.word_str(t2)} in "
+                    f"{system.matrix.label} has {len(canonical)} canonical generators, not 2"
+                )
             a, b = canonical
             path = [a]
             ab = system.mul(a, b)
@@ -120,7 +120,11 @@ def validate(system: CoxeterSystem, sequence: Sequence[int]) -> ValidationReport
             while cur != b:
                 cur = system.mul(ab, cur)
                 path.append(cur)
-            assert sorted(path) == sorted(tprime)
+            if sorted(path) != sorted(tprime):
+                raise TheoremFalsified(
+                    f"the walk from {system.word_str(a)} to {system.word_str(b)} in "
+                    f"{system.matrix.label} misses reflections of their dihedral subgroup"
+                )
             ranks = [rank[t] for t in path]
             if len(ranks) >= 3:
                 increasing = all(x < y for x, y in zip(ranks, ranks[1:]))
@@ -183,7 +187,11 @@ def order_for_springer(system: CoxeterSystem, Jprime, J) -> ReflectionOrder:
     n = len(order.sequence)
     head = set(order.sequence[: len(t_jprime)])
     tail = set(order.sequence[n - len(t_j):])
-    assert head == t_jprime and tail == t_j, "segment construction failed"
+    if head != t_jprime or tail != t_j:
+        raise TheoremFalsified(
+            f"{order} in {system.matrix.label} does not start with T cap W_J' "
+            f"(J'={sorted(Jprime)}) and end with T cap W_J (J={sorted(J)})"
+        )
     return order
 
 
@@ -192,5 +200,9 @@ def order_for_fiber(system: CoxeterSystem, vprime: int) -> ReflectionOrder:
     inversion order of w0 = (v'^{-1}) . (v' w0)."""
     order = _concat_order(system, [system.inverse(vprime), system.mul(vprime, system.w0)])
     n_r = system.right_inversion_reflections(vprime)
-    assert set(order.sequence[: len(n_r)]) == set(n_r), "initial segment construction failed"
+    if set(order.sequence[: len(n_r)]) != n_r:
+        raise TheoremFalsified(
+            f"{order} in {system.matrix.label} does not start with N_R(v') "
+            f"(v'={system.word_str(vprime)})"
+        )
     return order

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cells import pair_poset
+from .cells import pair_poset, slice_matching
 from .coxeter import CoxeterSystem
 from .errors import (
     LemmaFalsified,
@@ -24,17 +24,7 @@ from .errors import (
     OverlappingSubsets,
     TheoremFalsified,
 )
-from .matchings import (
-    LabeledInterval,
-    Matching,
-    MorseSummary,
-    build_matching,
-    is_M_subset,
-    is_acyclic,
-    labeled_interval,
-    morse_counts,
-    restrict_matching,
-)
+from .matchings import Matching, MorseSummary
 from .posets import FinitePoset
 from .reflection_orders import ReflectionOrder, order_for_springer
 
@@ -118,7 +108,7 @@ def _check_membership_invariants(sp: SpringerPoset) -> None:
 def build_slices(sp: SpringerPoset, v: int) -> tuple[list[int], list[int], list[int]]:
     """The slice Z_v = {w : (v, w) in Z} together with the supersets
     P_v (ascent conditions for J') and Q_v (descent conditions for J);
-    Z_v = P_v cap Q_v is asserted."""
+    Z_v = P_v cap Q_v is checked."""
     system = sp.system
     if system.descents(v, "left") & sp.Jprime:
         raise NotMinimalCosetRep(
@@ -134,7 +124,11 @@ def build_slices(sp: SpringerPoset, v: int) -> tuple[list[int], list[int], list[
         q_v &= ~b[v, left[:, i - 1]]
     above, p_v, q_v = (np.flatnonzero(x).tolist() for x in (above, p_v, q_v))
     z_v = [w for w in above if (v, w) in sp.index]
-    assert z_v == sorted(set(p_v) & set(q_v)), "slice is not the intersection of P_v and Q_v"
+    if z_v != sorted(set(p_v) & set(q_v)):
+        raise TheoremFalsified(
+            f"slice Z_v at v={system.word_str(v)} is not the intersection of P_v and Q_v "
+            f"(J={sorted(sp.J)}, J'={sorted(sp.Jprime)})"
+        )
     return z_v, p_v, q_v
 
 
@@ -178,56 +172,24 @@ def springer_matching(sp: SpringerPoset,
     """Assemble the matching on Z from per-slice interval matchings.
 
     For each v with a nonempty slice (except the apex), the matching of
-    [v, w0] under the constrained order is restricted to the slice, which
-    must be preserved via the P_v and Q_v subset checks; pairs (v, w) and
-    (v, M(w)) are matched.  Postconditions asserted: matched pairs are
-    covers of Z, the digraph is acyclic, and the apex pair is the unique
-    unmatched element."""
+    [v, w0] under the constrained order must preserve P_v, Q_v and the
+    slice Z_v (:func:`cells.slice_matching`).  The apex slice must be the
+    singleton {w_J' w0}, and the apex pair the unique unmatched element."""
     system = sp.system
     if order is None:
         order = order_for_springer(system, sp.Jprime, sp.J)
     apex = sp.apex
     if (apex, apex) not in sp.index:
         raise TheoremFalsified("apex pair is missing from the pair poset")
-    partner = list(range(len(sp.members)))
-    slice_vs = sorted({v for v, _ in sp.members})
-    for v in slice_vs:
+    slices = []
+    for v in sorted({v for v, _ in sp.members}):
         z_v, p_v, q_v = build_slices(sp, v)
-        if v == apex:
-            if z_v != [apex]:
-                raise TheoremFalsified(
-                    f"apex slice is not a singleton: {[system.word_str(w) for w in z_v]}"
-                )
-            continue
-        li = labeled_interval(system, v, system.w0)
-        m = build_matching(li, order)
-        for label, subset in (("P_v", p_v), ("Q_v", q_v), ("Z_v", z_v)):
-            local = [li.index[w] for w in subset]
-            if not is_M_subset(m, local):
-                raise TheoremFalsified(
-                    f"{label} is not preserved by the interval matching at "
-                    f"v={system.word_str(v)} (J={sorted(sp.J)}, J'={sorted(sp.Jprime)})"
-                )
-        local_pairs = restrict_matching(m, [li.index[w] for w in z_v])
-        for a, b in local_pairs.items():
-            if a >= b:
-                continue
-            i, j = sp.index[(v, li.ids[a])], sp.index[(v, li.ids[b])]
-            partner[i], partner[j] = j, i
-
-    matching = Matching(sp.poset, tuple(partner))
-    cover_set = {frozenset((lo, hi)) for lo, hi, _ in sp.poset.covers}
-    for i, j in matching.pairs:
-        if frozenset((i, j)) not in cover_set:
+        if v != apex:
+            slices.append((v, system.w0, (("P_v", p_v), ("Q_v", q_v)), z_v))
+        elif z_v != [apex]:
             raise TheoremFalsified(
-                f"matched pair {sp.poset.names[i]} -- {sp.poset.names[j]} is not a cover of Z"
+                f"apex slice is not a singleton: {[system.word_str(w) for w in z_v]}"
             )
-    report = is_acyclic(sp.poset, matching)
-    if not report.acyclic:
-        raise TheoremFalsified(f"springer matching has a cycle: {report.cycle}")
-    if set(matching.fixed) != {sp.index[(apex, apex)]}:
-        raise TheoremFalsified(
-            f"unmatched elements are {[sp.poset.names[i] for i in matching.fixed]}, "
-            f"expected only ({system.word_str(apex)}, {system.word_str(apex)})"
-        )
-    return matching, morse_counts(sp.poset, matching)
+    what = f"springer pair poset (J={sorted(sp.J)}, J'={sorted(sp.Jprime)})"
+    return slice_matching(system, sp.poset, sp.index, slices, order,
+                          sp.index[(apex, apex)], what)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .coxeter import CoxeterSystem, build_system
@@ -21,12 +20,10 @@ from .matchings import (
     build_matching,
     is_acyclic,
     labeled_interval,
-    morse_counts,
     verify_shelling_subsets,
 )
 from .oracles import oracle_demazure, oracle_reflection_orders
 from .posets import (
-    all_maximal_chains,
     check_el_labeling,
     euler_characteristic,
     is_pure,
@@ -345,18 +342,14 @@ def check_thinness(system: CoxeterSystem) -> CheckReport:
 # -- suite assembly ---------------------------------------------------------
 
 
-def run_level(level: str, jobs: int = 1) -> list[CheckReport]:
+def run_level(level: str) -> list[CheckReport]:
     if level == "quick":
         tasks = _quick_tasks()
     elif level == "full":
         tasks = _full_tasks()
     else:
         raise CoxmorseError(f"unknown suite level {level!r}")
-    if jobs <= 1:
-        return [fn() for fn in tasks]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(fn) for fn in tasks]
-        return [f.result() for f in futures]
+    return [fn() for fn in tasks]
 
 
 def _quick_tasks():

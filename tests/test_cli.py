@@ -124,8 +124,6 @@ def test_suite_quick(capsys):
     assert code == 0
     assert "all checks passed" in out
     assert out.count("PASS") == 9
-    code, _, _ = run(capsys, "suite", "--level", "quick", "--jobs", "4")
-    assert code == 0
 
 
 def test_out_file(tmp_path, capsys):
@@ -139,7 +137,7 @@ def test_suite_failure_exit_code(monkeypatch, capsys):
     import coxmorse.cli as cli
     from coxmorse.verify import CheckReport
 
-    def fake_run_level(level, jobs=1):
+    def fake_run_level(level):
         return [CheckReport("stub check", 1, ["synthetic failure"], 0.0)]
 
     monkeypatch.setattr(cli, "run_level", fake_run_level)

@@ -8,7 +8,6 @@ from coxmorse.errors import (
     GroupTooLarge,
     InvalidMatrix,
     InvalidSubset,
-    MixedSystems,
 )
 from coxmorse.oracles import oracle_reduced_words
 
@@ -217,20 +216,6 @@ def test_word_parsing(system):
         s.parse_word("1.x")
     with pytest.raises(InvalidSubset):
         s.parse_word("1.7")
-
-
-def test_element_wrapper(system):
-    s = system("A2")
-    a = s.element("1.2")
-    b = s.element([2, 1])
-    assert (a * b).id == 0
-    assert (~a).id == b.id
-    assert a.length == 2 and a.word == (1, 2)
-    assert s.element("1") <= a and not (a <= s.element("1"))
-    other = build_system("A2")
-    with pytest.raises(MixedSystems):
-        a * other.element("1")
-    assert a != other.element("1.2")  # equality requires the same system
 
 
 def test_interval_purity(system):

@@ -19,7 +19,6 @@ from coxmorse.matchings import (
     labeled_interval,
     matching_from_pairs,
     morse_counts,
-    restrict_matching,
     verify_shelling_subsets,
 )
 from coxmorse.posets import poset_from_covers
@@ -106,8 +105,6 @@ def test_m_subset_algebra(system):
     assert is_M_subset(m, sub)
     assert is_M_subset(m, everything - sub)  # complements are preserved
     assert not is_M_subset(m, {li.index[0]})
-    with pytest.raises(NotAMatching):
-        restrict_matching(m, {li.index[0]})
 
 
 def test_acyclicity_detects_cycles():
@@ -156,7 +153,8 @@ def test_shelling_on_all_a2_intervals(system):
         for v, w in s.comparable_pairs(strict=True):
             li = labeled_interval(s, v, w)
             report = verify_shelling_subsets(li, order)
-            assert report.partition_ok
+            # a dihedral interval of rank >= 2 has two atoms and two coatoms
+            assert report.coatom_prefixes == report.atom_prefixes == min(li.rank, 2)
 
 
 def test_shelling_check_fires_on_swapped_partners(system):

@@ -1,6 +1,5 @@
 """Generic poset machinery: intervals, chains, thinness, labeled chains."""
 
-import json
 import tracemalloc
 
 import numpy as np
@@ -8,20 +7,17 @@ import pytest
 
 from coxmorse import cells
 from coxmorse.cells import graded_covers, pair_poset
-from coxmorse.errors import ELViolation, NotComparable, NotPure, OrderTooLarge, TheoremFalsified
+from coxmorse.errors import ELViolation, NotPure, OrderTooLarge, TheoremFalsified
 from coxmorse.fibers import build_qk
 from coxmorse.matchings import labeled_interval
 from coxmorse.posets import (
     all_maximal_chains,
     check_el_labeling,
     euler_characteristic,
-    interval,
     is_pure,
     is_thin,
     poset_from_covers,
-    poset_from_json,
     poset_to_dot,
-    poset_to_json,
 )
 from coxmorse.reflection_orders import order_from_reduced_word
 from coxmorse.springer import build_springer_poset
@@ -50,10 +46,6 @@ def test_interval_basics(system):
     s = system("A2")
     li = labeled_interval(s, 0, s.w0)
     assert li.poset.n == 6 and len(li.poset.covers) == 8
-    sub = interval(li.poset, li.index[0], li.index[0])
-    assert sub.n == 1
-    with pytest.raises(NotComparable):
-        interval(li.poset, li.index[s.simple(1)], li.index[s.simple(2)])
 
 
 def test_fixture_interval_size(system):
@@ -156,17 +148,6 @@ def test_el_labeling_violation_on_bad_ranks(system):
     bad = {s.parse_word("1.2.1"): 0, s.parse_word("1"): 1, s.parse_word("2"): 2}
     with pytest.raises(ELViolation):
         check_el_labeling(li.poset, bad, li.index[0], li.index[s.w0])
-
-
-def test_json_roundtrip(system):
-    s = system("A2")
-    li = labeled_interval(s, 0, s.w0)
-    doc = poset_to_json(li.poset)
-    text = json.dumps(doc, sort_keys=True)
-    back = poset_from_json(json.loads(text))
-    assert back.names == li.poset.names
-    assert back.covers == li.poset.covers
-    assert np.array_equal(back.leq, li.poset.leq)
 
 
 def test_dot_output(system):

@@ -1,11 +1,22 @@
 """Springer pair posets: membership, slices, coset pieces, certificates."""
 
+import re
+
 import pytest
 
-from coxmorse.errors import NotMinimalCosetRep, OverlappingSubsets
+from coxmorse import cells, springer
+from coxmorse.cli import main
+from coxmorse.errors import (
+    CyclicMatching,
+    NotMinimalCosetRep,
+    OverlappingSubsets,
+    TheoremFalsified,
+)
+from coxmorse.matchings import Matching
 from coxmorse.oracles import oracle_springer_member
 from coxmorse.posets import euler_characteristic, is_pure
 from coxmorse.springer import (
+    SpringerPoset,
     build_slices,
     build_springer_poset,
     coset_piece,
@@ -166,3 +177,89 @@ def test_members_match_the_per_pair_oracle(system, name):
         want = {(v, w) for v, w in pairs if oracle_springer_member(s, v, w, J, Jp)}
         assert set(sp.members) == want, (sorted(J), sorted(Jp))
         assert len(sp.members) == len(want)
+
+
+def test_build_slices_rejects_a_dropped_member(system):
+    s = system("A3")
+    sp = build_springer_poset(s, {1}, {3})
+    v, w = next(p for p in sp.members if p != (sp.apex, sp.apex))
+    dropped = SpringerPoset(s, sp.J, sp.Jprime,
+                            tuple(p for p in sp.members if p != (v, w)), sp.poset)
+    message = f"slice Z_v at v={s.word_str(v)} is not the intersection of P_v and Q_v"
+    with pytest.raises(TheoremFalsified, match=re.escape(message)):
+        build_slices(dropped, v)
+
+
+def swap_across_slice(members):
+    """build_matching with the partners of one cell of the slice at li.v and
+    of one cell of the interval outside that slice swapped."""
+    real = cells.build_matching
+
+    def faulty(li, order):
+        m = real(li, order)
+        inside = {li.index[w] for v, w in members if v == li.v}
+        outside = [c for c in range(li.poset.n) if c not in inside]
+        if not outside:
+            return m
+        a, c = min(inside), outside[0]
+        partner = list(m.partner)
+        partner[a], partner[c] = partner[c], partner[a]
+        return Matching(li.poset, tuple(partner))
+
+    return faulty
+
+
+def test_slice_matching_rejects_a_partner_outside_the_slice(system, monkeypatch):
+    sp = build_springer_poset(system("A3"), {1}, {3})
+    monkeypatch.setattr(cells, "build_matching", swap_across_slice(sp.members))
+    with pytest.raises(TheoremFalsified, match="is not preserved by the matching of"):
+        springer_matching(sp)
+
+
+def test_slice_matching_rejects_a_wrong_apex(system, monkeypatch):
+    sp = build_springer_poset(system("A3"), {1}, {3})
+    apex = sp.index[(sp.apex, sp.apex)]
+
+    def shifted_apex(system, poset, index, slices, order, apex, what):
+        return cells.slice_matching(system, poset, index, slices, order, apex + 1, what)
+
+    monkeypatch.setattr(springer, "slice_matching", shifted_apex)
+    names = sp.poset.names
+    message = (f"unmatched cells of the springer pair poset (J=[1], J'=[3]) are "
+               f"['{names[apex]}'], expected only {names[apex + 1]}")
+    with pytest.raises(TheoremFalsified, match=re.escape(message)):
+        springer_matching(sp)
+
+
+def test_slice_matching_rejects_a_cyclic_assembly(system, monkeypatch):
+    # on the slice at e, x0, x1 both covered by y0 and y1 are matched
+    # x0-y0 and x1-y1: x0 -> y0 -> x1 -> y1 -> x0 within one slice
+    real = cells.build_matching
+
+    def cyclic(li, order):
+        up = {}
+        for lo, hi, _ in li.poset.covers:
+            up.setdefault(lo, set()).add(hi)
+        quad = next(((a, b, *sorted(up[a] & up[b])[:2]) for a in up for b in up
+                     if a < b and len(up[a] & up[b]) >= 2), None)
+        if quad is None:
+            return real(li, order)
+        x0, x1, y0, y1 = quad
+        partner = list(range(li.poset.n))
+        partner[x0], partner[y0], partner[x1], partner[y1] = y0, x0, y1, x1
+        return Matching(li.poset, tuple(partner))
+
+    sp = build_springer_poset(system("A2"), set(), set())
+    monkeypatch.setattr(cells, "build_matching", cyclic)
+    with pytest.raises(CyclicMatching):
+        springer_matching(sp)
+
+
+def test_cli_exits_as_falsification_on_a_partner_outside_the_slice(system, monkeypatch,
+                                                                  capsys):
+    sp = build_springer_poset(system("A3"), {1}, {3})
+    monkeypatch.setattr(cells, "build_matching", swap_across_slice(sp.members))
+    code = main(["springer", "--group", "A3", "--J", "{1}", "--Jprime", "{3}"])
+    out = capsys.readouterr()
+    assert code == 3 and out.out == ""
+    assert out.err.startswith("FALSIFIED: ") and "is not preserved by the matching" in out.err

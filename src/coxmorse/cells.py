@@ -1,10 +1,12 @@
 """Posets of element pairs (x, y), x <= y, with cell dimension l(y) - l(x).
 
 These appear as face posets of unions of cells: the order nests intervals,
-(x', y') <= (x, y) iff x <= x' <= y' <= y (a larger pair is a larger cell).
-Covers are the dimension-gap-one comparable pairs; that they generate the
-whole order (gradedness of the face poset) is asserted, not assumed.
-Such a poset is matched slice by slice (:func:`slice_matching`).
+(x', y') <= (x, y) iff x <= x' <= y' <= y (a larger pair is a larger cell),
+in Q_K after shifting (x', y') on the right by some u in W_K.  Every such
+poset is built by :func:`pair_poset`.  Covers are the dimension-gap-one
+comparable pairs; that they generate the whole order (gradedness of the
+face poset) is asserted, not assumed.  Such a poset is matched slice by
+slice (:func:`slice_matching`).
 """
 
 from __future__ import annotations
@@ -72,16 +74,24 @@ def graded_covers(leq: np.ndarray, dims: Sequence[int], what: str,
     return covers
 
 
-def nested_pair_order(system: CoxeterSystem, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
-    """Order matrix for pair lists: entry [i, j] iff pair i <= pair j, i.e.
-    v_j <= v_i <= w_i <= w_j."""
-    v = np.asarray([p[0] for p in pairs], dtype=np.int32)
-    w = np.asarray([p[1] for p in pairs], dtype=np.int32)
+def nested_pair_order(system: CoxeterSystem, v: np.ndarray, w: np.ndarray,
+                      shifts: Iterable[int] = (0,)) -> np.ndarray:
+    """Order matrix of the cells (v_i, w_i): entry [i, j] iff
+    v_j <= v_i u <= w_i u <= w_j for some u in ``shifts``."""
     b = system.bruhat
     # gather columns into small |W| x n tables, then whole rows of those:
     # row copies are far faster than np.ix_ on an n x n result
-    leq = np.ascontiguousarray(b[v].T)[v]       # [i, j] = v_j <= v_i
-    leq &= np.ascontiguousarray(b[:, w])[w]     # [i, j] = w_i <= w_j
+    below_v = np.ascontiguousarray(b[v].T)    # [x, j] = v_j <= x
+    above_w = np.ascontiguousarray(b[:, w])   # [x, j] = x <= w_j
+    leq = None
+    for u in shifts:
+        vu, wu = v, w
+        for g in system.letters(u):
+            vu, wu = system.right[vu, g], system.right[wu, g]
+        shifted = below_v[vu]
+        shifted &= above_w[wu]
+        shifted[~b[vu, wu]] = False
+        leq = shifted if leq is None else np.bitwise_or(leq, shifted, out=leq)
     return leq
 
 
@@ -89,18 +99,23 @@ def pair_name(system: CoxeterSystem, pair: tuple[int, int]) -> str:
     return f"({system.word_str(pair[0])},{system.word_str(pair[1])})"
 
 
-def pair_poset(system: CoxeterSystem, pairs: Sequence[tuple[int, int]],
-               leq: np.ndarray | None = None, what: str = "pair poset") -> FinitePoset:
-    """Build the poset of cell pairs.  ``leq`` defaults to the nested-interval
-    order; its covers are the dimension-gap-one pairs, checked by
-    :func:`graded_covers`."""
-    pairs = [(int(a), int(b)) for a, b in pairs]
-    check_order_size(len(pairs), what)
-    if leq is None:
-        leq = nested_pair_order(system, pairs)
-    dims = tuple(system.len_of(b) - system.len_of(a) for a, b in pairs)
-    covers = graded_covers(leq, dims, what, lambda k: pair_name(system, pairs[k]))
-    return FinitePoset(dims, leq, covers, tuple(pairs), lambda p: pair_name(system, p))
+def pair_poset(system: CoxeterSystem, pairs, what: str = "pair poset",
+               shifts: Iterable[int] = (0,)) -> FinitePoset:
+    """The poset of the cells (v, w) in ``pairs`` (a sequence of pairs or an
+    n x 2 array), ordered by :func:`nested_pair_order` under ``shifts``.
+
+    Cells are numbered by (dimension l(w) - l(v), v, w).  The size guard
+    runs before the n x n order is allocated, and the order is checked by
+    :func:`graded_covers`, whose covers the poset keeps."""
+    v, w = np.asarray(pairs, dtype=np.intp).reshape(-1, 2).T
+    check_order_size(len(v), what)
+    dims = system.length[w] - system.length[v]
+    order = np.lexsort((w, v, dims))
+    v, w, dims = v[order], w[order], tuple(dims[order].tolist())
+    members = tuple(zip(v.tolist(), w.tolist()))
+    leq = nested_pair_order(system, v, w, shifts)
+    covers = graded_covers(leq, dims, what, lambda k: pair_name(system, members[k]))
+    return FinitePoset(dims, leq, covers, members, lambda p: pair_name(system, p))
 
 
 def slice_matching(system: CoxeterSystem, poset: FinitePoset,

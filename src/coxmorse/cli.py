@@ -64,8 +64,7 @@ def _json_dump(doc) -> str:
 
 def _order_from_args(system: CoxeterSystem, args):
     if args.order_word:
-        word = [int(tok) for tok in re.split(r"[.,]", args.order_word)]
-        return order_from_reduced_word(system, word)
+        return order_from_reduced_word(system, system.parse_letters(args.order_word))
     return shortlex_order(system)
 
 

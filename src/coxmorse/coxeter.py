@@ -135,16 +135,20 @@ class CoxeterMatrix:
     @classmethod
     def from_file(cls, path: str) -> "CoxeterMatrix":
         """Read a matrix from a text file: one row per line, '#' comments."""
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                lines = fh.read().splitlines()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InvalidMatrix(f"cannot read matrix file: {exc}") from exc
         rows = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                try:
-                    rows.append([int(tok) for tok in line.split()])
-                except ValueError as exc:
-                    raise InvalidMatrix(f"bad matrix line {line!r}") from exc
+        for line in lines:
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            try:
+                rows.append([int(tok) for tok in line.split()])
+            except ValueError as exc:
+                raise InvalidMatrix(f"bad matrix line {line!r}") from exc
         if not rows:
             raise InvalidMatrix(f"no matrix rows found in {path}")
         return cls.from_rows(rows, label="custom")
@@ -304,16 +308,8 @@ class CoxeterSystem:
             left[:, g] = inv[raw_right[inv, g]]
 
         # shortlex normal form: smallest left descent first, recursively
-        first = np.full(n, -1, dtype=np.int32)
-        order_by_len = np.argsort(length, kind="stable")
-        for x in order_by_len:
-            x = int(x)
-            if x == 0:
-                continue
-            for g in range(rank):
-                if length[left[x, g]] == length[x] - 1:
-                    first[x] = g
-                    break
+        descent = length[left] < length[:, None]
+        first = np.where(descent.any(axis=1), descent.argmax(axis=1), -1).astype(np.int32)
 
         def word_of(x: int) -> tuple[int, ...]:
             out = []
@@ -324,21 +320,15 @@ class CoxeterSystem:
             return tuple(out)
 
         new_order = sorted(range(n), key=lambda x: (int(length[x]), word_of(x)))
-        new_id = np.empty(n, dtype=np.int32)
-        for k, x in enumerate(new_order):
-            new_id[x] = k
         sel = np.asarray(new_order, dtype=np.int32)
+        new_id = np.empty(n, dtype=np.int32)
+        new_id[sel] = np.arange(n, dtype=np.int32)
         self.size = n
         self.right = new_id[raw_right[sel]]
         self.left = new_id[left[sel]]
         self.inverse_table = new_id[inv[sel]]
-        self.length = length[sel].copy()
-        self.first_letter = np.full(n, -1, dtype=np.int32)
-        for x in range(1, n):
-            for g in range(rank):
-                if self.length[self.left[x, g]] == self.length[x] - 1:
-                    self.first_letter[x] = g
-                    break
+        self.length = length[sel]
+        self.first_letter = first[sel]
 
         w0_len = int(self.length.max())
         tops = np.nonzero(self.length == w0_len)[0]
@@ -375,7 +365,7 @@ class CoxeterSystem:
         arange = np.arange(n, dtype=np.int32)
         for t in self.reflections:
             perm = arange
-            for g in reversed(self._word0(t)):
+            for g in reversed(tuple(self.letters(t))):
                 perm = self.left[:, g][perm]
             vs = perm  # vs[w] = t * w
             hits = np.nonzero(self.length[vs] == self.length - 1)[0]
@@ -401,15 +391,6 @@ class CoxeterSystem:
                 )
             star.append(int(self.first_letter[img]) + 1)
         self.star = tuple(star)
-
-    def _word0(self, x: int) -> tuple[int, ...]:
-        """Shortlex word of x as 0-based letters."""
-        out = []
-        while x != 0:
-            g = int(self.first_letter[x])
-            out.append(g)
-            x = int(self.left[x, g])
-        return tuple(out)
 
     # -- basic queries -----------------------------------------------------
 
@@ -443,7 +424,7 @@ class CoxeterSystem:
 
     def shortlex_reduced_word(self, x: int) -> tuple[int, ...]:
         """Shortlex-minimal reduced word, 1-based generator indices."""
-        return tuple(g + 1 for g in self._word0(x))
+        return tuple(g + 1 for g in self.letters(x))
 
     def id_from_word(self, word: Iterable[int]) -> int:
         x = 0
@@ -457,16 +438,21 @@ class CoxeterSystem:
         w = self.shortlex_reduced_word(x)
         return ".".join(str(i) for i in w) if w else "e"
 
-    def parse_word(self, text: str) -> int:
-        """Parse a word like ``1.2.1`` (commas also accepted) or ``e``."""
+    @staticmethod
+    def parse_letters(text: str) -> list[int]:
+        """The 1-based letters of a word like ``1.2.1`` (commas also
+        accepted); ``e`` is the empty word."""
         text = text.strip()
         if text in ("e", ""):
-            return 0
+            return []
         try:
-            word = [int(tok) for tok in re.split(r"[.,]", text)]
+            return [int(tok) for tok in re.split(r"[.,]", text)]
         except ValueError as exc:
             raise InvalidSubset(f"bad element word {text!r}") from exc
-        return self.id_from_word(word)
+
+    def parse_word(self, text: str) -> int:
+        """The element of a word, see :meth:`parse_letters`."""
+        return self.id_from_word(self.parse_letters(text))
 
     def descents(self, x: int, side: str = "right") -> frozenset[int]:
         if side == "right":

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cells import check_order_size, graded_covers, pair_name, pair_poset, slice_matching
+from .cells import pair_poset, slice_matching
 from .coxeter import CoxeterSystem
 from .errors import (
     AnchorViolation,
@@ -54,39 +54,15 @@ class QKPoset:
 def build_qk(system: CoxeterSystem, K) -> QKPoset:
     """Pairs (v, w) with w in W^K and v <= w; (v', w') <= (v, w) iff some
     u in W_K satisfies v <= v'u <= w'u <= w.  The relation is verified to
-    be a partial order graded by l(w) - l(v) (:func:`graded_covers`;
+    be a partial order graded by l(w) - l(v) (:func:`cells.pair_poset`;
     antisymmetry and transitivity are not assumed)."""
     K = system.check_subset(K)
     sub = system.parabolic(K)
-    min_right = set(sub.min_right)
-    members = sorted(
-        (v, w) for v, w in system.comparable_pairs() if w in min_right
-    )
-    members.sort(key=lambda p: (system.len_of(p[1]) - system.len_of(p[0]), p))
-    n = len(members)
-    check_order_size(n, "q_k relation")
-    b = system.bruhat
-    leq = np.zeros((n, n), dtype=bool)
-    v_arr = np.asarray([p[0] for p in members], dtype=np.int32)
-    w_arr = np.asarray([p[1] for p in members], dtype=np.int32)
-    # |W| x n tables; the n x n terms below are whole-row copies of them
-    below_v = np.ascontiguousarray(b[v_arr].T)    # [x, j] = v_j <= x
-    above_w = np.ascontiguousarray(b[:, w_arr])   # [x, j] = x <= w_j
-    arange = np.arange(system.size, dtype=np.int32)
-    for u in sub.elements:
-        perm = arange
-        for g in system.letters(u):
-            perm = system.right[:, g][perm]
-        vu = perm[v_arr]   # v_i u
-        wu = perm[w_arr]
-        # leq_u[i, j]: v_j <= v_i u <= w_i u <= w_j  (pair i shifted under pair j)
-        shifted = below_v[vu]
-        shifted &= above_w[wu]
-        shifted[~b[vu, wu]] = False
-        leq |= shifted
-    dims = (system.length[w_arr] - system.length[v_arr]).tolist()
-    graded_covers(leq, dims, "q_k relation", lambda k: pair_name(system, members[k]))
-    return QKPoset(system, K, tuple(members), leq)
+    v, w = np.nonzero(system.bruhat)
+    keep = np.isin(w, sub.min_right)
+    poset = pair_poset(system, np.column_stack((v[keep], w[keep])), "q_k relation",
+                       sub.elements)
+    return QKPoset(system, K, poset.payload, poset.leq)
 
 
 def z_lower(system: CoxeterSystem, vprime: int, v: int, K) -> int:
@@ -226,9 +202,8 @@ def build_fiber_poset(qk: QKPoset, lower: tuple[int, int], upper: tuple[int, int
             )
     if not members:
         raise TheoremFalsified("fiber poset is empty for comparable anchors")
-    members.sort(key=lambda p: (system.len_of(p[1]) - system.len_of(p[0]), p))
-    poset = pair_poset(system, members, what="fiber pair poset")
-    return FiberPoset(system, qk.K, (lower, upper), z, zp, tuple(members), poset)
+    poset = pair_poset(system, members, "fiber pair poset")
+    return FiberPoset(system, qk.K, (lower, upper), z, zp, poset.payload, poset)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .cells import pair_poset, slice_matching
+from . import cells
+from .cells import check_order_size, pair_poset, slice_matching
 from .coxeter import CoxeterSystem
 from .errors import (
     LemmaFalsified,
@@ -47,16 +48,16 @@ class SpringerPoset:
         return self.system.mul(self.system.longest(self.Jprime), self.system.w0)
 
 
-def _members(system: CoxeterSystem, J, Jprime) -> list[tuple[int, int]]:
-    """Pairs (v, w) of Z sorted by (dimension, v, w); one row operation per
-    v selects its w: v <= w, each i in J a left descent of w with
-    v not <= s_i w, and (for a v with every j in J' a left ascent)
-    s_j v not <= w."""
+def _members(system: CoxeterSystem, J, Jprime) -> np.ndarray:
+    """Pairs (v, w) of Z, unsorted, as an n x 2 array; one row operation
+    per v selects its w: v <= w, each i in J a left descent of w with v not
+    <= s_i w, and (for a v with every j in J' a left ascent) s_j v not <= w.
+    Rows are kept only while n^2 fits ``cells.MAX_ORDER_BYTES``."""
     b, left, length = system.bruhat, system.left, system.length
     w_ok = np.ones(system.size, dtype=bool)
     for i in J:
         w_ok &= length[left[:, i - 1]] < length
-    vs, ws = [], []
+    vs, ws, count = [], [], 0
     for v in range(system.size):
         if any(length[left[v, j - 1]] < length[v] for j in Jprime):
             continue
@@ -66,11 +67,12 @@ def _members(system: CoxeterSystem, J, Jprime) -> list[tuple[int, int]]:
         for j in Jprime:
             row &= ~b[left[v, j - 1]]
         hits = np.flatnonzero(row)
-        vs.append(np.full(len(hits), v))
-        ws.append(hits)
-    v_arr, w_arr = np.concatenate(vs), np.concatenate(ws)
-    order = np.lexsort((w_arr, v_arr, length[w_arr] - length[v_arr]))
-    return list(zip(v_arr[order].tolist(), w_arr[order].tolist()))
+        count += len(hits)
+        if count * count <= cells.MAX_ORDER_BYTES:
+            vs.append(np.full(len(hits), v))
+            ws.append(hits)
+    check_order_size(count, "springer pair poset")
+    return np.column_stack((np.concatenate(vs), np.concatenate(ws)))
 
 
 def build_springer_poset(system: CoxeterSystem, J, Jprime) -> SpringerPoset:
@@ -78,9 +80,8 @@ def build_springer_poset(system: CoxeterSystem, J, Jprime) -> SpringerPoset:
     Jprime = system.check_subset(Jprime)
     if J & Jprime:
         raise OverlappingSubsets(f"J and J' overlap: {sorted(J & Jprime)}")
-    members = _members(system, J, Jprime)
-    sp = SpringerPoset(system, J, Jprime, tuple(members),
-                       pair_poset(system, members, what="springer pair poset"))
+    poset = pair_poset(system, _members(system, J, Jprime), "springer pair poset")
+    sp = SpringerPoset(system, J, Jprime, poset.payload, poset)
     _check_membership_invariants(sp)
     return sp
 

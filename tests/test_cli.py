@@ -198,3 +198,19 @@ def test_oversized_pair_order_exits_as_usage_error(capsys, monkeypatch):
     code, out, err = run(capsys, "springer", "--group", "A2", "--J", "{}", "--Jprime", "{}")
     assert code == 2 and out == ""
     assert err.startswith("error: springer pair poset has 19 cells")
+
+
+def test_bad_order_word_exits_as_usage_error(capsys):
+    code, out, err = run(capsys, "matching", "--group", "A2", "--interval", "e", "1",
+                         "--order-word", "1.x")
+    assert code == 2 and out == ""
+    assert err == "error: bad element word '1.x'\n"
+
+
+def test_unreadable_matrix_file_exits_as_usage_error(capsys, tmp_path):
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"1 3\n3 \xff\n")
+    for path in (tmp_path / "missing.txt", binary):
+        code, out, err = run(capsys, "group", "--matrix-file", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot read matrix file: "), err

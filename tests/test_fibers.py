@@ -22,7 +22,8 @@ def test_qk_empty_k_reduces_to_nested_order(system):
     s = system("A2")
     qk = build_qk(s, set())
     assert len(qk.members) == 19
-    assert np.array_equal(qk.leq, nested_pair_order(s, qk.members))
+    v, w = np.asarray(qk.members).T
+    assert np.array_equal(qk.leq, nested_pair_order(s, v, w))
 
 
 def test_qk_full_k_is_a_point(system):

@@ -1,5 +1,6 @@
 """Generic poset machinery: intervals, chains, thinness, labeled chains."""
 
+import random
 import tracemalloc
 
 import numpy as np
@@ -8,8 +9,9 @@ import pytest
 from coxmorse import cells
 from coxmorse.cells import graded_covers, pair_poset
 from coxmorse.errors import ELViolation, NotPure, OrderTooLarge, TheoremFalsified
-from coxmorse.fibers import build_qk
+from coxmorse.fibers import build_fiber_poset, build_qk
 from coxmorse.matchings import labeled_interval
+from coxmorse.oracles import oracle_bruhat_leq
 from coxmorse.posets import (
     all_maximal_chains,
     check_el_labeling,
@@ -21,6 +23,7 @@ from coxmorse.posets import (
 )
 from coxmorse.reflection_orders import order_from_reduced_word
 from coxmorse.springer import build_springer_poset
+from coxmorse.verify import disjoint_pairs
 
 
 def chain_poset(n):
@@ -215,3 +218,39 @@ def test_pair_order_guard_fires_before_allocating(system, monkeypatch, name):
         assert peak < n * n, f"{what} allocated {peak} bytes before the guard"
     monkeypatch.setattr(cells, "MAX_ORDER_BYTES", n * n)
     assert len(build_qk(s, set()).members) == n
+
+
+def test_springer_pair_order_guard_fires_before_storing_members(system, monkeypatch):
+    s = system("A4")
+    s.bruhat
+    monkeypatch.setattr(cells, "MAX_ORDER_BYTES", 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(OrderTooLarge, match="springer pair poset has 3781 cells"):
+            build_springer_poset(s, set(), set())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 3781, f"{peak} bytes allocated for 3781 members before the guard"
+
+
+def oracle_nested_order(bru, members):
+    """[i, j] iff v_j <= v_i <= w_i <= w_j in the Bruhat matrix ``bru``."""
+    v, w = np.asarray(members).T
+    return bru[v][:, v].T & bru[v, w][:, None] & bru[w][:, w]
+
+
+def test_springer_and_fiber_orders_match_the_oracle_nesting(system):
+    s = system("A3")
+    bru = np.array([[oracle_bruhat_leq(s, x, y) for y in range(s.size)]
+                    for x in range(s.size)])
+    for J, Jp in disjoint_pairs(s.rank):
+        sp = build_springer_poset(s, J, Jp)
+        assert np.array_equal(sp.poset.leq, oracle_nested_order(bru, sp.members)), (J, Jp)
+    for r in range(1 << s.rank):
+        K = {i + 1 for i in range(s.rank) if r >> i & 1}
+        qk = build_qk(s, K)
+        lo, hi = np.nonzero(qk.leq)
+        for k in random.Random(r).choices(range(len(lo)), k=30):
+            fp = build_fiber_poset(qk, qk.members[lo[k]], qk.members[hi[k]])
+            assert np.array_equal(fp.poset.leq, oracle_nested_order(bru, fp.members)), K

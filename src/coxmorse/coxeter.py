@@ -1,12 +1,23 @@
 """Finite Coxeter groups as fully enumerated lookup tables.
 
-A group is built once from its Coxeter matrix by coset enumeration over
-the trivial subgroup, which needs nothing beyond integer bookkeeping and
-therefore handles the non-crystallographic types (H3, H4, I2(m)) exactly.
-Elements are integer ids into the resulting tables; id 0 is the identity
-and ids are sorted by (length, shortlex reduced word), so all outputs are
-deterministic.  After construction a system is immutable and every query
-is read-only.
+A group is built once from its Coxeter matrix in three steps, all exact
+integer bookkeeping, so the non-crystallographic types (H3, H4, I2(m))
+need no irrational arithmetic:
+
+- each irreducible component is recognised from its Coxeter graph, and
+  |W| is the product of the degrees; an infinite type or a group above
+  the element bound is refused before anything is enumerated;
+- coset enumeration over a maximal parabolic subgroup of each component
+  gives a faithful permutation action on few points (120 for H4, 27 for
+  E6);
+- a vectorised breadth-first search by length over the permutations
+  enumerates W, each length layer directly in shortlex order.
+
+The resulting table is certified on every build (:func:`certify_table`)
+to be the regular representation of W.  Elements are integer ids into
+the tables; id 0 is the identity and ids are sorted by (length, shortlex
+reduced word), so all outputs are deterministic.  After construction a
+system is immutable and every query is read-only.
 
 Generator indices are 1-based in the public API (words, descent sets,
 parabolic subsets), matching the word syntax ``"1.2.1"`` used by the CLI.
@@ -14,6 +25,7 @@ parabolic subsets), matching the word syntax ``"1.2.1"`` used by the CLI.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -154,19 +166,96 @@ class CoxeterMatrix:
         return cls.from_rows(rows, label="custom")
 
 
-def _coset_enumeration(matrix: CoxeterMatrix, max_elements: int) -> list[list[int]]:
-    """Enumerate the group by scanning the Coxeter relators over cosets of
-    the trivial subgroup.  Returns the right-multiplication table, one row
-    per element, columns indexed by 0-based generator."""
+def _components(rows: Sequence[Sequence[int]], nodes: Iterable[int]) -> list[list[int]]:
+    """Connected components of the Coxeter graph (bonds m >= 3) on the
+    0-based ``nodes``, each sorted, in order of their smallest node."""
+    rest = sorted(nodes)
+    out = []
+    while rest:
+        comp, stack = set(), [rest[0]]
+        while stack:
+            a = stack.pop()
+            if a not in comp:
+                comp.add(a)
+                stack.extend(b for b in rest if b != a and rows[a][b] >= 3)
+        rest = [a for a in rest if a not in comp]
+        out.append(sorted(comp))
+    return out
+
+
+_E_DEGREES = {6: (2, 5, 6, 8, 9, 12), 7: (2, 6, 8, 10, 12, 14, 18),
+              8: (2, 8, 12, 14, 18, 20, 24, 30)}
+
+
+def _irreducible_degrees(rows: Sequence[Sequence[int]], nodes: list[int]) -> tuple[int, ...] | None:
+    """Degrees of the irreducible Coxeter group on the connected ``nodes``,
+    recognised from its graph as A_n, B_n, D_n, E6-E8, F4, H3, H4 or I2(m);
+    None for any other graph, whose group is infinite."""
+    n = len(nodes)
+    if n <= 2:
+        return (2,) if n == 1 else (2, rows[nodes[0]][nodes[1]])
+    bonds = {(a, b): rows[a][b] for a in nodes for b in nodes if a < b and rows[a][b] >= 3}
+    if len(bonds) != n - 1:
+        return None   # the graph has a cycle
+    valency = {a: sum(a in bond for bond in bonds) for a in nodes}
+    heavy = [(bond, m) for bond, m in bonds.items() if m > 3]
+    if max(valency.values()) == 2:   # a path
+        if not heavy:
+            return tuple(range(2, n + 2))                                   # A_n
+        if len(heavy) > 1:
+            return None
+        (a, b), m = heavy[0]
+        at_end = 1 in (valency[a], valency[b])
+        if m == 4 and at_end:
+            return tuple(range(2, 2 * n + 1, 2))                            # B_n
+        if m == 4 and n == 4:
+            return (2, 6, 8, 12)                                            # F4
+        if m == 5 and at_end and n in (3, 4):
+            return (2, 6, 10) if n == 3 else (2, 12, 20, 30)                # H3, H4
+        return None
+    branches = [a for a in nodes if valency[a] == 3]
+    if heavy or max(valency.values()) > 3 or len(branches) != 1:
+        return None
+    arms = sorted(len(arm) for arm in _components(rows, [a for a in nodes if a != branches[0]]))
+    if arms[:2] == [1, 1]:
+        return tuple(range(2, 2 * n - 1, 2)) + (n,)                         # D_n
+    if arms[:2] == [1, 2] and arms[2] <= 4:
+        return _E_DEGREES[n]                                                # E6-E8
+    return None
+
+
+def _order(rows: Sequence[Sequence[int]], nodes: Iterable[int]) -> int:
+    """|W_nodes|, the product of the degrees of its irreducible components;
+    raises :class:`GroupTooLarge` if one of them is infinite."""
+    order = 1
+    for comp in _components(rows, nodes):
+        degrees = _irreducible_degrees(rows, comp)
+        if degrees is None:
+            raise GroupTooLarge(
+                f"the Coxeter graph on generators {[a + 1 for a in comp]} is not of type "
+                f"A_n, B_n, D_n, E6-E8, F4, H3, H4 or I2(m), so the group is infinite"
+            )
+        order *= math.prod(degrees)
+    return order
+
+
+def _coset_enumeration(matrix: CoxeterMatrix, subgroup: Iterable[int], cap: int) -> np.ndarray:
+    """Coset table of the standard parabolic subgroup generated by the
+    0-based generators ``subgroup``: one row per coset, columns indexed by
+    0-based generator, coset 0 the subgroup itself.  The Coxeter relators
+    are scanned over every coset until nothing changes (Holt, Eick and
+    O'Brien, Handbook of Computational Group Theory, ch. 5); defining more
+    than ``cap`` cosets raises :class:`GroupTooLarge`."""
     rank = matrix.rank
     relators: list[tuple[int, ...]] = []
     for i in range(rank):
         for j in range(i + 1, rank):
             relators.append((i, j) * matrix.entries[i][j])
     # generator edges are involutive, so the table doubles as its own inverse
-    cap = 16 * max_elements + 1024
     parent = [0]
     nbr = [-1] * rank
+    for h in subgroup:
+        nbr[h] = 0
 
     def find(c: int) -> int:
         root = c
@@ -181,7 +270,7 @@ def _coset_enumeration(matrix: CoxeterMatrix, max_elements: int) -> list[list[in
     def define(c: int, g: int) -> int:
         if len(parent) >= cap:
             raise GroupTooLarge(
-                f"enumeration exceeded the element bound {max_elements} "
+                f"coset enumeration of {matrix.label} exceeded {cap} cosets "
                 f"(group too large or infinite)"
             )
         d = len(parent)
@@ -241,25 +330,164 @@ def _coset_enumeration(matrix: CoxeterMatrix, max_elements: int) -> list[list[in
             c += 1
         changed = (stats["defs"], stats["merges"]) != before
 
+    # merges keep the smaller root, so coset 0 stays live and first
     live = [c for c in range(len(parent)) if find(c) == c]
-    if len(live) > max_elements:
-        raise GroupTooLarge(f"group has {len(live)} elements, exceeding the bound {max_elements}")
     index = {c: k for k, c in enumerate(live)}
-    table = [[index[find(nbr[c * rank + g])] for g in range(rank)] for c in live]
-    # the identity is the root of coset 0; move it to index 0
-    e = index[find(0)]
-    if e != 0:
-        perm = list(range(len(live)))
-        perm[0], perm[e] = perm[e], perm[0]
-        inv_perm = {old: new for new, old in enumerate(perm)}
-        table = [[inv_perm[table[perm[x]][g]] for g in range(rank)] for x in range(len(live))]
-    return table
+    return np.array([[index[find(nbr[c * rank + g])] for g in range(rank)] for c in live],
+                    dtype=np.int32)
+
+
+def _point_action(matrix: CoxeterMatrix) -> np.ndarray:
+    """Generator permutations (one row each) of W on a disjoint union of
+    coset spaces: for each irreducible component C, the cosets of
+    W_{C - {s}} in W_C, with s the node of smallest index.  Generators act
+    trivially on the other components' points.
+
+    The action is faithful: the kernel in W_C is normal and lies in the
+    proper parabolic W_{C - {s}}, so it fixes a nonzero subspace of the
+    reflection representation together with all its W-translates, and by
+    irreducibility it is trivial.  Points are stored in the smallest
+    unsigned type that holds them: uint8 up to 256 points."""
+    rows = matrix.entries
+    blocks = []
+    for comp in _components(rows, range(matrix.rank)):
+        order = _order(rows, comp)
+        _, s = min((order // _order(rows, [b for b in comp if b != a]), a) for a in comp)
+        sub = CoxeterMatrix.from_rows([[rows[a][b] for b in comp] for a in comp], matrix.label)
+        table = _coset_enumeration(sub, [k for k, a in enumerate(comp) if a != s],
+                                   16 * order + 1024)
+        blocks.append((comp, table))
+    npts = sum(len(table) for _, table in blocks)
+    act = np.tile(np.arange(npts, dtype=np.min_scalar_type(npts - 1)), (matrix.rank, 1))
+    offset = 0
+    for comp, table in blocks:
+        for k, a in enumerate(comp):
+            act[a, offset:offset + len(table)] = offset + table[:, k]
+        offset += len(table)
+    return act
+
+
+def _enumerate(act: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The group generated by the point permutations ``act``, breadth
+    first by length: layer k + 1 is the set of s_g x, x in layer k, whose
+    permutation is perm(x)[act[g]].  Candidates are formed generator-major
+    over layer k in its own order, skipping the known left descents g of
+    x (they lead back to layer k - 1), and deduplicated exactly on the
+    bytes of their rows.  Keeping first occurrences orders each layer by
+    (smallest left descent g, rank of s_g y), which is shortlex order.
+
+    Only one layer of rows is held at a time; inverses are looked up in
+    the sorted keys of their own layer.  Returns the left table, the
+    inverse table, the layer sizes and the support bits (bit g set iff
+    s_{g+1} occurs in a reduced word)."""
+    rank, npts = act.shape
+    void = np.dtype((np.void, npts * act.itemsize))
+    points = np.arange(npts, dtype=act.dtype)
+    bit = np.left_shift(1, np.arange(rank, dtype=np.int64))
+    cur = points[None, :]
+    desc = np.zeros((1, rank), dtype=bool)
+    sizes, inverse, support = [1], [np.zeros(1, dtype=np.int64)], [np.zeros(1, dtype=np.int64)]
+    xs, gs, ys = [], [], []   # y = s_g x, one layer up
+    start = 0
+    while True:
+        g, x = np.nonzero(~desc.T)
+        if not g.size:
+            break
+        cand = cur[x[:, None], act[g]]
+        keys, first, which = np.unique(cand.view(void).ravel(), return_index=True,
+                                       return_inverse=True)
+        order = np.argsort(first)
+        pos = np.empty_like(order)
+        pos[order] = np.arange(order.size)
+        y = pos[which]
+        cur = cand[first[order]]
+        desc = np.zeros((order.size, rank), dtype=bool)
+        desc[y, g] = True
+        sup = np.empty(order.size, dtype=np.int64)
+        sup[y] = support[-1][x] | bit[g]
+        inv = np.empty_like(cur)
+        inv[np.arange(order.size)[:, None], cur] = points
+        xs.append(start + x)
+        start += sizes[-1]
+        ys.append(start + y)
+        gs.append(g)
+        inverse.append(start + pos[np.searchsorted(keys, inv.view(void).ravel())])
+        support.append(sup)
+        sizes.append(order.size)
+    left = np.full((start + sizes[-1], rank), -1, dtype=np.int32)
+    if xs:
+        x, g, y = np.concatenate(xs), np.concatenate(gs), np.concatenate(ys)
+        left[x, g] = y
+        left[y, g] = x
+    return (left, np.concatenate(inverse).astype(np.int32), np.asarray(sizes),
+            np.concatenate(support))
+
+
+def certify_table(matrix: CoxeterMatrix, right: np.ndarray, order: int) -> np.ndarray:
+    """Prove that ``right`` (one row per element, column g the right action
+    of s_{g+1}) is the right regular representation of W, or raise
+    :class:`TheoremFalsified` naming the failed check:
+
+    - each generator column is a fixed-point-free involution;
+    - every relator (s_i s_j)^{m_ij} is the identity on every row;
+    - breadth-first search from row 0 reaches every row;
+    - the number of rows is ``order``, the degree product |W|.
+
+    The first three make the rows a transitive W-set, the last makes its
+    stabilisers trivial.  Returns the breadth-first distances from row 0,
+    which are the lengths."""
+    n, rank = right.shape
+    what = f"{matrix.label} group table"
+    ids = np.arange(n)
+    bad = (right == ids[:, None]) | (right[right, np.arange(rank)] != ids[:, None])
+    if bad.any():
+        x, g = np.argwhere(bad.T)[0][::-1]
+        raise TheoremFalsified(
+            f"{what}: generator s_{g + 1} is not a fixed-point-free involution (row {x})"
+        )
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            m = matrix.entries[i][j]
+            x = ids
+            for _ in range(m):
+                x = right[right[x, i], j]
+            bad = np.flatnonzero(x != ids)
+            if bad.size:
+                raise TheoremFalsified(
+                    f"{what}: relator (s_{i + 1} s_{j + 1})^{m} is not the identity "
+                    f"(row {bad[0]})"
+                )
+    dist = np.full(n, -1, dtype=np.int32)
+    dist[0] = 0
+    frontier, d = ids[:1], 0
+    while frontier.size:
+        d += 1
+        step = right[frontier].ravel()
+        step = step[dist[step] < 0]
+        dist[step] = d
+        frontier = np.flatnonzero(dist == d)
+    bad = np.flatnonzero(dist < 0)
+    if bad.size:
+        raise TheoremFalsified(f"{what}: row {bad[0]} is not reached from the identity")
+    if n != order:
+        raise TheoremFalsified(
+            f"{what} has {n} rows, but the degrees of its components give |W| = {order}"
+        )
+    return dist
+
+
+def _bits(J: Iterable[int]) -> int:
+    """The bit mask of a set of 1-based generators."""
+    return sum(1 << (i - 1) for i in J)
 
 
 class CoxeterSystem:
     """A fully enumerated finite Coxeter group.
 
-    All element-valued queries take and return integer ids.
+    All element-valued queries take and return integer ids.  Per element,
+    ``left_descent_bits``, ``right_descent_bits`` and ``support_bits``
+    hold bit g - 1 for each generator s_g that is a left descent, a right
+    descent, or a letter of a reduced word.
     """
 
     def __init__(self, matrix: CoxeterMatrix, max_elements: int = DEFAULT_MAX_ELEMENTS):
@@ -267,91 +495,64 @@ class CoxeterSystem:
             raise InvalidMatrix("max_elements must be >= 1")
         self.matrix = matrix
         self.rank = matrix.rank
-        raw = _coset_enumeration(matrix, max_elements)
-        self._build_tables(np.asarray(raw, dtype=np.int32))
+        order = _order(matrix.entries, range(self.rank))
+        if order > max_elements:
+            raise GroupTooLarge(f"group has {order} elements, exceeding the bound {max_elements}")
+        self._build_tables(order)
         self._parabolic_cache: dict[frozenset[int], ParabolicSubset] = {}
         self._n_r_cache: dict[int, frozenset[int]] = {}
 
     # -- construction -----------------------------------------------------
 
-    def _build_tables(self, raw_right: np.ndarray) -> None:
-        n = raw_right.shape[0]
-        rank = self.rank
-
-        # lengths: BFS distance from the identity in the right Cayley graph
-        length = np.full(n, -1, dtype=np.int32)
-        length[0] = 0
-        frontier = [0]
-        bfs_word: list[tuple[int, ...]] = [()] * n
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in range(rank):
-                    y = int(raw_right[x, g])
-                    if length[y] < 0:
-                        length[y] = length[x] + 1
-                        bfs_word[y] = bfs_word[x] + (g,)
-                        nxt.append(y)
-            frontier = nxt
-        if (length < 0).any():
-            raise InvalidMatrix("Cayley graph is not connected; enumeration bug")
-
-        inv = np.empty(n, dtype=np.int32)
-        for x in range(n):
-            z = 0
-            for g in reversed(bfs_word[x]):
-                z = int(raw_right[z, g])
-            inv[x] = z
-
-        left = np.empty((n, rank), dtype=np.int32)
-        for g in range(rank):
-            left[:, g] = inv[raw_right[inv, g]]
-
-        # shortlex normal form: smallest left descent first, recursively
+    def _build_tables(self, order: int) -> None:
+        left, inv, sizes, support = _enumerate(_point_action(self.matrix))
+        right = inv[left[inv]]
+        dist = certify_table(self.matrix, right, order)
+        what = f"{self.matrix.label} group table"
+        length = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
+        bad = np.flatnonzero(dist != length)
+        if bad.size:
+            raise TheoremFalsified(f"{what}: row {bad[0]} is not in the layer of its length")
+        # left[:, g] sends e to s_g and commutes with the right action, so it
+        # is left multiplication by s_g; then inv, which fixes e and sends
+        # x s_g to s_g inv(x), is the inverse
+        if (left[0] != right[0]).any() or (left[right] != right[left].transpose(0, 2, 1)).any():
+            raise TheoremFalsified(f"{what}: left table is not left multiplication")
+        if inv[0] != 0 or (inv[right] != left[inv]).any():
+            raise TheoremFalsified(f"{what}: inverse table is not the inverse")
+        self.size = n = len(length)
+        self.right, self.left, self.inverse_table, self.length = right, left, inv, length
+        weights = np.left_shift(1, np.arange(self.rank, dtype=np.int64))
         descent = length[left] < length[:, None]
-        first = np.where(descent.any(axis=1), descent.argmax(axis=1), -1).astype(np.int32)
+        self.left_descent_bits = descent @ weights
+        self.right_descent_bits = (length[right] < length[:, None]) @ weights
+        self.support_bits = support
+        # shortlex normal form: smallest left descent first, recursively
+        self.first_letter = np.where(descent.any(axis=1), descent.argmax(axis=1),
+                                     -1).astype(np.int32)
 
-        def word_of(x: int) -> tuple[int, ...]:
-            out = []
-            while x != 0:
-                g = int(first[x])
-                out.append(g)
-                x = int(left[x, g])
-            return tuple(out)
-
-        new_order = sorted(range(n), key=lambda x: (int(length[x]), word_of(x)))
-        sel = np.asarray(new_order, dtype=np.int32)
-        new_id = np.empty(n, dtype=np.int32)
-        new_id[sel] = np.arange(n, dtype=np.int32)
-        self.size = n
-        self.right = new_id[raw_right[sel]]
-        self.left = new_id[left[sel]]
-        self.inverse_table = new_id[inv[sel]]
-        self.length = length[sel]
-        self.first_letter = first[sel]
-
-        w0_len = int(self.length.max())
-        tops = np.nonzero(self.length == w0_len)[0]
-        if len(tops) != 1:
+        w0_len = len(sizes) - 1
+        if sizes[-1] != 1:
             raise TheoremFalsified(
-                f"{self.matrix.label} has {len(tops)} elements of maximal length {w0_len}"
+                f"{self.matrix.label} has {sizes[-1]} elements of maximal length {w0_len}"
             )
-        self.w0 = int(tops[0])
+        self.w0 = n - 1
         # ids of length k are the range _length_start[k] .. _length_start[k + 1]
         self._length_start = np.searchsorted(self.length, np.arange(w0_len + 2))
 
-        # reflections: conjugacy closure of the generators
-        simples = [int(self.right[0, g]) for g in range(rank)]
-        refl = set(simples)
-        queue = list(simples)
+        # reflections: conjugacy closure of the generators, each with its
+        # left-multiplication permutation (s t s) w = s (t (s w))
+        perms = {int(right[0, g]): left[:, g] for g in range(self.rank)}
+        queue = list(perms)
         while queue:
             t = queue.pop()
-            for g in range(rank):
-                u = int(self.right[int(self.left[t, g]), g])  # s_g t s_g
-                if u not in refl:
-                    refl.add(u)
+            for g in range(self.rank):
+                u = int(right[left[t, g], g])
+                if u not in perms:
+                    lg = left[:, g]
+                    perms[u] = lg[perms[t][lg]]
                     queue.append(u)
-        self.reflections = tuple(sorted(refl))
+        self.reflections = tuple(sorted(perms))
         self.reflection_set = frozenset(self.reflections)
         if len(self.reflections) != w0_len:
             raise TheoremFalsified(
@@ -360,29 +561,26 @@ class CoxeterSystem:
             )
 
         # Bruhat covers with labels: v = t*w, l(v) = l(w) - 1
-        downs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        ups: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        arange = np.arange(n, dtype=np.int32)
-        for t in self.reflections:
-            perm = arange
-            for g in reversed(tuple(self.letters(t))):
-                perm = self.left[:, g][perm]
-            vs = perm  # vs[w] = t * w
-            hits = np.nonzero(self.length[vs] == self.length - 1)[0]
-            for w in hits:
-                downs[int(w)].append((int(vs[w]), t))
-        for w, lst in enumerate(downs):
-            lst.sort()
-            for v, t in lst:
-                ups[v].append((w, t))
-        for lst in ups:
-            lst.sort()
-        self._covers_down = tuple(tuple(lst) for lst in downs)
-        self._covers_up = tuple(tuple(lst) for lst in ups)
+        below = length - 1
+        hits = [np.flatnonzero(length[perms[t]] == below) for t in self.reflections]
+        ws = np.concatenate(hits)
+        vs = np.concatenate([perms[t][h] for t, h in zip(self.reflections, hits)])
+        ts = np.repeat(self.reflections, [len(h) for h in hits])
+
+        objs = np.arange(n).astype(object)   # one int object per id, shared by all pairs
+
+        def split(key: np.ndarray, other: np.ndarray) -> tuple[tuple[tuple[int, int], ...], ...]:
+            o = np.lexsort((other, key))
+            pairs = list(zip(objs[other[o]].tolist(), objs[ts[o]].tolist()))
+            bounds = np.cumsum(np.bincount(key, minlength=n)).tolist()
+            return tuple(tuple(pairs[a:b]) for a, b in zip([0] + bounds, bounds))
+
+        self._covers_down = split(ws, vs)
+        self._covers_up = split(vs, ws)
 
         # diagram involution i -> i* with s_{i*} = w0 s_i w0
         star = []
-        for g in range(rank):
+        for g in range(self.rank):
             img = self.mul(self.mul(self.w0, int(self.right[0, g])), self.w0)
             if self.length[img] != 1:
                 raise TheoremFalsified(
@@ -456,14 +654,12 @@ class CoxeterSystem:
 
     def descents(self, x: int, side: str = "right") -> frozenset[int]:
         if side == "right":
-            table = self.right
+            bits = int(self.right_descent_bits[x])
         elif side == "left":
-            table = self.left
+            bits = int(self.left_descent_bits[x])
         else:
             raise InvalidSubset(f"side must be 'left' or 'right', got {side!r}")
-        return frozenset(
-            g + 1 for g in range(self.rank) if self.length[table[x, g]] < self.length[x]
-        )
+        return frozenset(g + 1 for g in range(self.rank) if bits >> g & 1)
 
     # -- Bruhat order -------------------------------------------------------
 
@@ -570,26 +766,19 @@ class CoxeterSystem:
         cached = self._parabolic_cache.get(J)
         if cached is not None:
             return cached
-        elems = {0}
-        queue = [0]
-        while queue:
-            x = queue.pop()
-            for i in J:
-                y = int(self.right[x, i - 1])
-                if y not in elems:
-                    elems.add(y)
-                    queue.append(y)
-        elements = tuple(sorted(elems))
-        longest = max(elements, key=lambda x: (self.len_of(x), -x))
-        tops = [x for x in elements if self.len_of(x) == self.len_of(longest)]
+        bits = _bits(J)
+        elements = np.flatnonzero((self.support_bits & ~bits) == 0)
+        lengths = self.length[elements]
+        tops = elements[lengths == lengths.max()]
         if len(tops) != 1:
             raise TheoremFalsified(
                 f"W_{sorted(J)} in {self.matrix.label} has {len(tops)} longest elements: "
                 f"{[self.word_str(x) for x in tops]}"
             )
-        min_left = tuple(x for x in range(self.size) if not (self.descents(x, "left") & J))
-        min_right = tuple(x for x in range(self.size) if not (self.descents(x, "right") & J))
-        sub = ParabolicSubset(J, elements, longest, min_left, min_right)
+        min_left = np.flatnonzero((self.left_descent_bits & bits) == 0)
+        min_right = np.flatnonzero((self.right_descent_bits & bits) == 0)
+        sub = ParabolicSubset(J, tuple(elements.tolist()), int(tops[0]),
+                              tuple(min_left.tolist()), tuple(min_right.tolist()))
         self._parabolic_cache[J] = sub
         return sub
 
@@ -598,21 +787,21 @@ class CoxeterSystem:
 
     def min_rep_left(self, w: int, J: Iterable[int]) -> int:
         """The minimal-length element of W_J w (no left descents in J)."""
-        J = self.check_subset(J)
-        while True:
-            ds = self.descents(w, "left") & J
-            if not ds:
-                return w
-            w = int(self.left[w, min(ds) - 1])
+        return self._min_rep(w, J, self.left, self.left_descent_bits)
 
     def min_rep_right(self, w: int, K: Iterable[int]) -> int:
         """The minimal-length element of w W_K (no right descents in K)."""
-        K = self.check_subset(K)
+        return self._min_rep(w, K, self.right, self.right_descent_bits)
+
+    def _min_rep(self, w: int, J: Iterable[int], table: np.ndarray,
+                 descent_bits: np.ndarray) -> int:
+        """Strip the smallest descent in J on the side of ``table`` until none is left."""
+        bits = _bits(self.check_subset(J))
         while True:
-            ds = self.descents(w, "right") & K
+            ds = int(descent_bits[w]) & bits
             if not ds:
                 return w
-            w = int(self.right[w, min(ds) - 1])
+            w = int(table[w, (ds & -ds).bit_length() - 1])
 
     # -- misc ---------------------------------------------------------------
 

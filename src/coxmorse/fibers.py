@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cells import pair_poset, slice_matching
+from .cells import check_order_size, pair_poset, slice_matching
 from .coxeter import CoxeterSystem
 from .errors import (
     AnchorViolation,
@@ -58,10 +58,14 @@ def build_qk(system: CoxeterSystem, K) -> QKPoset:
     antisymmetry and transitivity are not assumed)."""
     K = system.check_subset(K)
     sub = system.parabolic(K)
-    v, w = np.nonzero(system.bruhat)
-    keep = np.isin(w, sub.min_right)
-    poset = pair_poset(system, np.column_stack((v[keep], w[keep])), "q_k relation",
-                       sub.elements)
+    bru, tops = system.bruhat, np.asarray(sub.min_right)
+    # the members are the lower sets [e, w] of w in W^K: count them in
+    # blocks of rows of at most 1 MiB before any pair array exists
+    step = max(1, (1 << 20) // len(tops))
+    check_order_size(sum(int(np.count_nonzero(bru[i:i + step, tops]))
+                         for i in range(0, system.size, step)), "q_k relation")
+    v, k = np.nonzero(bru[:, tops])
+    poset = pair_poset(system, np.column_stack((v, tops[k])), "q_k relation", sub.elements)
     return QKPoset(system, K, poset.payload, poset.leq)
 
 

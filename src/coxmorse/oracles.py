@@ -2,15 +2,103 @@
 
 Each oracle recomputes a production result by a different route (subword
 recursion, literal optimization over lower sets, exhaustive word
-enumeration) and never calls the production code it is checking.
+enumeration) and never calls the production code it is checking.  The
+one shared piece is the Todd-Coxeter routine under
+:func:`oracle_group_tables`, whose production output is proved correct
+on every build by :func:`coxeter.certify_table`.
 """
 
 from __future__ import annotations
 
-from .coxeter import CoxeterSystem
-from .errors import CapExceeded, NonUniqueOptimum, NotAMatching
+import numpy as np
+
+from .coxeter import (DEFAULT_MAX_ELEMENTS, CoxeterMatrix, CoxeterSystem,
+                      _coset_enumeration)
+from .errors import CapExceeded, GroupTooLarge, NonUniqueOptimum, NotAMatching
 from .matchings import Matching
 from .posets import FinitePoset
+
+
+def oracle_group_tables(matrix: CoxeterMatrix,
+                        max_elements: int = DEFAULT_MAX_ELEMENTS) -> dict[str, object]:
+    """The tables of :class:`coxeter.CoxeterSystem` by another route: coset
+    enumeration over the trivial subgroup, lengths and words by a Python
+    breadth-first search, ids sorted by (length, shortlex word) with
+    ``sorted``, and Bruhat covers by multiplying out each reflection's word.
+    Keys: right, left, inverse_table, length, first_letter, reflections,
+    covers_down, covers_up."""
+    raw = _coset_enumeration(matrix, (), 16 * max_elements + 1024)
+    n, rank = raw.shape
+    if n > max_elements:
+        raise GroupTooLarge(f"group has {n} elements, exceeding the bound {max_elements}")
+    length = np.full(n, -1, dtype=np.int32)
+    length[0] = 0
+    word: list[tuple[int, ...]] = [()] * n
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in range(rank):
+                y = int(raw[x, g])
+                if length[y] < 0:
+                    length[y] = length[x] + 1
+                    word[y] = word[x] + (g,)
+                    nxt.append(y)
+        frontier = nxt
+    inv = np.empty(n, dtype=np.int32)
+    for x in range(n):
+        z = 0
+        for g in reversed(word[x]):
+            z = int(raw[z, g])
+        inv[x] = z
+    left = inv[raw[inv]]
+    descent = length[left] < length[:, None]
+    first = np.where(descent.any(axis=1), descent.argmax(axis=1), -1).astype(np.int32)
+
+    def word_of(x: int) -> tuple[int, ...]:
+        out = []
+        while x != 0:
+            g = int(first[x])
+            out.append(g)
+            x = int(left[x, g])
+        return tuple(out)
+
+    sel = np.asarray(sorted(range(n), key=lambda x: (int(length[x]), word_of(x))),
+                     dtype=np.int32)
+    new_id = np.empty(n, dtype=np.int32)
+    new_id[sel] = np.arange(n, dtype=np.int32)
+    right, left, first = new_id[raw[sel]], new_id[left[sel]], first[sel]
+    length = length[sel]
+
+    refl = {int(right[0, g]) for g in range(rank)}
+    queue = list(refl)
+    while queue:
+        t = queue.pop()
+        for g in range(rank):
+            u = int(right[int(left[t, g]), g])
+            if u not in refl:
+                refl.add(u)
+                queue.append(u)
+    reflections = tuple(sorted(refl))
+    downs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    ups: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for t in reflections:
+        perm = np.arange(n, dtype=np.int32)
+        for g in reversed(word_of(t)):
+            perm = left[:, g][perm]   # perm[w] = t * w
+        for w in np.flatnonzero(length[perm] == length - 1):
+            downs[int(w)].append((int(perm[w]), t))
+    for w, lst in enumerate(downs):
+        lst.sort()
+        for v, t in lst:
+            ups[v].append((w, t))
+    for lst in ups:
+        lst.sort()
+    return {
+        "right": right, "left": left, "inverse_table": new_id[inv[sel]], "length": length,
+        "first_letter": first, "reflections": reflections,
+        "covers_down": tuple(map(tuple, downs)), "covers_up": tuple(map(tuple, ups)),
+    }
 
 
 def oracle_bruhat_leq(system: CoxeterSystem, v: int, w: int) -> bool:

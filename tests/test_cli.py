@@ -214,3 +214,24 @@ def test_unreadable_matrix_file_exits_as_usage_error(capsys, tmp_path):
         code, out, err = run(capsys, "group", "--matrix-file", str(path))
         assert code == 2 and out == ""
         assert err.startswith("error: cannot read matrix file: "), err
+
+
+def test_wrong_degree_product_exits_as_falsification(capsys, monkeypatch):
+    from coxmorse import coxeter
+
+    real = coxeter._irreducible_degrees
+    monkeypatch.setattr(coxeter, "_irreducible_degrees",
+                        lambda rows, nodes: real(rows, nodes) + (2,))
+    code, out, err = run(capsys, "group", "--group", "A3")
+    assert code == 3 and out == ""
+    assert err == ("FALSIFIED: A3 group table has 24 rows, but the degrees of its components "
+                   "give |W| = 48\n")
+
+
+def test_infinite_matrix_exits_as_usage_error(capsys, tmp_path):
+    path = tmp_path / "affine.txt"
+    path.write_text("1 3 3\n3 1 3\n3 3 1\n")
+    code, out, err = run(capsys, "group", "--matrix-file", str(path))
+    assert code == 2 and out == ""
+    assert err == ("error: the Coxeter graph on generators [1, 2, 3] is not of type A_n, B_n, "
+                   "D_n, E6-E8, F4, H3, H4 or I2(m), so the group is infinite\n")

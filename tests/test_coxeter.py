@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
-from coxmorse import CoxeterMatrix, build_system
+from coxmorse import CoxeterMatrix, build_system, coxeter
+from coxmorse.coxeter import certify_table
 from coxmorse.errors import (
     GroupTooLarge,
     InvalidMatrix,
     InvalidSubset,
+    TheoremFalsified,
 )
-from coxmorse.oracles import oracle_reduced_words
+from coxmorse.oracles import oracle_group_tables, oracle_reduced_words
 
 
 KNOWN_SIZES = {
@@ -49,6 +51,120 @@ def test_too_large():
     with pytest.raises(GroupTooLarge):
         # affine triangle group (3,3,3) is infinite
         build_system([[1, 3, 3], [3, 1, 3], [3, 3, 1]], max_elements=3000)
+
+
+# every named type with at most 14400 elements, and reducible matrices
+ORACLE_TYPES = ["A1", "A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "B5", "D3", "D4", "D5",
+                "F4", "G2", "H3", "H4", "I2(5)", "I2(8)"]
+REDUCIBLE = {
+    "A1xA1": [[1, 2], [2, 1]],
+    "A1xA1xA1": [[1, 2, 2], [2, 1, 2], [2, 2, 1]],
+    "A2xB2": [[1, 3, 2, 2], [3, 1, 2, 2], [2, 2, 1, 4], [2, 2, 4, 1]],
+    "A1xH3": [[1, 2, 2, 2], [2, 1, 5, 2], [2, 5, 1, 3], [2, 2, 3, 1]],
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_TYPES + sorted(REDUCIBLE))
+def test_tables_match_full_enumeration_oracle(system, name):
+    s = build_system(REDUCIBLE[name]) if name in REDUCIBLE else system(name)
+    for key, want in oracle_group_tables(s.matrix).items():
+        got = getattr(s, "_" + key if key.startswith("covers") else key)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and np.array_equal(got, want), key
+        else:
+            assert got == want, key
+
+
+ORDERS = {"A1": 2, "A7": 40320, "B6": 46080, "D4": 192, "D7": 322560, "E6": 51840,
+          "E7": 2903040, "E8": 696729600, "F4": 1152, "G2": 12, "H3": 120, "H4": 14400,
+          "I2(11)": 22}
+
+
+@pytest.mark.parametrize("name,order", sorted(ORDERS.items()))
+def test_degree_product_is_the_group_order(name, order):
+    with pytest.raises(GroupTooLarge, match=f"^group has {order} elements, exceeding the bound 1$"):
+        build_system(name, max_elements=1)
+
+
+def test_oversized_groups_fail_at_the_default_bound():
+    for name, order in [("E7", 2903040), ("E8", 696729600)]:
+        with pytest.raises(GroupTooLarge,
+                           match=f"^group has {order} elements, exceeding the bound 200000$"):
+            build_system(name)
+
+
+def graph(n, bonds):
+    """The Coxeter matrix on 1..n with the given {(i, j): m} bonds, else 2."""
+    return [[1 if i == j else bonds.get((min(i, j), max(i, j)), 2) for j in range(1, n + 1)]
+            for i in range(1, n + 1)]
+
+
+def chain(*labels):
+    return {(i, i + 1): m for i, m in enumerate(labels, start=1)}
+
+
+INFINITE = {
+    "affine A2": graph(3, {(1, 2): 3, (2, 3): 3, (1, 3): 3}),
+    "affine C2": graph(3, chain(4, 4)),
+    "affine G2": graph(3, chain(6, 3)),
+    "affine F4": graph(5, chain(3, 3, 4, 3)),
+    "triangle (2,3,7)": graph(3, chain(3, 7)),
+    "H5": graph(5, chain(5, 3, 3, 3)),
+    "affine D4": graph(5, {(1, 2): 3, (1, 3): 3, (1, 4): 3, (1, 5): 3}),
+    "affine E6": graph(7, {**chain(3, 3, 3, 3), (3, 6): 3, (6, 7): 3}),
+    "affine E7": graph(8, {**chain(3, 3, 3, 3, 3, 3), (4, 8): 3}),
+    "affine E8": graph(9, {**chain(3, 3, 3, 3, 3, 3, 3), (3, 9): 3}),
+    "A1 x affine B3": graph(5, {(2, 3): 3, (2, 4): 3, (2, 5): 4}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INFINITE))
+def test_infinite_matrix_fails_before_enumeration(monkeypatch, name):
+    def enumerate_cosets(*args):
+        raise AssertionError("coset enumeration started")
+
+    monkeypatch.setattr(coxeter, "_coset_enumeration", enumerate_cosets)
+    with pytest.raises(GroupTooLarge, match="so the group is infinite"):
+        build_system(INFINITE[name])
+
+
+def test_point_action_uses_the_smallest_coset_space():
+    for name, points, dtype in [("H4", 120, np.uint8), ("E6", 27, np.uint8),
+                                ("B4", 8, np.uint8), ("I2(300)", 300, np.uint16)]:
+        act = coxeter._point_action(CoxeterMatrix.from_name(name))
+        assert act.shape[1] == points and act.dtype == dtype, name
+
+
+def test_certificate_fires_on_corrupted_tables(system):
+    a2, a3 = system("A2"), system("A3")
+    assert np.array_equal(certify_table(a3.matrix, a3.right, 24), a3.length)
+    swapped = a3.right.copy()
+    swapped[[1, 2], 0] = swapped[[2, 1], 0]
+    with pytest.raises(TheoremFalsified, match="s_1 is not a fixed-point-free involution"):
+        certify_table(a3.matrix, swapped, 24)
+    commuting = CoxeterMatrix.from_rows([[1, 2], [2, 1]])
+    with pytest.raises(TheoremFalsified, match=r"relator \(s_1 s_2\)\^2 is not the identity"):
+        certify_table(commuting, a2.right, 6)
+    two_copies = np.vstack((a2.right, a2.right + 6))
+    with pytest.raises(TheoremFalsified, match="row 6 is not reached from the identity"):
+        certify_table(a2.matrix, two_copies, 12)
+    with pytest.raises(TheoremFalsified,
+                       match=r"has 24 rows, but the degrees of its components give \|W\| = 48"):
+        certify_table(a3.matrix, a3.right, 48)
+
+
+def test_build_rejects_a_left_table_that_is_not_left_multiplication(monkeypatch):
+    # with inverses taken as the identity map the right table is the left
+    # table, which passes the table certificate but does not commute with it
+    real = coxeter._enumerate
+
+    def identity_inverses(act):
+        left, inv, sizes, support = real(act)
+        return left, np.arange(len(inv), dtype=inv.dtype), sizes, support
+
+    monkeypatch.setattr(coxeter, "_enumerate", identity_inverses)
+    with pytest.raises(TheoremFalsified, match="left table is not left multiplication"):
+        build_system("A2")
 
 
 def test_identity_and_lengths(system):
@@ -193,6 +309,34 @@ def test_min_rep_right(system):
             part = s.mul(s.inverse(rep), w)
             assert part in set(sub.elements)
             assert s.len_of(rep) + s.len_of(part) == s.len_of(w)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3"])
+def test_parabolic_data_match_direct_definitions(system, name):
+    s = system(name)
+    length = s.length
+    for r in range(2 ** s.rank):
+        J = frozenset(i + 1 for i in range(s.rank) if r >> i & 1)
+        sub = s.parabolic(J)
+        reach, queue = {0}, [0]
+        while queue:
+            x = queue.pop()
+            for i in J:
+                y = int(s.right[x, i - 1])
+                if y not in reach:
+                    reach.add(y)
+                    queue.append(y)
+        assert sub.elements == tuple(sorted(reach))
+        assert sub.longest == max(reach, key=lambda x: (length[x], -x))
+        for side, table, reps in (("left", s.left, sub.min_left),
+                                  ("right", s.right, sub.min_right)):
+            desc = [frozenset(g + 1 for g in range(s.rank) if length[table[x, g]] < length[x])
+                    for x in range(s.size)]
+            assert [s.descents(x, side) for x in range(s.size)] == desc
+            assert reps == tuple(x for x in range(s.size) if not desc[x] & J)
+        for x in range(s.size):
+            assert s.min_rep_left(x, J) == min((s.mul(a, x) for a in reach), key=s.len_of)
+            assert s.min_rep_right(x, J) == min((s.mul(x, a) for a in reach), key=s.len_of)
 
 
 def test_shortlex_words(system):

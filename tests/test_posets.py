@@ -234,6 +234,23 @@ def test_springer_pair_order_guard_fires_before_storing_members(system, monkeypa
     assert peak < 8 * 3781, f"{peak} bytes allocated for 3781 members before the guard"
 
 
+def test_qk_guard_fires_before_pair_arrays(system, monkeypatch):
+    s = system("B3")
+    s.bruhat
+    s.parabolic(set())
+    pairs = len(s.comparable_pairs())
+    monkeypatch.setattr(cells, "MAX_ORDER_BYTES", 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(OrderTooLarge, match=f"q_k relation has {pairs} cells"):
+            build_qk(s, set())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # np.nonzero over the Bruhat matrix alone takes two int64 indices per pair
+    assert peak < 16 * pairs, f"{peak} bytes allocated for {pairs} pairs before the guard"
+
+
 def oracle_nested_order(bru, members):
     """[i, j] iff v_j <= v_i <= w_i <= w_j in the Bruhat matrix ``bru``."""
     v, w = np.asarray(members).T

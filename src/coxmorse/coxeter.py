@@ -520,9 +520,14 @@ class CoxeterSystem:
             raise TheoremFalsified(f"{what}: left table is not left multiplication")
         if inv[0] != 0 or (inv[right] != left[inv]).any():
             raise TheoremFalsified(f"{what}: inverse table is not the inverse")
+        # support(e) = 0 and support(x s_g) = support(x) | s_g when x s_g is
+        # longer; every x != e is such a step up from x s for a right descent s
+        weights = np.left_shift(1, np.arange(self.rank, dtype=np.int64))
+        up = length[right] > length[:, None]
+        if support[0] != 0 or (support[right][up] != (support[:, None] | weights)[up]).any():
+            raise TheoremFalsified(f"{what}: support bits are not the letters of reduced words")
         self.size = n = len(length)
         self.right, self.left, self.inverse_table, self.length = right, left, inv, length
-        weights = np.left_shift(1, np.arange(self.rank, dtype=np.int64))
         descent = length[left] < length[:, None]
         self.left_descent_bits = descent @ weights
         self.right_descent_bits = (length[right] < length[:, None]) @ weights

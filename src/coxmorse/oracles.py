@@ -14,23 +14,20 @@ import numpy as np
 
 from .coxeter import (DEFAULT_MAX_ELEMENTS, CoxeterMatrix, CoxeterSystem,
                       _coset_enumeration)
-from .errors import CapExceeded, GroupTooLarge, NonUniqueOptimum, NotAMatching
+from .errors import CapExceeded, NonUniqueOptimum, NotAMatching
 from .matchings import Matching
 from .posets import FinitePoset
 
 
-def oracle_group_tables(matrix: CoxeterMatrix,
-                        max_elements: int = DEFAULT_MAX_ELEMENTS) -> dict[str, object]:
+def oracle_group_tables(matrix: CoxeterMatrix) -> dict[str, object]:
     """The tables of :class:`coxeter.CoxeterSystem` by another route: coset
     enumeration over the trivial subgroup, lengths and words by a Python
     breadth-first search, ids sorted by (length, shortlex word) with
     ``sorted``, and Bruhat covers by multiplying out each reflection's word.
     Keys: right, left, inverse_table, length, first_letter, reflections,
     covers_down, covers_up."""
-    raw = _coset_enumeration(matrix, (), 16 * max_elements + 1024)
+    raw = _coset_enumeration(matrix, (), 16 * DEFAULT_MAX_ELEMENTS + 1024)
     n, rank = raw.shape
-    if n > max_elements:
-        raise GroupTooLarge(f"group has {n} elements, exceeding the bound {max_elements}")
     length = np.full(n, -1, dtype=np.int32)
     length[0] = 0
     word: list[tuple[int, ...]] = [()] * n

@@ -167,6 +167,20 @@ def test_build_rejects_a_left_table_that_is_not_left_multiplication(monkeypatch)
         build_system("A2")
 
 
+def test_build_rejects_wrong_support_bits(monkeypatch):
+    real = coxeter._enumerate
+
+    def drop_a_letter(act):
+        left, inv, sizes, support = real(act)
+        support = support.copy()
+        support[-1] &= ~1   # w0 of A2 has both letters
+        return left, inv, sizes, support
+
+    monkeypatch.setattr(coxeter, "_enumerate", drop_a_letter)
+    with pytest.raises(TheoremFalsified, match="support bits are not the letters"):
+        build_system("A2")
+
+
 def test_identity_and_lengths(system):
     s = system("A3")
     assert s.identity == 0 and s.len_of(0) == 0

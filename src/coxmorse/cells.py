@@ -15,21 +15,18 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .coxeter import CoxeterSystem
+from .coxeter import MAX_ORDER_BYTES, CoxeterSystem
 from .errors import OrderTooLarge, TheoremFalsified
 from .matchings import (Matching, MorseSummary, build_matching, is_M_subset,
                         labeled_interval, morse_counts)
 from .posets import FinitePoset, _transitive_closure_from_covers
 from .reflection_orders import ReflectionOrder
 
-# Largest dense order matrix (n x n bools) a pair poset may allocate; the
-# cover-closure check holds up to three matrices of this size at once.
-MAX_ORDER_BYTES = 1 << 29
-
 
 def check_order_size(n: int, what: str) -> None:
     """Raise :class:`OrderTooLarge` before a dense n x n order is allocated
-    beyond ``MAX_ORDER_BYTES``."""
+    beyond ``MAX_ORDER_BYTES`` (the budget of :mod:`coxeter`, read here
+    through this module's own name)."""
     if n * n > MAX_ORDER_BYTES:
         raise OrderTooLarge(
             f"{what} has {n} cells; its dense order needs {n * n / 2**20:.0f} MiB, "
@@ -81,8 +78,8 @@ def nested_pair_order(system: CoxeterSystem, v: np.ndarray, w: np.ndarray,
     b = system.bruhat
     # gather columns into small |W| x n tables, then whole rows of those:
     # row copies are far faster than np.ix_ on an n x n result
-    below_v = np.ascontiguousarray(b[v].T)    # [x, j] = v_j <= x
-    above_w = np.ascontiguousarray(b[:, w])   # [x, j] = x <= w_j
+    below_v = np.ascontiguousarray(b.rows(v).T)   # [x, j] = v_j <= x
+    above_w = b[:, w]                             # [x, j] = x <= w_j
     leq = None
     for u in shifts:
         vu, wu = v, w

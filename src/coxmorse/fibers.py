@@ -58,14 +58,12 @@ def build_qk(system: CoxeterSystem, K) -> QKPoset:
     antisymmetry and transitivity are not assumed)."""
     K = system.check_subset(K)
     sub = system.parabolic(K)
-    bru, tops = system.bruhat, np.asarray(sub.min_right)
-    # the members are the lower sets [e, w] of w in W^K: count them in
-    # blocks of rows of at most 1 MiB before any pair array exists
-    step = max(1, (1 << 20) // len(tops))
-    check_order_size(sum(int(np.count_nonzero(bru[i:i + step, tops]))
-                         for i in range(0, system.size, step)), "q_k relation")
-    v, k = np.nonzero(bru[:, tops])
-    poset = pair_poset(system, np.column_stack((v, tops[k])), "q_k relation", sub.elements)
+    bru = system.bruhat
+    # the members are the lower sets [e, w] of w in W^K: count them (in row
+    # blocks) before any pair array exists
+    check_order_size(bru.count(sub.min_right), "q_k relation")
+    v, w = bru.nonzero(sub.min_right)
+    poset = pair_poset(system, np.column_stack((v, w)), "q_k relation", sub.elements)
     return QKPoset(system, K, poset.payload, poset.leq)
 
 
@@ -157,6 +155,7 @@ def build_fiber_poset(qk: QKPoset, lower: tuple[int, int], upper: tuple[int, int
     elems = system.parabolic(qk.K).elements
     n_r = system.right_inversion_reflections(vp)
     bru, length = system.bruhat, system.length
+    leq = bru.leq
     lvp = length[vp]
 
     # the products v'a, w'b, t a and the inverses, once per element of W_K
@@ -166,23 +165,28 @@ def build_fiber_poset(qk: QKPoset, lower: tuple[int, int], upper: tuple[int, int
     t_a = {a: [system.mul(t, a) for t in n_r] for a in elems}
 
     ids = np.asarray(elems)
-    lo, hi = np.nonzero(bru[np.ix_(ids, ids)])
+    lo, hi = np.nonzero(bru[ids[:, None], ids])
     box = list(zip(ids[lo].tolist(), ids[hi].tolist()))
+    # the relations with one end fixed, read once per element of W_K
+    above_v = {a for a in elems if leq(v, vp_a[a])}   # v <= v'a
+    below_w = {b for b in elems if leq(wp_b[b], w)}   # w'b <= w
+    above_z = {a for a in elems if leq(z, a)}
+    below_zp = {b for b in elems if leq(b, zp)}
 
     def in_i(a: int, b: int) -> bool:
         va, wb = vp_a[a], wp_b[b]
-        return (bru[v, va] and bru[wb, w] and bru[va, wb]
+        return (a in above_v and b in below_w and leq(va, wb)
                 and system.circ_r(va, inv[b]) == vp
                 and length[va] == lvp + length[a])
 
     def chain_ok(a: int, b: int) -> bool:
-        return bru[z, a] and bru[b, zp]
+        return a in above_z and b in below_zp
 
     def in_ii(a: int, b: int) -> bool:
         return chain_ok(a, b) and system.circ_r(vp_a[a], inv[b]) == vp
 
     def in_iii(a: int, b: int) -> bool:
-        return chain_ok(a, b) and not any(bru[ta, b] for ta in t_a[a])
+        return chain_ok(a, b) and not any(leq(ta, b) for ta in t_a[a])
 
     def in_iv(a: int, b: int) -> bool:
         if not chain_ok(a, b):
@@ -191,7 +195,7 @@ def build_fiber_poset(qk: QKPoset, lower: tuple[int, int], upper: tuple[int, int
         if length[vp_a[a]] != lvp + la:
             return False
         for ta in t_a[a]:
-            if length[ta] == la + 1 and bru[ta, b]:
+            if length[ta] == la + 1 and leq(ta, b):
                 return False
         return True
 

@@ -61,11 +61,12 @@ def _members(system: CoxeterSystem, J, Jprime) -> np.ndarray:
     for v in range(system.size):
         if any(length[left[v, j - 1]] < length[v] for j in Jprime):
             continue
-        row = b[v] & w_ok
+        above = b.rows(v)
+        row = above & w_ok
         for i in J:
-            row &= ~b[v, left[:, i - 1]]
+            row &= ~above[left[:, i - 1]]
         for j in Jprime:
-            row &= ~b[left[v, j - 1]]
+            row &= ~b.rows(left[v, j - 1])
         hits = np.flatnonzero(row)
         count += len(hits)
         if count * count <= cells.MAX_ORDER_BYTES:
@@ -116,13 +117,13 @@ def build_slices(sp: SpringerPoset, v: int) -> tuple[list[int], list[int], list[
             f"{system.word_str(v)} has a left descent in J'={sorted(sp.Jprime)}"
         )
     b, left = system.bruhat, system.left
-    above = b[v]
+    above = b.rows(v)
     p_v = above.copy()
     for j in sp.Jprime:
-        p_v &= ~b[left[v, j - 1]]
+        p_v &= ~b.rows(left[v, j - 1])
     q_v = above.copy()
     for i in sp.J:
-        q_v &= ~b[v, left[:, i - 1]]
+        q_v &= ~above[left[:, i - 1]]
     above, p_v, q_v = (np.flatnonzero(x).tolist() for x in (above, p_v, q_v))
     z_v = [w for w in above if (v, w) in sp.index]
     if z_v != sorted(set(p_v) & set(q_v)):

@@ -176,15 +176,15 @@ def test_cyclic_matching_exits_as_falsification(monkeypatch, capsys):
 
 
 def test_paranoid_matching_rechecks_interval_members(monkeypatch, capsys):
-    # one flipped closure entry drops 2.3 from [2, 2.3.1.2]; only the
+    # one flipped closure bit drops 2.3 from [2, 2.3.1.2]; only the
     # cover-search recheck under --paranoid can see it
     import coxmorse.cli as cli
     from coxmorse import build_system
 
     a3 = build_system("A3")  # fresh: never corrupt the session-cached system
     v, x = a3.parse_word("2"), a3.parse_word("2.3")
-    assert a3.bruhat[v, x]
-    a3.bruhat[v, x] = False
+    assert a3.bruhat.leq(v, x)
+    a3.bruhat.packed[v, x >> 3] ^= 1 << (x & 7)
     monkeypatch.setattr(cli, "_system_from_args", lambda args: a3)
     argv = ["matching", "--group", "A3", "--interval", "2", "2.3.1.2"]
     code, out, err = run(capsys, *argv, "--paranoid")
@@ -198,6 +198,18 @@ def test_oversized_pair_order_exits_as_usage_error(capsys, monkeypatch):
     code, out, err = run(capsys, "springer", "--group", "A2", "--J", "{}", "--Jprime", "{}")
     assert code == 2 and out == ""
     assert err.startswith("error: springer pair poset has 19 cells")
+
+
+def test_oversized_bruhat_order_exits_as_usage_error(capsys, monkeypatch):
+    import coxmorse.cli as cli
+    from coxmorse import build_system, coxeter
+
+    a3 = build_system("A3")  # fresh: its closure is not cached yet
+    monkeypatch.setattr(cli, "_system_from_args", lambda args: a3)
+    monkeypatch.setattr(coxeter, "MAX_ORDER_BYTES", 24 * 3 - 1)
+    code, out, err = run(capsys, "matching", "--group", "A3", "--interval", "e", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: the Bruhat order on 24 elements needs 0 MiB of packed rows")
 
 
 def test_bad_order_word_exits_as_usage_error(capsys):

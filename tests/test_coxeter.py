@@ -1,5 +1,7 @@
 """Group core: enumeration, arithmetic, Bruhat order, parabolic data."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,11 @@ from coxmorse.errors import (
     GroupTooLarge,
     InvalidMatrix,
     InvalidSubset,
+    OrderTooLarge,
     TheoremFalsified,
 )
-from coxmorse.oracles import oracle_group_tables, oracle_reduced_words
+from coxmorse.matchings import labeled_interval
+from coxmorse.oracles import oracle_bruhat_leq, oracle_group_tables, oracle_reduced_words
 
 
 KNOWN_SIZES = {
@@ -228,6 +232,62 @@ def test_bruhat_graded_by_length(system):
     s = system("A3")
     for v, w in s.comparable_pairs(strict=True):
         assert s.len_of(v) < s.len_of(w)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "H3", "I2(5)"])
+def test_packed_bruhat_rows_match_the_subword_oracle(system, name):
+    s = system(name)
+    n, b = s.size, s.bruhat
+    expected = np.array([[oracle_bruhat_leq(s, v, w) for w in range(n)] for v in range(n)])
+    assert b.packed.dtype == np.uint8 and b.packed.shape == (n, (n + 7) // 8)
+    assert b.nbytes == n * ((n + 7) // 8)
+    bits = np.unpackbits(b.packed, axis=1, bitorder="little").astype(bool)
+    assert np.array_equal(bits[:, :n], expected)
+    assert not bits[:, n:].any(), "padding bits past column n are set"
+    # every read path gives the same order
+    ids = np.arange(n)
+    assert np.array_equal(np.asarray(b), expected)
+    assert np.array_equal(b.rows(ids), expected)
+    assert np.array_equal(b[np.ix_(ids, ids)], expected)
+    assert np.array_equal(b[:, ids], expected)
+    assert all(b.leq(v, w) == expected[v, w] and b[v, w] == expected[v, w]
+               for v in range(n) for w in range(n))
+    assert s.comparable_pairs() == list(zip(*(x.tolist() for x in np.nonzero(expected))))
+    tops = ids[::3]
+    assert b.count(tops) == np.count_nonzero(expected[:, tops])
+    for v, w in s.comparable_pairs():
+        assert s.interval_ids(v, w) == np.flatnonzero(expected[v] & expected[:, w]).tolist()
+
+
+def test_bruhat_guard_fires_before_allocating(monkeypatch):
+    s = build_system("B5")   # fresh: its closure is not cached yet
+    n = s.size
+    need = n * ((n + 7) // 8)
+    monkeypatch.setattr(coxeter, "MAX_ORDER_BYTES", need - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(OrderTooLarge, match=f"the Bruhat order on {n} elements needs 2 MiB"):
+            s.bruhat
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < need // 100, f"{peak} bytes allocated before the guard"
+    monkeypatch.setattr(coxeter, "MAX_ORDER_BYTES", need)
+    assert s.bruhat.nbytes == need
+
+
+def test_h4_closure_and_interval_allocate_no_dense_matrix():
+    s = build_system("H4")   # fresh: its closure is not cached yet
+    n = s.size
+    tracemalloc.start()
+    try:
+        li = labeled_interval(s, s.parse_word("1"), s.parse_word("1.2.3.4.3"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert s.bruhat.nbytes == n * (n // 8) == 25_920_000
+    assert peak < n * n // 4, f"{peak} bytes for the closure and one interval"
+    assert li.poset.n == len(s.interval_ids(li.v, li.w)) > 1
 
 
 def test_reflections_are_left_inversions_of_w0(system):

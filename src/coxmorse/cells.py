@@ -5,7 +5,8 @@ These appear as face posets of unions of cells: the order nests intervals,
 in Q_K after shifting (x', y') on the right by some u in W_K.  Every such
 poset is built by :func:`pair_poset`.  Covers are the dimension-gap-one
 comparable pairs; that they generate the whole order (gradedness of the
-face poset) is asserted, not assumed.  Such a poset is matched slice by
+face poset) is asserted, not assumed; the order is packed like every
+other (:class:`posets.PackedOrder`).  Such a poset is matched slice by
 slice (:func:`slice_matching`).
 """
 
@@ -15,71 +16,65 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .coxeter import MAX_ORDER_BYTES, CoxeterSystem
-from .errors import OrderTooLarge, TheoremFalsified
+from .coxeter import CoxeterSystem
+from .errors import TheoremFalsified
 from .matchings import (Matching, MorseSummary, build_matching, is_M_subset,
                         labeled_interval, morse_counts)
-from .posets import FinitePoset, _transitive_closure_from_covers
+from .posets import FinitePoset, PackedOrder, check_order_size
 from .reflection_orders import ReflectionOrder
 
 
-def check_order_size(n: int, what: str) -> None:
-    """Raise :class:`OrderTooLarge` before a dense n x n order is allocated
-    beyond ``MAX_ORDER_BYTES`` (the budget of :mod:`coxeter`, read here
-    through this module's own name)."""
-    if n * n > MAX_ORDER_BYTES:
-        raise OrderTooLarge(
-            f"{what} has {n} cells; its dense order needs {n * n / 2**20:.0f} MiB, "
-            f"above the limit of {MAX_ORDER_BYTES / 2**20:.0f} MiB"
-        )
-
-
-def graded_covers(leq: np.ndarray, dims: Sequence[int], what: str,
+def graded_covers(leq: PackedOrder, dims: Sequence[int], what: str,
                   name: Callable[[int], str] = str) -> tuple[tuple[int, int, None], ...]:
     """The covers of the order ``leq``, checked to be graded by ``dims``.
 
-    The comparable pairs whose dims differ by one are taken as covers and
-    closed; the closure must equal ``leq``.  Equality makes ``leq``
-    reflexive, antisymmetric and transitive, and every cover a step of one
-    dim.  Otherwise :class:`TheoremFalsified` names the first disagreeing
-    entry (``name`` formats an index) and the axiom it breaks.  Covers come
-    sorted by (lo, hi).
+    The comparable pairs whose dims differ by one, read in row blocks, are
+    taken as covers and closed; the closure must equal ``leq`` byte for
+    byte.  Equality makes ``leq`` reflexive, antisymmetric and transitive,
+    every cover a step of one dim, and the padding bits zero.  Otherwise
+    :class:`TheoremFalsified` names the first disagreeing entry (``name``
+    formats an index) and what it breaks.  Covers come sorted by (lo, hi).
     """
     dim_arr = np.asarray(dims)
-    gap_one = dim_arr[:, None] + 1 == dim_arr[None, :]
-    gap_one &= leq
-    lo_idx, hi_idx = np.nonzero(gap_one)
-    del gap_one   # freed before the closure takes its place
-    covers = tuple((lo, hi, None) for lo, hi in zip(lo_idx.tolist(), hi_idx.tolist()))
-    diff = _transitive_closure_from_covers(len(dims), covers, dims)
-    np.not_equal(diff, leq, out=diff)
-    if diff.any():
-        i, j = divmod(int(diff.argmax()), len(dims))
+    up: list[list[int]] = [[] for _ in dims]
+    for start, block in leq.blocks():
+        block &= dim_arr[start:start + len(block), None] + 1 == dim_arr
+        for k in np.flatnonzero(block).tolist():
+            lo, hi = divmod(k, len(up))
+            up[start + lo].append(hi)
+    diff = PackedOrder.closure(up, sorted(range(len(up)), key=dims.__getitem__,
+                                          reverse=True)).packed
+    diff ^= leq.packed
+    if np.count_nonzero(diff):
+        i = int(diff.any(axis=1).argmax())
+        j = int(np.unpackbits(diff[i], bitorder="little").argmax())
+        if j >= leq.size:
+            raise TheoremFalsified(f"{what} has a relation past its last cell at {name(i)}")
         if i == j:
             raise TheoremFalsified(f"{what} is not reflexive at {name(i)}")
-        if not leq[i, j]:
+        if not leq.leq(i, j):
             raise TheoremFalsified(
                 f"{what} is not transitive: {name(i)} <= {name(j)} follows from the covers "
                 f"but is missing"
             )
-        if leq[j, i]:
+        if leq.leq(j, i):
             raise TheoremFalsified(f"{what} is not antisymmetric at {name(i)}, {name(j)}")
         raise TheoremFalsified(
             f"{what} is not graded by dimension: relation between {name(i)} and "
             f"{name(j)} disagrees with the cover closure"
         )
-    return covers
+    return tuple((lo, hi, None) for lo, ups in enumerate(up) for hi in ups)
 
 
 def nested_pair_order(system: CoxeterSystem, v: np.ndarray, w: np.ndarray,
-                      shifts: Iterable[int] = (0,)) -> np.ndarray:
-    """Order matrix of the cells (v_i, w_i): entry [i, j] iff
+                      shifts: Iterable[int] = (0,)) -> PackedOrder:
+    """Order of the cells (v_i, w_i): entry [i, j] iff
     v_j <= v_i u <= w_i u <= w_j for some u in ``shifts``."""
     b = system.bruhat
-    # gather columns into small |W| x n tables, then whole rows of those:
-    # row copies are far faster than np.ix_ on an n x n result
-    below_v = np.ascontiguousarray(b.rows(v).T)   # [x, j] = v_j <= x
-    above_w = b[:, w]                             # [x, j] = x <= w_j
+    # |W| x n column tables packed along the cells, row x holding the cells
+    # j with v_j <= x and with x <= w_j: each order row ANDs two of them
+    below_v = np.packbits(b.rows(v).T, axis=1, bitorder="little")
+    above_w = np.packbits(b[:, w], axis=1, bitorder="little")
     leq = None
     for u in shifts:
         vu, wu = v, w
@@ -87,9 +82,9 @@ def nested_pair_order(system: CoxeterSystem, v: np.ndarray, w: np.ndarray,
             vu, wu = system.right[vu, g], system.right[wu, g]
         shifted = below_v[vu]
         shifted &= above_w[wu]
-        shifted[~b[vu, wu]] = False
+        shifted[~b[vu, wu]] = 0
         leq = shifted if leq is None else np.bitwise_or(leq, shifted, out=leq)
-    return leq
+    return PackedOrder(len(v), leq)
 
 
 def pair_name(system: CoxeterSystem, pair: tuple[int, int]) -> str:
@@ -102,7 +97,7 @@ def pair_poset(system: CoxeterSystem, pairs, what: str = "pair poset",
     n x 2 array), ordered by :func:`nested_pair_order` under ``shifts``.
 
     Cells are numbered by (dimension l(w) - l(v), v, w).  The size guard
-    runs before the n x n order is allocated, and the order is checked by
+    runs before the packed order is allocated, and the order is checked by
     :func:`graded_covers`, whose covers the poset keeps."""
     v, w = np.asarray(pairs, dtype=np.intp).reshape(-1, 2).T
     check_order_size(len(v), what)

@@ -38,16 +38,11 @@ from .errors import (
     InvalidMatrix,
     InvalidSubset,
     NotReducedWordOfW0,
-    OrderTooLarge,
     TheoremFalsified,
 )
+from .posets import PackedOrder, check_order_size
 
 DEFAULT_MAX_ELEMENTS = 200_000
-
-# Largest order table a query may allocate: the packed Bruhat rows here, and
-# each dense pair order in :mod:`cells` (whose cover-closure check holds up
-# to three matrices of this size at once).
-MAX_ORDER_BYTES = 1 << 29
 
 _NAME_RE = re.compile(r"^([ABDEFGH])([0-9]+)$")
 _I2_RE = re.compile(r"^I2\(([0-9]+)\)$")
@@ -675,31 +670,13 @@ class CoxeterSystem:
     # -- Bruhat order -------------------------------------------------------
 
     @cached_property
-    def bruhat(self) -> "BruhatOrder":
-        """The Bruhat order as packed upper-set rows (:class:`BruhatOrder`).
-
-        Row v is the upper set of v: v itself together with the rows of its
-        up-covers.  Ids are sorted by length, so walking them downwards
-        finds every up-cover row complete, and each step ORs whole
-        contiguous rows of ceil(|W|/8) bytes.  Computed on first use; the
-        size is compared with ``MAX_ORDER_BYTES`` before anything is
-        allocated, and :class:`OrderTooLarge` is raised above it.
-        """
-        n = self.size
-        width = (n + 7) // 8
-        if n * width > MAX_ORDER_BYTES:
-            raise OrderTooLarge(
-                f"the Bruhat order on {n} elements needs {n * width / 2**20:.0f} MiB of packed "
-                f"rows, above the limit of {MAX_ORDER_BYTES / 2**20:.0f} MiB"
-            )
-        order = BruhatOrder(n)
-        packed = order.packed
-        for v in range(n - 1, -1, -1):
-            row = packed[v]
-            row[v >> 3] = 1 << (v & 7)
-            for u, _ in self._covers_up[v]:
-                np.bitwise_or(row, packed[u], out=row)
-        return order
+    def bruhat(self) -> PackedOrder:
+        """The Bruhat order (:class:`PackedOrder`), closed from the up-covers
+        on first use once :func:`posets.check_order_size` passes; ids are
+        sorted by length, so walking them downwards visits up-covers first."""
+        check_order_size(self.size, "the Bruhat order")
+        up = [[u for u, _ in covers] for covers in self._covers_up]
+        return PackedOrder.closure(up, range(self.size - 1, -1, -1))
 
     def bruhat_leq(self, v: int, w: int) -> bool:
         return self.bruhat.leq(v, w)
@@ -717,15 +694,10 @@ class CoxeterSystem:
 
     def interval_ids(self, v: int, w: int) -> list[int]:
         """Ids of [v, w], ascending.  Only lengths l(v)..l(w), the id range
-        lo..hi, are scanned: the bytes of v's row over lo..hi are unpacked
-        and ANDed with the bits of column w in rows lo..hi."""
-        packed, w = self.bruhat.packed, int(w)
+        lo..hi, are scanned (:meth:`PackedOrder.between`)."""
         lo = int(self._length_start[self.length[v]])
         hi = int(self._length_start[self.length[w] + 1])
-        hits = np.unpackbits(packed[v, lo >> 3:(hi + 7) >> 3], bitorder="little")
-        hits = hits[lo & 7:(lo & 7) + hi - lo]
-        hits &= packed[lo:hi, w >> 3] >> (w & 7)
-        return (np.flatnonzero(hits) + lo).tolist()
+        return self.bruhat.between(v, w, lo, hi).tolist()
 
     # -- Demazure-type operations -------------------------------------------
 
@@ -832,82 +804,6 @@ class CoxeterSystem:
 
     def __repr__(self) -> str:
         return f"CoxeterSystem({self.matrix.label!r}, size={self.size})"
-
-
-class BruhatOrder:
-    """The Bruhat order of a group of ``size`` elements, stored as bits.
-
-    ``packed`` is a ``size`` x ceil(``size``/8) uint8 array, zero when
-    created, whose row v holds the upper set of v with
-    ``bitorder="little"``: v <= w iff bit w & 7 of byte w >> 3 is set.  The
-    padding bits past column ``size`` stay zero.  Reads go through
-    :meth:`leq` (one pair), indexing (broadcast integer index arrays,
-    scalars and ``np.ix_``) or :meth:`rows` (whole upper sets).
-    """
-
-    def __init__(self, size: int):
-        self.size = size
-        self._width = (size + 7) // 8
-        # one buffer: a bytearray for fast scalar reads, viewed as the array
-        self._buf = bytearray(size * self._width)
-        self.packed = np.frombuffer(self._buf, dtype=np.uint8).reshape(size, self._width)
-        ids = np.arange(size)
-        # where the bit of column w lives: its byte, and its mask in that byte
-        self._byte, self._bit = ids >> 3, (1 << (ids & 7)).astype(np.uint8)
-
-    @property
-    def nbytes(self) -> int:
-        return self.packed.nbytes
-
-    def leq(self, v: int, w: int) -> bool:
-        """v <= w for one pair, read from the bytes behind ``packed``."""
-        return bool(self._buf[v * self._width + (w >> 3)] >> (w & 7) & 1)
-
-    def rows(self, ids) -> np.ndarray:
-        """The upper sets of ``ids`` (an id, a slice or an id array) as
-        boolean rows of length ``size``."""
-        return np.unpackbits(self.packed[ids], axis=-1, count=self.size,
-                             bitorder="little").view(bool)
-
-    def __getitem__(self, key) -> np.ndarray:
-        """``order[v, w]`` is v <= w, broadcast over index arrays."""
-        v, w = key
-        return (self.packed[v, self._byte[w]] & self._bit[w]).astype(bool)
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        """The dense |W| x |W| boolean matrix, for inspection only."""
-        dense = self.rows(slice(None))
-        return dense if dtype is None else dense.astype(dtype)
-
-    def _blocks(self, columns: Sequence[int] | None):
-        """(first row, unpacked rows) in blocks of at most 1 MiB, with only
-        the bits of ``columns`` kept if given."""
-        mask = None
-        if columns is not None:
-            keep = np.zeros(self.size, dtype=bool)
-            keep[np.asarray(columns, dtype=np.intp)] = True
-            mask = np.packbits(keep, bitorder="little")
-        step = max(1, (1 << 20) // self.size)
-        for i in range(0, self.size, step):
-            block = self.packed[i:i + step]
-            if mask is not None:
-                block = block & mask
-            yield i, np.unpackbits(block, axis=1, count=self.size, bitorder="little")
-
-    def count(self, columns: Sequence[int] | None = None) -> int:
-        """The number of pairs v <= w, with w in ``columns`` if given."""
-        return sum(int(np.count_nonzero(block)) for _, block in self._blocks(columns))
-
-    def nonzero(self, columns: Sequence[int] | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """The pairs v <= w as arrays (v, w) sorted by (v, w), with w in
-        ``columns`` if given; built in row blocks, so no |W| x |W| array
-        is allocated."""
-        vs, ws = [], []
-        for i, block in self._blocks(columns):
-            v, w = np.nonzero(block)
-            vs.append(v + i)
-            ws.append(w)
-        return np.concatenate(vs), np.concatenate(ws)
 
 
 @dataclass(frozen=True)

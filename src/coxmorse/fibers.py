@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cells import check_order_size, pair_poset, slice_matching
+from .cells import pair_poset, slice_matching
 from .coxeter import CoxeterSystem
 from .errors import (
     AnchorViolation,
@@ -32,7 +32,7 @@ from .errors import (
     TheoremFalsified,
 )
 from .matchings import Matching, MorseSummary
-from .posets import FinitePoset
+from .posets import FinitePoset, PackedOrder, check_order_size
 from .reflection_orders import ReflectionOrder, order_for_fiber
 
 
@@ -41,14 +41,14 @@ class QKPoset:
     system: CoxeterSystem
     K: frozenset[int]
     members: tuple[tuple[int, int], ...]   # (v, w), w in W^K, v <= w
-    leq: np.ndarray
+    leq: PackedOrder
 
     @cached_property
     def index(self) -> dict[tuple[int, int], int]:
         return {p: k for k, p in enumerate(self.members)}
 
     def leq_pairs(self, p: tuple[int, int], q: tuple[int, int]) -> bool:
-        return bool(self.leq[self.index[p], self.index[q]])
+        return self.leq.leq(self.index[p], self.index[q])
 
 
 def build_qk(system: CoxeterSystem, K) -> QKPoset:

@@ -25,7 +25,7 @@ from .errors import (
     NotComparable,
     TheoremFalsified,
 )
-from .posets import FinitePoset, euler_characteristic
+from .posets import FinitePoset, PackedOrder, euler_characteristic
 from .reflection_orders import ReflectionOrder
 
 
@@ -64,7 +64,7 @@ def labeled_interval(system: CoxeterSystem, v: int, w: int) -> LabeledInterval:
     covers.sort()
     dims = tuple(system.len_of(x) - base for x in ids)
     at = np.asarray(ids)
-    sub = system.bruhat[at[:, None], at]
+    sub = PackedOrder.from_dense(system.bruhat[at[:, None], at])
     poset = FinitePoset(dims, sub, tuple(covers), ids, system.word_str)
     return LabeledInterval(system, v, w, ids, index, poset)
 
@@ -245,7 +245,7 @@ def verify_shelling_subsets(li: LabeledInterval, order: ReflectionOrder,
     rank = order.rank
     top = li.index[li.w]
     bot = li.index[li.v]
-    leq = poset.leq
+    leq = np.asarray(poset.leq)
     partner = np.asarray(matching.partner)
     coatoms = sorted((rank[t], lo) for lo, hi, t in poset.covers if hi == top)
     atoms = sorted((rank[t], hi) for lo, hi, t in poset.covers if lo == bot)

@@ -1,11 +1,12 @@
 """Generic finite poset machinery: Hasse diagrams, chains, purity/thinness
 checks, edge-labeled chain analysis, and DOT export.
 
-A :class:`FinitePoset` stores the full order relation as a boolean matrix
-plus the cover edges (= transitive reduction).  Each element carries an
-integer dimension (cell dimension for face posets, rank from the bottom for
-interval posets) and a payload; its display name is built from the payload,
-on first use only.  Posets are immutable after construction.
+A :class:`FinitePoset` stores its order as a :class:`PackedOrder`, the one
+order type of the package (the Bruhat order is one too), plus the cover
+edges (= transitive reduction).  Each element carries an integer dimension
+(cell dimension for face posets, rank from the bottom for interval posets)
+and a payload; its display name is built from the payload, on first use
+only.  Posets are immutable after construction.
 """
 
 from __future__ import annotations
@@ -22,15 +23,140 @@ from .errors import (
     NotComparable,
     NotPure,
     ELViolation,
+    OrderTooLarge,
 )
 
 CHAIN_CAP_DEFAULT = 1_000_000
+
+# Largest order a query may allocate, in bytes of packed rows.  A pair
+# order's cover-closure check holds up to three orders of this size at once.
+MAX_ORDER_BYTES = 1 << 29
+
+
+def check_order_size(n: int, what: str) -> None:
+    """Raise :class:`OrderTooLarge` before the packed order of ``what`` on n
+    elements is allocated beyond ``MAX_ORDER_BYTES``."""
+    need = n * ((n + 7) // 8)
+    if need > MAX_ORDER_BYTES:
+        raise OrderTooLarge(
+            f"{what} on {n} elements needs {need / 2**20:.0f} MiB of packed rows, "
+            f"above the limit of {MAX_ORDER_BYTES / 2**20:.0f} MiB"
+        )
+
+
+class PackedOrder:
+    """A partial order on ``size`` elements, stored as bits.
+
+    ``packed`` is a ``size`` x ceil(``size``/8) uint8 array whose row x
+    holds the upper set of x with ``bitorder="little"``: x <= y iff bit
+    y & 7 of byte y >> 3 is set.  The padding bits past column ``size``
+    are zero.  Reads go through :meth:`leq` (one pair), indexing (broadcast
+    integer index arrays, scalars and ``np.ix_``), :meth:`rows` (whole
+    upper sets) or :meth:`blocks` (unpacked row blocks).
+    """
+
+    def __init__(self, size: int, packed: np.ndarray | None = None):
+        self.size = size
+        if packed is None:
+            packed = np.zeros((size, (size + 7) // 8), dtype=np.uint8)
+        self.packed = packed
+        self._width = packed.shape[1]
+        self._buf = memoryview(packed).cast("B")   # fast scalar reads
+        # (byte, bit mask) of each column, built by the first indexed read;
+        # declared here, since adding an attribute later slows every read
+        self._columns = None
+
+    @classmethod
+    def from_dense(cls, matrix) -> "PackedOrder":
+        """Pack an n x n boolean matrix, entry [x, y] iff x <= y."""
+        return cls(len(matrix), np.packbits(matrix, axis=1, bitorder="little"))
+
+    @classmethod
+    def closure(cls, up: Sequence[Iterable[int]], walk: Iterable[int]) -> "PackedOrder":
+        """The order generated by covers: ``up[x]`` lists the up-covers of
+        x, and ``walk`` visits every element after all of its up-covers, so
+        row x is bit x ORed with the complete rows of its up-covers."""
+        order = cls(len(up))
+        packed = order.packed
+        for x in walk:
+            row = packed[x]
+            row[x >> 3] = 1 << (x & 7)
+            for y in up[x]:
+                np.bitwise_or(row, packed[y], out=row)
+        return order
+
+    @property
+    def nbytes(self) -> int:
+        return self.packed.nbytes
+
+    def leq(self, x: int, y: int) -> bool:
+        """x <= y for one pair, read from the bytes behind ``packed``."""
+        return bool(self._buf[x * self._width + (y >> 3)] >> (y & 7) & 1)
+
+    def rows(self, ids) -> np.ndarray:
+        """The upper sets of ``ids`` (an index, a slice or an index array)
+        as boolean rows of length ``size``."""
+        return np.unpackbits(self.packed[ids], axis=-1, count=self.size,
+                             bitorder="little").view(bool)
+
+    def __getitem__(self, key) -> np.ndarray:
+        """``order[x, y]`` is x <= y, broadcast over index arrays."""
+        x, y = key
+        if self._columns is None:
+            ids = np.arange(self.size)
+            self._columns = ids >> 3, (1 << (ids & 7)).astype(np.uint8)
+        byte, bit = self._columns
+        return (self.packed[x, byte[y]] & bit[y]).astype(bool)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """The dense n x n boolean matrix, for inspection only."""
+        dense = self.rows(slice(None))
+        return dense if dtype is None else dense.astype(dtype)
+
+    def between(self, x: int, y: int, lo: int, hi: int) -> np.ndarray:
+        """The z in lo..hi-1 with x <= z <= y: the bytes of row x over lo..hi,
+        unpacked, ANDed with the bits of column y in rows lo..hi."""
+        packed, y = self.packed, int(y)
+        hits = np.unpackbits(packed[x, lo >> 3:(hi + 7) >> 3], bitorder="little")
+        hits = hits[lo & 7:(lo & 7) + hi - lo]
+        hits &= packed[lo:hi, y >> 3] >> (y & 7)
+        return np.flatnonzero(hits) + lo
+
+    def blocks(self, columns: Sequence[int] | None = None):
+        """(first row, boolean rows) in blocks of at most 1 MiB, with only
+        the bits of ``columns`` kept if given."""
+        mask = None
+        if columns is not None:
+            keep = np.zeros(self.size, dtype=bool)
+            keep[np.asarray(columns, dtype=np.intp)] = True
+            mask = np.packbits(keep, bitorder="little")
+        step = max(1, (1 << 20) // self.size)
+        for i in range(0, self.size, step):
+            block = self.packed[i:i + step]
+            if mask is not None:
+                block = block & mask
+            yield i, np.unpackbits(block, axis=1, count=self.size, bitorder="little").view(bool)
+
+    def count(self, columns: Sequence[int] | None = None) -> int:
+        """The number of pairs x <= y, with y in ``columns`` if given."""
+        return sum(int(np.count_nonzero(block)) for _, block in self.blocks(columns))
+
+    def nonzero(self, columns: Sequence[int] | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """The pairs x <= y as arrays (x, y) sorted by (x, y), with y in
+        ``columns`` if given; built in row blocks, so no n x n array is
+        allocated."""
+        xs, ys = [], []
+        for i, block in self.blocks(columns):
+            x, y = np.divmod(np.flatnonzero(block), self.size)   # 2-D nonzero is slow
+            xs.append(x + i)
+            ys.append(y)
+        return np.concatenate(xs), np.concatenate(ys)
 
 
 @dataclass(frozen=True)
 class FinitePoset:
     dims: tuple[int, ...]
-    leq: np.ndarray  # (n, n) bool, leq[i, j] iff i <= j
+    leq: PackedOrder  # leq[i, j] iff i <= j
     covers: tuple[tuple[int, int, int | None], ...]  # (lo, hi, label)
     payload: tuple  # one entry per element
     name_of: Callable[[Any], str] = str  # display name of a payload entry
@@ -61,24 +187,6 @@ class FinitePoset:
         return f"FinitePoset(n={self.n}, covers={len(self.covers)})"
 
 
-def _transitive_closure_from_covers(n: int, covers: Sequence[tuple[int, int, int | None]],
-                                    dims: Sequence[int]) -> np.ndarray:
-    """Order generated by covers that raise ``dims``: row x is the upper set
-    of x, x itself together with the rows of its up-covers.  Walking the
-    elements by decreasing dim finds every up-cover row complete, and each
-    step ORs whole contiguous rows."""
-    leq = np.zeros((n, n), dtype=bool)
-    up: list[list[int]] = [[] for _ in range(n)]
-    for lo, hi, _ in covers:
-        up[lo].append(hi)
-    for x in sorted(range(n), key=lambda k: -dims[k]):
-        row = leq[x]
-        row[x] = True
-        for hi in up[x]:
-            np.bitwise_or(row, leq[hi], out=row)
-    return leq
-
-
 def poset_from_covers(names: Sequence[str], dims: Sequence[int],
                       covers: Iterable[tuple[int, int, int | None]]) -> FinitePoset:
     """Build a poset from cover edges; the order is their transitive closure.
@@ -88,11 +196,12 @@ def poset_from_covers(names: Sequence[str], dims: Sequence[int],
     computation a single sweep by decreasing dim.
     """
     covers = tuple(covers)
-    n = len(names)
+    up: list[list[int]] = [[] for _ in names]
     for lo, hi, _ in covers:
         if dims[lo] >= dims[hi]:
             raise InvalidSubset(f"cover {lo}->{hi} does not increase dimension")
-    leq = _transitive_closure_from_covers(n, covers, dims)
+        up[lo].append(hi)
+    leq = PackedOrder.closure(up, sorted(range(len(up)), key=lambda k: -dims[k]))
     return FinitePoset(tuple(dims), leq, covers, tuple(names))
 
 
@@ -108,10 +217,10 @@ class MaximalChain:
 def all_maximal_chains(poset: FinitePoset, x: int, y: int,
                        cap: int = CHAIN_CAP_DEFAULT) -> list[MaximalChain]:
     """All maximal chains from x to y by downward DFS; capped."""
-    if not poset.leq[x, y]:
+    if not poset.leq.leq(x, y):
         raise NotComparable(f"{poset.names[x]} is not <= {poset.names[y]}")
     down = poset.down_adj()
-    inside = poset.leq[x, :]
+    inside = poset.leq.rows(x)
     chains: list[MaximalChain] = []
     stack: list[tuple[int, tuple[int, ...], tuple[int | None, ...]]] = [(y, (y,), ())]
     while stack:
@@ -137,7 +246,7 @@ def is_pure(poset: FinitePoset) -> bool:
     down = poset.down_adj()
     by_dim = sorted(range(n), key=lambda k: poset.dims[k])
     for x in range(n):
-        above = poset.leq[x, :]
+        above = poset.leq.rows(x)
         longest = {x: 0}
         shortest = {x: 0}
         for z in by_dim:

@@ -16,8 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
-from . import cells
-from .cells import check_order_size, pair_poset, slice_matching
+from . import posets
+from .cells import pair_poset, slice_matching
 from .coxeter import CoxeterSystem
 from .errors import (
     LemmaFalsified,
@@ -52,7 +52,7 @@ def _members(system: CoxeterSystem, J, Jprime) -> np.ndarray:
     """Pairs (v, w) of Z, unsorted, as an n x 2 array; one row operation
     per v selects its w: v <= w, each i in J a left descent of w with v not
     <= s_i w, and (for a v with every j in J' a left ascent) s_j v not <= w.
-    Rows are kept only while n^2 fits ``cells.MAX_ORDER_BYTES``."""
+    Rows are kept only while n packed rows fit ``posets.MAX_ORDER_BYTES``."""
     b, left, length = system.bruhat, system.left, system.length
     w_ok = np.ones(system.size, dtype=bool)
     for i in J:
@@ -69,10 +69,10 @@ def _members(system: CoxeterSystem, J, Jprime) -> np.ndarray:
             row &= ~b.rows(left[v, j - 1])
         hits = np.flatnonzero(row)
         count += len(hits)
-        if count * count <= cells.MAX_ORDER_BYTES:
+        if count * ((count + 7) // 8) <= posets.MAX_ORDER_BYTES:
             vs.append(np.full(len(hits), v))
             ws.append(hits)
-    check_order_size(count, "springer pair poset")
+    posets.check_order_size(count, "springer pair poset")
     return np.column_stack((np.concatenate(vs), np.concatenate(ws)))
 
 

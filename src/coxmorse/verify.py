@@ -240,9 +240,7 @@ def check_fibers(system: CoxeterSystem, len_cap: int | None = None) -> CheckRepo
         qk = build_qk(system, K)
         top_ok = [k for k, (_, w) in enumerate(qk.members) if system.len_of(w) <= cap]
         for j in top_ok:
-            for i in range(len(qk.members)):
-                if not qk.leq[i, j]:
-                    continue
+            for i in qk.leq[:, j].nonzero()[0].tolist():
                 report.instances += 1
                 tag = f"K={sorted(K)}, anchors {qk.members[i]} <= {qk.members[j]}"
                 try:

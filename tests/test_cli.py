@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from coxmorse import cells
+from coxmorse import posets
 from coxmorse.cli import main, parse_subset
 from coxmorse.errors import InvalidSubset
 
@@ -194,19 +194,19 @@ def test_paranoid_matching_rechecks_interval_members(monkeypatch, capsys):
 
 
 def test_oversized_pair_order_exits_as_usage_error(capsys, monkeypatch):
-    monkeypatch.setattr(cells, "MAX_ORDER_BYTES", 19 * 19 - 1)
+    monkeypatch.setattr(posets, "MAX_ORDER_BYTES", 19 * 3 - 1)
     code, out, err = run(capsys, "springer", "--group", "A2", "--J", "{}", "--Jprime", "{}")
     assert code == 2 and out == ""
-    assert err.startswith("error: springer pair poset has 19 cells")
+    assert err.startswith("error: springer pair poset on 19 elements needs 0 MiB of packed rows")
 
 
 def test_oversized_bruhat_order_exits_as_usage_error(capsys, monkeypatch):
     import coxmorse.cli as cli
-    from coxmorse import build_system, coxeter
+    from coxmorse import build_system
 
     a3 = build_system("A3")  # fresh: its closure is not cached yet
     monkeypatch.setattr(cli, "_system_from_args", lambda args: a3)
-    monkeypatch.setattr(coxeter, "MAX_ORDER_BYTES", 24 * 3 - 1)
+    monkeypatch.setattr(posets, "MAX_ORDER_BYTES", 24 * 3 - 1)
     code, out, err = run(capsys, "matching", "--group", "A3", "--interval", "e", "1")
     assert code == 2 and out == ""
     assert err.startswith("error: the Bruhat order on 24 elements needs 0 MiB of packed rows")

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from coxmorse import CoxeterMatrix, build_system, coxeter
+from coxmorse import CoxeterMatrix, build_system, coxeter, posets
 from coxmorse.coxeter import certify_table
 from coxmorse.errors import (
     GroupTooLarge,
@@ -263,7 +263,7 @@ def test_bruhat_guard_fires_before_allocating(monkeypatch):
     s = build_system("B5")   # fresh: its closure is not cached yet
     n = s.size
     need = n * ((n + 7) // 8)
-    monkeypatch.setattr(coxeter, "MAX_ORDER_BYTES", need - 1)
+    monkeypatch.setattr(posets, "MAX_ORDER_BYTES", need - 1)
     tracemalloc.start()
     try:
         with pytest.raises(OrderTooLarge, match=f"the Bruhat order on {n} elements needs 2 MiB"):
@@ -272,7 +272,7 @@ def test_bruhat_guard_fires_before_allocating(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < need // 100, f"{peak} bytes allocated before the guard"
-    monkeypatch.setattr(coxeter, "MAX_ORDER_BYTES", need)
+    monkeypatch.setattr(posets, "MAX_ORDER_BYTES", need)
     assert s.bruhat.nbytes == need
 
 

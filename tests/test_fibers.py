@@ -40,7 +40,7 @@ def test_qk_members_and_axioms(system):
     for v, w in qk.members:
         assert w in min_right and s.bruhat_leq(v, w)
     # relation verified reflexive/antisymmetric/transitive at build time
-    assert qk.leq.diagonal().all()
+    assert np.asarray(qk.leq).diagonal().all()
 
 
 def test_z_lower(system):
@@ -193,7 +193,7 @@ def test_qk_passes_the_matmul_order_check(system, name):
     s = system(name)
     for r in range(1 << s.rank):
         K = {i + 1 for i in range(s.rank) if r >> i & 1}
-        assert matmul_order_axioms(build_qk(s, K).leq), sorted(K)
+        assert matmul_order_axioms(np.asarray(build_qk(s, K).leq)), sorted(K)
 
 
 def test_qk_order_matches_brute_force_on_a3(system):

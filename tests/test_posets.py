@@ -1,13 +1,14 @@
 """Generic poset machinery: intervals, chains, thinness, labeled chains."""
 
 import random
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from coxmorse import cells
-from coxmorse.cells import graded_covers, pair_poset
+from coxmorse import posets
+from coxmorse.cells import graded_covers, pair_name, pair_poset
 from coxmorse.errors import ELViolation, NotPure, OrderTooLarge, TheoremFalsified
 from coxmorse.fibers import build_fiber_poset, build_qk
 from coxmorse.matchings import labeled_interval
@@ -18,11 +19,12 @@ from coxmorse.posets import (
     euler_characteristic,
     is_pure,
     is_thin,
+    PackedOrder,
     poset_from_covers,
     poset_to_dot,
 )
 from coxmorse.reflection_orders import order_from_reduced_word
-from coxmorse.springer import build_springer_poset
+from coxmorse.springer import build_springer_poset, springer_matching
 from coxmorse.verify import disjoint_pairs
 
 
@@ -184,7 +186,7 @@ def test_fixture_bottom_is_not_below_all_figure_elements(system):
 def test_order_check_names_the_failed_axiom():
     # x < m < y by dims 0, 1, 2; each matrix breaks one axiom
     dims = [0, 1, 2]
-    chain = np.array([[1, 1, 1], [0, 1, 1], [0, 0, 1]], dtype=bool)
+    chain = PackedOrder.from_dense([[1, 1, 1], [0, 1, 1], [0, 0, 1]])
     assert graded_covers(chain, dims, "chain") == ((0, 1, None), (1, 2, None))
     broken = {
         "not transitive": [[1, 1, 0], [0, 1, 1], [0, 0, 1]],
@@ -194,39 +196,82 @@ def test_order_check_names_the_failed_axiom():
     }
     for axiom, rows in broken.items():
         with pytest.raises(TheoremFalsified, match=f"chain is {axiom}"):
-            graded_covers(np.array(rows, dtype=bool), dims, "chain")
+            graded_covers(PackedOrder.from_dense(rows), dims, "chain")
     # transitive, but x < y skips dim 1: the only relation is not a cover step
     with pytest.raises(TheoremFalsified, match="not graded by dimension"):
-        graded_covers(np.array([[1, 1], [0, 1]], dtype=bool), [0, 2], "gap")
+        graded_covers(PackedOrder.from_dense([[1, 1], [0, 1]]), [0, 2], "gap")
 
 
 @pytest.mark.parametrize("name", ["A3", "B3"])
 def test_pair_order_guard_fires_before_allocating(system, monkeypatch, name):
     s = system(name)
     n = len(s.comparable_pairs())     # cells of both posets below
-    monkeypatch.setattr(cells, "MAX_ORDER_BYTES", n * n - 1)
+    need = n * ((n + 7) // 8)
+    # numpy's scratch for one row scan (an unpackbits iterator, about 5.4 KB)
+    # exceeds A3's packed order of 5751 bytes, so the bound has a 32 KiB floor
+    bound = max(need, 32 * 1024)
+    monkeypatch.setattr(posets, "MAX_ORDER_BYTES", need - 1)
     builds = [("springer pair poset", lambda: build_springer_poset(s, set(), set())),
               ("q_k relation", lambda: build_qk(s, set()))]
     for what, build in builds:
         tracemalloc.start()
         try:
-            with pytest.raises(OrderTooLarge, match=f"{what} has {n} cells"):
+            with pytest.raises(OrderTooLarge, match=f"{what} on {n} elements"):
                 build()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < n * n, f"{what} allocated {peak} bytes before the guard"
-    monkeypatch.setattr(cells, "MAX_ORDER_BYTES", n * n)
+        assert peak < bound, f"{what} allocated {peak} bytes before the guard"
+    monkeypatch.setattr(posets, "MAX_ORDER_BYTES", need)
     assert len(build_qk(s, set()).members) == n
+
+
+def test_a4_springer_poset_fits_a_budget_below_its_dense_size(system, monkeypatch):
+    s = system("A4")
+    n = 3781
+    monkeypatch.setattr(posets, "MAX_ORDER_BYTES", 2 * n * ((n + 7) // 8))
+    assert posets.MAX_ORDER_BYTES < n * n
+    sp = build_springer_poset(s, set(), set())
+    assert sp.poset.n == n and sp.poset.leq.nbytes == n * ((n + 7) // 8)
+    _, summary = springer_matching(sp)
+    assert summary.certificate
+
+
+def a3_springer_order(system):
+    s = system("A3")
+    sp = build_springer_poset(s, set(), set())
+    leq = sp.poset.leq
+    return sp, PackedOrder(leq.size, leq.packed.copy()), lambda k: pair_name(s, sp.members[k])
+
+
+def test_flipped_bit_in_a_packed_pair_order_names_the_axiom_and_cells(system):
+    sp, leq, name = a3_springer_order(system)
+    dims = sp.poset.dims
+    # drop a relation two dims apart: the covers still imply it
+    i, j = next((i, j) for i, j in zip(*leq.nonzero()) if dims[j] == dims[i] + 2)
+    leq.packed[i, j >> 3] ^= 1 << (j & 7)
+    with pytest.raises(TheoremFalsified,
+                       match=re.escape(f"springer pair poset is not transitive: {name(i)} <= "
+                                       f"{name(j)} follows from the covers")):
+        graded_covers(leq, dims, "springer pair poset", name)
+
+
+def test_padding_bit_in_a_packed_pair_order_is_falsified(system):
+    sp, leq, name = a3_springer_order(system)
+    n = leq.size
+    assert n % 8, "the order needs padding bits past column n"
+    leq.packed[0, -1] |= 0x80   # column 8 * ceil(n/8) - 1 >= n
+    with pytest.raises(TheoremFalsified, match="past its last cell"):
+        graded_covers(leq, sp.poset.dims, "springer pair poset", name)
 
 
 def test_springer_pair_order_guard_fires_before_storing_members(system, monkeypatch):
     s = system("A4")
     s.bruhat
-    monkeypatch.setattr(cells, "MAX_ORDER_BYTES", 1)
+    monkeypatch.setattr(posets, "MAX_ORDER_BYTES", 1)
     tracemalloc.start()
     try:
-        with pytest.raises(OrderTooLarge, match="springer pair poset has 3781 cells"):
+        with pytest.raises(OrderTooLarge, match="springer pair poset on 3781 elements"):
             build_springer_poset(s, set(), set())
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -239,10 +284,10 @@ def test_qk_guard_fires_before_pair_arrays(system, monkeypatch):
     s.bruhat
     s.parabolic(set())
     pairs = len(s.comparable_pairs())
-    monkeypatch.setattr(cells, "MAX_ORDER_BYTES", 1)
+    monkeypatch.setattr(posets, "MAX_ORDER_BYTES", 1)
     tracemalloc.start()
     try:
-        with pytest.raises(OrderTooLarge, match=f"q_k relation has {pairs} cells"):
+        with pytest.raises(OrderTooLarge, match=f"q_k relation on {pairs} elements"):
             build_qk(s, set())
         _, peak = tracemalloc.get_traced_memory()
     finally:

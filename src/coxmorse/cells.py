@@ -1,13 +1,22 @@
 """Posets of element pairs (x, y), x <= y, with cell dimension l(y) - l(x).
 
-These appear as face posets of unions of cells: the order nests intervals,
-(x', y') <= (x, y) iff x <= x' <= y' <= y (a larger pair is a larger cell),
-in Q_K after shifting (x', y') on the right by some u in W_K.  Every such
-poset is built by :func:`pair_poset`.  Covers are the dimension-gap-one
-comparable pairs; that they generate the whole order (gradedness of the
-face poset) is asserted, not assumed; the order is packed like every
-other (:class:`posets.PackedOrder`).  Such a poset is matched slice by
-slice (:func:`slice_matching`).
+These appear as face posets of unions of cells.  The nesting poset P of
+all pairs orders them by (x', y') <= (x, y) iff x <= x' <= y' <= y (a
+larger pair is a larger cell); it is the closure order of totally
+nonnegative cells (Rietsch, Math. Res. Lett. 2006).  The covers below
+(x, y) are the single steps (u, y) for u covering x and (x, u) for u
+covered by y, whenever u <= y, resp. x <= u.
+
+The Springer poset Z and the fiber poset F are lower sets of P, built by
+:func:`ideal_poset` from single steps alone: that every single-step lower
+cover of a cell is a cell is checked, not assumed, and it makes the covers
+between cells the whole Hasse diagram.  Q_K shifts (x', y') on the right
+by some u in W_K, which is not a restriction of P; it is built by
+:func:`pair_poset`, whose covers are the dimension-gap-one comparable
+pairs of a packed order (:class:`posets.PackedOrder`), asserted to
+generate it.  :func:`pair_poset` on the cells of Z or F is their
+independent oracle route (:func:`check_same_poset`).  Such a poset is
+matched slice by slice (:func:`slice_matching`).
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .coxeter import CoxeterSystem
-from .errors import TheoremFalsified
+from .errors import Falsification, TheoremFalsified
 from .matchings import (Matching, MorseSummary, build_matching, is_M_subset,
                         labeled_interval, morse_counts)
 from .posets import FinitePoset, PackedOrder, check_order_size
@@ -110,6 +119,65 @@ def pair_poset(system: CoxeterSystem, pairs, what: str = "pair poset",
     return FinitePoset(dims, leq, covers, members, lambda p: pair_name(system, p))
 
 
+def ideal_poset(system: CoxeterSystem, pairs: Sequence[tuple[int, int]],
+                what: str = "pair poset") -> FinitePoset:
+    """The poset of the cells (v, w) in ``pairs``, checked to be a lower
+    set of the nesting poset P.
+
+    Cells are numbered by (dimension l(w) - l(v), v, w), as in
+    :func:`pair_poset`, and the size guard runs first.  Each cell must
+    have v <= w, and each of its single-step lower covers in P, (u, w) for
+    u covering v and (v, u) for u covered by w, must be a cell when its
+    ends are comparable; otherwise :class:`TheoremFalsified` names the
+    cell and the missing one.  By induction down P the cells are then a
+    lower set, so their order is P restricted, graded by dimension, and
+    its covers are the single steps between cells, sorted by (lo, hi).
+    The order is closed from them only when read
+    (:attr:`FinitePoset.leq`)."""
+    check_order_size(len(pairs), what)
+    length = system.len_of
+    members = tuple(sorted(pairs, key=lambda p: (length(p[1]) - length(p[0]), p)))
+    index = {p: k for k, p in enumerate(members)}.get
+    leq, up, down = system.bruhat.leq, system.bruhat_covers_up, system.bruhat_covers_down
+    # ups[j] lists the cells k covering cell j, in increasing k
+    ups: list[list[int]] = [[] for _ in members]
+    for k, (x, y) in enumerate(members):
+        if not leq(x, y):
+            raise TheoremFalsified(f"{what} has a cell {pair_name(system, (x, y))} "
+                                   f"whose ends are not comparable")
+        for lower in [(u, y) for u, _ in up(x)] + [(x, u) for u, _ in down(y)]:
+            j = index(lower)
+            if j is not None:
+                ups[j].append(k)
+            elif leq(*lower):
+                raise TheoremFalsified(
+                    f"{what} is not a lower set of the nesting order: the cell "
+                    f"{pair_name(system, (x, y))} has the lower cover "
+                    f"{pair_name(system, lower)}, which is not a cell"
+                )
+    covers = tuple((lo, hi, None) for lo, his in enumerate(ups) for hi in his)
+    return FinitePoset(tuple(length(w) - length(v) for v, w in members), None, covers,
+                       members, lambda p: pair_name(system, p))
+
+
+def check_same_poset(poset: FinitePoset, oracle: FinitePoset, what: str) -> None:
+    """Raise :class:`Falsification` unless ``oracle``, the same cells built
+    by another route, has the cells, dims and covers of ``poset``; a cover
+    mismatch names the first cover in only one of the two."""
+    cells = list(zip(poset.payload, poset.dims))
+    if cells != list(zip(oracle.payload, oracle.dims)):
+        k = next(k for k, cell in enumerate(zip(oracle.payload, oracle.dims)) if cell != cells[k])
+        raise Falsification(f"{what} numbers or grades its cells unlike the pair-poset "
+                            f"oracle at {poset.names[k]}")
+    if oracle.covers != poset.covers:
+        lo, hi, _ = min(set(oracle.covers) ^ set(poset.covers))
+        side = "the oracle" if (lo, hi, None) in oracle.covers else "the ideal route"
+        raise Falsification(
+            f"{what} disagrees with the pair-poset oracle at the cover "
+            f"{poset.names[lo]} < {poset.names[hi]} (only in {side})"
+        )
+
+
 def slice_matching(system: CoxeterSystem, poset: FinitePoset,
                    index: dict[tuple[int, int], int], slices: Iterable[tuple],
                    order: ReflectionOrder, apex: int,
@@ -143,9 +211,9 @@ def slice_matching(system: CoxeterSystem, poset: FinitePoset,
                 i, j = index[(x, y)], index[(x, li.ids[b])]
                 partner[i], partner[j] = j, i
     matching = Matching(poset, tuple(partner))
-    cover_set = {frozenset((lo, hi)) for lo, hi, _ in poset.covers}
+    cover_set = {(lo, hi) for lo, hi, _ in poset.covers}
     for i, j in matching.pairs:
-        if frozenset((i, j)) not in cover_set:
+        if (i, j) not in cover_set and (j, i) not in cover_set:
             raise TheoremFalsified(
                 f"matched pair {poset.names[i]} -- {poset.names[j]} is not a cover "
                 f"of the {what}"

@@ -16,7 +16,7 @@ import json
 import re
 import sys
 
-from . import __version__
+from . import __version__, fibers, springer
 from .coxeter import DEFAULT_MAX_ELEMENTS, CoxeterMatrix, CoxeterSystem, build_system
 from .errors import Falsification, InputError, InvalidSubset
 from .fibers import build_fiber_poset, build_qk, fiber_matching, generalized_quotient, verify_convexity
@@ -174,6 +174,8 @@ def cmd_springer(args) -> int:
     J = parse_subset(args.J)
     Jp = parse_subset(args.Jprime)
     sp = build_springer_poset(system, J, Jp)
+    if args.paranoid:
+        springer.check_against_pair_poset(sp)
     matching, summary = springer_matching(sp)
     if args.paranoid:
         scan = oracle_unmatched_scan(sp.poset, matching)
@@ -216,6 +218,8 @@ def cmd_fiber(args) -> int:
     vp, wp, v, w = (system.parse_word(t) for t in words)
     qk = build_qk(system, K)
     fp = build_fiber_poset(qk, (vp, wp), (v, w))
+    if args.paranoid:
+        fibers.check_against_pair_poset(fp)
     convex = verify_convexity(fp)
     gq = generalized_quotient(fp)
     matching, summary = fiber_matching(fp)

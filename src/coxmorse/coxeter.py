@@ -29,7 +29,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -477,6 +477,13 @@ def certify_table(matrix: CoxeterMatrix, right: np.ndarray, order: int) -> np.nd
     return dist
 
 
+def _flat(table: np.ndarray) -> memoryview:
+    """A flat memoryview over the buffer of a C-contiguous table, with no
+    copy (a non-contiguous table raises): entry [x, g] of an n x r table
+    is item x * r + g, read as a Python int."""
+    return memoryview(table).cast("B").cast(table.dtype.char)
+
+
 def _bits(J: Iterable[int]) -> int:
     """The bit mask of a set of 1-based generators."""
     return sum(1 << (i - 1) for i in J)
@@ -488,7 +495,8 @@ class CoxeterSystem:
     All element-valued queries take and return integer ids.  Per element,
     ``left_descent_bits``, ``right_descent_bits`` and ``support_bits``
     hold bit g - 1 for each generator s_g that is a left descent, a right
-    descent, or a letter of a reduced word.
+    descent, or a letter of a reduced word.  Scalar queries read the
+    tables through flat memoryviews of the same buffers (:func:`_flat`).
     """
 
     def __init__(self, matrix: CoxeterMatrix, max_elements: int = DEFAULT_MAX_ELEMENTS):
@@ -536,6 +544,10 @@ class CoxeterSystem:
         # shortlex normal form: smallest left descent first, recursively
         self.first_letter = np.where(descent.any(axis=1), descent.argmax(axis=1),
                                      -1).astype(np.int32)
+        self._right, self._left, self._inverse, self._length, self._first = map(
+            _flat, (right, left, inv, length, self.first_letter))
+        self._left_descents = _flat(self.left_descent_bits)
+        self._right_descents = _flat(self.right_descent_bits)
 
         w0_len = len(sizes) - 1
         if sizes[-1] != 1:
@@ -602,40 +614,68 @@ class CoxeterSystem:
     def identity(self) -> int:
         return 0
 
-    def letters(self, x: int) -> Iterator[int]:
-        """Yield the 0-based letters of the shortlex word of x."""
-        while x != 0:
-            g = int(self.first_letter[x])
-            yield g
-            x = int(self.left[x, g])
+    def letters(self, x: int) -> list[int]:
+        """The 0-based letters of the shortlex word of x."""
+        first, left, r = self._first, self._left, self.rank
+        out = []
+        while x:
+            g = first[x]
+            out.append(g)
+            x = left[x * r + g]
+        return out
 
     def mul(self, x: int, y: int) -> int:
-        for g in self.letters(y):
-            x = int(self.right[x, g])
+        """x y, by walking the shortlex word of y."""
+        first, left, right, r = self._first, self._left, self._right, self.rank
+        while y:
+            g = first[y]
+            x = right[x * r + g]
+            y = left[y * r + g]
+        return x
+
+    def right_multiples(self, xs: Sequence[int], J: Iterable[int]) -> list[list[int]]:
+        """For each x in ``xs``, the products x a over a in
+        ``parabolic(J).elements``, in that order.  One walk over W_J in
+        length order: x a = (x a') s_g for the step (a', g) of a, one table
+        read per product."""
+        right, r = self._right, self.rank
+        rows = [[x] for x in xs]
+        for p, g in self.parabolic(J).steps:
+            for row in rows:
+                row.append(right[row[p] * r + g])
+        return rows
+
+    def conjugate(self, x: int, letters: Iterable[int]) -> int:
+        """s_g x s_g for each 0-based letter g in turn, two table reads per
+        letter."""
+        left, right, r = self._left, self._right, self.rank
+        for g in letters:
+            x = left[right[x * r + g] * r + g]
         return x
 
     def inverse(self, x: int) -> int:
-        return int(self.inverse_table[x])
+        return self._inverse[x]
 
     def len_of(self, x: int) -> int:
-        return int(self.length[x])
+        return self._length[x]
 
     def simple(self, i: int) -> int:
         """Element id of the generator s_i (1-based)."""
         if not 1 <= i <= self.rank:
             raise InvalidSubset(f"generator index {i} out of range 1..{self.rank}")
-        return int(self.right[0, i - 1])
+        return self._right[i - 1]
 
     def shortlex_reduced_word(self, x: int) -> tuple[int, ...]:
         """Shortlex-minimal reduced word, 1-based generator indices."""
         return tuple(g + 1 for g in self.letters(x))
 
     def id_from_word(self, word: Iterable[int]) -> int:
+        right, r = self._right, self.rank
         x = 0
         for i in word:
-            if not 1 <= i <= self.rank:
-                raise InvalidSubset(f"generator index {i} out of range 1..{self.rank}")
-            x = int(self.right[x, i - 1])
+            if not 1 <= i <= r:
+                raise InvalidSubset(f"generator index {i} out of range 1..{r}")
+            x = right[x * r + i - 1]
         return x
 
     def word_str(self, x: int) -> str:
@@ -660,9 +700,9 @@ class CoxeterSystem:
 
     def descents(self, x: int, side: str = "right") -> frozenset[int]:
         if side == "right":
-            bits = int(self.right_descent_bits[x])
+            bits = self._right_descents[x]
         elif side == "left":
-            bits = int(self.left_descent_bits[x])
+            bits = self._left_descents[x]
         else:
             raise InvalidSubset(f"side must be 'left' or 'right', got {side!r}")
         return frozenset(g + 1 for g in range(self.rank) if bits >> g & 1)
@@ -703,28 +743,23 @@ class CoxeterSystem:
 
     def demazure_star(self, x: int, y: int) -> int:
         """Unique maximum of {x'y' : x' <= x, y' <= y} (monoid product)."""
-        z = x
-        for g in self.letters(y):
-            zg = int(self.right[z, g])
-            if self.length[zg] > self.length[z]:
-                z = zg
-        return z
+        return self._fold(x, self.letters(y), self._right, 1)
 
     def circ_l(self, x: int, y: int) -> int:
         """Unique minimum of {x'y : x' <= x}."""
-        z = y
-        for g in reversed(tuple(self.letters(x))):
-            zg = int(self.left[z, g])
-            if self.length[zg] < self.length[z]:
-                z = zg
-        return z
+        return self._fold(y, reversed(self.letters(x)), self._left, -1)
 
     def circ_r(self, x: int, y: int) -> int:
         """Unique minimum of {xy' : y' <= y}."""
-        z = x
-        for g in self.letters(y):
-            zg = int(self.right[z, g])
-            if self.length[zg] < self.length[z]:
+        return self._fold(x, self.letters(y), self._right, -1)
+
+    def _fold(self, z: int, letters: Iterable[int], table: memoryview, sign: int) -> int:
+        """Multiply z by each letter on the side of ``table``, keeping a
+        step only if it changes the length by ``sign``."""
+        length, r = self._length, self.rank
+        for g in letters:
+            zg = table[z * r + g]
+            if (length[zg] - length[z]) * sign > 0:
                 z = zg
         return z
 
@@ -732,9 +767,8 @@ class CoxeterSystem:
         """N_R(v) = {t in T : vt < v}; has exactly l(v) members."""
         cached = self._n_r_cache.get(v)
         if cached is None:
-            cached = frozenset(
-                t for t in self.reflections if self.length[self.mul(v, t)] < self.length[v]
-            )
+            length = self._length
+            cached = frozenset(t for t in self.reflections if length[self.mul(v, t)] < length[v])
             if len(cached) != self.len_of(v):
                 raise TheoremFalsified(
                     f"N_R({self.word_str(v)}) in {self.matrix.label} has {len(cached)} "
@@ -745,9 +779,8 @@ class CoxeterSystem:
 
     def left_inversion_reflections(self, v: int) -> frozenset[int]:
         """{t in T : tv < v}; for v = w0 this is all of T."""
-        return frozenset(
-            t for t in self.reflections if self.length[self.mul(t, v)] < self.length[v]
-        )
+        length = self._length
+        return frozenset(t for t in self.reflections if length[self.mul(t, v)] < length[v])
 
     # -- parabolic subgroups --------------------------------------------------
 
@@ -774,8 +807,14 @@ class CoxeterSystem:
             )
         min_left = np.flatnonzero((self.left_descent_bits & bits) == 0)
         min_right = np.flatnonzero((self.right_descent_bits & bits) == 0)
+        # each a != e (ids sorted by length, so e comes first) is a' s_g for
+        # its smallest right descent g, with a' shorter and in W_J
+        rest = elements[1:]
+        g = (self.length[self.right[rest]] < lengths[1:, None]).argmax(axis=1)
+        steps = zip(np.searchsorted(elements, self.right[rest, g]).tolist(), g.tolist())
         sub = ParabolicSubset(J, tuple(elements.tolist()), int(tops[0]),
-                              tuple(min_left.tolist()), tuple(min_right.tolist()))
+                              tuple(min_left.tolist()), tuple(min_right.tolist()),
+                              tuple(steps))
         self._parabolic_cache[J] = sub
         return sub
 
@@ -784,21 +823,21 @@ class CoxeterSystem:
 
     def min_rep_left(self, w: int, J: Iterable[int]) -> int:
         """The minimal-length element of W_J w (no left descents in J)."""
-        return self._min_rep(w, J, self.left, self.left_descent_bits)
+        return self._min_rep(w, J, self._left, self._left_descents)
 
     def min_rep_right(self, w: int, K: Iterable[int]) -> int:
         """The minimal-length element of w W_K (no right descents in K)."""
-        return self._min_rep(w, K, self.right, self.right_descent_bits)
+        return self._min_rep(w, K, self._right, self._right_descents)
 
-    def _min_rep(self, w: int, J: Iterable[int], table: np.ndarray,
-                 descent_bits: np.ndarray) -> int:
+    def _min_rep(self, w: int, J: Iterable[int], table: memoryview,
+                 descent_bits: memoryview) -> int:
         """Strip the smallest descent in J on the side of ``table`` until none is left."""
-        bits = _bits(self.check_subset(J))
+        bits, r = _bits(self.check_subset(J)), self.rank
         while True:
-            ds = int(descent_bits[w]) & bits
+            ds = descent_bits[w] & bits
             if not ds:
                 return w
-            w = int(table[w, (ds & -ds).bit_length() - 1])
+            w = table[w * r + (ds & -ds).bit_length() - 1]
 
     # -- misc ---------------------------------------------------------------
 
@@ -815,6 +854,8 @@ class ParabolicSubset:
     longest: int
     min_left: tuple[int, ...]   # {}^J W: no left descents in J
     min_right: tuple[int, ...]  # W^J: no right descents in J
+    # steps[k] = (p, g) with elements[k + 1] = elements[p] s_g and p <= k
+    steps: tuple[tuple[int, int], ...]
 
 
 def build_system(matrix: CoxeterMatrix | str | Sequence[Sequence[int]],

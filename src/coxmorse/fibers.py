@@ -10,6 +10,15 @@ v'), and the four sets are asserted equal.  A reflection order with
 N_R(v') first induces a matching on F with unique unmatched element
 (z~, z~), the top of the generalized quotient, giving the contractibility
 certificate.
+
+F is order convex, so it is a lower set of the nesting poset of pairs and
+is built from single steps by :func:`cells.ideal_poset`, which checks that
+every single-step lower cover of a cell is a cell;
+:func:`check_against_pair_poset` rebuilds it by :func:`cells.pair_poset`
+as an oracle route.  Q_K shifts pairs by W_K, which is no restriction of
+the nesting order, and is built by :func:`cells.pair_poset`.  The
+products v'a, w'b and ta over a, b in W_K come from one walk over W_K
+(:meth:`CoxeterSystem.right_multiples`).
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cells import pair_poset, slice_matching
+from .cells import check_same_poset, ideal_poset, pair_poset, slice_matching
 from .coxeter import CoxeterSystem
 from .errors import (
     AnchorViolation,
@@ -93,19 +102,19 @@ def z_upper(system: CoxeterSystem, wprime: int, w: int, K) -> int:
         )
     if not system.bruhat_leq(wprime, w):
         raise NotComparable(f"{system.word_str(wprime)} is not <= {system.word_str(w)}")
-    hits = [a for a in system.parabolic(K).elements
-            if system.bruhat_leq(system.mul(wprime, a), w)]
+    leq = system.bruhat.leq
+    hits = [a for a, wa in zip(system.parabolic(K).elements,
+                               system.right_multiples([wprime], K)[0]) if leq(wa, w)]
     if not hits:
         raise LemmaFalsified("upper-bound set does not even contain e")
-    maxes = [a for a in hits if not any(b != a and system.bruhat_leq(a, b) for b in hits)]
+    maxes = [a for a in hits if not any(b != a and leq(a, b) for b in hits)]
     if len(maxes) != 1:
         raise LemmaFalsified(
             f"upper-bound set has {len(maxes)} maximal elements: "
             f"{[system.word_str(a) for a in maxes]}"
         )
     zp = maxes[0]
-    if sorted(hits) != sorted(a for a in system.parabolic(K).elements
-                              if system.bruhat_leq(a, zp)):
+    if sorted(hits) != sorted(a for a in system.parabolic(K).elements if leq(a, zp)):
         raise LemmaFalsified("upper-bound set is not the full lower interval [e, z']")
     return zp
 
@@ -158,11 +167,11 @@ def build_fiber_poset(qk: QKPoset, lower: tuple[int, int], upper: tuple[int, int
     leq = bru.leq
     lvp = length[vp]
 
-    # the products v'a, w'b, t a and the inverses, once per element of W_K
-    vp_a = {a: system.mul(vp, a) for a in elems}
-    wp_b = {b: system.mul(wp, b) for b in elems}
+    # the products v'a, w'b, t a (one walk over W_K) and the inverses
+    rows = system.right_multiples([vp, wp, *n_r], qk.K)
+    vp_a, wp_b = dict(zip(elems, rows[0])), dict(zip(elems, rows[1]))
+    t_a = {a: [row[k] for row in rows[2:]] for k, a in enumerate(elems)}
     inv = {b: system.inverse(b) for b in elems}
-    t_a = {a: [system.mul(t, a) for t in n_r] for a in elems}
 
     ids = np.asarray(elems)
     lo, hi = np.nonzero(bru[ids[:, None], ids])
@@ -210,8 +219,16 @@ def build_fiber_poset(qk: QKPoset, lower: tuple[int, int], upper: tuple[int, int
             )
     if not members:
         raise TheoremFalsified("fiber poset is empty for comparable anchors")
-    poset = pair_poset(system, members, "fiber pair poset")
+    poset = ideal_poset(system, members, "fiber pair poset")
     return FiberPoset(system, qk.K, (lower, upper), z, zp, poset.payload, poset)
+
+
+def check_against_pair_poset(fp: FiberPoset) -> None:
+    """The oracle route: F rebuilt by :func:`cells.pair_poset` (a packed
+    nested order checked by :func:`cells.graded_covers`) must have the
+    same cells, dims and covers."""
+    what = "fiber pair poset"
+    check_same_poset(fp.poset, pair_poset(fp.system, fp.members, what), what)
 
 
 @dataclass(frozen=True)
@@ -230,9 +247,10 @@ def generalized_quotient(fp: FiberPoset) -> GeneralizedQuotient:
     system = fp.system
     vp = fp.vprime
     lvp = system.len_of(vp)
-    members = [a for a in system.parabolic(fp.K).elements
-               if system.bruhat_leq(fp.z, a) and system.bruhat_leq(a, fp.z_prime)
-               and system.len_of(system.mul(vp, a)) == lvp + system.len_of(a)]
+    leq, length = system.bruhat.leq, system.len_of
+    members = [a for a, va in zip(system.parabolic(fp.K).elements,
+                                  system.right_multiples([vp], fp.K)[0])
+               if leq(fp.z, a) and leq(a, fp.z_prime) and length(va) == lvp + length(a)]
     diag = sorted(a for a, b in fp.members if a == b)
     if sorted(members) != diag:
         raise PropositionFalsified(

@@ -1,17 +1,19 @@
 """Generic finite poset machinery: Hasse diagrams, chains, purity/thinness
 checks, edge-labeled chain analysis, and DOT export.
 
-A :class:`FinitePoset` stores its order as a :class:`PackedOrder`, the one
-order type of the package (the Bruhat order is one too), plus the cover
-edges (= transitive reduction).  Each element carries an integer dimension
-(cell dimension for face posets, rank from the bottom for interval posets)
-and a payload; its display name is built from the payload, on first use
-only.  Posets are immutable after construction.
+A :class:`FinitePoset` stores its cover edges (= transitive reduction) and
+its order as a :class:`PackedOrder`, the one order type of the package
+(the Bruhat order is one too).  A poset given by its covers alone (the
+Springer and fiber posets) closes them into the order only when the order
+is first read.  Each element carries an integer dimension (cell dimension
+for face posets, rank from the bottom for interval posets) and a payload;
+its display name is built from the payload, on first use only.  Posets
+are immutable after construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -155,11 +157,31 @@ class PackedOrder:
 
 @dataclass(frozen=True)
 class FinitePoset:
+    """A finite poset graded by ``dims``.  ``order`` is its
+    :class:`PackedOrder`, or None for the closure of ``covers``, which
+    must then strictly increase ``dims``; either way it is read as
+    :attr:`leq`."""
+
     dims: tuple[int, ...]
-    leq: PackedOrder  # leq[i, j] iff i <= j
+    order: InitVar[PackedOrder | None]
     covers: tuple[tuple[int, int, int | None], ...]  # (lo, hi, label)
     payload: tuple  # one entry per element
     name_of: Callable[[Any], str] = str  # display name of a payload entry
+
+    def __post_init__(self, order: PackedOrder | None) -> None:
+        if order is not None:
+            self.__dict__["leq"] = order
+
+    @cached_property
+    def leq(self) -> PackedOrder:
+        """The order, leq[i, j] iff i <= j; without a given order, the
+        closure of the covers, built on first read in one sweep by
+        decreasing dim."""
+        up: list[list[int]] = [[] for _ in self.dims]
+        for lo, hi, _ in self.covers:
+            up[lo].append(hi)
+        return PackedOrder.closure(up, sorted(range(self.n), key=self.dims.__getitem__,
+                                              reverse=True))
 
     @property
     def n(self) -> int:
@@ -189,20 +211,17 @@ class FinitePoset:
 
 def poset_from_covers(names: Sequence[str], dims: Sequence[int],
                       covers: Iterable[tuple[int, int, int | None]]) -> FinitePoset:
-    """Build a poset from cover edges; the order is their transitive closure.
-    The names are the payload.
+    """Build a poset from cover edges; the order is their transitive closure
+    (:attr:`FinitePoset.leq`).  The names are the payload.
 
     Every cover must strictly increase ``dims``; this keeps closure
     computation a single sweep by decreasing dim.
     """
     covers = tuple(covers)
-    up: list[list[int]] = [[] for _ in names]
     for lo, hi, _ in covers:
         if dims[lo] >= dims[hi]:
             raise InvalidSubset(f"cover {lo}->{hi} does not increase dimension")
-        up[lo].append(hi)
-    leq = PackedOrder.closure(up, sorted(range(len(up)), key=lambda k: -dims[k]))
-    return FinitePoset(tuple(dims), leq, covers, tuple(names))
+    return FinitePoset(tuple(dims), None, covers, tuple(names))
 
 
 @dataclass(frozen=True)

@@ -35,15 +35,14 @@ class ReflectionOrder:
 
 
 def inversion_sequence(system: CoxeterSystem, word: Sequence[int]) -> tuple[int, ...]:
-    """t_k sequence of a word (1-based letters); distinct iff the word is reduced."""
-    seq = []
-    prefix = 0
-    for i in word:
-        s = system.simple(i)
-        nxt = system.mul(prefix, s)
-        seq.append(system.mul(nxt, system.inverse(prefix)))  # prefix s prefix^{-1}
-        prefix = nxt
-    return tuple(seq)
+    """t_k sequence of a word (1-based letters); distinct iff the word is reduced.
+
+    t_k = s_{i_1}...s_{i_{k-1}} s_{i_k} s_{i_{k-1}}...s_{i_1} is s_{i_k}
+    conjugated by the letters of the prefix, innermost first."""
+    conjugate, simple = system.conjugate, system.simple
+    letters = [i - 1 for i in word]
+    return tuple([conjugate(simple(i), letters[k - 1::-1] if k else ())
+                  for k, i in enumerate(word)])
 
 
 def order_from_reduced_word(system: CoxeterSystem, word: Sequence[int]) -> ReflectionOrder:

@@ -6,7 +6,11 @@ j in J' a left ascent of v with s_j v not below w.  A reflection order with
 T cap W_J' first and T cap W_J last induces, slice by slice in v, a
 matching on Z whose only unmatched element is (w_J' w0, w_J' w0); counting
 unmatched cells then certifies contractibility of the realizing complex.
-Every structural step is asserted and failures raise with a witness.
+Z is a lower set of the nesting poset of pairs (the totally nonnegative
+Springer fiber is a closed union of cells), so it is built from single
+steps by :func:`cells.ideal_poset`; :func:`check_against_pair_poset`
+rebuilds it by :func:`cells.pair_poset` as an oracle route.  Every
+structural step is asserted and failures raise with a witness.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from . import posets
-from .cells import pair_poset, slice_matching
+from .cells import check_same_poset, ideal_poset, pair_poset, slice_matching
 from .coxeter import CoxeterSystem
 from .errors import (
     LemmaFalsified,
@@ -48,11 +52,12 @@ class SpringerPoset:
         return self.system.mul(self.system.longest(self.Jprime), self.system.w0)
 
 
-def _members(system: CoxeterSystem, J, Jprime) -> np.ndarray:
-    """Pairs (v, w) of Z, unsorted, as an n x 2 array; one row operation
-    per v selects its w: v <= w, each i in J a left descent of w with v not
-    <= s_i w, and (for a v with every j in J' a left ascent) s_j v not <= w.
-    Rows are kept only while n packed rows fit ``posets.MAX_ORDER_BYTES``."""
+def _members(system: CoxeterSystem, J, Jprime) -> list[tuple[int, int]]:
+    """Pairs (v, w) of Z, unsorted; one row operation per v selects its w:
+    v <= w, each i in J a left descent of w with v not <= s_i w, and (for
+    a v with every j in J' a left ascent) s_j v not <= w.  Rows are kept
+    only while n packed rows, the order that :attr:`FinitePoset.leq`
+    would close, fit ``posets.MAX_ORDER_BYTES``."""
     b, left, length = system.bruhat, system.left, system.length
     w_ok = np.ones(system.size, dtype=bool)
     for i in J:
@@ -73,7 +78,7 @@ def _members(system: CoxeterSystem, J, Jprime) -> np.ndarray:
             vs.append(np.full(len(hits), v))
             ws.append(hits)
     posets.check_order_size(count, "springer pair poset")
-    return np.column_stack((np.concatenate(vs), np.concatenate(ws)))
+    return list(zip(np.concatenate(vs).tolist(), np.concatenate(ws).tolist()))
 
 
 def build_springer_poset(system: CoxeterSystem, J, Jprime) -> SpringerPoset:
@@ -81,10 +86,18 @@ def build_springer_poset(system: CoxeterSystem, J, Jprime) -> SpringerPoset:
     Jprime = system.check_subset(Jprime)
     if J & Jprime:
         raise OverlappingSubsets(f"J and J' overlap: {sorted(J & Jprime)}")
-    poset = pair_poset(system, _members(system, J, Jprime), "springer pair poset")
+    poset = ideal_poset(system, _members(system, J, Jprime), "springer pair poset")
     sp = SpringerPoset(system, J, Jprime, poset.payload, poset)
     _check_membership_invariants(sp)
     return sp
+
+
+def check_against_pair_poset(sp: SpringerPoset) -> None:
+    """The oracle route: Z rebuilt by :func:`cells.pair_poset` (a packed
+    nested order checked by :func:`cells.graded_covers`) must have the
+    same cells, dims and covers."""
+    what = "springer pair poset"
+    check_same_poset(sp.poset, pair_poset(sp.system, sp.members, what), what)
 
 
 def _check_membership_invariants(sp: SpringerPoset) -> None:

@@ -1,0 +1,34 @@
+"""CLI reports compared byte for byte with outputs committed in golden/."""
+
+from pathlib import Path
+
+import pytest
+
+from coxmorse.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+COMMANDS = {
+    "springer_A3_J-_Jp-": ["springer", "--group", "A3", "--J", "{}", "--Jprime", "{}"],
+    "springer_A3_J1_Jp3": ["springer", "--group", "A3", "--J", "{1}", "--Jprime", "{3}"],
+    "springer_A3_J2_Jp-": ["springer", "--group", "A3", "--J", "{2}", "--Jprime", "{}"],
+    "springer_B3_J-_Jp-": ["springer", "--group", "B3", "--J", "{}", "--Jprime", "{}"],
+    "fiber_A3_K12_e.e.e.1-2-3": ["fiber", "--group", "A3", "--K", "{1,2}",
+                                 "--anchors", "e:e:e:1.2.3"],
+    "fiber_A3_K13_2.2.e.2-1-3-2": ["fiber", "--group", "A3", "--K", "{1,3}",
+                                   "--anchors", "2:2:e:2.1.3.2"],
+}
+FORMATS = ("json", "text", "dot")
+
+
+def test_every_golden_file_has_a_command():
+    assert {p.name for p in GOLDEN.iterdir()} == {
+        f"{stem}.{fmt}" for stem in COMMANDS for fmt in FORMATS}
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("stem", sorted(COMMANDS))
+def test_cli_output_matches_the_golden_file(capsys, stem, fmt):
+    assert main(COMMANDS[stem] + ["--format", fmt]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert out.out.encode() == (GOLDEN / f"{stem}.{fmt}").read_bytes()

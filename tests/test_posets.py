@@ -238,10 +238,12 @@ def test_a4_springer_poset_fits_a_budget_below_its_dense_size(system, monkeypatc
 
 
 def a3_springer_order(system):
+    """The A3 Springer poset for J = J' = {} and its packed order, built by
+    the pair-poset route from the same cells."""
     s = system("A3")
     sp = build_springer_poset(s, set(), set())
-    leq = sp.poset.leq
-    return sp, PackedOrder(leq.size, leq.packed.copy()), lambda k: pair_name(s, sp.members[k])
+    leq = pair_poset(s, sp.members, "springer pair poset").leq
+    return sp, leq, lambda k: pair_name(s, sp.members[k])
 
 
 def test_flipped_bit_in_a_packed_pair_order_names_the_axiom_and_cells(system):

@@ -211,9 +211,9 @@ def slice_matching(system: CoxeterSystem, poset: FinitePoset,
                 i, j = index[(x, y)], index[(x, li.ids[b])]
                 partner[i], partner[j] = j, i
     matching = Matching(poset, tuple(partner))
-    cover_set = {(lo, hi) for lo, hi, _ in poset.covers}
+    above = poset.graded_adjacency[1]
     for i, j in matching.pairs:
-        if (i, j) not in cover_set and (j, i) not in cover_set:
+        if j not in above[i] and i not in above[j]:
             raise TheoremFalsified(
                 f"matched pair {poset.names[i]} -- {poset.names[j]} is not a cover "
                 f"of the {what}"

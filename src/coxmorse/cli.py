@@ -18,10 +18,11 @@ import sys
 
 from . import __version__, fibers, springer
 from .coxeter import DEFAULT_MAX_ELEMENTS, CoxeterMatrix, CoxeterSystem, build_system
-from .errors import Falsification, InputError, InvalidSubset
+from .errors import Falsification, InputError, InvalidSubset, TheoremFalsified
 from .fibers import build_fiber_poset, build_qk, fiber_matching, generalized_quotient, verify_convexity
 from .matchings import build_matching, labeled_interval, morse_counts, verify_shelling_subsets
-from .oracles import oracle_bruhat_leq, oracle_interval_ids, oracle_unmatched_scan
+from .oracles import (oracle_bruhat_leq, oracle_interval_ids, oracle_shelling_subsets,
+                      oracle_unmatched_scan)
 from .posets import euler_characteristic, poset_to_dot
 from .reflection_orders import order_from_reduced_word, shortlex_order
 from .springer import build_springer_poset, springer_matching
@@ -112,6 +113,14 @@ def cmd_group(args) -> int:
     return EXIT_OK
 
 
+def _shelling_outcome(check, li, order, matching):
+    """The report of a shelling check, or its falsification message."""
+    try:
+        return check(li, order, matching)
+    except TheoremFalsified as exc:
+        return str(exc)
+
+
 def cmd_matching(args) -> int:
     system = _system_from_args(args)
     v = system.parse_word(args.interval[0])
@@ -128,7 +137,18 @@ def cmd_matching(args) -> int:
                 f"the cover-search oracle at {system.word_str(x)} (only in {side})"
             )
     matching = build_matching(li, order)
-    shelling = verify_shelling_subsets(li, order, matching)
+    if args.paranoid:
+        shelling, want = (_shelling_outcome(check, li, order, matching)
+                          for check in (verify_shelling_subsets, oracle_shelling_subsets))
+        if shelling != want:
+            raise Falsification(
+                f"shelling check on [{system.word_str(v)}, {system.word_str(w)}] disagrees "
+                f"with the prefix-union oracle: {shelling!r} against {want!r}"
+            )
+        if isinstance(shelling, str):
+            raise TheoremFalsified(shelling)
+    else:
+        shelling = verify_shelling_subsets(li, order, matching)
     summary = morse_counts(li.poset, matching)
     if args.paranoid:
         scan = oracle_unmatched_scan(li.poset, matching)

@@ -7,25 +7,32 @@ edges is returned.  That this union is a complete matching, and acyclic
 once matched edges are reversed against the downward Hasse orientation,
 is asserted at runtime rather than assumed: a violation raises a
 falsification error carrying the witness.
+
+An interval is extracted once and may be matched under many orders.  What
+does not depend on the order is built once per interval, when first read,
+and shared by every order: on its :class:`FinitePoset` the graded
+adjacency and the Euler characteristic (and the order, which only the
+chain and thinness checks read), and on :class:`LabeledInterval` the
+labeled atoms and coatoms and the lower and upper set of every element as
+bit masks.  Per order, only edge selection, the acyclicity search and one
+sweep per side of the shelling check run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
-
-import numpy as np
+from functools import cached_property
+from typing import Iterable, Sequence
 
 from .coxeter import CoxeterSystem
 from .errors import (
     CyclicMatching,
     EmptyInterval,
-    InvalidSubset,
     NotAMatching,
     NotComparable,
     TheoremFalsified,
 )
-from .posets import FinitePoset, PackedOrder, euler_characteristic
+from .posets import FinitePoset, euler_characteristic
 from .reflection_orders import ReflectionOrder
 
 
@@ -35,7 +42,9 @@ class LabeledInterval:
 
     ``poset`` indices are interval-local; ``ids`` maps them to group
     element ids (also stored as the poset payload), and ``index`` back.
-    Dimensions are lengths relative to the bottom element.
+    Dimensions are lengths relative to the bottom element.  Ids ascend by
+    length and covers are sorted by (lo, hi), so every cover has lo < hi
+    and the bottom and top are the first and last index.
     """
 
     system: CoxeterSystem
@@ -49,23 +58,55 @@ class LabeledInterval:
     def rank(self) -> int:
         return self.system.len_of(self.w) - self.system.len_of(self.v)
 
+    @cached_property
+    def lower_sets(self) -> tuple[int, ...]:
+        """Each [v, x] as a bit mask, bit y set iff y <= x, closed in one
+        sweep: the covers come sorted by lo, with lo < hi, so the lower set
+        of lo is complete before the cover (lo, hi) reads it."""
+        sets = [1 << x for x in range(self.poset.n)]
+        for lo, hi, _ in self.poset.covers:
+            sets[hi] |= sets[lo]
+        return tuple(sets)
+
+    @cached_property
+    def upper_sets(self) -> tuple[int, ...]:
+        """Each [x, w] as a bit mask, bit y set iff x <= y, closed by the
+        same sweep run backwards."""
+        sets = [1 << x for x in range(self.poset.n)]
+        for lo, hi, _ in reversed(self.poset.covers):
+            sets[lo] |= sets[hi]
+        return tuple(sets)
+
+    @cached_property
+    def coatoms(self) -> tuple[tuple[int, int], ...]:
+        """(label, x) of each coatom x."""
+        top = self.index[self.w]
+        return tuple((t, lo) for lo, hi, t in self.poset.covers if hi == top)
+
+    @cached_property
+    def atoms(self) -> tuple[tuple[int, int], ...]:
+        """(label, x) of each atom x."""
+        bot = self.index[self.v]
+        return tuple((t, hi) for lo, hi, t in self.poset.covers if lo == bot)
+
 
 def labeled_interval(system: CoxeterSystem, v: int, w: int) -> LabeledInterval:
+    """[v, w] with its labeled covers; its order is closed from them only
+    when read (:attr:`FinitePoset.leq`)."""
     if not system.bruhat_leq(v, w):
         raise NotComparable(f"{system.word_str(v)} is not <= {system.word_str(w)}")
     ids = tuple(system.interval_ids(v, w))
     index = {x: k for k, x in enumerate(ids)}
     base = system.len_of(v)
     covers = []
-    for x in ids:
-        for lo, t in system.bruhat_covers_down(x):
-            if lo in index:
-                covers.append((index[lo], index[x], t))
-    covers.sort()
+    for lo, x in enumerate(ids):
+        for y, t in system.bruhat_covers_up(x):
+            hi = index.get(y)
+            if hi is not None:
+                covers.append((lo, hi, t))
+    covers.sort()   # a linear pass: each element's up-covers come sorted by id
     dims = tuple(system.len_of(x) - base for x in ids)
-    at = np.asarray(ids)
-    sub = PackedOrder.from_dense(system.bruhat[at[:, None], at])
-    poset = FinitePoset(dims, sub, tuple(covers), ids, system.word_str)
+    poset = FinitePoset(dims, None, tuple(covers), ids, system.word_str)
     return LabeledInterval(system, v, w, ids, index, poset)
 
 
@@ -147,39 +188,37 @@ def is_acyclic(poset: FinitePoset, matching: Matching) -> AcyclicityReport:
     consecutive and a cycle has as many up- as down-steps, so it alternates
     x0 -> M(x0) -> x1 -> M(x1) -> ... between two adjacent dims (Forman's
     V-paths): x_{i+1} is a lower cover of M(x_i) other than x_i, itself
-    matched upward.  Only that graph on up-matched elements is searched.
+    matched upward.  Only that graph on up-matched elements is searched,
+    from roots taken in the order of their matched covers.  The adjacency
+    is the poset's, built once (:attr:`FinitePoset.graded_adjacency`).
     """
-    partner, dims = matching.partner, poset.dims
-    below: list[list[int]] = [[] for _ in range(poset.n)]
-    state: dict[int, int] = {}  # up-matched elements: 0 new, 1 on path, 2 done
-    for lo, hi, _ in poset.covers:
-        if dims[hi] != dims[lo] + 1:
-            raise InvalidSubset(
-                f"cover {poset.names[lo]} < {poset.names[hi]} does not join adjacent dims"
-            )
-        below[hi].append(lo)
-        if partner[lo] == hi:
-            state[lo] = 0
-    for root in state:
+    partner = matching.partner
+    below = poset.graded_adjacency[0]
+    roots = [lo for lo, hi, _ in poset.covers if partner[lo] == hi]
+    state = [3] * poset.n   # 0 new, 1 on path, 2 done, 3 not matched upward
+    for x in roots:
+        state[x] = 0
+    for root in roots:
         if state[root]:
             continue
         state[root] = 1
         path = [root]
         todo = [iter(below[partner[root]])]
         while todo:
-            y = next(todo[-1], None)
-            if y is None:
+            for y in todo[-1]:   # the next lower cover of M(path[-1]) to step to
+                if state[y] < 2 and y != path[-1]:
+                    break
+            else:
                 state[path.pop()] = 2
                 todo.pop()
-            elif y != path[-1] and y in state:
-                if state[y] == 1:
-                    cyc = path[path.index(y):]
-                    walk = tuple(z for x in cyc for z in (x, partner[x]))
-                    return AcyclicityReport(False, walk + (y,))
-                if state[y] == 0:
-                    state[y] = 1
-                    path.append(y)
-                    todo.append(iter(below[partner[y]]))
+                continue
+            if state[y] == 1:
+                cyc = path[path.index(y):]
+                walk = tuple(z for x in cyc for z in (x, partner[x]))
+                return AcyclicityReport(False, walk + (y,))
+            state[y] = 1
+            path.append(y)
+            todo.append(iter(below[partner[y]]))
     return AcyclicityReport(True)
 
 
@@ -231,6 +270,34 @@ class ShellingReport:
     atom_prefixes: int
 
 
+# the set bits of each byte value, to read the elements of a mask a byte at a time
+_BYTE_BITS = [tuple(i for i in range(8) if b >> i & 1) for b in range(256)]
+
+
+def _first_unpreserved_prefix(sets: Sequence[int], generators: Sequence[tuple[int, int]],
+                              partner: Sequence[int]) -> tuple[int, int]:
+    """(k, union) for the prefix unions U_k of the masks ``sets[x]`` over
+    the first k (label, x) of ``generators``, k = 1 .. len - 1: k is the
+    least one with U_k not closed under ``partner`` (0 if there is none),
+    and union is the last U_k.  Each element is visited once, to record
+    the first k whose U_k holds it; U_k is closed iff no z has
+    first[z] <= k < first[partner[z]], so k is the least first[z] below
+    first[partner[z]]."""
+    last = len(generators)   # past every prefix
+    first = [last] * len(partner)
+    union = 0
+    for k, (_, x) in enumerate(generators[:-1], 1):
+        new = sets[x] & ~union
+        union |= new
+        base = 0
+        for byte in new.to_bytes((new.bit_length() + 7) >> 3, "little"):
+            for i in _BYTE_BITS[byte]:
+                first[base + i] = k
+            base += 8
+    bad = [f for f, g in zip(first, map(first.__getitem__, partner)) if g > f]
+    return min(bad, default=0), union
+
+
 def verify_shelling_subsets(li: LabeledInterval, order: ReflectionOrder,
                             matching: Matching | None = None) -> ShellingReport:
     """Check the prefix-union structure of the matching.
@@ -238,17 +305,15 @@ def verify_shelling_subsets(li: LabeledInterval, order: ReflectionOrder,
     With coatoms w_1, ..., w_n of [v, w] ordered by increasing edge label,
     every union of the first k-1 lower intervals [v, w_i] must be preserved
     by the matching, and the complement of the union over i < n must be
-    exactly [M(w), w]; dually for atoms and upper intervals."""
-    poset = li.poset
+    exactly [M(w), w]; dually for atoms and upper intervals.  The unions
+    are read from the interval's lower and upper set masks, one sweep per
+    side (:func:`_first_unpreserved_prefix`);
+    :func:`oracles.oracle_shelling_subsets` is the prefix-by-prefix route."""
     if matching is None:
         matching = build_matching(li, order)
-    rank = order.rank
-    top = li.index[li.w]
-    bot = li.index[li.v]
-    leq = np.asarray(poset.leq)
-    partner = np.asarray(matching.partner)
-    coatoms = sorted((rank[t], lo) for lo, hi, t in poset.covers if hi == top)
-    atoms = sorted((rank[t], hi) for lo, hi, t in poset.covers if lo == bot)
+    rank, partner = order.rank, matching.partner
+    coatoms = sorted(li.coatoms, key=lambda c: rank[c[0]])
+    atoms = sorted(li.atoms, key=lambda a: rank[a[0]])
 
     def falsified(what: str) -> TheoremFalsified:
         system = li.system
@@ -257,17 +322,12 @@ def verify_shelling_subsets(li: LabeledInterval, order: ReflectionOrder,
     # unions of the first k lower intervals [v, w_i], k = 1 .. n-1, must be
     # preserved by the matching (the empty union trivially is); the
     # complement of the (n-1)-union is [M(w), w]
-    union = np.zeros(poset.n, dtype=bool)
-    for k, (_, x) in enumerate(coatoms[:-1], 1):
-        union |= leq[:, x]
-        if not union[partner[union]].all():
-            raise falsified(f"coatom prefix union of {k} intervals is not an M-subset")
-    if not np.array_equal(~union, leq[partner[top], :]):
+    k, union = _first_unpreserved_prefix(li.lower_sets, coatoms, partner)
+    if k:
+        raise falsified(f"coatom prefix union of {k} intervals is not an M-subset")
+    if union ^ ((1 << li.poset.n) - 1) != li.upper_sets[partner[li.index[li.w]]]:
         raise falsified("complement of the coatom prefix unions is not [M(w), w]")
-
-    union = np.zeros(poset.n, dtype=bool)
-    for k, (_, x) in enumerate(atoms[:-1], 1):
-        union |= leq[x, :]
-        if not union[partner[union]].all():
-            raise falsified(f"atom prefix union of {k} intervals is not an M-subset")
+    k, _ = _first_unpreserved_prefix(li.upper_sets, atoms, partner)
+    if k:
+        raise falsified(f"atom prefix union of {k} intervals is not an M-subset")
     return ShellingReport(len(coatoms), len(atoms))

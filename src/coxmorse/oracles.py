@@ -2,7 +2,8 @@
 
 Each oracle recomputes a production result by a different route (subword
 recursion, literal optimization over lower sets, exhaustive word
-enumeration) and never calls the production code it is checking.  The
+enumeration, prefix unions read from the Bruhat order's rows) and never
+calls the production code it is checking.  The
 one shared piece is the Todd-Coxeter routine under
 :func:`oracle_group_tables`, whose production output is proved correct
 on every build by :func:`coxeter.certify_table`.
@@ -14,9 +15,10 @@ import numpy as np
 
 from .coxeter import (DEFAULT_MAX_ELEMENTS, CoxeterMatrix, CoxeterSystem,
                       _coset_enumeration)
-from .errors import CapExceeded, NonUniqueOptimum, NotAMatching
-from .matchings import Matching
+from .errors import CapExceeded, NonUniqueOptimum, NotAMatching, TheoremFalsified
+from .matchings import LabeledInterval, Matching, ShellingReport
 from .posets import FinitePoset
+from .reflection_orders import ReflectionOrder
 
 
 def oracle_group_tables(matrix: CoxeterMatrix) -> dict[str, object]:
@@ -131,6 +133,42 @@ def oracle_interval_ids(system: CoxeterSystem, v: int, w: int) -> list[int]:
                 seen.add(x)
                 stack.append(x)
     return sorted(seen)
+
+
+def oracle_shelling_subsets(li: LabeledInterval, order: ReflectionOrder,
+                            matching: Matching) -> ShellingReport:
+    """:func:`matchings.verify_shelling_subsets` prefix by prefix: the
+    interval's order is gathered from the rows of the Bruhat order, and
+    each prefix union of coatom (atom) intervals is built and checked
+    against ``matching`` in turn.  Same report, or the same
+    :class:`TheoremFalsified` message."""
+    system, poset = li.system, li.poset
+    at = np.asarray(li.ids)
+    leq = system.bruhat[at[:, None], at]
+    partner = np.asarray(matching.partner)
+    rank = order.rank
+    top = li.index[li.w]
+    bot = li.index[li.v]
+    coatoms = sorted((rank[t], lo) for lo, hi, t in poset.covers if hi == top)
+    atoms = sorted((rank[t], hi) for lo, hi, t in poset.covers if lo == bot)
+
+    def falsified(what: str) -> TheoremFalsified:
+        return TheoremFalsified(f"{what} in [{system.word_str(li.v)}, {system.word_str(li.w)}]")
+
+    union = np.zeros(poset.n, dtype=bool)
+    for k, (_, x) in enumerate(coatoms[:-1], 1):
+        union |= leq[:, x]
+        if not union[partner[union]].all():
+            raise falsified(f"coatom prefix union of {k} intervals is not an M-subset")
+    if not np.array_equal(~union, leq[partner[top], :]):
+        raise falsified("complement of the coatom prefix unions is not [M(w), w]")
+
+    union = np.zeros(poset.n, dtype=bool)
+    for k, (_, x) in enumerate(atoms[:-1], 1):
+        union |= leq[x, :]
+        if not union[partner[union]].all():
+            raise falsified(f"atom prefix union of {k} intervals is not an M-subset")
+    return ShellingReport(len(coatoms), len(atoms))
 
 
 def oracle_springer_member(system: CoxeterSystem, v: int, w: int, J, Jprime) -> bool:

@@ -4,11 +4,14 @@ checks, edge-labeled chain analysis, and DOT export.
 A :class:`FinitePoset` stores its cover edges (= transitive reduction) and
 its order as a :class:`PackedOrder`, the one order type of the package
 (the Bruhat order is one too).  A poset given by its covers alone (the
-Springer and fiber posets) closes them into the order only when the order
-is first read.  Each element carries an integer dimension (cell dimension
-for face posets, rank from the bottom for interval posets) and a payload;
-its display name is built from the payload, on first use only.  Posets
-are immutable after construction.
+interval, Springer and fiber posets) closes them into the order only when
+the order is first read.  Each element carries an integer dimension (cell
+dimension for face posets, rank from the bottom for interval posets) and
+a payload; its display name is built from the payload, on first use
+only.  Posets are immutable after construction, so what the matching
+checks derive from the covers alone (the graded adjacency of the
+acyclicity check, the Euler characteristic) is built once, when first
+read, and shared by every matching of the poset.
 """
 
 from __future__ import annotations
@@ -160,7 +163,8 @@ class FinitePoset:
     """A finite poset graded by ``dims``.  ``order`` is its
     :class:`PackedOrder`, or None for the closure of ``covers``, which
     must then strictly increase ``dims``; either way it is read as
-    :attr:`leq`."""
+    :attr:`leq`.  The order, the display names, the graded adjacency and
+    the Euler characteristic are each built on first read and kept."""
 
     dims: tuple[int, ...]
     order: InitVar[PackedOrder | None]
@@ -186,6 +190,28 @@ class FinitePoset:
     @property
     def n(self) -> int:
         return len(self.dims)
+
+    @cached_property
+    def graded_adjacency(self) -> tuple[list[list[int]], list[list[int]]]:
+        """(below, above) of the Hasse diagram, once every cover is checked
+        to join adjacent dims: below[y] and above[x] list the lower covers
+        of y and the upper covers of x in cover order.  A cover that skips
+        a dim raises :class:`InvalidSubset`, and then nothing is cached."""
+        dims = self.dims
+        below: list[list[int]] = [[] for _ in dims]
+        above: list[list[int]] = [[] for _ in dims]
+        for lo, hi, _ in self.covers:
+            if dims[hi] != dims[lo] + 1:
+                raise InvalidSubset(
+                    f"cover {self.names[lo]} < {self.names[hi]} does not join adjacent dims"
+                )
+            below[hi].append(lo)
+            above[lo].append(hi)
+        return below, above
+
+    @cached_property
+    def _euler(self) -> int:
+        return int(sum((-1) ** d for d in self.dims))
 
     @cached_property
     def names(self) -> tuple[str, ...]:
@@ -297,8 +323,9 @@ def is_thin(poset: FinitePoset) -> bool:
 
 
 def euler_characteristic(poset: FinitePoset) -> int:
-    """Alternating sum of element counts by dimension."""
-    return int(sum((-1) ** d for d in poset.dims))
+    """Alternating sum of element counts by dimension, computed once per
+    poset."""
+    return poset._euler
 
 
 # -- edge-labeled chain analysis ------------------------------------------

@@ -193,6 +193,57 @@ def test_paranoid_matching_rechecks_interval_members(monkeypatch, capsys):
             "at 2.3 (only in the oracle)") in err
 
 
+@pytest.mark.parametrize("side", ["oracle_shelling_subsets", "verify_shelling_subsets"])
+def test_paranoid_matching_exits_when_the_shelling_routes_differ(monkeypatch, capsys, side):
+    # a differing report, or a message only one route raises, falsifies the
+    # run under --paranoid and names the interval; without it the oracle
+    # does not run
+    import coxmorse.cli as cli
+    from coxmorse.errors import TheoremFalsified
+    from coxmorse.matchings import ShellingReport
+
+    def fake(li, order, matching):
+        if side == "oracle_shelling_subsets":
+            return ShellingReport(4, 3)
+        raise TheoremFalsified("planted")
+
+    argv = ["matching", "--group", "A3", "--interval", "2", "2.3.1.2"]
+    monkeypatch.setattr(cli, side, fake)
+    if side == "oracle_shelling_subsets":
+        assert run(capsys, *argv)[0] == 0
+    code, out, err = run(capsys, *argv, "--paranoid")
+    assert code == 3 and out == ""
+    report = "ShellingReport(coatom_prefixes=4, atom_prefixes=4)"
+    got, want = (("'planted'", report) if side == "verify_shelling_subsets"
+                 else (report, "ShellingReport(coatom_prefixes=4, atom_prefixes=3)"))
+    assert err == (f"FALSIFIED: shelling check on [2, 2.1.3.2] disagrees with the "
+                   f"prefix-union oracle: {got} against {want}\n")
+
+
+@pytest.mark.parametrize("paranoid", [False, True])
+def test_matching_runs_each_shelling_route_once(monkeypatch, capsys, paranoid):
+    # a failure both routes raise is reported as the theorem's falsification,
+    # as without --paranoid, and no route runs twice
+    import coxmorse.cli as cli
+    from coxmorse.errors import TheoremFalsified
+
+    calls = []
+
+    def failing(name):
+        def check(li, order, matching):
+            calls.append(name)
+            raise TheoremFalsified("planted")
+        return check
+
+    for name in ("verify_shelling_subsets", "oracle_shelling_subsets"):
+        monkeypatch.setattr(cli, name, failing(name))
+    argv = ["matching", "--group", "A3", "--interval", "2", "2.3.1.2"]
+    code, out, err = run(capsys, *argv, *(["--paranoid"] if paranoid else []))
+    assert (code, out, err) == (3, "", "FALSIFIED: planted\n")
+    assert calls == (["verify_shelling_subsets", "oracle_shelling_subsets"] if paranoid
+                     else ["verify_shelling_subsets"])
+
+
 def test_oversized_pair_order_exits_as_usage_error(capsys, monkeypatch):
     monkeypatch.setattr(posets, "MAX_ORDER_BYTES", 19 * 3 - 1)
     code, out, err = run(capsys, "springer", "--group", "A2", "--J", "{}", "--Jprime", "{}")

@@ -7,6 +7,9 @@ import pytest
 from coxmorse.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+# the longest element of H3, and another reduced word of it for a second order
+H3_W0 = "1.2.1.2.1.3.2.1.2.1.3.2.1.2.3"
+H3_ORDER = "3.2.3.1.2.3.1.2.3.1.2.3.1.2.1"
 COMMANDS = {
     "springer_A3_J-_Jp-": ["springer", "--group", "A3", "--J", "{}", "--Jprime", "{}"],
     "springer_A3_J1_Jp3": ["springer", "--group", "A3", "--J", "{1}", "--Jprime", "{3}"],
@@ -16,6 +19,13 @@ COMMANDS = {
                                  "--anchors", "e:e:e:1.2.3"],
     "fiber_A3_K13_2.2.e.2-1-3-2": ["fiber", "--group", "A3", "--K", "{1,3}",
                                    "--anchors", "2:2:e:2.1.3.2"],
+    "matching_A3_2_2.3.1.2": ["matching", "--group", "A3", "--interval", "2", "2.3.1.2"],
+    "matching_B3_e_1.2.1.3.2.1.3.2.3": ["matching", "--group", "B3",
+                                        "--interval", "e", "1.2.1.3.2.1.3.2.3"],
+    f"matching_H3_e_{H3_W0}": ["matching", "--group", "H3", "--interval", "e", H3_W0],
+    f"matching_H3_e_{H3_W0}_order-{H3_ORDER}": ["matching", "--group", "H3",
+                                                "--interval", "e", H3_W0,
+                                                "--order-word", H3_ORDER],
 }
 FORMATS = ("json", "text", "dot")
 

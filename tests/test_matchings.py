@@ -7,11 +7,13 @@ import pytest
 from coxmorse.errors import (
     CyclicMatching,
     EmptyInterval,
+    Falsification,
     InvalidSubset,
     NotAMatching,
     TheoremFalsified,
 )
 from coxmorse.matchings import (
+    LabeledInterval,
     Matching,
     build_matching,
     is_M_subset,
@@ -21,8 +23,8 @@ from coxmorse.matchings import (
     morse_counts,
     verify_shelling_subsets,
 )
-from coxmorse.posets import poset_from_covers
-from coxmorse.reflection_orders import order_from_reduced_word
+from coxmorse.posets import FinitePoset, poset_from_covers
+from coxmorse.reflection_orders import order_from_reduced_word, shortlex_order
 from coxmorse.springer import build_springer_poset, springer_matching
 from coxmorse.verify import all_orders
 
@@ -115,15 +117,29 @@ def test_acyclicity_detects_cycles():
     m = matching_from_pairs(poset, [(0, 1), (2, 3)])
     report = is_acyclic(poset, m)
     assert not report.acyclic
-    assert report.cycle is not None and len(report.cycle) >= 4
-    with pytest.raises(CyclicMatching):
+    assert report.cycle == (0, 1, 2, 3, 0)
+    with pytest.raises(CyclicMatching, match=re.escape("(0, 1, 2, 3, 0)")):
         morse_counts(poset, m)
+
+
+def test_acyclicity_seeds_roots_in_the_order_of_their_matched_covers():
+    # the squares above with their covers listed from c: the search starts
+    # at c, whose matched cover comes first, and the witness starts there
+    poset = poset_from_covers(
+        ["a", "b", "c", "d"], [0, 1, 0, 1],
+        [(2, 3, None), (2, 1, None), (0, 3, None), (0, 1, None)])
+    m = matching_from_pairs(poset, [(0, 1), (2, 3)])
+    assert is_acyclic(poset, m).cycle == (2, 3, 0, 1, 2)
 
 
 def test_acyclicity_needs_covers_between_adjacent_dims():
     poset = poset_from_covers(["a", "b", "c"], [0, 1, 2], [(0, 1, None), (0, 2, None)])
+    m = matching_from_pairs(poset, [(0, 1)])
     with pytest.raises(InvalidSubset, match="a < c"):
-        is_acyclic(poset, matching_from_pairs(poset, [(0, 1)]))
+        is_acyclic(poset, m)
+    # the failed check cached nothing: a second call fails the same way
+    with pytest.raises(InvalidSubset, match="a < c"):
+        is_acyclic(poset, m)
 
 
 def test_matching_from_pairs_validation():
@@ -177,3 +193,76 @@ def test_shelling_check_fires_on_swapped_partners(system):
             verify_shelling_subsets(li, order, Matching(li.poset, tuple(partner)))
         checked += 1
     assert checked == 189 - 58  # every nontrivial interval but the 58 covers
+
+
+def test_interval_masks_and_order_are_the_bruhat_order(system):
+    # the masks and the lazy order are closed from the interval's covers
+    # alone; they must agree with the Bruhat order read on the interval
+    s = system("A3")
+    for v, w in s.comparable_pairs(strict=True):
+        li = labeled_interval(s, v, w)
+        for i, x in enumerate(li.ids):
+            below = {j for j, y in enumerate(li.ids) if s.bruhat_leq(y, x)}
+            above = {j for j, y in enumerate(li.ids) if s.bruhat_leq(x, y)}
+            assert li.lower_sets[i] == sum(1 << j for j in below)
+            assert li.upper_sets[i] == sum(1 << j for j in above)
+            assert set(li.poset.leq.rows(i).nonzero()[0].tolist()) == above
+        assert [x for _, x in li.atoms] == [i for i in range(li.poset.n)
+                                             if li.poset.dims[i] == 1]
+        assert [x for _, x in li.coatoms] == [i for i in range(li.poset.n)
+                                               if li.poset.dims[i] == li.rank - 1]
+
+
+def without_cover(li, k):
+    """``li`` with its k-th cover dropped and no cache carried over."""
+    p = li.poset
+    poset = FinitePoset(p.dims, None, p.covers[:k] + p.covers[k + 1:], p.payload, p.name_of)
+    return LabeledInterval(li.system, li.v, li.w, li.ids, li.index, poset)
+
+
+def run_pipeline(li, order):
+    m = build_matching(li, order)
+    verify_shelling_subsets(li, order, m)
+    return morse_counts(li.poset, m)
+
+
+def test_a_dropped_matched_cover_is_falsified(system):
+    # dropping a matched cover of a B3 interval makes edge selection, the
+    # shelling check or the Morse counts fail, never pass; an unmatched
+    # cover can go unnoticed (it only removes a down-edge and a relation
+    # the checks may not read), so only matched ones are dropped here
+    s = system("B3")
+    order = shortlex_order(s)
+    dropped = 0
+    for v, w in s.comparable_pairs(strict=True)[::7] + [(0, s.w0)]:
+        li = labeled_interval(s, v, w)
+        m = build_matching(li, order)
+        run_pipeline(li, order)   # fills every cache of the intact interval
+        for k, (lo, hi, _) in enumerate(li.poset.covers):
+            if m.partner[lo] == hi:
+                with pytest.raises(Falsification):
+                    run_pipeline(without_cover(li, k), order)
+                dropped += 1
+    assert dropped > 500
+
+
+def test_a_flipped_bit_of_a_cached_mask_is_falsified(system):
+    # any bit of the first coatom's lower set, or of the first atom's
+    # upper set, flipped in the cache: the first prefix union is no longer
+    # a union of matched pairs
+    s = system("B3")
+    order = shortlex_order(s)
+    li = labeled_interval(s, s.parse_word("2"), s.w0)
+    m = build_matching(li, order)
+    report = verify_shelling_subsets(li, order, m)
+    assert report.coatom_prefixes >= 2 and report.atom_prefixes >= 2
+    for side, first in (("lower_sets", min(li.coatoms, key=lambda c: order.rank[c[0]])),
+                        ("upper_sets", min(li.atoms, key=lambda a: order.rank[a[0]]))):
+        intact = li.__dict__[side]
+        x = first[1]
+        for z in range(li.poset.n):
+            li.__dict__[side] = intact[:x] + (intact[x] ^ 1 << z,) + intact[x + 1:]
+            with pytest.raises(TheoremFalsified, match="prefix union of 1 intervals"):
+                verify_shelling_subsets(li, order, m)
+        li.__dict__[side] = intact
+    assert verify_shelling_subsets(li, order, m) == report

@@ -4,13 +4,14 @@ import random
 
 import pytest
 
-from coxmorse.errors import CapExceeded
+from coxmorse.errors import CapExceeded, TheoremFalsified
 from coxmorse.matchings import (
     Matching,
     build_matching,
     is_acyclic,
     labeled_interval,
     matching_from_pairs,
+    verify_shelling_subsets,
 )
 from coxmorse.oracles import (
     oracle_bruhat_leq,
@@ -18,6 +19,7 @@ from coxmorse.oracles import (
     oracle_directed_cycle,
     oracle_reduced_words,
     oracle_reflection_orders,
+    oracle_shelling_subsets,
     oracle_unmatched_scan,
 )
 from coxmorse.posets import poset_from_covers
@@ -170,3 +172,41 @@ def test_acyclicity_agrees_with_oracle_on_tampered_matchings(system):
                 partner[lo], partner[hi] = hi, lo
         verdicts.add(agrees_with_cycle_oracle(poset, Matching(poset, tuple(partner))))
     assert verdicts == {True, False}
+
+
+def shelling_outcome(check, li, order, matching):
+    try:
+        return check(li, order, matching)
+    except TheoremFalsified as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3"])
+def test_shelling_check_agrees_with_prefix_union_oracle(system, name):
+    # the built matching, the bottom and top swapping partners (a failure at
+    # the first coatom prefix), and seeded random non-involutions: the mask
+    # sweep and the prefix-by-prefix oracle give the same report or message
+    s = system(name)
+    rng = random.Random(13)
+    outcomes = set()
+    for v, w in s.comparable_pairs(strict=True):
+        li = labeled_interval(s, v, w)
+        bot, top = li.index[v], li.index[w]
+        for order in all_orders(s):
+            built = build_matching(li, order).partner
+            swapped = list(built)
+            swapped[bot], swapped[top] = swapped[top], swapped[bot]
+            tampered = list(built)
+            for z in rng.sample(range(li.poset.n), min(2, li.poset.n)):
+                tampered[z] = rng.randrange(li.poset.n)
+            for partner in (built, swapped, tampered):
+                m = Matching(li.poset, tuple(partner))
+                got = shelling_outcome(verify_shelling_subsets, li, order, m)
+                assert got == shelling_outcome(oracle_shelling_subsets, li, order, m), \
+                    (name, v, w, order.word, partner)
+                outcomes.add(got if isinstance(got, str) else "pass")
+    kinds = {o.split(" in [")[0] for o in outcomes}
+    assert {"pass", "coatom prefix union of 1 intervals is not an M-subset",
+            "coatom prefix union of 2 intervals is not an M-subset",
+            "complement of the coatom prefix unions is not [M(w), w]",
+            "atom prefix union of 1 intervals is not an M-subset"} <= kinds, kinds

@@ -9,8 +9,9 @@ covered by y, whenever u <= y, resp. x <= u.
 
 The Springer poset Z and the fiber poset F are lower sets of P, built by
 :func:`ideal_poset` from single steps alone: that every single-step lower
-cover of a cell is a cell is checked, not assumed, and it makes the covers
-between cells the whole Hasse diagram.  Q_K shifts (x', y') on the right
+cover of a cell is a cell is checked, not assumed (:func:`step_covers`,
+the one statement of the step rule), and it makes the covers between
+cells the whole Hasse diagram.  Q_K shifts (x', y') on the right
 by some u in W_K, which is not a restriction of P; it is built by
 :func:`pair_poset`, whose covers are the dimension-gap-one comparable
 pairs of a packed order (:class:`posets.PackedOrder`), asserted to
@@ -119,27 +120,21 @@ def pair_poset(system: CoxeterSystem, pairs, what: str = "pair poset",
     return FinitePoset(dims, leq, covers, members, lambda p: pair_name(system, p))
 
 
-def ideal_poset(system: CoxeterSystem, pairs: Sequence[tuple[int, int]],
-                what: str = "pair poset") -> FinitePoset:
-    """The poset of the cells (v, w) in ``pairs``, checked to be a lower
-    set of the nesting poset P.
+def step_covers(system: CoxeterSystem, members: Sequence[tuple[int, int]],
+                index: Callable[[tuple[int, int]], int | None],
+                what: str) -> list[list[int]]:
+    """The single steps of the nesting poset P between the cells
+    ``members``, checked to leave no lower cover out: ups[j] lists, in
+    increasing k, the cells k covering cell j.  ``index`` maps a pair to
+    its cell, or to None.
 
-    Cells are numbered by (dimension l(w) - l(v), v, w), as in
-    :func:`pair_poset`, and the size guard runs first.  Each cell must
-    have v <= w, and each of its single-step lower covers in P, (u, w) for
-    u covering v and (v, u) for u covered by w, must be a cell when its
-    ends are comparable; otherwise :class:`TheoremFalsified` names the
-    cell and the missing one.  By induction down P the cells are then a
-    lower set, so their order is P restricted, graded by dimension, and
-    its covers are the single steps between cells, sorted by (lo, hi).
-    The order is closed from them only when read
-    (:attr:`FinitePoset.leq`)."""
-    check_order_size(len(pairs), what)
-    length = system.len_of
-    members = tuple(sorted(pairs, key=lambda p: (length(p[1]) - length(p[0]), p)))
-    index = {p: k for k, p in enumerate(members)}.get
+    The step rule: the single-step lower covers of a cell (v, w) in P are
+    (u, w) for u covering v and (v, u) for u covered by w, whenever the
+    ends are comparable.  Each cell must have v <= w and each of its
+    single-step lower covers must be a cell; otherwise
+    :class:`TheoremFalsified` names the cell and the missing one.  By
+    induction down P the cells are then a lower set of P."""
     leq, up, down = system.bruhat.leq, system.bruhat_covers_up, system.bruhat_covers_down
-    # ups[j] lists the cells k covering cell j, in increasing k
     ups: list[list[int]] = [[] for _ in members]
     for k, (x, y) in enumerate(members):
         if not leq(x, y):
@@ -155,6 +150,23 @@ def ideal_poset(system: CoxeterSystem, pairs: Sequence[tuple[int, int]],
                     f"{pair_name(system, (x, y))} has the lower cover "
                     f"{pair_name(system, lower)}, which is not a cell"
                 )
+    return ups
+
+
+def ideal_poset(system: CoxeterSystem, pairs: Sequence[tuple[int, int]],
+                what: str = "pair poset") -> FinitePoset:
+    """The poset of the cells (v, w) in ``pairs``, checked to be a lower
+    set of the nesting poset P by :func:`step_covers`.
+
+    Cells are numbered by (dimension l(w) - l(v), v, w), as in
+    :func:`pair_poset`, and the size guard runs first.  A lower set's
+    order is P restricted, graded by dimension, and its covers are the
+    single steps between cells, sorted by (lo, hi).  The order is closed
+    from them only when read (:attr:`FinitePoset.leq`)."""
+    check_order_size(len(pairs), what)
+    length = system.len_of
+    members = tuple(sorted(pairs, key=lambda p: (length(p[1]) - length(p[0]), p)))
+    ups = step_covers(system, members, {p: k for k, p in enumerate(members)}.get, what)
     covers = tuple((lo, hi, None) for lo, his in enumerate(ups) for hi in his)
     return FinitePoset(tuple(length(w) - length(v) for v, w in members), None, covers,
                        members, lambda p: pair_name(system, p))

@@ -21,8 +21,8 @@ from .coxeter import DEFAULT_MAX_ELEMENTS, CoxeterMatrix, CoxeterSystem, build_s
 from .errors import Falsification, InputError, InvalidSubset, TheoremFalsified
 from .fibers import build_fiber_poset, build_qk, fiber_matching, generalized_quotient, verify_convexity
 from .matchings import build_matching, labeled_interval, morse_counts, verify_shelling_subsets
-from .oracles import (oracle_bruhat_leq, oracle_interval_ids, oracle_shelling_subsets,
-                      oracle_unmatched_scan)
+from .oracles import (oracle_bruhat_leq, oracle_convexity, oracle_interval_covers,
+                      oracle_interval_ids, oracle_shelling_subsets, oracle_unmatched_scan)
 from .posets import euler_characteristic, poset_to_dot
 from .reflection_orders import order_from_reduced_word, shortlex_order
 from .springer import build_springer_poset, springer_matching
@@ -121,6 +121,37 @@ def _shelling_outcome(check, li, order, matching):
         return str(exc)
 
 
+def _rescan_unmatched(poset, matching, summary) -> None:
+    """Under ``--paranoid``: the fixed points of ``matching``, recounted by
+    :func:`oracles.oracle_unmatched_scan`, must be the summary's."""
+    if tuple(oracle_unmatched_scan(poset, matching)) != summary.unmatched:
+        raise Falsification("unmatched rescan disagrees with the morse summary")
+
+
+def _check_interval(li) -> None:
+    """Under ``--paranoid``: the members of ``li`` must be those of a cover
+    search filtered by the subword test, and its labeled covers those of
+    the subword test alone (:mod:`oracles`); the first difference is named."""
+    system, v, w = li.system, li.v, li.w
+    members = oracle_interval_ids(system, v, w)
+    if members != list(li.ids):
+        x = min(set(members) ^ set(li.ids))
+        side = "the oracle" if x in members else "the extracted interval"
+        raise Falsification(
+            f"interval [{system.word_str(v)}, {system.word_str(w)}] disagrees with "
+            f"the cover-search oracle at {system.word_str(x)} (only in {side})"
+        )
+    covers = tuple(oracle_interval_covers(system, li.ids))
+    if covers != li.poset.covers:
+        lo, hi, t = min(set(covers) ^ set(li.poset.covers))
+        side = "the oracle" if (lo, hi, t) in covers else "the extracted interval"
+        raise Falsification(
+            f"interval [{system.word_str(v)}, {system.word_str(w)}] disagrees with "
+            f"the subword oracle at the cover {li.poset.names[lo]} < {li.poset.names[hi]} "
+            f"(only in {side})"
+        )
+
+
 def cmd_matching(args) -> int:
     system = _system_from_args(args)
     v = system.parse_word(args.interval[0])
@@ -128,14 +159,7 @@ def cmd_matching(args) -> int:
     order = _order_from_args(system, args)
     li = labeled_interval(system, v, w)
     if args.paranoid:
-        members = oracle_interval_ids(system, v, w)
-        if members != list(li.ids):
-            x = min(set(members) ^ set(li.ids))
-            side = "the oracle" if x in members else "the extracted interval"
-            raise Falsification(
-                f"interval [{system.word_str(v)}, {system.word_str(w)}] disagrees with "
-                f"the cover-search oracle at {system.word_str(x)} (only in {side})"
-            )
+        _check_interval(li)
     matching = build_matching(li, order)
     if args.paranoid:
         shelling, want = (_shelling_outcome(check, li, order, matching)
@@ -151,9 +175,7 @@ def cmd_matching(args) -> int:
         shelling = verify_shelling_subsets(li, order, matching)
     summary = morse_counts(li.poset, matching)
     if args.paranoid:
-        scan = oracle_unmatched_scan(li.poset, matching)
-        if tuple(scan) != summary.unmatched:
-            raise Falsification("unmatched rescan disagrees with the morse summary")
+        _rescan_unmatched(li.poset, matching, summary)
     if args.format == "dot":
         names = {t: system.word_str(t) for t in system.reflections}
         _emit(args, poset_to_dot(li.poset, matching.pairs, names))
@@ -198,9 +220,7 @@ def cmd_springer(args) -> int:
         springer.check_against_pair_poset(sp)
     matching, summary = springer_matching(sp)
     if args.paranoid:
-        scan = oracle_unmatched_scan(sp.poset, matching)
-        if tuple(scan) != summary.unmatched:
-            raise Falsification("unmatched rescan disagrees with the morse summary")
+        _rescan_unmatched(sp.poset, matching, summary)
     if args.format == "dot":
         _emit(args, poset_to_dot(sp.poset, matching.pairs))
         return EXIT_OK
@@ -240,13 +260,12 @@ def cmd_fiber(args) -> int:
     fp = build_fiber_poset(qk, (vp, wp), (v, w))
     if args.paranoid:
         fibers.check_against_pair_poset(fp)
+        oracle_convexity(fp)
     convex = verify_convexity(fp)
     gq = generalized_quotient(fp)
     matching, summary = fiber_matching(fp)
     if args.paranoid:
-        scan = oracle_unmatched_scan(fp.poset, matching)
-        if tuple(scan) != summary.unmatched:
-            raise Falsification("unmatched rescan disagrees with the morse summary")
+        _rescan_unmatched(fp.poset, matching, summary)
     if args.format == "dot":
         _emit(args, poset_to_dot(fp.poset, matching.pairs))
         return EXIT_OK

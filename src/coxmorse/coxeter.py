@@ -610,10 +610,6 @@ class CoxeterSystem:
 
     # -- basic queries -----------------------------------------------------
 
-    @property
-    def identity(self) -> int:
-        return 0
-
     def letters(self, x: int) -> list[int]:
         """The 0-based letters of the shortlex word of x."""
         first, left, r = self._first, self._left, self.rank
@@ -777,11 +773,6 @@ class CoxeterSystem:
             self._n_r_cache[v] = cached
         return cached
 
-    def left_inversion_reflections(self, v: int) -> frozenset[int]:
-        """{t in T : tv < v}; for v = w0 this is all of T."""
-        length = self._length
-        return frozenset(t for t in self.reflections if length[self.mul(t, v)] < length[v])
-
     # -- parabolic subgroups --------------------------------------------------
 
     def check_subset(self, J: Iterable[int]) -> frozenset[int]:
@@ -820,24 +811,6 @@ class CoxeterSystem:
 
     def longest(self, J: Iterable[int]) -> int:
         return self.parabolic(J).longest
-
-    def min_rep_left(self, w: int, J: Iterable[int]) -> int:
-        """The minimal-length element of W_J w (no left descents in J)."""
-        return self._min_rep(w, J, self._left, self._left_descents)
-
-    def min_rep_right(self, w: int, K: Iterable[int]) -> int:
-        """The minimal-length element of w W_K (no right descents in K)."""
-        return self._min_rep(w, K, self._right, self._right_descents)
-
-    def _min_rep(self, w: int, J: Iterable[int], table: memoryview,
-                 descent_bits: memoryview) -> int:
-        """Strip the smallest descent in J on the side of ``table`` until none is left."""
-        bits, r = _bits(self.check_subset(J)), self.rank
-        while True:
-            ds = descent_bits[w] & bits
-            if not ds:
-                return w
-            w = table[w * r + (ds & -ds).bit_length() - 1]
 
     # -- misc ---------------------------------------------------------------
 

@@ -15,10 +15,12 @@ F is order convex, so it is a lower set of the nesting poset of pairs and
 is built from single steps by :func:`cells.ideal_poset`, which checks that
 every single-step lower cover of a cell is a cell;
 :func:`check_against_pair_poset` rebuilds it by :func:`cells.pair_poset`
-as an oracle route.  Q_K shifts pairs by W_K, which is no restriction of
-the nesting order, and is built by :func:`cells.pair_poset`.  The
-products v'a, w'b and ta over a, b in W_K come from one walk over W_K
-(:meth:`CoxeterSystem.right_multiples`).
+as an oracle route.  :func:`verify_convexity` checks the convexity by the
+same step rule (:func:`cells.step_covers`);
+:func:`oracles.oracle_convexity` is its brute-force route over W_K.  Q_K
+shifts pairs by W_K, which is no restriction of the nesting order, and is
+built by :func:`cells.pair_poset`.  The products v'a, w'b and ta over a, b
+in W_K come from one walk over W_K (:meth:`CoxeterSystem.right_multiples`).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cells import check_same_poset, ideal_poset, pair_poset, slice_matching
+from .cells import check_same_poset, ideal_poset, pair_poset, slice_matching, step_covers
 from .coxeter import CoxeterSystem
 from .errors import (
     AnchorViolation,
@@ -42,7 +44,7 @@ from .errors import (
 )
 from .matchings import Matching, MorseSummary
 from .posets import FinitePoset, PackedOrder, check_order_size
-from .reflection_orders import ReflectionOrder, order_for_fiber
+from .reflection_orders import order_for_fiber
 
 
 @dataclass(frozen=True)
@@ -278,15 +280,15 @@ def generalized_quotient(fp: FiberPoset) -> GeneralizedQuotient:
     return GeneralizedQuotient(vp, fp.z, fp.z_prime, tuple(members), zt)
 
 
-def fiber_matching(fp: FiberPoset,
-                   order: ReflectionOrder | None = None) -> tuple[Matching, MorseSummary]:
+def fiber_matching(fp: FiberPoset) -> tuple[Matching, MorseSummary]:
     """Assemble the fiber matching slice by slice over the generalized
-    quotient (:func:`cells.slice_matching`): the slice P_a at a is a
-    singleton iff a = z~, and the unique unmatched element is (z~, z~)."""
+    quotient (:func:`cells.slice_matching`), under a reflection order with
+    N_R(v') first (:func:`reflection_orders.order_for_fiber`): the slice
+    P_a at a is a singleton iff a = z~, and the unique unmatched element is
+    (z~, z~)."""
     system = fp.system
     gq = generalized_quotient(fp)
-    if order is None:
-        order = order_for_fiber(system, fp.vprime)
+    order = order_for_fiber(system, fp.vprime)
     slices = []
     for a in gq.members:
         p_a = sorted(b for x, b in fp.members if x == a)
@@ -302,20 +304,14 @@ def fiber_matching(fp: FiberPoset,
 
 
 def verify_convexity(fp: FiberPoset) -> bool:
-    """Order convexity: (a, b) in F and a <= a' <= b' <= b imply (a', b') in F."""
-    system = fp.system
-    members = set(fp.members)
-    elems = system.parabolic(fp.K).elements
-    for a, b in fp.members:
-        for ap in elems:
-            if not (system.bruhat_leq(a, ap) and system.bruhat_leq(ap, b)):
-                continue
-            for bp in elems:
-                if not (system.bruhat_leq(ap, bp) and system.bruhat_leq(bp, b)):
-                    continue
-                if (ap, bp) not in members:
-                    raise CorollaryFalsified(
-                        f"convexity fails: ({system.word_str(ap)}, {system.word_str(bp)}) "
-                        f"missing between ({system.word_str(a)}, {system.word_str(b)})"
-                    )
+    """Order convexity: (a, b) in F and a <= a' <= b' <= b imply (a', b') in
+    F, i.e. F is a lower set of the nesting poset.  Checked one step at a
+    time by the step rule of :func:`cells.step_covers`: every single-step
+    lower cover of a member whose ends are comparable must be a member, or
+    :class:`CorollaryFalsified` names both cells.
+    :func:`oracles.oracle_convexity` is the brute-force route."""
+    try:
+        step_covers(fp.system, fp.members, fp.index.get, "fiber pair poset")
+    except TheoremFalsified as exc:
+        raise CorollaryFalsified(str(exc)) from None
     return True

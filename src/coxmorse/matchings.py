@@ -130,21 +130,6 @@ class Matching:
     def is_complete(self) -> bool:
         return not self.fixed
 
-    def matched_edges(self) -> frozenset[frozenset[int]]:
-        return frozenset(frozenset(p) for p in self.pairs)
-
-
-def matching_from_pairs(poset: FinitePoset, pairs: Iterable[tuple[int, int]]) -> Matching:
-    cover_set = {frozenset((lo, hi)) for lo, hi, _ in poset.covers}
-    partner = list(range(poset.n))
-    for a, b in pairs:
-        if frozenset((a, b)) not in cover_set:
-            raise NotAMatching(f"pair ({poset.names[a]}, {poset.names[b]}) is not a cover edge")
-        if partner[a] != a or partner[b] != b:
-            raise NotAMatching(f"element {poset.names[a]} or {poset.names[b]} matched twice")
-        partner[a], partner[b] = b, a
-    return Matching(poset, tuple(partner))
-
 
 def build_matching(li: LabeledInterval, order: ReflectionOrder) -> Matching:
     """Select each element's largest-label incident edge; assert the union

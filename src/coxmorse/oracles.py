@@ -1,21 +1,24 @@
-"""Independent brute-force reference implementations for the test surface.
+"""Independent brute-force reference implementations, for the tests and
+the CLI's ``--paranoid`` runs.
 
 Each oracle recomputes a production result by a different route (subword
 recursion, literal optimization over lower sets, exhaustive word
 enumeration, prefix unions read from the Bruhat order's rows) and never
-calls the production code it is checking.  The
-one shared piece is the Todd-Coxeter routine under
-:func:`oracle_group_tables`, whose production output is proved correct
-on every build by :func:`coxeter.certify_table`.
+calls the production code it is checking.  The one shared piece is the
+Todd-Coxeter routine under :func:`oracle_group_tables`, whose production
+output is proved correct on every build by :func:`coxeter.certify_table`.
 """
 
 from __future__ import annotations
+
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .coxeter import (DEFAULT_MAX_ELEMENTS, CoxeterMatrix, CoxeterSystem,
                       _coset_enumeration)
-from .errors import CapExceeded, NonUniqueOptimum, NotAMatching, TheoremFalsified
+from .errors import (CapExceeded, CorollaryFalsified, NonUniqueOptimum, NotAMatching,
+                     NotMinimalCosetRep, TheoremFalsified)
 from .matchings import LabeledInterval, Matching, ShellingReport
 from .posets import FinitePoset
 from .reflection_orders import ReflectionOrder
@@ -135,6 +138,21 @@ def oracle_interval_ids(system: CoxeterSystem, v: int, w: int) -> list[int]:
     return sorted(seen)
 
 
+def oracle_interval_covers(system: CoxeterSystem,
+                            ids: Sequence[int]) -> Iterator[tuple[int, int, int]]:
+    """The covers of the interval with ascending ids ``ids``, as (lo, hi,
+    x y^{-1}) in increasing (lo, hi), indices into ``ids``: every pair x, y
+    with l(y) = l(x) + 1 and x <= y by the subword test.  Reads neither the
+    Bruhat cover tables nor the Bruhat matrix."""
+    layers: dict[int, list[tuple[int, int]]] = {}
+    for k, y in enumerate(ids):
+        layers.setdefault(system.len_of(y), []).append((k, y))
+    for lo, x in enumerate(ids):
+        for hi, y in layers.get(system.len_of(x) + 1, ()):
+            if oracle_bruhat_leq(system, x, y):
+                yield lo, hi, system.mul(x, system.inverse(y))
+
+
 def oracle_shelling_subsets(li: LabeledInterval, order: ReflectionOrder,
                             matching: Matching) -> ShellingReport:
     """:func:`matchings.verify_shelling_subsets` prefix by prefix: the
@@ -185,6 +203,38 @@ def oracle_springer_member(system: CoxeterSystem, v: int, w: int, J, Jprime) -> 
         sv = system.left[v, j - 1]
         if system.length[sv] < system.length[v] or system.bruhat_leq(int(sv), w):
             return False
+    return True
+
+
+def oracle_coset_piece(system: CoxeterSystem, v: int, w: int, J) -> list[int]:
+    """[v, w0] cap W_J w for a minimal-length representative w of W_J w."""
+    J = system.check_subset(J)
+    if system.descents(w, "left") & J:
+        raise NotMinimalCosetRep(f"{system.word_str(w)} has a left descent in J={sorted(J)}")
+    sub = system.parabolic(J)
+    return sorted(
+        x for x in (system.mul(a, w) for a in sub.elements) if system.bruhat_leq(v, x)
+    )
+
+
+def oracle_convexity(fp) -> bool:
+    """Order convexity of a fiber poset ``fp`` by brute force over W_K:
+    (a, b) in F and a <= a' <= b' <= b imply (a', b') in F."""
+    system = fp.system
+    members = set(fp.members)
+    elems = system.parabolic(fp.K).elements
+    for a, b in fp.members:
+        for ap in elems:
+            if not (system.bruhat_leq(a, ap) and system.bruhat_leq(ap, b)):
+                continue
+            for bp in elems:
+                if not (system.bruhat_leq(ap, bp) and system.bruhat_leq(bp, b)):
+                    continue
+                if (ap, bp) not in members:
+                    raise CorollaryFalsified(
+                        f"convexity fails: ({system.word_str(ap)}, {system.word_str(bp)}) "
+                        f"missing between ({system.word_str(a)}, {system.word_str(b)})"
+                    )
     return True
 
 
@@ -259,7 +309,7 @@ def oracle_directed_cycle(poset: FinitePoset, matching: Matching) -> tuple[int, 
     """A directed cycle of the whole Hasse digraph with matched covers
     oriented up and all others down, as a closed walk, or None; a plain
     depth-first search that assumes nothing about dimensions."""
-    matched = matching.matched_edges()
+    matched = {frozenset(p) for p in matching.pairs}
     n = poset.n
     out: list[list[int]] = [[] for _ in range(n)]
     for lo, hi, _ in poset.covers:

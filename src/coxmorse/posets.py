@@ -1,5 +1,6 @@
 """Generic finite poset machinery: Hasse diagrams, chains, purity/thinness
-checks, edge-labeled chain analysis, and DOT export.
+checks, edge-labeled chain analysis, and DOT export.  Chain enumeration
+stops with :class:`IntervalTooLarge` past ``CHAIN_CAP_DEFAULT`` chains.
 
 A :class:`FinitePoset` stores its cover edges (= transitive reduction) and
 its order as a :class:`PackedOrder`, the one order type of the package
@@ -259,9 +260,9 @@ class MaximalChain:
     labels_up: tuple[int | None, ...]  # labels read from x up to y
 
 
-def all_maximal_chains(poset: FinitePoset, x: int, y: int,
-                       cap: int = CHAIN_CAP_DEFAULT) -> list[MaximalChain]:
-    """All maximal chains from x to y by downward DFS; capped."""
+def all_maximal_chains(poset: FinitePoset, x: int, y: int) -> list[MaximalChain]:
+    """All maximal chains from x to y by downward DFS; more than
+    ``CHAIN_CAP_DEFAULT`` of them raise :class:`IntervalTooLarge`."""
     if not poset.leq.leq(x, y):
         raise NotComparable(f"{poset.names[x]} is not <= {poset.names[y]}")
     down = poset.down_adj()
@@ -272,8 +273,8 @@ def all_maximal_chains(poset: FinitePoset, x: int, y: int,
         z, path, labs = stack.pop()
         if z == x:
             chains.append(MaximalChain(path, tuple(reversed(labs))))
-            if len(chains) > cap:
-                raise IntervalTooLarge(f"more than {cap} maximal chains")
+            if len(chains) > CHAIN_CAP_DEFAULT:
+                raise IntervalTooLarge(f"more than {CHAIN_CAP_DEFAULT} maximal chains")
             continue
         for lo, lab in sorted(down[z], reverse=True):
             if inside[lo]:
@@ -335,39 +336,21 @@ def euler_characteristic(poset: FinitePoset) -> int:
 class ELReport:
     increasing_chain: MaximalChain
     chain_count: int
-    lex_minimal: bool
-    decreasing_unique: bool
-    lex_maximal_down: bool
-    atom_minimal: bool
-    coatom_maximal: bool
-
-    @property
-    def ok(self) -> bool:
-        return (self.lex_minimal and self.decreasing_unique
-                and self.lex_maximal_down and self.atom_minimal and self.coatom_maximal)
 
 
-def _rank_lookup(order) -> Mapping[int, int]:
-    rank = getattr(order, "rank", None)
-    if rank is not None:
-        return rank
-    return order
-
-
-def check_el_labeling(poset: FinitePoset, order, x: int, y: int,
-                      cap: int = CHAIN_CAP_DEFAULT) -> ELReport:
+def check_el_labeling(poset: FinitePoset, rank: Mapping[int, int], x: int,
+                      y: int) -> ELReport:
     """Verify the edge-labeled chain structure of the interval [x, y].
 
-    Checks, against the label ranking ``order`` (a ReflectionOrder or a
-    mapping label -> rank): a unique chain with strictly increasing label
-    word exists and its word is lexicographically least; the same chain is
-    the unique one whose top-down word is strictly decreasing, and that
-    top-down word is lexicographically greatest; the increasing chain
-    starts with the smallest atom label and ends with the largest coatom
-    label.  Raises :class:`ELViolation` with a witness otherwise.
+    Checks, against ``rank`` (label -> position in the label order): a
+    unique chain with strictly increasing label word exists and its word
+    is lexicographically least; read top-down, that word, the unique
+    strictly decreasing one, is lexicographically greatest.  So the
+    increasing chain starts with the smallest atom label and ends with the
+    largest coatom label.  Raises :class:`ELViolation` naming the
+    interval, the failed property and a witness chain otherwise.
     """
-    rank = _rank_lookup(order)
-    chains = all_maximal_chains(poset, x, y, cap)
+    chains = all_maximal_chains(poset, x, y)
     if not chains:
         raise NotComparable("no chains between the endpoints")
     words_up = []
@@ -375,40 +358,23 @@ def check_el_labeling(poset: FinitePoset, order, x: int, y: int,
         if any(lab is None for lab in ch.labels_up):
             raise InvalidSubset("interval has unlabeled covers")
         words_up.append(tuple(rank[lab] for lab in ch.labels_up))
-
-    def strictly_increasing(w):
-        return all(a < b for a, b in zip(w, w[1:]))
-
-    inc = [k for k, w in enumerate(words_up) if strictly_increasing(w)]
+    where = f"[{poset.names[x]}, {poset.names[y]}]"
+    inc = [k for k, w in enumerate(words_up) if all(a < b for a, b in zip(w, w[1:]))]
     if len(inc) != 1:
-        raise ELViolation(
-            f"expected exactly one increasing chain in [{poset.names[x]}, {poset.names[y]}], "
-            f"found {len(inc)}"
-        )
+        raise ELViolation(f"expected exactly one increasing chain in {where}, found {len(inc)}")
     k0 = inc[0]
-    lex_minimal = all(words_up[k0] < w for k, w in enumerate(words_up) if k != k0)
-    words_down = [tuple(reversed(w)) for w in words_up]
-    dec = [k for k, w in enumerate(words_down)
-           if all(a > b for a, b in zip(w, w[1:]))]
-    decreasing_unique = dec == [k0]
-    lex_maximal_down = all(words_down[k0] > w for k, w in enumerate(words_down)
-                           if k != k0)
-
-    atom_labels = [w[0] for w in words_up]
-    coatom_labels = [w[-1] for w in words_up]
-    atom_minimal = words_up[k0][0] == min(atom_labels)
-    coatom_maximal = words_up[k0][-1] == max(coatom_labels)
-
-    report = ELReport(chains[k0], len(chains), lex_minimal, decreasing_unique,
-                      lex_maximal_down, atom_minimal, coatom_maximal)
-    if not report.ok:
-        bad = next(k for k, w in enumerate(words_up) if k != k0 and not words_up[k0] < w) \
-            if not lex_minimal else k0
-        raise ELViolation(
-            f"EL property failed on [{poset.names[x]}, {poset.names[y]}]: {report}; "
-            f"witness chain {chains[bad].elements}"
-        )
-    return report
+    up0 = words_up[k0]
+    down0 = up0[::-1]
+    for failed, witnesses in (
+            ("the increasing word is not lexicographically least",
+             (k for k, w in enumerate(words_up) if k != k0 and not up0 < w)),
+            ("the decreasing word is not lexicographically greatest",
+             (k for k, w in enumerate(words_up) if k != k0 and not down0 > w[::-1]))):
+        bad = next(witnesses, None)
+        if bad is not None:
+            raise ELViolation(f"EL property failed on {where}: {failed}; "
+                              f"witness chain {chains[bad].elements}")
+    return ELReport(chains[k0], len(chains))
 
 
 # -- DOT export ---------------------------------------------------------------

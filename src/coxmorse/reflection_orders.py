@@ -136,10 +136,6 @@ def validate(system: CoxeterSystem, sequence: Sequence[int]) -> ValidationReport
     return ValidationReport(True)
 
 
-def validate_order(order: ReflectionOrder) -> ValidationReport:
-    return validate(order.system, order.sequence)
-
-
 def _dihedral_closure(system: CoxeterSystem, t1: int, t2: int) -> list[int]:
     seen = {t1, t2}
     queue = [t1, t2]

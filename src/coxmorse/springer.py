@@ -23,15 +23,10 @@ import numpy as np
 from . import posets
 from .cells import check_same_poset, ideal_poset, pair_poset, slice_matching
 from .coxeter import CoxeterSystem
-from .errors import (
-    LemmaFalsified,
-    NotMinimalCosetRep,
-    OverlappingSubsets,
-    TheoremFalsified,
-)
+from .errors import NotMinimalCosetRep, OverlappingSubsets, TheoremFalsified
 from .matchings import Matching, MorseSummary
 from .posets import FinitePoset
-from .reflection_orders import ReflectionOrder, order_for_springer
+from .reflection_orders import order_for_springer
 
 
 @dataclass(frozen=True)
@@ -147,52 +142,17 @@ def build_slices(sp: SpringerPoset, v: int) -> tuple[list[int], list[int], list[
     return z_v, p_v, q_v
 
 
-def coset_piece(system: CoxeterSystem, v: int, w: int, J) -> list[int]:
-    """[v, w0] cap W_J w for a minimal-length representative w of W_J w."""
-    J = system.check_subset(J)
-    if system.descents(w, "left") & J:
-        raise NotMinimalCosetRep(f"{system.word_str(w)} has a left descent in J={sorted(J)}")
-    sub = system.parabolic(J)
-    return sorted(
-        x for x in (system.mul(a, w) for a in sub.elements) if system.bruhat_leq(v, x)
-    )
-
-
-def interval_in_parabolic(system: CoxeterSystem, v: int, w: int, J) -> int:
-    """The set {a in W_J : v <= a . (min rep of w)} is an upper interval
-    [x, w_J] of W_J; return x, raising if the interval shape fails."""
-    J = system.check_subset(J)
-    if not system.bruhat_leq(v, w):
-        raise NotMinimalCosetRep(f"{system.word_str(v)} must be <= {system.word_str(w)}")
-    jw = system.min_rep_left(w, J)
-    sub = system.parabolic(J)
-    hits = [a for a in sub.elements if system.bruhat_leq(v, system.mul(a, jw))]
-    if not hits:
-        raise LemmaFalsified("parabolic interval is empty")
-    mins = [a for a in hits if not any(b != a and system.bruhat_leq(b, a) for b in hits)]
-    if len(mins) != 1:
-        raise LemmaFalsified(
-            f"parabolic set has {len(mins)} minimal elements: "
-            f"{[system.word_str(a) for a in mins]}"
-        )
-    x = mins[0]
-    expected = sorted(a for a in sub.elements if system.bruhat_leq(x, a))
-    if sorted(hits) != expected:
-        raise LemmaFalsified("parabolic set is not the full upper interval [x, w_J]")
-    return x
-
-
-def springer_matching(sp: SpringerPoset,
-                      order: ReflectionOrder | None = None) -> tuple[Matching, MorseSummary]:
+def springer_matching(sp: SpringerPoset) -> tuple[Matching, MorseSummary]:
     """Assemble the matching on Z from per-slice interval matchings.
 
     For each v with a nonempty slice (except the apex), the matching of
-    [v, w0] under the constrained order must preserve P_v, Q_v and the
-    slice Z_v (:func:`cells.slice_matching`).  The apex slice must be the
-    singleton {w_J' w0}, and the apex pair the unique unmatched element."""
+    [v, w0] under a reflection order with T cap W_J' first and T cap W_J
+    last (:func:`reflection_orders.order_for_springer`) must preserve P_v,
+    Q_v and the slice Z_v (:func:`cells.slice_matching`).  The apex slice
+    must be the singleton {w_J' w0}, and the apex pair the unique
+    unmatched element."""
     system = sp.system
-    if order is None:
-        order = order_for_springer(system, sp.Jprime, sp.J)
+    order = order_for_springer(system, sp.Jprime, sp.J)
     apex = sp.apex
     if (apex, apex) not in sp.index:
         raise TheoremFalsified("apex pair is missing from the pair poset")

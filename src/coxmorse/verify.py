@@ -196,7 +196,7 @@ def check_el_properties(system: CoxeterSystem, orders: list[ReflectionOrder],
         for order in orders:
             report.instances += 1
             try:
-                check_el_labeling(li.poset, order, bot, top)
+                check_el_labeling(li.poset, order.rank, bot, top)
             except CoxmorseError as exc:
                 report.failures.append(str(exc))
     return report

@@ -32,25 +32,12 @@ def test_springer_ideal_route_matches_pair_poset(system, name):
         springer.check_against_pair_poset(sp)
 
 
-def a3_fibers(s, len_cap=5):
-    """Every fiber poset that ``verify.check_fibers(A3, len_cap=5)`` builds."""
-    for r in range(1 << s.rank):
-        K = frozenset(i + 1 for i in range(s.rank) if r >> i & 1)
-        qk = build_qk(s, K)
-        for j, (_, w) in enumerate(qk.members):
-            if s.len_of(w) <= len_cap:
-                for i in qk.leq[:, j].nonzero()[0].tolist():
-                    yield build_fiber_poset(qk, qk.members[i], qk.members[j])
-
-
-def test_fiber_ideal_route_matches_pair_poset(system):
+def test_fiber_ideal_route_matches_pair_poset(system, a3_fibers):
     s = system("A3")
-    count = 0
-    for fp in a3_fibers(s):
+    for fp in a3_fibers:
         assert_same_route(s, fp.poset, "fiber pair poset")
         fibers.check_against_pair_poset(fp)
-        count += 1
-    assert count > 1000
+    assert len(a3_fibers) > 1000
 
 
 def test_lazy_order_is_the_closure_of_the_single_steps(system):

@@ -193,6 +193,79 @@ def test_paranoid_matching_rechecks_interval_members(monkeypatch, capsys):
             "at 2.3 (only in the oracle)") in err
 
 
+def test_paranoid_matching_rechecks_interval_covers(monkeypatch, capsys):
+    # the unmatched cover 2 < 2.1 of the B3 interval [2, 2.3.2.1], dropped
+    # from the cover table, leaves the matching, the shelling check and the
+    # Morse counts intact; only the subword recheck of the covers under
+    # --paranoid sees it
+    import coxmorse.cli as cli
+    from coxmorse import build_matching, build_system, labeled_interval, shortlex_order
+
+    b3 = build_system("B3")  # fresh: never corrupt the session-cached system
+    b3.bruhat   # the order is closed from the full cover table first
+    x, y = b3.parse_word("2"), b3.parse_word("2.1")
+    li = labeled_interval(b3, x, b3.parse_word("2.3.2.1"))
+    lo, hi = li.index[x], li.index[y]
+    assert build_matching(li, shortlex_order(b3)).partner[lo] != hi
+    full = b3._covers_up
+    b3._covers_up = tuple(tuple(c for c in ups if (z, c[0]) != (x, y))
+                          for z, ups in enumerate(full))
+    monkeypatch.setattr(cli, "_system_from_args", lambda args: b3)
+    argv = ["matching", "--group", "B3", "--interval", "2", "2.3.2.1"]
+    assert run(capsys, *argv)[0] == 0
+    assert run(capsys, *argv, "--paranoid") == (
+        3, "", "FALSIFIED: interval [2, 2.3.2.1] disagrees with the subword oracle at the "
+               "cover 2 < 2.1 (only in the oracle)\n")
+    # a relation of length gap two planted as a cover is named from the other side
+    z = b3.parse_word("2.1.3")
+    b3._covers_up = full[:x] + (full[x] + ((z, b3.mul(x, b3.inverse(z))),),) + full[x + 1:]
+    assert run(capsys, *argv, "--paranoid") == (
+        3, "", "FALSIFIED: interval [2, 2.3.2.1] disagrees with the subword oracle at the "
+               "cover 2 < 2.1.3 (only in the extracted interval)\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["matching", "--group", "A3", "--interval", "2", "2.3.1.2"],
+    ["springer", "--group", "A3", "--J", "{1}", "--Jprime", "{3}"],
+    ["fiber", "--group", "A3", "--K", "{1,2}", "--anchors", "e:e:e:1.2.3"],
+])
+def test_paranoid_rescans_the_unmatched_cells(monkeypatch, capsys, argv):
+    import coxmorse.cli as cli
+
+    clean = run(capsys, *argv)
+    assert clean[0] == 0 and run(capsys, *argv, "--paranoid") == clean
+    monkeypatch.setattr(cli, "oracle_unmatched_scan", lambda poset, matching: [poset.n])
+    assert run(capsys, *argv) == clean
+    assert run(capsys, *argv, "--paranoid") == (
+        3, "", "FALSIFIED: unmatched rescan disagrees with the morse summary\n")
+
+
+@pytest.mark.parametrize("paranoid", [False, True])
+def test_fiber_runs_the_convexity_oracle_under_paranoid(monkeypatch, capsys, paranoid):
+    import coxmorse.cli as cli
+    from coxmorse.errors import CorollaryFalsified
+
+    calls = []
+    real = cli.oracle_convexity
+
+    def counted(fp):
+        calls.append(fp.anchors)
+        return real(fp)
+
+    argv = ["fiber", "--group", "A3", "--K", "{1,2}", "--anchors", "e:e:e:1.2.3"]
+    flag = ["--paranoid"] if paranoid else []
+    monkeypatch.setattr(cli, "oracle_convexity", counted)
+    clean = run(capsys, *argv)
+    assert clean[0] == 0 and run(capsys, *argv, *flag) == clean
+    assert len(calls) == (1 if paranoid else 0)
+
+    def failing(fp):
+        raise CorollaryFalsified("planted")
+
+    monkeypatch.setattr(cli, "oracle_convexity", failing)
+    assert run(capsys, *argv, *flag) == ((3, "", "FALSIFIED: planted\n") if paranoid else clean)
+
+
 @pytest.mark.parametrize("side", ["oracle_shelling_subsets", "verify_shelling_subsets"])
 def test_paranoid_matching_exits_when_the_shelling_routes_differ(monkeypatch, capsys, side):
     # a differing report, or a message only one route raises, falsifies the

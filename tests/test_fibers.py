@@ -1,10 +1,15 @@
 """Projection-fiber posets: Q_K, bounds, four-way equality, certificates."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
 from coxmorse import build_system
-from coxmorse.errors import NotComparable, NotMinimalCosetRep, PropositionFalsified
+from coxmorse.cells import pair_name
+from coxmorse.errors import (CorollaryFalsified, NotComparable, NotMinimalCosetRep,
+                             PropositionFalsified)
 from coxmorse.fibers import (
     build_fiber_poset,
     build_qk,
@@ -15,7 +20,7 @@ from coxmorse.fibers import (
     z_upper,
 )
 from coxmorse.cells import nested_pair_order
-from coxmorse.oracles import oracle_bruhat_leq
+from coxmorse.oracles import oracle_bruhat_leq, oracle_convexity
 
 
 def test_qk_empty_k_reduces_to_nested_order(system):
@@ -151,6 +156,66 @@ def test_convexity_sweep_a2(system):
                 if qk.leq[i, j]:
                     fp = build_fiber_poset(qk, qk.members[i], qk.members[j])
                     assert verify_convexity(fp)
+
+
+def test_convexity_routes_agree_on_every_a3_fiber(a3_fibers):
+    for fp in a3_fibers:
+        assert verify_convexity(fp) and oracle_convexity(fp)
+
+
+def top_cell(fp):
+    """The one cell of F above every cell in the nesting order."""
+    leq = fp.system.bruhat_leq
+    top, = (k for k, (a, b) in enumerate(fp.members)
+            if all(leq(a, x) and leq(y, b) for x, y in fp.members))
+    return top
+
+
+def test_both_convexity_routes_catch_every_dropped_cell_but_the_top(a3_fibers):
+    # every fiber of check_fibers(A3, len_cap=5), each cell dropped in turn
+    drops = 0
+    for fp in a3_fibers:
+        top = top_cell(fp)
+        for k in range(fp.poset.n):
+            kept = dataclasses.replace(fp, members=fp.members[:k] + fp.members[k + 1:])
+            if k == top:
+                assert verify_convexity(kept) and oracle_convexity(kept)
+                continue
+            drops += 1
+            dropped = pair_name(fp.system, fp.members[k])
+            with pytest.raises(CorollaryFalsified, match=re.escape(f"the lower cover {dropped},")):
+                verify_convexity(kept)
+            with pytest.raises(CorollaryFalsified, match="convexity fails"):
+                oracle_convexity(kept)
+    assert drops == 662
+
+
+def test_both_convexity_routes_catch_an_added_pair_without_its_lower_cover(system):
+    s = system("A3")
+    K = {1, 2}
+    qk = build_qk(s, K)
+    fp = build_fiber_poset(qk, (0, 0), (0, s.parse_word("1.2.3")))
+    elems = s.parabolic(K).elements
+    added = 0
+    for a in elems:
+        for b in elems:
+            if not s.bruhat_leq(a, b) or (a, b) in fp.index:
+                continue
+            steps = ([(u, b) for u, _ in s.bruhat_covers_up(a)]
+                     + [(a, u) for u, _ in s.bruhat_covers_down(b)])
+            missing = [p for p in steps if s.bruhat_leq(*p) and p not in fp.index]
+            if not missing:
+                continue
+            added += 1
+            grown = dataclasses.replace(fp, members=fp.members + ((a, b),))
+            message = (f"fiber pair poset is not a lower set of the nesting order: the cell "
+                       f"{pair_name(s, (a, b))} has the lower cover {pair_name(s, missing[0])}, "
+                       f"which is not a cell")
+            with pytest.raises(CorollaryFalsified, match=re.escape(message)):
+                verify_convexity(grown)
+            with pytest.raises(CorollaryFalsified, match="convexity fails"):
+                oracle_convexity(grown)
+    assert added > 0
 
 
 def test_fiber_certificates_a3_spot(system):

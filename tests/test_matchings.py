@@ -9,7 +9,6 @@ from coxmorse.errors import (
     EmptyInterval,
     Falsification,
     InvalidSubset,
-    NotAMatching,
     TheoremFalsified,
 )
 from coxmorse.matchings import (
@@ -19,7 +18,6 @@ from coxmorse.matchings import (
     is_M_subset,
     is_acyclic,
     labeled_interval,
-    matching_from_pairs,
     morse_counts,
     verify_shelling_subsets,
 )
@@ -114,7 +112,7 @@ def test_acyclicity_detects_cycles():
     poset = poset_from_covers(
         ["a", "b", "c", "d"], [0, 1, 0, 1],
         [(0, 1, None), (2, 1, None), (2, 3, None), (0, 3, None)])
-    m = matching_from_pairs(poset, [(0, 1), (2, 3)])
+    m = Matching(poset, (1, 0, 3, 2))
     report = is_acyclic(poset, m)
     assert not report.acyclic
     assert report.cycle == (0, 1, 2, 3, 0)
@@ -128,28 +126,18 @@ def test_acyclicity_seeds_roots_in_the_order_of_their_matched_covers():
     poset = poset_from_covers(
         ["a", "b", "c", "d"], [0, 1, 0, 1],
         [(2, 3, None), (2, 1, None), (0, 3, None), (0, 1, None)])
-    m = matching_from_pairs(poset, [(0, 1), (2, 3)])
+    m = Matching(poset, (1, 0, 3, 2))
     assert is_acyclic(poset, m).cycle == (2, 3, 0, 1, 2)
 
 
 def test_acyclicity_needs_covers_between_adjacent_dims():
     poset = poset_from_covers(["a", "b", "c"], [0, 1, 2], [(0, 1, None), (0, 2, None)])
-    m = matching_from_pairs(poset, [(0, 1)])
+    m = Matching(poset, (1, 0, 2))
     with pytest.raises(InvalidSubset, match="a < c"):
         is_acyclic(poset, m)
     # the failed check cached nothing: a second call fails the same way
     with pytest.raises(InvalidSubset, match="a < c"):
         is_acyclic(poset, m)
-
-
-def test_matching_from_pairs_validation():
-    poset = poset_from_covers(["a", "b"], [0, 1], [(0, 1, None)])
-    with pytest.raises(NotAMatching):
-        matching_from_pairs(poset, [(0, 1), (0, 1)])
-    poset2 = poset_from_covers(["a", "b", "c"], [0, 1, 2],
-                               [(0, 1, None), (1, 2, None)])
-    with pytest.raises(NotAMatching):
-        matching_from_pairs(poset2, [(0, 2)])  # not a cover edge
 
 
 def test_morse_counts_and_certificate(system):
@@ -159,7 +147,7 @@ def test_morse_counts_and_certificate(system):
     assert summary.counts == {0: 1}
     assert summary.certificate
     point = poset_from_covers(["pt"], [0], [])
-    m0 = matching_from_pairs(point, [])
+    m0 = Matching(point, (0,))
     assert morse_counts(point, m0).counts == {0: 1}
 
 

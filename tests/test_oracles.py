@@ -10,7 +10,6 @@ from coxmorse.matchings import (
     build_matching,
     is_acyclic,
     labeled_interval,
-    matching_from_pairs,
     verify_shelling_subsets,
 )
 from coxmorse.oracles import (
@@ -128,7 +127,7 @@ def test_unmatched_scan(system):
     m = build_matching(li, order_from_reduced_word(s, [1, 2, 1]))
     assert oracle_unmatched_scan(li.poset, m) == []
     point = poset_from_covers(["pt"], [0], [])
-    assert oracle_unmatched_scan(point, matching_from_pairs(point, [])) == [0]
+    assert oracle_unmatched_scan(point, Matching(point, (0,))) == [0]
 
 
 def agrees_with_cycle_oracle(poset, matching):
@@ -160,7 +159,7 @@ def test_acyclicity_agrees_with_oracle_on_tampered_matchings(system):
     squares = poset_from_covers(
         ["a", "b", "c", "d"], [0, 1, 0, 1],
         [(0, 1, None), (2, 1, None), (2, 3, None), (0, 3, None)])
-    assert not agrees_with_cycle_oracle(squares, matching_from_pairs(squares, [(0, 1), (2, 3)]))
+    assert not agrees_with_cycle_oracle(squares, Matching(squares, (1, 0, 3, 2)))
     # random sets of disjoint covers of the whole A3 order, cyclic or not
     poset = labeled_interval(system("A3"), 0, system("A3").w0).poset
     rng = random.Random(11)

@@ -9,7 +9,8 @@ import pytest
 
 from coxmorse import posets
 from coxmorse.cells import graded_covers, pair_name, pair_poset
-from coxmorse.errors import ELViolation, NotPure, OrderTooLarge, TheoremFalsified
+from coxmorse.errors import (ELViolation, IntervalTooLarge, NotPure, OrderTooLarge,
+                             TheoremFalsified)
 from coxmorse.fibers import build_fiber_poset, build_qk
 from coxmorse.matchings import labeled_interval
 from coxmorse.oracles import oracle_bruhat_leq
@@ -136,14 +137,49 @@ def test_el_labeling_a2(system):
     s = system("A2")
     order = order_from_reduced_word(s, [1, 2, 1])
     li = labeled_interval(s, 0, s.w0)
-    report = check_el_labeling(li.poset, order, li.index[0], li.index[s.w0])
-    assert report.ok and report.chain_count == 4
+    report = check_el_labeling(li.poset, order.rank, li.index[0], li.index[s.w0])
+    assert report.chain_count == 4
     # the increasing chain passes through s1 and s1s2
     ids = [li.ids[i] for i in report.increasing_chain.elements]
     assert ids == [s.w0, s.parse_word("1.2"), s.parse_word("1"), 0]
     # rank-1 interval is trivially fine
     tiny = labeled_interval(s, 0, s.simple(1))
-    assert check_el_labeling(tiny.poset, order, tiny.index[0], tiny.index[s.simple(1)]).ok
+    tiny_report = check_el_labeling(tiny.poset, order.rank, tiny.index[0],
+                                    tiny.index[s.simple(1)])
+    assert tiny_report.chain_count == 1
+
+
+def test_chain_enumeration_stops_at_the_cap(system, monkeypatch):
+    s = system("A2")
+    order = order_from_reduced_word(s, [1, 2, 1])
+    li = labeled_interval(s, 0, s.w0)
+    bot, top = li.index[0], li.index[s.w0]
+    assert len(all_maximal_chains(li.poset, bot, top)) == 4
+    monkeypatch.setattr(posets, "CHAIN_CAP_DEFAULT", 3)
+    with pytest.raises(IntervalTooLarge, match="more than 3 maximal chains"):
+        check_el_labeling(li.poset, order.rank, bot, top)
+    monkeypatch.setattr(posets, "CHAIN_CAP_DEFAULT", 4)
+    assert check_el_labeling(li.poset, order.rank, bot, top).chain_count == 4
+
+
+@pytest.mark.parametrize("v, w, ranking, failed, witness", [
+    ("2", "2.1.3.2", ["2", "1", "2.3.2", "1.2.1", "3", "1.2.3.2.1"],
+     "the increasing word is not lexicographically least", (9, 5, 1, 0)),
+    ("3", "2.1.3.2", ["1", "1.2.3.2.1", "2", "1.2.1", "3", "2.3.2"],
+     "the decreasing word is not lexicographically greatest", (7, 6, 2, 0)),
+])
+def test_el_violation_names_the_interval_property_and_witness(system, v, w, ranking,
+                                                              failed, witness):
+    # rankings of T that are no reflection orders, on A3 intervals of rank 3
+    s = system("A3")
+    li = labeled_interval(s, s.parse_word(v), s.parse_word(w))
+    rank = {s.parse_word(t): k for k, t in enumerate(ranking)}
+    chains = all_maximal_chains(li.poset, 0, li.poset.n - 1)
+    assert witness in [ch.elements for ch in chains]
+    message = (f"EL property failed on [{li.poset.names[0]}, {li.poset.names[-1]}]: "
+               f"{failed}; witness chain {witness}")
+    with pytest.raises(ELViolation, match=re.escape(message)):
+        check_el_labeling(li.poset, rank, 0, li.poset.n - 1)
 
 
 def test_el_labeling_violation_on_bad_ranks(system):

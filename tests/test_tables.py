@@ -38,14 +38,6 @@ def ref_fold(s, z, letters, table, longer):
     return z
 
 
-def ref_min_rep(s, w, J, table, descent_bits):
-    bits = sum(1 << (j - 1) for j in J)
-    while int(descent_bits[w]) & bits:
-        ds = int(descent_bits[w]) & bits
-        w = int(table[w, (ds & -ds).bit_length() - 1])
-    return w
-
-
 def ref_inversion_sequence(s, word):
     seq, prefix = [], 0
     for i in word:
@@ -53,6 +45,10 @@ def ref_inversion_sequence(s, word):
         seq.append(ref_mul(s, nxt, int(s.inverse_table[prefix])))
         prefix = nxt
     return tuple(seq)
+
+
+def ref_descents(w, J, descent_bits):
+    return {j for j in J if int(descent_bits[w]) >> (j - 1) & 1}
 
 
 def check_pair(s, x, y, J):
@@ -63,8 +59,8 @@ def check_pair(s, x, y, J):
     assert s.demazure_star(x, y) == ref_fold(s, x, ref_letters(s, y), s.right, True)
     assert s.circ_l(x, y) == ref_fold(s, y, reversed(ref_letters(s, x)), s.left, False)
     assert s.circ_r(x, y) == ref_fold(s, x, ref_letters(s, y), s.right, False)
-    assert s.min_rep_left(x, J) == ref_min_rep(s, x, J, s.left, s.left_descent_bits)
-    assert s.min_rep_right(y, J) == ref_min_rep(s, y, J, s.right, s.right_descent_bits)
+    assert s.descents(x, "left") & J == ref_descents(x, J, s.left_descent_bits)
+    assert s.descents(y, "right") & J == ref_descents(y, J, s.right_descent_bits)
 
 
 def subsets(rank):

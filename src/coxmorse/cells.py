@@ -16,8 +16,8 @@ by some u in W_K, which is not a restriction of P; it is built by
 :func:`pair_poset`, whose covers are the dimension-gap-one comparable
 pairs of a packed order (:class:`posets.PackedOrder`), asserted to
 generate it.  :func:`pair_poset` on the cells of Z or F is their
-independent oracle route (:func:`check_same_poset`).  Such a poset is
-matched slice by slice (:func:`slice_matching`).
+independent oracle route (:func:`check_against_pair_poset`).  Such a
+poset is matched slice by slice (:func:`slice_matching`).
 """
 
 from __future__ import annotations
@@ -117,7 +117,8 @@ def pair_poset(system: CoxeterSystem, pairs, what: str = "pair poset",
     members = tuple(zip(v.tolist(), w.tolist()))
     leq = nested_pair_order(system, v, w, shifts)
     covers = graded_covers(leq, dims, what, lambda k: pair_name(system, members[k]))
-    return FinitePoset(dims, leq, covers, members, lambda p: pair_name(system, p))
+    return FinitePoset(dims, leq, covers, members, {p: k for k, p in enumerate(members)},
+                       lambda p: pair_name(system, p))
 
 
 def step_covers(system: CoxeterSystem, members: Sequence[tuple[int, int]],
@@ -166,16 +167,20 @@ def ideal_poset(system: CoxeterSystem, pairs: Sequence[tuple[int, int]],
     check_order_size(len(pairs), what)
     length = system.len_of
     members = tuple(sorted(pairs, key=lambda p: (length(p[1]) - length(p[0]), p)))
-    ups = step_covers(system, members, {p: k for k, p in enumerate(members)}.get, what)
+    index = {p: k for k, p in enumerate(members)}
+    ups = step_covers(system, members, index.get, what)
     covers = tuple((lo, hi, None) for lo, his in enumerate(ups) for hi in his)
     return FinitePoset(tuple(length(w) - length(v) for v, w in members), None, covers,
-                       members, lambda p: pair_name(system, p))
+                       members, index, lambda p: pair_name(system, p))
 
 
-def check_same_poset(poset: FinitePoset, oracle: FinitePoset, what: str) -> None:
-    """Raise :class:`Falsification` unless ``oracle``, the same cells built
-    by another route, has the cells, dims and covers of ``poset``; a cover
-    mismatch names the first cover in only one of the two."""
+def check_against_pair_poset(system: CoxeterSystem, poset: FinitePoset, what: str) -> None:
+    """The oracle route of a poset built by :func:`ideal_poset`: its cells
+    rebuilt by :func:`pair_poset` (a packed nested order checked by
+    :func:`graded_covers`) must have the same numbering, dims and covers,
+    or :class:`Falsification` names the first cell or cover that differs
+    and, for a cover, the route that has it."""
+    oracle = pair_poset(system, poset.payload, what)
     cells = list(zip(poset.payload, poset.dims))
     if cells != list(zip(oracle.payload, oracle.dims)):
         k = next(k for k, cell in enumerate(zip(oracle.payload, oracle.dims)) if cell != cells[k])
@@ -190,8 +195,7 @@ def check_same_poset(poset: FinitePoset, oracle: FinitePoset, what: str) -> None
         )
 
 
-def slice_matching(system: CoxeterSystem, poset: FinitePoset,
-                   index: dict[tuple[int, int], int], slices: Iterable[tuple],
+def slice_matching(system: CoxeterSystem, poset: FinitePoset, slices: Iterable[tuple],
                    order: ReflectionOrder, apex: int,
                    what: str) -> tuple[Matching, MorseSummary]:
     """Glue the interval matchings of the slices into one matching of a
@@ -203,24 +207,25 @@ def slice_matching(system: CoxeterSystem, poset: FinitePoset,
     every subset and z_x; then (x, y) and (x, M(y)) are matched for y in
     z_x.  Postconditions: every matched pair is a cover, the matching is
     acyclic (checked by :func:`morse_counts`), and the cell ``apex`` is
-    the only unmatched one.  ``index`` maps a pair to its cell; ``what``
-    names the poset in errors.
+    the only unmatched one.  ``what`` names the poset in errors.
     """
+    index = poset.index
     partner = list(range(poset.n))
     for x, top, subsets, z_x in slices:
         li = labeled_interval(system, x, top)
         m = build_matching(li, order)
+        local, ids = li.index, li.ids
         for label, subset in (*subsets, ("slice", z_x)):
-            if not is_M_subset(m, (li.index[y] for y in subset)):
+            if not is_M_subset(m, (local[y] for y in subset)):
                 raise TheoremFalsified(
                     f"{label} at {system.word_str(x)} is not preserved by the matching "
                     f"of [{system.word_str(x)}, {system.word_str(top)}] in the {what}"
                 )
         for y in z_x:
-            a = li.index[y]
+            a = local[y]
             b = m.partner[a]
             if a < b:
-                i, j = index[(x, y)], index[(x, li.ids[b])]
+                i, j = index[(x, y)], index[(x, ids[b])]
                 partner[i], partner[j] = j, i
     matching = Matching(poset, tuple(partner))
     above = poset.graded_adjacency[1]

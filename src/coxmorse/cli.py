@@ -16,7 +16,8 @@ import json
 import re
 import sys
 
-from . import __version__, fibers, springer
+from . import __version__
+from .cells import check_against_pair_poset
 from .coxeter import DEFAULT_MAX_ELEMENTS, CoxeterMatrix, CoxeterSystem, build_system
 from .errors import Falsification, InputError, InvalidSubset, TheoremFalsified
 from .fibers import build_fiber_poset, build_qk, fiber_matching, generalized_quotient, verify_convexity
@@ -217,7 +218,7 @@ def cmd_springer(args) -> int:
     Jp = parse_subset(args.Jprime)
     sp = build_springer_poset(system, J, Jp)
     if args.paranoid:
-        springer.check_against_pair_poset(sp)
+        check_against_pair_poset(system, sp.poset, "springer pair poset")
     matching, summary = springer_matching(sp)
     if args.paranoid:
         _rescan_unmatched(sp.poset, matching, summary)
@@ -259,7 +260,7 @@ def cmd_fiber(args) -> int:
     qk = build_qk(system, K)
     fp = build_fiber_poset(qk, (vp, wp), (v, w))
     if args.paranoid:
-        fibers.check_against_pair_poset(fp)
+        check_against_pair_poset(system, fp.poset, "fiber pair poset")
         oracle_convexity(fp)
     convex = verify_convexity(fp)
     gq = generalized_quotient(fp)

@@ -14,9 +14,9 @@ certificate.
 F is order convex, so it is a lower set of the nesting poset of pairs and
 is built from single steps by :func:`cells.ideal_poset`, which checks that
 every single-step lower cover of a cell is a cell;
-:func:`check_against_pair_poset` rebuilds it by :func:`cells.pair_poset`
-as an oracle route.  :func:`verify_convexity` checks the convexity by the
-same step rule (:func:`cells.step_covers`);
+:func:`cells.check_against_pair_poset` rebuilds it by
+:func:`cells.pair_poset` as an oracle route.  :func:`verify_convexity`
+checks the convexity by the same step rule (:func:`cells.step_covers`);
 :func:`oracles.oracle_convexity` is its brute-force route over W_K.  Q_K
 shifts pairs by W_K, which is no restriction of the nesting order, and is
 built by :func:`cells.pair_poset`.  The products v'a, w'b and ta over a, b
@@ -26,11 +26,11 @@ in W_K come from one walk over W_K (:meth:`CoxeterSystem.right_multiples`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from typing import Mapping
 
 import numpy as np
 
-from .cells import check_same_poset, ideal_poset, pair_poset, slice_matching, step_covers
+from .cells import ideal_poset, pair_poset, slice_matching, step_covers
 from .coxeter import CoxeterSystem
 from .errors import (
     AnchorViolation,
@@ -53,10 +53,7 @@ class QKPoset:
     K: frozenset[int]
     members: tuple[tuple[int, int], ...]   # (v, w), w in W^K, v <= w
     leq: PackedOrder
-
-    @cached_property
-    def index(self) -> dict[tuple[int, int], int]:
-        return {p: k for k, p in enumerate(self.members)}
+    index: Mapping[tuple[int, int], int]   # the cell index of the pair poset
 
     def leq_pairs(self, p: tuple[int, int], q: tuple[int, int]) -> bool:
         return self.leq.leq(self.index[p], self.index[q])
@@ -75,7 +72,7 @@ def build_qk(system: CoxeterSystem, K) -> QKPoset:
     check_order_size(bru.count(sub.min_right), "q_k relation")
     v, w = bru.nonzero(sub.min_right)
     poset = pair_poset(system, np.column_stack((v, w)), "q_k relation", sub.elements)
-    return QKPoset(system, K, poset.payload, poset.leq)
+    return QKPoset(system, K, poset.payload, poset.leq, poset.index)
 
 
 def z_lower(system: CoxeterSystem, vprime: int, v: int, K) -> int:
@@ -131,9 +128,9 @@ class FiberPoset:
     members: tuple[tuple[int, int], ...]  # (a, b) pairs
     poset: FinitePoset
 
-    @cached_property
-    def index(self) -> dict[tuple[int, int], int]:
-        return {p: k for k, p in enumerate(self.members)}
+    @property
+    def index(self) -> Mapping[tuple[int, int], int]:
+        return self.poset.index
 
     @property
     def vprime(self) -> int:
@@ -225,14 +222,6 @@ def build_fiber_poset(qk: QKPoset, lower: tuple[int, int], upper: tuple[int, int
     return FiberPoset(system, qk.K, (lower, upper), z, zp, poset.payload, poset)
 
 
-def check_against_pair_poset(fp: FiberPoset) -> None:
-    """The oracle route: F rebuilt by :func:`cells.pair_poset` (a packed
-    nested order checked by :func:`cells.graded_covers`) must have the
-    same cells, dims and covers."""
-    what = "fiber pair poset"
-    check_same_poset(fp.poset, pair_poset(fp.system, fp.members, what), what)
-
-
 @dataclass(frozen=True)
 class GeneralizedQuotient:
     """Members a of [z, z'] with l(v'a) = l(v') + l(a), i.e. the diagonal
@@ -299,7 +288,7 @@ def fiber_matching(fp: FiberPoset) -> tuple[Matching, MorseSummary]:
         if a != gq.z_tilde:
             slices.append((a, fp.z_prime, (), p_a))
     what = f"fiber pair poset (K={sorted(fp.K)})"
-    return slice_matching(system, fp.poset, fp.index, slices, order,
+    return slice_matching(system, fp.poset, slices, order,
                           fp.index[(gq.z_tilde, gq.z_tilde)], what)
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .coxeter import CoxeterSystem
 from .errors import (
@@ -41,18 +41,24 @@ class LabeledInterval:
     """A Bruhat interval with its reflection-labeled Hasse diagram.
 
     ``poset`` indices are interval-local; ``ids`` maps them to group
-    element ids (also stored as the poset payload), and ``index`` back.
-    Dimensions are lengths relative to the bottom element.  Ids ascend by
-    length and covers are sorted by (lo, hi), so every cover has lo < hi
-    and the bottom and top are the first and last index.
+    element ids (the poset payload), and ``index`` back (the poset's
+    index).  Dimensions are lengths relative to the bottom element.  Ids
+    ascend by length and covers are sorted by (lo, hi), so every cover has
+    lo < hi and the bottom and top are the first and last index.
     """
 
     system: CoxeterSystem
     v: int
     w: int
-    ids: tuple[int, ...]
-    index: dict[int, int]
     poset: FinitePoset
+
+    @property
+    def ids(self) -> tuple[int, ...]:
+        return self.poset.payload
+
+    @property
+    def index(self) -> Mapping[int, int]:
+        return self.poset.index
 
     @property
     def rank(self) -> int:
@@ -106,8 +112,8 @@ def labeled_interval(system: CoxeterSystem, v: int, w: int) -> LabeledInterval:
                 covers.append((lo, hi, t))
     covers.sort()   # a linear pass: each element's up-covers come sorted by id
     dims = tuple(system.len_of(x) - base for x in ids)
-    poset = FinitePoset(dims, None, tuple(covers), ids, system.word_str)
-    return LabeledInterval(system, v, w, ids, index, poset)
+    poset = FinitePoset(dims, None, tuple(covers), ids, index, system.word_str)
+    return LabeledInterval(system, v, w, poset)
 
 
 @dataclass(frozen=True)

@@ -1,22 +1,30 @@
-"""Generic finite poset machinery: Hasse diagrams, chains, purity/thinness
-checks, edge-labeled chain analysis, and DOT export.  Chain enumeration
-stops with :class:`IntervalTooLarge` past ``CHAIN_CAP_DEFAULT`` chains.
+"""Finite graded posets: Hasse diagrams, chains, purity/thinness checks,
+edge-labeled chain analysis, and DOT export.  Chain enumeration stops
+with :class:`IntervalTooLarge` past ``CHAIN_CAP_DEFAULT`` chains.
 
-A :class:`FinitePoset` stores its cover edges (= transitive reduction) and
-its order as a :class:`PackedOrder`, the one order type of the package
-(the Bruhat order is one too).  A poset given by its covers alone (the
-interval, Springer and fiber posets) closes them into the order only when
-the order is first read.  Each element carries an integer dimension (cell
-dimension for face posets, rank from the bottom for interval posets) and
-a payload; its display name is built from the payload, on first use
-only.  Posets are immutable after construction, so what the matching
-checks derive from the covers alone (the graded adjacency of the
-acyclicity check, the Euler characteristic) is built once, when first
-read, and shared by every matching of the poset.
+A :class:`FinitePoset` is graded by its ``dims``: every cover joins
+adjacent dims (Bruhat intervals are graded by length, the Springer,
+fiber and Q_K cells by l(w) - l(v)).  The invariant is checked once, by
+the one adjacency built from the covers,
+:attr:`FinitePoset.graded_adjacency`, which the order, the maximal
+chains, purity and thinness all read.  A poset also carries its one
+cell index, the payload -> element dict its builder made.
+
+Orders are :class:`PackedOrder` bits (the Bruhat order too).  A poset
+given by its covers alone (the interval, Springer and fiber posets)
+closes them into the order only when the order is first read; an
+interval's shelling check reads Python-int lower and upper set masks
+instead (:class:`matchings.LabeledInterval`).  Each element carries an
+integer dimension (cell dimension for face posets, rank from the bottom
+for interval posets) and a payload, from which its display name is
+built on first use.  Posets are immutable, so what is derived from the
+covers (the adjacency, the order, the Euler characteristic) is built
+once, when first read, and shared by every matching of the poset.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import InitVar, dataclass
 from functools import cached_property
 from typing import Any, Callable, Iterable, Mapping, Sequence
@@ -30,6 +38,7 @@ from .errors import (
     NotPure,
     ELViolation,
     OrderTooLarge,
+    TheoremFalsified,
 )
 
 CHAIN_CAP_DEFAULT = 1_000_000
@@ -71,11 +80,6 @@ class PackedOrder:
         # (byte, bit mask) of each column, built by the first indexed read;
         # declared here, since adding an attribute later slows every read
         self._columns = None
-
-    @classmethod
-    def from_dense(cls, matrix) -> "PackedOrder":
-        """Pack an n x n boolean matrix, entry [x, y] iff x <= y."""
-        return cls(len(matrix), np.packbits(matrix, axis=1, bitorder="little"))
 
     @classmethod
     def closure(cls, up: Sequence[Iterable[int]], walk: Iterable[int]) -> "PackedOrder":
@@ -161,16 +165,18 @@ class PackedOrder:
 
 @dataclass(frozen=True)
 class FinitePoset:
-    """A finite poset graded by ``dims``.  ``order`` is its
-    :class:`PackedOrder`, or None for the closure of ``covers``, which
-    must then strictly increase ``dims``; either way it is read as
-    :attr:`leq`.  The order, the display names, the graded adjacency and
+    """A finite poset graded by ``dims``: every cover joins adjacent dims
+    (checked by :attr:`graded_adjacency`).  ``order`` is its
+    :class:`PackedOrder`, or None for the closure of ``covers``; either
+    way it is read as :attr:`leq`.  ``index`` maps each payload entry to
+    its element.  The order, the display names, the graded adjacency and
     the Euler characteristic are each built on first read and kept."""
 
     dims: tuple[int, ...]
     order: InitVar[PackedOrder | None]
     covers: tuple[tuple[int, int, int | None], ...]  # (lo, hi, label)
     payload: tuple  # one entry per element
+    index: Mapping[Any, int]  # payload entry -> element
     name_of: Callable[[Any], str] = str  # display name of a payload entry
 
     def __post_init__(self, order: PackedOrder | None) -> None:
@@ -180,13 +186,11 @@ class FinitePoset:
     @cached_property
     def leq(self) -> PackedOrder:
         """The order, leq[i, j] iff i <= j; without a given order, the
-        closure of the covers, built on first read in one sweep by
-        decreasing dim."""
-        up: list[list[int]] = [[] for _ in self.dims]
-        for lo, hi, _ in self.covers:
-            up[lo].append(hi)
-        return PackedOrder.closure(up, sorted(range(self.n), key=self.dims.__getitem__,
-                                              reverse=True))
+        closure of the up-covers of :attr:`graded_adjacency`, built on
+        first read in one sweep by decreasing dim."""
+        return PackedOrder.closure(self.graded_adjacency[1],
+                                   sorted(range(self.n), key=self.dims.__getitem__,
+                                          reverse=True))
 
     @property
     def n(self) -> int:
@@ -197,13 +201,14 @@ class FinitePoset:
         """(below, above) of the Hasse diagram, once every cover is checked
         to join adjacent dims: below[y] and above[x] list the lower covers
         of y and the upper covers of x in cover order.  A cover that skips
-        a dim raises :class:`InvalidSubset`, and then nothing is cached."""
+        a dim raises :class:`TheoremFalsified`, and then nothing is
+        cached."""
         dims = self.dims
         below: list[list[int]] = [[] for _ in dims]
         above: list[list[int]] = [[] for _ in dims]
         for lo, hi, _ in self.covers:
             if dims[hi] != dims[lo] + 1:
-                raise InvalidSubset(
+                raise TheoremFalsified(
                     f"cover {self.names[lo]} < {self.names[hi]} does not join adjacent dims"
                 )
             below[hi].append(lo)
@@ -220,35 +225,8 @@ class FinitePoset:
         and error messages only)."""
         return tuple(map(self.name_of, self.payload))
 
-    def up_adj(self) -> list[list[tuple[int, int | None]]]:
-        adj: list[list[tuple[int, int | None]]] = [[] for _ in range(self.n)]
-        for lo, hi, lab in self.covers:
-            adj[lo].append((hi, lab))
-        return adj
-
-    def down_adj(self) -> list[list[tuple[int, int | None]]]:
-        adj: list[list[tuple[int, int | None]]] = [[] for _ in range(self.n)]
-        for lo, hi, lab in self.covers:
-            adj[hi].append((lo, lab))
-        return adj
-
     def __repr__(self) -> str:
         return f"FinitePoset(n={self.n}, covers={len(self.covers)})"
-
-
-def poset_from_covers(names: Sequence[str], dims: Sequence[int],
-                      covers: Iterable[tuple[int, int, int | None]]) -> FinitePoset:
-    """Build a poset from cover edges; the order is their transitive closure
-    (:attr:`FinitePoset.leq`).  The names are the payload.
-
-    Every cover must strictly increase ``dims``; this keeps closure
-    computation a single sweep by decreasing dim.
-    """
-    covers = tuple(covers)
-    for lo, hi, _ in covers:
-        if dims[lo] >= dims[hi]:
-            raise InvalidSubset(f"cover {lo}->{hi} does not increase dimension")
-    return FinitePoset(tuple(dims), None, covers, tuple(names))
 
 
 @dataclass(frozen=True)
@@ -261,11 +239,14 @@ class MaximalChain:
 
 
 def all_maximal_chains(poset: FinitePoset, x: int, y: int) -> list[MaximalChain]:
-    """All maximal chains from x to y by downward DFS; more than
-    ``CHAIN_CAP_DEFAULT`` of them raise :class:`IntervalTooLarge`."""
+    """All maximal chains from x to y by downward DFS over the lower
+    covers of :attr:`FinitePoset.graded_adjacency`, the smaller lower
+    cover first; more than ``CHAIN_CAP_DEFAULT`` of them raise
+    :class:`IntervalTooLarge`."""
     if not poset.leq.leq(x, y):
         raise NotComparable(f"{poset.names[x]} is not <= {poset.names[y]}")
-    down = poset.down_adj()
+    below = poset.graded_adjacency[0]
+    label = {(lo, hi): lab for lo, hi, lab in poset.covers}
     inside = poset.leq.rows(x)
     chains: list[MaximalChain] = []
     stack: list[tuple[int, tuple[int, ...], tuple[int | None, ...]]] = [(y, (y,), ())]
@@ -276,35 +257,26 @@ def all_maximal_chains(poset: FinitePoset, x: int, y: int) -> list[MaximalChain]
             if len(chains) > CHAIN_CAP_DEFAULT:
                 raise IntervalTooLarge(f"more than {CHAIN_CAP_DEFAULT} maximal chains")
             continue
-        for lo, lab in sorted(down[z], reverse=True):
+        for lo in sorted(below[z], reverse=True):
             if inside[lo]:
-                stack.append((lo, path + (lo,), labs + (lab,)))
+                stack.append((lo, path + (lo,), labs + (label[lo, z],)))
     return chains
 
 
 def is_pure(poset: FinitePoset) -> bool:
     """True iff within every interval all maximal chains have equal length.
 
-    For each bottom x, longest and shortest chain lengths to every z >= x
-    are computed by one dimension-ordered sweep; they must agree.
+    Tested in O(covers) as "every cover joins adjacent dims", the check of
+    :attr:`FinitePoset.graded_adjacency`.  When it holds, every step of a
+    maximal chain of [x, y] raises the dim by one, so every such chain has
+    dims[y] - dims[x] steps and the poset is pure.  A cover that skips a
+    dim breaks the invariant of every poset built here, and is reported as
+    not pure.
     """
-    n = poset.n
-    down = poset.down_adj()
-    by_dim = sorted(range(n), key=lambda k: poset.dims[k])
-    for x in range(n):
-        above = poset.leq.rows(x)
-        longest = {x: 0}
-        shortest = {x: 0}
-        for z in by_dim:
-            if z == x or not above[z]:
-                continue
-            preds = [lo for lo, _ in down[z] if above[lo]]
-            if not preds:
-                return False
-            longest[z] = 1 + max(longest[p] for p in preds)
-            shortest[z] = 1 + min(shortest[p] for p in preds)
-            if longest[z] != shortest[z]:
-                return False
+    try:
+        poset.graded_adjacency
+    except TheoremFalsified:
+        return False
     return True
 
 
@@ -312,15 +284,11 @@ def is_thin(poset: FinitePoset) -> bool:
     """True iff every length-2 interval has exactly 4 elements; needs purity."""
     if not is_pure(poset):
         raise NotPure("thinness is only defined for pure posets")
-    down = poset.down_adj()
-    up = poset.up_adj()
-    # middles of every length-2 interval, found via cover paths of length two
-    seen: dict[tuple[int, int], set[int]] = {}
-    for mid in range(poset.n):
-        for lo, _ in down[mid]:
-            for hi, _ in up[mid]:
-                seen.setdefault((lo, hi), set()).add(mid)
-    return all(len(mids) == 2 for mids in seen.values())
+    below, above = poset.graded_adjacency
+    # middles of every length-2 interval, one per cover path of length two
+    middles = Counter((lo, hi) for mid in range(poset.n) for lo in below[mid]
+                      for hi in above[mid])
+    return all(count == 2 for count in middles.values())
 
 
 def euler_characteristic(poset: FinitePoset) -> int:

@@ -8,7 +8,7 @@ matching on Z whose only unmatched element is (w_J' w0, w_J' w0); counting
 unmatched cells then certifies contractibility of the realizing complex.
 Z is a lower set of the nesting poset of pairs (the totally nonnegative
 Springer fiber is a closed union of cells), so it is built from single
-steps by :func:`cells.ideal_poset`; :func:`check_against_pair_poset`
+steps by :func:`cells.ideal_poset`; :func:`cells.check_against_pair_poset`
 rebuilds it by :func:`cells.pair_poset` as an oracle route.  Every
 structural step is asserted and failures raise with a witness.
 """
@@ -16,12 +16,13 @@ structural step is asserted and failures raise with a witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from typing import Mapping
 
 import numpy as np
 
 from . import posets
-from .cells import check_same_poset, ideal_poset, pair_poset, slice_matching
+from .cells import ideal_poset, slice_matching
+from .cells import pair_poset  # noqa: F401  (perfbench patches springer.pair_poset)
 from .coxeter import CoxeterSystem
 from .errors import NotMinimalCosetRep, OverlappingSubsets, TheoremFalsified
 from .matchings import Matching, MorseSummary
@@ -37,9 +38,9 @@ class SpringerPoset:
     members: tuple[tuple[int, int], ...]
     poset: FinitePoset
 
-    @cached_property
-    def index(self) -> dict[tuple[int, int], int]:
-        return {p: k for k, p in enumerate(self.members)}
+    @property
+    def index(self) -> Mapping[tuple[int, int], int]:
+        return self.poset.index
 
     @property
     def apex(self) -> int:
@@ -87,14 +88,6 @@ def build_springer_poset(system: CoxeterSystem, J, Jprime) -> SpringerPoset:
     return sp
 
 
-def check_against_pair_poset(sp: SpringerPoset) -> None:
-    """The oracle route: Z rebuilt by :func:`cells.pair_poset` (a packed
-    nested order checked by :func:`cells.graded_covers`) must have the
-    same cells, dims and covers."""
-    what = "springer pair poset"
-    check_same_poset(sp.poset, pair_poset(sp.system, sp.members, what), what)
-
-
 def _check_membership_invariants(sp: SpringerPoset) -> None:
     system = sp.system
     min_left = set(system.parabolic(sp.Jprime).min_left)
@@ -133,7 +126,8 @@ def build_slices(sp: SpringerPoset, v: int) -> tuple[list[int], list[int], list[
     for i in sp.J:
         q_v &= ~above[left[:, i - 1]]
     above, p_v, q_v = (np.flatnonzero(x).tolist() for x in (above, p_v, q_v))
-    z_v = [w for w in above if (v, w) in sp.index]
+    index = sp.index
+    z_v = [w for w in above if (v, w) in index]
     if z_v != sorted(set(p_v) & set(q_v)):
         raise TheoremFalsified(
             f"slice Z_v at v={system.word_str(v)} is not the intersection of P_v and Q_v "
@@ -166,5 +160,4 @@ def springer_matching(sp: SpringerPoset) -> tuple[Matching, MorseSummary]:
                 f"apex slice is not a singleton: {[system.word_str(w) for w in z_v]}"
             )
     what = f"springer pair poset (J={sorted(sp.J)}, J'={sorted(sp.Jprime)})"
-    return slice_matching(system, sp.poset, sp.index, slices, order,
-                          sp.index[(apex, apex)], what)
+    return slice_matching(system, sp.poset, slices, order, sp.index[(apex, apex)], what)

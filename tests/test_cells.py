@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from coxmorse import cells, fibers, springer
-from coxmorse.cells import check_same_poset, ideal_poset, pair_name, pair_poset
+from coxmorse.cells import check_against_pair_poset, ideal_poset, pair_name, pair_poset
 from coxmorse.cli import main
 from coxmorse.errors import Falsification, TheoremFalsified
 from coxmorse.fibers import build_fiber_poset, build_qk
@@ -29,14 +29,14 @@ def test_springer_ideal_route_matches_pair_poset(system, name):
     for J, Jp in disjoint_pairs(s.rank):
         sp = build_springer_poset(s, J, Jp)
         assert_same_route(s, sp.poset, "springer pair poset")
-        springer.check_against_pair_poset(sp)
+        check_against_pair_poset(s, sp.poset, "springer pair poset")
 
 
 def test_fiber_ideal_route_matches_pair_poset(system, a3_fibers):
     s = system("A3")
     for fp in a3_fibers:
         assert_same_route(s, fp.poset, "fiber pair poset")
-        fibers.check_against_pair_poset(fp)
+        check_against_pair_poset(s, fp.poset, "fiber pair poset")
     assert len(a3_fibers) > 1000
 
 
@@ -121,18 +121,18 @@ def test_oracle_mismatch_names_the_first_differing_cover(system):
     sp = build_springer_poset(s, {1}, {3})
     poset = sp.poset
     lo, hi, _ = poset.covers[0]
-    broken = FinitePoset(poset.dims, None, poset.covers[1:], poset.payload, poset.name_of)
-    oracle = pair_poset(s, sp.members, "springer pair poset")
+    broken = FinitePoset(poset.dims, None, poset.covers[1:], poset.payload, poset.index,
+                         poset.name_of)
     message = (f"springer pair poset disagrees with the pair-poset oracle at the cover "
                f"{poset.names[lo]} < {poset.names[hi]} (only in the oracle)")
     with pytest.raises(Falsification, match=re.escape(message)):
-        check_same_poset(broken, oracle, "springer pair poset")
+        check_against_pair_poset(s, broken, "springer pair poset")
     last = poset.n - 1
     regraded = FinitePoset(poset.dims[:-1] + (poset.dims[-1] + 1,), None, poset.covers,
-                           poset.payload, poset.name_of)
+                           poset.payload, poset.index, poset.name_of)
     with pytest.raises(Falsification, match=re.escape(
             f"numbers or grades its cells unlike the pair-poset oracle at {poset.names[last]}")):
-        check_same_poset(regraded, oracle, "springer pair poset")
+        check_against_pair_poset(s, regraded, "springer pair poset")
 
 
 @pytest.mark.parametrize("command", [
@@ -145,15 +145,13 @@ def test_paranoid_exits_as_falsification_when_the_routes_differ(monkeypatch, cap
     def dropped_cover(system, pairs, what="pair poset", shifts=(0,)):
         poset = real(system, pairs, what, shifts)
         return FinitePoset(poset.dims, poset.leq, poset.covers[1:], poset.payload,
-                           poset.name_of)
+                           poset.index, poset.name_of)
 
     assert main(command + ["--paranoid"]) == 0
     clean = capsys.readouterr().out
     assert main(command) == 0 and capsys.readouterr().out == clean
-    module = springer if command[0] == "springer" else fibers
-    # on fiber, Q_K is built by the same binding; its order, which the fiber
-    # reads, keeps every relation
-    monkeypatch.setattr(module, "pair_poset", dropped_cover)
+    # Q_K is built through the fibers module's binding, which keeps every cover
+    monkeypatch.setattr(cells, "pair_poset", dropped_cover)
     code = main(command + ["--paranoid"])
     out = capsys.readouterr()
     assert code == 3 and out.out == ""

@@ -7,6 +7,7 @@ import pytest
 from coxmorse import posets
 from coxmorse.cli import main, parse_subset
 from coxmorse.errors import InvalidSubset
+from helpers import b3_with_a_cover_across_dims
 
 
 def run(capsys, *argv):
@@ -222,6 +223,29 @@ def test_paranoid_matching_rechecks_interval_covers(monkeypatch, capsys):
     assert run(capsys, *argv, "--paranoid") == (
         3, "", "FALSIFIED: interval [2, 2.3.2.1] disagrees with the subword oracle at the "
                "cover 2 < 2.1.3 (only in the extracted interval)\n")
+
+
+def test_a_cover_across_dims_exits_as_falsification(monkeypatch, capsys):
+    # the interval [e, w0] of B3 with the planted cover e < 1.2.1 is built,
+    # matched and shelled; the acyclicity check finds the cover
+    import coxmorse.cli as cli
+
+    b3 = b3_with_a_cover_across_dims()
+    monkeypatch.setattr(cli, "_system_from_args", lambda args: b3)
+    assert run(capsys, "matching", "--group", "B3", "--interval", "e", b3.word_str(b3.w0)) == (
+        3, "", "FALSIFIED: cover e < 1.2.1 does not join adjacent dims\n")
+
+
+def test_suite_reports_an_impure_order_as_a_failed_check(monkeypatch, capsys):
+    import coxmorse.verify as verify
+
+    b3 = b3_with_a_cover_across_dims()
+    monkeypatch.setattr(verify, "_quick_tasks", lambda: [lambda: verify.check_thinness(b3)])
+    code, out, err = run(capsys, "suite")
+    assert code == 3 and err == ""
+    assert out.startswith("FAIL thinness and purity on B3: 1 instances in ")
+    assert out.endswith("; 1 failures, first: full group order is not pure\n"
+                        "suite quick: FAILURES PRESENT\n")
 
 
 @pytest.mark.parametrize("argv", [

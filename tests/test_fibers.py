@@ -1,6 +1,5 @@
 """Projection-fiber posets: Q_K, bounds, four-way equality, certificates."""
 
-import dataclasses
 import re
 
 import numpy as np
@@ -21,6 +20,7 @@ from coxmorse.fibers import (
 )
 from coxmorse.cells import nested_pair_order
 from coxmorse.oracles import oracle_bruhat_leq, oracle_convexity
+from helpers import with_members
 
 
 def test_qk_empty_k_reduces_to_nested_order(system):
@@ -177,7 +177,7 @@ def test_both_convexity_routes_catch_every_dropped_cell_but_the_top(a3_fibers):
     for fp in a3_fibers:
         top = top_cell(fp)
         for k in range(fp.poset.n):
-            kept = dataclasses.replace(fp, members=fp.members[:k] + fp.members[k + 1:])
+            kept = with_members(fp, fp.members[:k] + fp.members[k + 1:])
             if k == top:
                 assert verify_convexity(kept) and oracle_convexity(kept)
                 continue
@@ -207,7 +207,7 @@ def test_both_convexity_routes_catch_an_added_pair_without_its_lower_cover(syste
             if not missing:
                 continue
             added += 1
-            grown = dataclasses.replace(fp, members=fp.members + ((a, b),))
+            grown = with_members(fp, fp.members + ((a, b),))
             message = (f"fiber pair poset is not a lower set of the nesting order: the cell "
                        f"{pair_name(s, (a, b))} has the lower cover {pair_name(s, missing[0])}, "
                        f"which is not a cell")

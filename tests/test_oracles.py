@@ -21,9 +21,9 @@ from coxmorse.oracles import (
     oracle_shelling_subsets,
     oracle_unmatched_scan,
 )
-from coxmorse.posets import poset_from_covers
 from coxmorse.reflection_orders import order_from_reduced_word, validate
 from coxmorse.verify import all_orders
+from helpers import poset_from_covers
 
 
 def test_bruhat_oracle_trivia(system):

@@ -20,13 +20,12 @@ from coxmorse.posets import (
     euler_characteristic,
     is_pure,
     is_thin,
-    PackedOrder,
-    poset_from_covers,
     poset_to_dot,
 )
 from coxmorse.reflection_orders import order_from_reduced_word
 from coxmorse.springer import build_springer_poset, springer_matching
 from coxmorse.verify import disjoint_pairs
+from helpers import b3_with_a_cover_across_dims, packed_from_dense, poset_from_covers
 
 
 def chain_poset(n):
@@ -94,14 +93,80 @@ def test_purity_and_thinness():
     assert is_pure(chain_poset(3))
     assert not is_thin(chain_poset(3))
     assert is_thin(boolean_2())
-    # pure fails when one branch is longer
-    lop = poset_from_covers(["a", "b", "c", "d"], [0, 1, 2, 3],
-                            [(0, 1, None), (1, 2, None), (2, 3, None)])
-    assert is_pure(lop)
+    assert is_pure(toy_posets()["long chain"])
     uneven = poset_from_covers(["x", "m", "y"], [0, 1, 2], [(0, 1, None), (1, 2, None)])
     assert np.array_equal(uneven.leq, np.array([[1, 1, 1], [0, 1, 1], [0, 0, 1]], dtype=bool))
     # x < m < y and the direct relation x < y: still pure (chains equal)
     assert is_pure(uneven)
+
+
+def swept_is_pure(poset):
+    """The reference for :func:`is_pure`: True iff within every interval
+    all maximal chains have equal length, read from the covers alone,
+    which must increase ``dims``.  For each bottom x, the longest and
+    shortest chain lengths to every z >= x are computed by one
+    dimension-ordered sweep, and must agree."""
+    n = poset.n
+    up = [[] for _ in range(n)]
+    down = [[] for _ in range(n)]
+    for lo, hi, _ in poset.covers:
+        up[lo].append(hi)
+        down[hi].append(lo)
+    by_dim = sorted(range(n), key=poset.dims.__getitem__)
+    for x in range(n):
+        above, todo = {x}, [x]
+        while todo:
+            for y in up[todo.pop()]:
+                if y not in above:
+                    above.add(y)
+                    todo.append(y)
+        longest = {x: 0}
+        shortest = {x: 0}
+        for z in by_dim:
+            if z == x or z not in above:
+                continue
+            preds = [lo for lo in down[z] if lo in above]
+            if not preds:
+                return False
+            longest[z] = 1 + max(longest[p] for p in preds)
+            shortest[z] = 1 + min(shortest[p] for p in preds)
+            if longest[z] != shortest[z]:
+                return False
+    return True
+
+
+def toy_posets():
+    """Every toy poset of this module: pure ones, and one with a cover
+    that skips a dim."""
+    return {
+        "chain": chain_poset(3),
+        "diamond": boolean_2(),
+        "long chain": poset_from_covers(["a", "b", "c", "d"], [0, 1, 2, 3],
+                                        [(0, 1, None), (1, 2, None), (2, 3, None)]),
+        "point": poset_from_covers(["pt"], [0], []),
+        # chains a-b-c-e and a-d-e have different lengths
+        "impure": poset_from_covers(
+            ["a", "b", "c", "d", "e"], [0, 1, 2, 1, 3],
+            [(0, 1, None), (1, 2, None), (2, 4, None), (0, 3, None), (3, 4, None)]),
+    }
+
+
+def test_purity_from_gradedness_agrees_with_the_chain_sweep(system):
+    cases = list(toy_posets().items())
+    for name in ("A3", "B3"):
+        s = system(name)
+        cases += [((name, v, w), labeled_interval(s, v, w).poset)
+                  for v, w in s.comparable_pairs()]
+    h3 = system("H3")
+    cases.append(("H3", labeled_interval(h3, 0, h3.w0).poset))
+    planted = b3_with_a_cover_across_dims()
+    cases.append(("planted B3", labeled_interval(planted, 0, planted.w0).poset))
+    verdicts = {}
+    for name, poset in cases:
+        assert is_pure(poset) == swept_is_pure(poset), name
+        verdicts[name] = is_pure(poset)
+    assert not verdicts["impure"] and not verdicts["planted B3"]
+    assert sum(verdicts.values()) == len(verdicts) - 2
 
 
 def test_bruhat_interval_thin(system):
@@ -112,10 +177,7 @@ def test_bruhat_interval_thin(system):
 
 
 def test_not_pure_raises():
-    # chains a-b-c-e and a-d-e have different lengths
-    impure = poset_from_covers(
-        ["a", "b", "c", "d", "e"], [0, 1, 2, 1, 3],
-        [(0, 1, None), (1, 2, None), (2, 4, None), (0, 3, None), (3, 4, None)])
+    impure = toy_posets()["impure"]
     assert not is_pure(impure)
     with pytest.raises(NotPure):
         is_thin(impure)
@@ -222,7 +284,7 @@ def test_fixture_bottom_is_not_below_all_figure_elements(system):
 def test_order_check_names_the_failed_axiom():
     # x < m < y by dims 0, 1, 2; each matrix breaks one axiom
     dims = [0, 1, 2]
-    chain = PackedOrder.from_dense([[1, 1, 1], [0, 1, 1], [0, 0, 1]])
+    chain = packed_from_dense([[1, 1, 1], [0, 1, 1], [0, 0, 1]])
     assert graded_covers(chain, dims, "chain") == ((0, 1, None), (1, 2, None))
     broken = {
         "not transitive": [[1, 1, 0], [0, 1, 1], [0, 0, 1]],
@@ -232,10 +294,10 @@ def test_order_check_names_the_failed_axiom():
     }
     for axiom, rows in broken.items():
         with pytest.raises(TheoremFalsified, match=f"chain is {axiom}"):
-            graded_covers(PackedOrder.from_dense(rows), dims, "chain")
+            graded_covers(packed_from_dense(rows), dims, "chain")
     # transitive, but x < y skips dim 1: the only relation is not a cover step
     with pytest.raises(TheoremFalsified, match="not graded by dimension"):
-        graded_covers(PackedOrder.from_dense([[1, 1], [0, 1]]), [0, 2], "gap")
+        graded_covers(packed_from_dense([[1, 1], [0, 1]]), [0, 2], "gap")
 
 
 @pytest.mark.parametrize("name", ["A3", "B3"])

@@ -16,12 +16,12 @@ from coxmorse.matchings import Matching
 from coxmorse.oracles import oracle_coset_piece, oracle_springer_member
 from coxmorse.posets import euler_characteristic, is_pure
 from coxmorse.springer import (
-    SpringerPoset,
     build_slices,
     build_springer_poset,
     springer_matching,
 )
 from coxmorse.verify import disjoint_pairs
+from helpers import with_members
 
 
 def test_a1_examples(system):
@@ -186,8 +186,7 @@ def test_build_slices_rejects_a_dropped_member(system):
     s = system("A3")
     sp = build_springer_poset(s, {1}, {3})
     v, w = next(p for p in sp.members if p != (sp.apex, sp.apex))
-    dropped = SpringerPoset(s, sp.J, sp.Jprime,
-                            tuple(p for p in sp.members if p != (v, w)), sp.poset)
+    dropped = with_members(sp, tuple(p for p in sp.members if p != (v, w)))
     message = f"slice Z_v at v={s.word_str(v)} is not the intersection of P_v and Q_v"
     with pytest.raises(TheoremFalsified, match=re.escape(message)):
         build_slices(dropped, v)
@@ -223,8 +222,8 @@ def test_slice_matching_rejects_a_wrong_apex(system, monkeypatch):
     sp = build_springer_poset(system("A3"), {1}, {3})
     apex = sp.index[(sp.apex, sp.apex)]
 
-    def shifted_apex(system, poset, index, slices, order, apex, what):
-        return cells.slice_matching(system, poset, index, slices, order, apex + 1, what)
+    def shifted_apex(system, poset, slices, order, apex, what):
+        return cells.slice_matching(system, poset, slices, order, apex + 1, what)
 
     monkeypatch.setattr(springer, "slice_matching", shifted_apex)
     names = sp.poset.names

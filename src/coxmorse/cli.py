@@ -17,13 +17,14 @@ import re
 import sys
 
 from . import __version__
-from .cells import check_against_pair_poset
+from .cells import check_against_pair_poset, pair_name
 from .coxeter import DEFAULT_MAX_ELEMENTS, CoxeterMatrix, CoxeterSystem, build_system
 from .errors import Falsification, InputError, InvalidSubset, TheoremFalsified
 from .fibers import build_fiber_poset, build_qk, fiber_matching, generalized_quotient, verify_convexity
 from .matchings import build_matching, labeled_interval, morse_counts, verify_shelling_subsets
-from .oracles import (oracle_bruhat_leq, oracle_convexity, oracle_interval_covers,
-                      oracle_interval_ids, oracle_shelling_subsets, oracle_unmatched_scan)
+from .oracles import (oracle_bruhat_leq, oracle_convexity, oracle_fiber_members,
+                      oracle_interval_covers, oracle_interval_ids, oracle_shelling_subsets,
+                      oracle_unmatched_scan)
 from .posets import euler_characteristic, poset_to_dot
 from .reflection_orders import order_from_reduced_word, shortlex_order
 from .springer import build_springer_poset, springer_matching
@@ -153,6 +154,21 @@ def _check_interval(li) -> None:
         )
 
 
+def _check_fiber_members(fp) -> None:
+    """Under ``--paranoid``: the members of ``fp`` must be those of the
+    defining condition over W_K x W_K by the subword test
+    (:func:`oracles.oracle_fiber_members`); the first difference is named."""
+    system = fp.system
+    members = oracle_fiber_members(system, fp.K, *fp.anchors)
+    if set(members) != set(fp.members):
+        pair = min(set(members) ^ set(fp.members))
+        side = "the oracle" if pair in members else "the fiber poset"
+        raise Falsification(
+            f"fiber poset for K={sorted(fp.K)} disagrees with the defining-condition "
+            f"oracle at {pair_name(system, pair)} (only in {side})"
+        )
+
+
 def cmd_matching(args) -> int:
     system = _system_from_args(args)
     v = system.parse_word(args.interval[0])
@@ -260,6 +276,7 @@ def cmd_fiber(args) -> int:
     qk = build_qk(system, K)
     fp = build_fiber_poset(qk, (vp, wp), (v, w))
     if args.paranoid:
+        _check_fiber_members(fp)
         check_against_pair_poset(system, fp.poset, "fiber pair poset")
         oracle_convexity(fp)
     convex = verify_convexity(fp)

@@ -510,6 +510,9 @@ class CoxeterSystem:
         self._build_tables(order)
         self._parabolic_cache: dict[frozenset[int], ParabolicSubset] = {}
         self._n_r_cache: dict[int, frozenset[int]] = {}
+        # v' -> (sequence, word) of its checked reflection order, filled
+        # by :func:`reflection_orders.order_for_fiber`
+        self._fiber_orders: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
 
     # -- construction -----------------------------------------------------
 
@@ -781,6 +784,11 @@ class CoxeterSystem:
             if not isinstance(i, int) or not 1 <= i <= self.rank:
                 raise InvalidSubset(f"bad generator subset member {i!r} (rank {self.rank})")
         return J
+
+    def in_parabolic(self, x: int, J: Iterable[int]) -> bool:
+        """x in W_J, read from x's support bits: every letter of a reduced
+        word of x is a generator in J."""
+        return not self.support_bits[x] & ~_bits(J)
 
     def parabolic(self, J: Iterable[int]) -> "ParabolicSubset":
         J = self.check_subset(J)

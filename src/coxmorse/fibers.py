@@ -6,10 +6,15 @@ by an element of W_K.  For comparable anchors the fiber poset F collects
 pairs (a, b) in W_K x W_K subject to a Demazure condition; it is computed
 here in four independent ways (the defining condition, plus three
 reformulations through the bounds z and z' and the right inversion set of
-v'), and the four sets are asserted equal.  A reflection order with
-N_R(v') first induces a matching on F with unique unmatched element
-(z~, z~), the top of the generalized quotient, giving the contractibility
-certificate.
+v'), and the four sets are asserted equal.  Each way scans only the pairs
+a <= b of its own candidate sets, so a fiber costs what its anchors
+admit: the defining condition those with v <= v'a and w'b <= w, the
+others [z, z'] cap W_K.  :func:`oracles.oracle_fiber_members` is the
+route over all of W_K x W_K by the subword test (``fiber --paranoid``).
+A reflection order with N_R(v') first, built once per v' and group
+(:func:`reflection_orders.order_for_fiber`), induces a matching on F with
+unique unmatched element (z~, z~), the top of the generalized quotient,
+giving the contractibility certificate.
 
 F is order convex, so it is a lower set of the nesting poset of pairs and
 is built from single steps by :func:`cells.ideal_poset`, which checks that
@@ -51,9 +56,19 @@ from .reflection_orders import order_for_fiber
 class QKPoset:
     system: CoxeterSystem
     K: frozenset[int]
-    members: tuple[tuple[int, int], ...]   # (v, w), w in W^K, v <= w
-    leq: PackedOrder
-    index: Mapping[tuple[int, int], int]   # the cell index of the pair poset
+    poset: FinitePoset   # its payload: the pairs (v, w), w in W^K, v <= w
+
+    @property
+    def members(self) -> tuple[tuple[int, int], ...]:
+        return self.poset.payload
+
+    @property
+    def leq(self) -> PackedOrder:
+        return self.poset.leq
+
+    @property
+    def index(self) -> Mapping[tuple[int, int], int]:
+        return self.poset.index
 
     def leq_pairs(self, p: tuple[int, int], q: tuple[int, int]) -> bool:
         return self.leq.leq(self.index[p], self.index[q])
@@ -72,14 +87,14 @@ def build_qk(system: CoxeterSystem, K) -> QKPoset:
     check_order_size(bru.count(sub.min_right), "q_k relation")
     v, w = bru.nonzero(sub.min_right)
     poset = pair_poset(system, np.column_stack((v, w)), "q_k relation", sub.elements)
-    return QKPoset(system, K, poset.payload, poset.leq, poset.index)
+    return QKPoset(system, K, poset)
 
 
 def z_lower(system: CoxeterSystem, vprime: int, v: int, K) -> int:
     """z = v'^{-1} circ_l v; must land in W_K for comparable anchors."""
     K = system.check_subset(K)
     z = system.circ_l(system.inverse(vprime), v)
-    if z not in set(system.parabolic(K).elements):
+    if not system.in_parabolic(z, K):
         raise AnchorViolation(
             f"z = {system.word_str(z)} is not in the parabolic subgroup of K={sorted(K)}"
         )
@@ -125,8 +140,11 @@ class FiberPoset:
     anchors: tuple[tuple[int, int], tuple[int, int]]  # (v', w') <= (v, w)
     z: int
     z_prime: int
-    members: tuple[tuple[int, int], ...]  # (a, b) pairs
-    poset: FinitePoset
+    poset: FinitePoset   # its payload: the pairs (a, b)
+
+    @property
+    def members(self) -> tuple[tuple[int, int], ...]:
+        return self.poset.payload
 
     @property
     def index(self) -> Mapping[tuple[int, int], int]:
@@ -151,6 +169,13 @@ def build_fiber_poset(qk: QKPoset, lower: tuple[int, int], upper: tuple[int, int
     whose only witnessing t in N_R(v') moves a downward (e.g. diagonal
     pairs (a, a) with l(v'a) < l(v') + l(a)); (i)-(iii) exclude those
     through the length or inversion conditions.
+
+    Each description is scanned on the pairs a <= b of its own candidate
+    sets, the conditions with one end fixed: (i) on a with v <= v'a
+    times b with w'b <= w, so that it reads neither z nor z'; (ii)-(iv) on
+    [z, z'] cap W_K twice over.  The lists are in (a, b) order.
+    :func:`oracles.oracle_fiber_members` tests (i) on all of W_K x W_K by
+    the subword test (``fiber --paranoid``).
     """
     system = qk.system
     if lower not in qk.index or upper not in qk.index:
@@ -162,43 +187,33 @@ def build_fiber_poset(qk: QKPoset, lower: tuple[int, int], upper: tuple[int, int
     zp = z_upper(system, wp, w, qk.K)
     elems = system.parabolic(qk.K).elements
     n_r = system.right_inversion_reflections(vp)
-    bru, length = system.bruhat, system.length
-    leq = bru.leq
+    length, leq = system.length, system.bruhat.leq
     lvp = length[vp]
 
-    # the products v'a, w'b, t a (one walk over W_K) and the inverses
+    # the products v'a, w'b, t a (one walk over W_K)
     rows = system.right_multiples([vp, wp, *n_r], qk.K)
     vp_a, wp_b = dict(zip(elems, rows[0])), dict(zip(elems, rows[1]))
-    t_a = {a: [row[k] for row in rows[2:]] for k, a in enumerate(elems)}
-    inv = {b: system.inverse(b) for b in elems}
-
-    ids = np.asarray(elems)
-    lo, hi = np.nonzero(bru[ids[:, None], ids])
-    box = list(zip(ids[lo].tolist(), ids[hi].tolist()))
-    # the relations with one end fixed, read once per element of W_K
-    above_v = {a for a in elems if leq(v, vp_a[a])}   # v <= v'a
-    below_w = {b for b in elems if leq(wp_b[b], w)}   # w'b <= w
-    above_z = {a for a in elems if leq(z, a)}
-    below_zp = {b for b in elems if leq(b, zp)}
+    # the candidate sets, one Bruhat read per element of W_K each
+    above_v = [a for a in elems if leq(v, vp_a[a])]   # v <= v'a
+    below_w = [b for b in elems if leq(wp_b[b], w)]   # w'b <= w
+    # t a over t in N_R(v'), kept for the a with z <= a, which (iii)-(iv) read
+    t_a = {a: [row[k] for row in rows[2:]] for k, a in enumerate(elems) if leq(z, a)}
+    above_z = list(t_a)                               # z <= a
+    below_zp = [b for b in elems if leq(b, zp)]
+    inv = {b: system.inverse(b) for b in {*below_w, *below_zp}}
 
     def in_i(a: int, b: int) -> bool:
-        va, wb = vp_a[a], wp_b[b]
-        return (a in above_v and b in below_w and leq(va, wb)
-                and system.circ_r(va, inv[b]) == vp
+        va = vp_a[a]
+        return (leq(va, wp_b[b]) and system.circ_r(va, inv[b]) == vp
                 and length[va] == lvp + length[a])
 
-    def chain_ok(a: int, b: int) -> bool:
-        return a in above_z and b in below_zp
-
     def in_ii(a: int, b: int) -> bool:
-        return chain_ok(a, b) and system.circ_r(vp_a[a], inv[b]) == vp
+        return system.circ_r(vp_a[a], inv[b]) == vp
 
     def in_iii(a: int, b: int) -> bool:
-        return chain_ok(a, b) and not any(leq(ta, b) for ta in t_a[a])
+        return not any(leq(ta, b) for ta in t_a[a])
 
     def in_iv(a: int, b: int) -> bool:
-        if not chain_ok(a, b):
-            return False
         la = length[a]
         if length[vp_a[a]] != lvp + la:
             return False
@@ -207,9 +222,14 @@ def build_fiber_poset(qk: QKPoset, lower: tuple[int, int], upper: tuple[int, int
                 return False
         return True
 
-    members = [p for p in box if in_iv(*p)]
-    for tag, pred in (("defining", in_i), ("interval", in_ii), ("inversion", in_iii)):
-        alt = [p for p in box if pred(*p)]
+    def scan(above: list[int], below: list[int]) -> list[tuple[int, int]]:
+        return [(a, b) for a in above for b in below if leq(a, b)]
+
+    chains = scan(above_z, below_zp)
+    members = [p for p in chains if in_iv(*p)]
+    for tag, pairs, pred in (("defining", scan(above_v, below_w), in_i),
+                             ("interval", chains, in_ii), ("inversion", chains, in_iii)):
+        alt = [p for p in pairs if pred(*p)]
         if alt != members:
             diff = set(alt) ^ set(members)
             raise PropositionFalsified(
@@ -219,7 +239,7 @@ def build_fiber_poset(qk: QKPoset, lower: tuple[int, int], upper: tuple[int, int
     if not members:
         raise TheoremFalsified("fiber poset is empty for comparable anchors")
     poset = ideal_poset(system, members, "fiber pair poset")
-    return FiberPoset(system, qk.K, (lower, upper), z, zp, poset.payload, poset)
+    return FiberPoset(system, qk.K, (lower, upper), z, zp, poset)
 
 
 @dataclass(frozen=True)

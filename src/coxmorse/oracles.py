@@ -217,6 +217,30 @@ def oracle_coset_piece(system: CoxeterSystem, v: int, w: int, J) -> list[int]:
     )
 
 
+def oracle_fiber_members(system: CoxeterSystem, K, lower: tuple[int, int],
+                         upper: tuple[int, int]) -> list[tuple[int, int]]:
+    """The fiber of the anchors (v', w') <= (v, w) by its defining condition
+    over all of W_K x W_K, every comparison by the subword test: the pairs
+    (a, b) with a <= b, v <= v'a <= w'b <= w, v'a circ_r b^{-1} = v' and
+    l(v'a) = l(v') + l(a), in (a, b) order.  Reads neither the Bruhat
+    order nor the bounds z and z'."""
+    (vp, wp), (v, w) = lower, upper
+    elems = system.parabolic(K).elements
+    lvp = system.len_of(vp)
+    out = []
+    for a in elems:
+        va = system.mul(vp, a)
+        if system.len_of(va) != lvp + system.len_of(a) or not oracle_bruhat_leq(system, v, va):
+            continue
+        for b in elems:
+            wb = system.mul(wp, b)
+            if (oracle_bruhat_leq(system, a, b) and oracle_bruhat_leq(system, va, wb)
+                    and oracle_bruhat_leq(system, wb, w)
+                    and system.circ_r(va, system.inverse(b)) == vp):
+                out.append((a, b))
+    return out
+
+
 def oracle_convexity(fp) -> bool:
     """Order convexity of a fiber poset ``fp`` by brute force over W_K:
     (a, b) in F and a <= a' <= b' <= b imply (a', b') in F."""

@@ -177,8 +177,8 @@ def order_for_springer(system: CoxeterSystem, Jprime, J) -> ReflectionOrder:
     middle = system.mul(system.mul(w_jp, system.w0), w_jstar)
     order = _concat_order(system, [w_jp, middle, w_jstar])
 
-    t_jprime = {t for t in system.reflections if t in set(system.parabolic(Jprime).elements)}
-    t_j = {t for t in system.reflections if t in set(system.parabolic(J).elements)}
+    t_jprime = {t for t in system.reflections if system.in_parabolic(t, Jprime)}
+    t_j = {t for t in system.reflections if system.in_parabolic(t, J)}
     n = len(order.sequence)
     head = set(order.sequence[: len(t_jprime)])
     tail = set(order.sequence[n - len(t_j):])
@@ -192,7 +192,14 @@ def order_for_springer(system: CoxeterSystem, Jprime, J) -> ReflectionOrder:
 
 def order_for_fiber(system: CoxeterSystem, vprime: int) -> ReflectionOrder:
     """A reflection order whose initial segment is N_R(v'), realized as the
-    inversion order of w0 = (v'^{-1}) . (v' w0)."""
+    inversion order of w0 = (v'^{-1}) . (v' w0).  The order depends on v'
+    alone, so each system keeps the sequence and word of the orders it has
+    built, once their initial segment has been checked.  It keeps no
+    :class:`ReflectionOrder`, which would refer back to the system and
+    keep a discarded system alive until the next full garbage collection."""
+    kept = system._fiber_orders.get(vprime)
+    if kept is not None:
+        return ReflectionOrder(system, *kept)
     order = _concat_order(system, [system.inverse(vprime), system.mul(vprime, system.w0)])
     n_r = system.right_inversion_reflections(vprime)
     if set(order.sequence[: len(n_r)]) != n_r:
@@ -200,4 +207,5 @@ def order_for_fiber(system: CoxeterSystem, vprime: int) -> ReflectionOrder:
             f"{order} in {system.matrix.label} does not start with N_R(v') "
             f"(v'={system.word_str(vprime)})"
         )
+    system._fiber_orders[vprime] = order.sequence, order.word
     return order

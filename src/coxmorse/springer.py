@@ -35,8 +35,11 @@ class SpringerPoset:
     system: CoxeterSystem
     J: frozenset[int]
     Jprime: frozenset[int]
-    members: tuple[tuple[int, int], ...]
-    poset: FinitePoset
+    poset: FinitePoset   # its payload: the pairs (v, w)
+
+    @property
+    def members(self) -> tuple[tuple[int, int], ...]:
+        return self.poset.payload
 
     @property
     def index(self) -> Mapping[tuple[int, int], int]:
@@ -83,15 +86,15 @@ def build_springer_poset(system: CoxeterSystem, J, Jprime) -> SpringerPoset:
     if J & Jprime:
         raise OverlappingSubsets(f"J and J' overlap: {sorted(J & Jprime)}")
     poset = ideal_poset(system, _members(system, J, Jprime), "springer pair poset")
-    sp = SpringerPoset(system, J, Jprime, poset.payload, poset)
+    sp = SpringerPoset(system, J, Jprime, poset)
     _check_membership_invariants(sp)
     return sp
 
 
 def _check_membership_invariants(sp: SpringerPoset) -> None:
-    system = sp.system
+    system, members = sp.system, sp.members
     min_left = set(system.parabolic(sp.Jprime).min_left)
-    for v, w in sp.members:
+    for v, w in members:
         if v not in min_left or w not in min_left:
             raise TheoremFalsified(
                 f"member ({system.word_str(v)}, {system.word_str(w)}) leaves the "
@@ -99,7 +102,7 @@ def _check_membership_invariants(sp: SpringerPoset) -> None:
             )
     # Hasse edges crossing slices must fix w and move v by one cover
     for lo, hi, _ in sp.poset.covers:
-        (v1, w1), (v2, w2) = sp.members[lo], sp.members[hi]
+        (v1, w1), (v2, w2) = members[lo], members[hi]
         if v1 != v2:
             if w1 != w2 or system.len_of(v1) != system.len_of(v2) + 1:
                 raise TheoremFalsified(

@@ -291,8 +291,8 @@ def check_reflection_orders(system: CoxeterSystem,
         try:
             order = order_for_springer(system, Jp, J)
             rank = order.rank
-            t_jp = {t for t in t_set if t in set(system.parabolic(Jp).elements)}
-            t_j = {t for t in t_set if t in set(system.parabolic(J).elements)}
+            t_jp = {t for t in t_set if system.in_parabolic(t, Jp)}
+            t_j = {t for t in t_set if system.in_parabolic(t, J)}
             if t_jp and t_set - t_jp:
                 if max(rank[t] for t in t_jp) >= min(rank[t] for t in t_set - t_jp):
                     report.failures.append(f"initial segment violated for J'={sorted(Jp)}")

@@ -1,7 +1,7 @@
 import pytest
 
 from coxmorse import build_system
-from coxmorse.fibers import build_fiber_poset, build_qk
+from helpers import fiber_posets
 
 _CACHE = {}
 
@@ -22,13 +22,4 @@ def system():
 @pytest.fixture(scope="session")
 def a3_fibers(system):
     """Every fiber poset that ``verify.check_fibers(A3, len_cap=5)`` builds."""
-    s = system("A3")
-    out = []
-    for r in range(1 << s.rank):
-        K = frozenset(i + 1 for i in range(s.rank) if r >> i & 1)
-        qk = build_qk(s, K)
-        for j, (_, w) in enumerate(qk.members):
-            if s.len_of(w) <= 5:
-                for i in qk.leq[:, j].nonzero()[0].tolist():
-                    out.append(build_fiber_poset(qk, qk.members[i], qk.members[j]))
-    return tuple(out)
+    return fiber_posets(system("A3"), 5)

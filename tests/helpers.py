@@ -1,13 +1,14 @@
 """Posets and systems that only the tests build: toy posets given by their
-covers, packed orders given as dense matrices, Springer and fiber posets
-with tampered cells, and a B3 system with a planted cover that skips two
-lengths."""
+covers, packed orders given as dense matrices, the fiber posets of a
+fiber sweep, Springer and fiber posets with tampered cells, and a B3
+system with a planted cover that skips two lengths."""
 
 import dataclasses
 
 import numpy as np
 
 from coxmorse import build_system
+from coxmorse.fibers import build_fiber_poset, build_qk
 from coxmorse.posets import FinitePoset, PackedOrder
 
 
@@ -24,14 +25,28 @@ def packed_from_dense(matrix):
     return PackedOrder(len(matrix), np.packbits(matrix, axis=1, bitorder="little"))
 
 
+def fiber_posets(s, len_cap):
+    """Every fiber poset that ``verify.check_fibers(s, len_cap)`` builds."""
+    out = []
+    for r in range(1 << s.rank):
+        K = frozenset(i + 1 for i in range(s.rank) if r >> i & 1)
+        qk = build_qk(s, K)
+        for j, (_, w) in enumerate(qk.members):
+            if s.len_of(w) <= len_cap:
+                for i in qk.leq[:, j].nonzero()[0].tolist():
+                    out.append(build_fiber_poset(qk, qk.members[i], qk.members[j]))
+    return tuple(out)
+
+
 def with_members(cells, members):
-    """A Springer or fiber poset ``cells`` with the cells ``members``, in
-    its members and in its poset's cell index alike; the poset has no
-    covers, which neither the slice nor the convexity checks read."""
+    """A Springer or fiber poset ``cells`` with the cells ``members``: its
+    poset is replaced by one whose payload and cell index are ``members``
+    and which has no covers, which neither the slice nor the convexity
+    checks read."""
     length = cells.system.len_of
     poset = FinitePoset(tuple(length(w) - length(v) for v, w in members), None, (), members,
                         {p: k for k, p in enumerate(members)}, cells.poset.name_of)
-    return dataclasses.replace(cells, members=members, poset=poset)
+    return dataclasses.replace(cells, poset=poset)
 
 
 def b3_with_a_cover_across_dims():

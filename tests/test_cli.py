@@ -7,7 +7,7 @@ import pytest
 from coxmorse import posets
 from coxmorse.cli import main, parse_subset
 from coxmorse.errors import InvalidSubset
-from helpers import b3_with_a_cover_across_dims
+from helpers import b3_with_a_cover_across_dims, with_members
 
 
 def run(capsys, *argv):
@@ -288,6 +288,29 @@ def test_fiber_runs_the_convexity_oracle_under_paranoid(monkeypatch, capsys, par
 
     monkeypatch.setattr(cli, "oracle_convexity", failing)
     assert run(capsys, *argv, *flag) == ((3, "", "FALSIFIED: planted\n") if paranoid else clean)
+
+
+@pytest.mark.parametrize("pair, side", [(("1", "1.2"), "the oracle"),
+                                        (("2.1", "2.1"), "the fiber poset")])
+def test_paranoid_fiber_rechecks_the_members(monkeypatch, capsys, pair, side):
+    # one member dropped, or one comparable pair of W_K added, through the
+    # poset: the defining-condition oracle under --paranoid names the pair
+    import coxmorse.cli as cli
+
+    real = cli.build_fiber_poset
+
+    def tampered(qk, lower, upper):
+        fp = real(qk, lower, upper)
+        a, b = map(fp.system.parse_word, pair)
+        if (a, b) in fp.index:
+            return with_members(fp, tuple(p for p in fp.members if p != (a, b)))
+        return with_members(fp, fp.members + ((a, b),))
+
+    monkeypatch.setattr(cli, "build_fiber_poset", tampered)
+    argv = ["fiber", "--group", "A3", "--K", "{1,2}", "--anchors", "e:e:e:1.2.3"]
+    assert run(capsys, *argv, "--paranoid") == (
+        3, "", f"FALSIFIED: fiber poset for K=[1, 2] disagrees with the defining-condition "
+               f"oracle at ({pair[0]},{pair[1]}) (only in {side})\n")
 
 
 @pytest.mark.parametrize("side", ["oracle_shelling_subsets", "verify_shelling_subsets"])

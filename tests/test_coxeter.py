@@ -375,6 +375,15 @@ def test_parabolic(system):
         s.parabolic({5})
 
 
+@pytest.mark.parametrize("name", ["B3", "H3"])
+def test_support_bit_membership_matches_the_parabolic_elements(system, name):
+    s = system(name)
+    for r in range(2 ** s.rank):
+        J = frozenset(i + 1 for i in range(s.rank) if r >> i & 1)
+        members = tuple(x for x in range(s.size) if s.in_parabolic(x, J))
+        assert members == s.parabolic(J).elements
+
+
 @pytest.mark.parametrize("name", ["A3", "B3"])
 def test_parabolic_data_match_direct_definitions(system, name):
     s = system(name)

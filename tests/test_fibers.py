@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from coxmorse import build_system
+from coxmorse import build_system, fibers
 from coxmorse.cells import pair_name
 from coxmorse.errors import (CorollaryFalsified, NotComparable, NotMinimalCosetRep,
                              PropositionFalsified)
@@ -19,8 +19,8 @@ from coxmorse.fibers import (
     z_upper,
 )
 from coxmorse.cells import nested_pair_order
-from coxmorse.oracles import oracle_bruhat_leq, oracle_convexity
-from helpers import with_members
+from coxmorse.oracles import oracle_bruhat_leq, oracle_convexity, oracle_fiber_members
+from helpers import fiber_posets, with_members
 
 
 def test_qk_empty_k_reduces_to_nested_order(system):
@@ -163,6 +163,14 @@ def test_convexity_routes_agree_on_every_a3_fiber(a3_fibers):
         assert verify_convexity(fp) and oracle_convexity(fp)
 
 
+def test_fiber_members_agree_with_the_defining_condition_oracle(system, a3_fibers):
+    # every fiber of check_fibers(A3, len_cap=5) and check_fibers(B3, len_cap=4)
+    for fibers, count in ((a3_fibers, 6066), (fiber_posets(system("B3"), 4), 5300)):
+        assert len(fibers) == count
+        for fp in fibers:
+            assert oracle_fiber_members(fp.system, fp.K, *fp.anchors) == sorted(fp.members)
+
+
 def top_cell(fp):
     """The one cell of F above every cell in the nesting order."""
     leq = fp.system.bruhat_leq
@@ -294,3 +302,20 @@ def test_fiber_descriptions_disagree_without_one_inversion(monkeypatch):
                        match=r"fiber descriptions disagree \(defining vs cover-restricted\): "
                              r"\[\('e', '1'\)\]"):
         build_fiber_poset(qk, lower, upper)
+
+
+@pytest.mark.parametrize("bound", ["z_lower", "z_upper"])
+def test_a_wrong_bound_is_caught_by_the_defining_description(monkeypatch, system, bound):
+    # fault injection: z or z' moved to the other end of [z, z'] shrinks the
+    # scans of (ii)-(iv) to one pair; (i), which reads neither bound, still
+    # scans the whole fiber
+    s = system("A3")
+    qk = build_qk(s, {1, 2})
+    anchors = (0, 0), (0, s.parse_word("1.2.3"))
+    fp = build_fiber_poset(qk, *anchors)
+    z, zp = fp.z, fp.z_prime
+    assert (z, zp) == (0, s.parse_word("1.2")) and len(fp.members) == 9
+    monkeypatch.setattr(fibers, bound, lambda *args: zp if bound == "z_lower" else z)
+    with pytest.raises(PropositionFalsified,
+                       match=r"fiber descriptions disagree \(defining vs cover-restricted\)"):
+        build_fiber_poset(qk, *anchors)

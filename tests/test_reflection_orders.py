@@ -1,8 +1,12 @@
 """Reflection orders: inversion sequences, validation, constrained builders."""
 
+import gc
+import weakref
+
 import pytest
 
-from coxmorse.errors import NotReducedWordOfW0, OverlappingSubsets
+from coxmorse import build_system
+from coxmorse.errors import NotReducedWordOfW0, OverlappingSubsets, TheoremFalsified
 from coxmorse.oracles import oracle_reflection_orders
 from coxmorse.reflection_orders import (
     inversion_sequence,
@@ -137,3 +141,39 @@ def test_order_for_fiber(system):
         rest = set(a3.reflections) - n_r
         if n_r and rest:
             assert max(rank[t] for t in n_r) < min(rank[t] for t in rest)
+
+
+def test_order_for_fiber_is_kept_per_system():
+    s = build_system("A3")  # fresh: its memo starts empty
+    vp = s.parse_word("1.2")
+    order = order_for_fiber(s, vp)
+    again = order_for_fiber(s, vp)
+    assert again == order and again.sequence is order.sequence
+    other = build_system("A3")
+    fresh = order_for_fiber(other, vp)
+    assert fresh.system is other and fresh.sequence is not order.sequence
+    assert fresh.sequence == order.sequence
+    # the memo holds no order, so no cycle runs through the system: it is
+    # freed with its last reference, with the cycle collector off
+    ref = weakref.ref(other)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del other, fresh
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_a_failed_initial_segment_check_is_not_kept(monkeypatch):
+    # fault injection: N_R(v') is replaced by the other reflections, so the
+    # order's head cannot match it; each call checks again and raises
+    s = build_system("A3")
+    vp = s.parse_word("1.2")
+    wrong = frozenset(s.reflections) - s.right_inversion_reflections(vp)
+    monkeypatch.setattr(s, "right_inversion_reflections", lambda v: wrong)
+    for _ in range(2):
+        with pytest.raises(TheoremFalsified, match=r"does not start with N_R\(v'\)"):
+            order_for_fiber(s, vp)
+    assert vp not in s._fiber_orders

@@ -15,6 +15,9 @@ COMMANDS = {
     "springer_A3_J1_Jp3": ["springer", "--group", "A3", "--J", "{1}", "--Jprime", "{3}"],
     "springer_A3_J2_Jp-": ["springer", "--group", "A3", "--J", "{2}", "--Jprime", "{}"],
     "springer_B3_J-_Jp-": ["springer", "--group", "B3", "--J", "{}", "--Jprime", "{}"],
+    # both P_v and Q_v checked; and Q_v vacuous (J empty)
+    "springer_A4_J2_Jp3": ["springer", "--group", "A4", "--J", "{2}", "--Jprime", "{3}"],
+    "springer_A4_J-_Jp14": ["springer", "--group", "A4", "--J", "{}", "--Jprime", "{1,4}"],
     "fiber_A3_K12_e.e.e.1-2-3": ["fiber", "--group", "A3", "--K", "{1,2}",
                                  "--anchors", "e:e:e:1.2.3"],
     "fiber_A3_K13_2.2.e.2-1-3-2": ["fiber", "--group", "A3", "--K", "{1,3}",

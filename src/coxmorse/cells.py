@@ -17,19 +17,21 @@ by some u in W_K, which is not a restriction of P; it is built by
 pairs of a packed order (:class:`posets.PackedOrder`), asserted to
 generate it.  :func:`pair_poset` on the cells of Z or F is their
 independent oracle route (:func:`check_against_pair_poset`).  Such a
-poset is matched slice by slice (:func:`slice_matching`).
+poset is matched slice by slice (:func:`slice_matching`): the matching of
+a slice's interval is read only on the slice and its checked subsets,
+each element's partner from its own covers (:func:`slice_partners`), so
+a slice costs what it holds, not its interval.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .coxeter import CoxeterSystem
-from .errors import Falsification, TheoremFalsified
-from .matchings import (Matching, MorseSummary, build_matching, is_M_subset,
-                        labeled_interval, morse_counts)
+from .errors import Falsification, NotAMatching, TheoremFalsified
+from .matchings import Matching, MorseSummary, morse_counts
 from .posets import FinitePoset, PackedOrder, check_order_size
 from .reflection_orders import ReflectionOrder
 
@@ -195,6 +197,49 @@ def check_against_pair_poset(system: CoxeterSystem, poset: FinitePoset, what: st
         )
 
 
+class RankedCovers(dict):
+    """y -> the Bruhat covers of y as (u, up), u covering y if ``up`` and
+    covered by y otherwise, by decreasing rank of their labels under
+    ``rank``; built for each y on first read.  The labels at y are
+    distinct reflections, so there are no ties."""
+
+    def __init__(self, system: CoxeterSystem, rank: Mapping[int, int]):
+        super().__init__()
+        self.system, self.rank = system, rank
+
+    def __missing__(self, y: int) -> list[tuple[int, bool]]:
+        rank = self.rank
+        edges = [(rank[t], u, True) for u, t in self.system.bruhat_covers_up(y)]
+        edges += [(rank[t], u, False) for u, t in self.system.bruhat_covers_down(y)]
+        edges.sort(reverse=True)
+        self[y] = out = [(u, up) for _, u, up in edges]
+        return out
+
+
+def slice_partners(system: CoxeterSystem, x: int, top: int, ys: Iterable[int],
+                   covers: RankedCovers) -> dict[int, int]:
+    """M(y) for each y in ``ys``, M the matching of [x, top] under the
+    reflection order of ``covers``, read from y's own covers: the edges of
+    [x, top] at y are the up-covers u of y with u <= top and the down-covers
+    u with x <= u, and M(y) ends the one with the largest label (the rule
+    of :func:`matchings.build_matching`).  An element with no edge raises
+    :class:`NotAMatching`."""
+    leq = system.bruhat.leq
+    below_top = top == system.w0   # then every up-cover of y lies below top
+    partner = {}
+    for y in ys:
+        for u, up in covers[y]:
+            if (below_top or leq(u, top)) if up else leq(x, u):
+                partner[y] = u
+                break
+        else:
+            raise NotAMatching(
+                f"isolated element {system.word_str(y)} in the Hasse diagram of "
+                f"[{system.word_str(x)}, {system.word_str(top)}]"
+            )
+    return partner
+
+
 def slice_matching(system: CoxeterSystem, poset: FinitePoset, slices: Iterable[tuple],
                    order: ReflectionOrder, apex: int,
                    what: str) -> tuple[Matching, MorseSummary]:
@@ -203,29 +248,39 @@ def slice_matching(system: CoxeterSystem, poset: FinitePoset, slices: Iterable[t
 
     A slice (x, top, subsets, z_x) has base x, the slice z_x = {y : (x, y)
     in the poset} inside [x, top], and (label, elements) subsets of
-    [x, top].  The matching M of [x, top] under ``order`` must preserve
-    every subset and z_x; then (x, y) and (x, M(y)) are matched for y in
-    z_x.  Postconditions: every matched pair is a cover, the matching is
+    [x, top]; a subset that is all of [x, top] is preserved by any
+    matching of it and is left out by the caller.  The matching M of
+    [x, top] under ``order`` is read only on the subsets and z_x
+    (:func:`slice_partners`): it must preserve each of them and be an
+    involution there; then (x, y) and (x, M(y)) are matched for y in z_x.
+    Postconditions: every matched pair is a cover, the matching is
     acyclic (checked by :func:`morse_counts`), and the cell ``apex`` is
     the only unmatched one.  ``what`` names the poset in errors.
+    :func:`oracles.oracle_slice_partners` matches all of [x, top]
+    (``--paranoid``).
     """
-    index = poset.index
+    index, name = poset.index, system.word_str
+    covers = RankedCovers(system, order.rank)
     partner = list(range(poset.n))
     for x, top, subsets, z_x in slices:
-        li = labeled_interval(system, x, top)
-        m = build_matching(li, order)
-        local, ids = li.index, li.ids
-        for label, subset in (*subsets, ("slice", z_x)):
-            if not is_M_subset(m, (local[y] for y in subset)):
+        checked = [(label, set(subset)) for label, subset in (*subsets, ("slice", z_x))]
+        m = slice_partners(system, x, top, set().union(*(s for _, s in checked)), covers)
+        for label, inside in checked:
+            if not inside.issuperset(map(m.__getitem__, inside)):
                 raise TheoremFalsified(
-                    f"{label} at {system.word_str(x)} is not preserved by the matching "
-                    f"of [{system.word_str(x)}, {system.word_str(top)}] in the {what}"
+                    f"{label} at {name(x)} is not preserved by the matching of "
+                    f"[{name(x)}, {name(top)}] in the {what}"
+                )
+        for y, mate in m.items():
+            if m[mate] != y:
+                raise NotAMatching(
+                    f"edge selection is not an involution at {name(y)}: {name(y)} -> "
+                    f"{name(mate)} -> {name(m[mate])} in [{name(x)}, {name(top)}] "
+                    f"in the {what}"
                 )
         for y in z_x:
-            a = local[y]
-            b = m.partner[a]
-            if a < b:
-                i, j = index[(x, y)], index[(x, ids[b])]
+            if y < m[y]:
+                i, j = index[(x, y)], index[(x, m[y])]
                 partner[i], partner[j] = j, i
     matching = Matching(poset, tuple(partner))
     above = poset.graded_adjacency[1]

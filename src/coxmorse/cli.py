@@ -17,17 +17,18 @@ import re
 import sys
 
 from . import __version__
-from .cells import check_against_pair_poset, pair_name
+from .cells import RankedCovers, check_against_pair_poset, pair_name, slice_partners
 from .coxeter import DEFAULT_MAX_ELEMENTS, CoxeterMatrix, CoxeterSystem, build_system
 from .errors import Falsification, InputError, InvalidSubset, TheoremFalsified
-from .fibers import build_fiber_poset, build_qk, fiber_matching, generalized_quotient, verify_convexity
+from .fibers import (build_fiber_poset, build_qk, fiber_matching, fiber_slices,
+                     generalized_quotient, verify_convexity)
 from .matchings import build_matching, labeled_interval, morse_counts, verify_shelling_subsets
 from .oracles import (oracle_bruhat_leq, oracle_convexity, oracle_fiber_members,
                       oracle_interval_covers, oracle_interval_ids, oracle_shelling_subsets,
-                      oracle_unmatched_scan)
+                      oracle_slice_partners, oracle_unmatched_scan)
 from .posets import euler_characteristic, poset_to_dot
 from .reflection_orders import order_from_reduced_word, shortlex_order
-from .springer import build_springer_poset, springer_matching
+from .springer import build_springer_poset, springer_matching, springer_slices
 from .verify import run_level
 
 EXIT_OK = 0
@@ -169,6 +170,27 @@ def _check_fiber_members(fp) -> None:
         )
 
 
+def _check_slices(system, slices, order, what) -> None:
+    """Under ``--paranoid``: on every slice (x, top, subsets, z_x), the
+    partners that :func:`cells.slice_partners` reads from each checked
+    element's own covers must be those of the matching of all of
+    [x, top] (:func:`oracles.oracle_slice_partners`); the slice and the
+    first element whose partners differ are named."""
+    covers = RankedCovers(system, order.rank)
+    for x, top, subsets, z_x in slices:
+        checked = sorted({y for _, subset in (*subsets, ("slice", z_x)) for y in subset})
+        local = slice_partners(system, x, top, checked, covers)
+        oracle = oracle_slice_partners(system, x, top, order)
+        y = next((y for y in checked if local[y] != oracle[y]), None)
+        if y is not None:
+            name = system.word_str
+            raise Falsification(
+                f"slice matching of [{name(x)}, {name(top)}] in the {what} disagrees with "
+                f"the full-interval oracle at {name(y)}: partner {name(local[y])} against "
+                f"{name(oracle[y])}"
+            )
+
+
 def cmd_matching(args) -> int:
     system = _system_from_args(args)
     v = system.parse_word(args.interval[0])
@@ -235,6 +257,8 @@ def cmd_springer(args) -> int:
     sp = build_springer_poset(system, J, Jp)
     if args.paranoid:
         check_against_pair_poset(system, sp.poset, "springer pair poset")
+        slices, order, _, what = springer_slices(sp)
+        _check_slices(system, slices, order, what)
     matching, summary = springer_matching(sp)
     if args.paranoid:
         _rescan_unmatched(sp.poset, matching, summary)
@@ -281,6 +305,9 @@ def cmd_fiber(args) -> int:
         oracle_convexity(fp)
     convex = verify_convexity(fp)
     gq = generalized_quotient(fp)
+    if args.paranoid:
+        slices, order, _, what = fiber_slices(fp)
+        _check_slices(system, slices, order, what)
     matching, summary = fiber_matching(fp)
     if args.paranoid:
         _rescan_unmatched(fp.poset, matching, summary)

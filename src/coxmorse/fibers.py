@@ -49,7 +49,7 @@ from .errors import (
 )
 from .matchings import Matching, MorseSummary
 from .posets import FinitePoset, PackedOrder, check_order_size
-from .reflection_orders import order_for_fiber
+from .reflection_orders import ReflectionOrder, order_for_fiber
 
 
 @dataclass(frozen=True)
@@ -289,12 +289,15 @@ def generalized_quotient(fp: FiberPoset) -> GeneralizedQuotient:
     return GeneralizedQuotient(vp, fp.z, fp.z_prime, tuple(members), zt)
 
 
-def fiber_matching(fp: FiberPoset) -> tuple[Matching, MorseSummary]:
-    """Assemble the fiber matching slice by slice over the generalized
-    quotient (:func:`cells.slice_matching`), under a reflection order with
-    N_R(v') first (:func:`reflection_orders.order_for_fiber`): the slice
-    P_a at a is a singleton iff a = z~, and the unique unmatched element is
-    (z~, z~)."""
+def fiber_slices(fp: FiberPoset) -> tuple[list[tuple], ReflectionOrder, int, str]:
+    """What :func:`cells.slice_matching` assembles the fiber matching from:
+    the slices, the reflection order, the apex cell and the poset's name.
+
+    Each a of the generalized quotient but z~ gives the slice
+    (a, z', (), P_a) of [a, z'], P_a = {b : (a, b) in F}, under a
+    reflection order with N_R(v') first
+    (:func:`reflection_orders.order_for_fiber`); P_a must be a singleton
+    iff a = z~, and the apex is (z~, z~)."""
     system = fp.system
     gq = generalized_quotient(fp)
     order = order_for_fiber(system, fp.vprime)
@@ -308,8 +311,14 @@ def fiber_matching(fp: FiberPoset) -> tuple[Matching, MorseSummary]:
         if a != gq.z_tilde:
             slices.append((a, fp.z_prime, (), p_a))
     what = f"fiber pair poset (K={sorted(fp.K)})"
-    return slice_matching(system, fp.poset, slices, order,
-                          fp.index[(gq.z_tilde, gq.z_tilde)], what)
+    return slices, order, fp.index[(gq.z_tilde, gq.z_tilde)], what
+
+
+def fiber_matching(fp: FiberPoset) -> tuple[Matching, MorseSummary]:
+    """The fiber matching, assembled slice by slice over the generalized
+    quotient (:func:`fiber_slices`, :func:`cells.slice_matching`); the
+    unique unmatched element is (z~, z~)."""
+    return slice_matching(fp.system, fp.poset, *fiber_slices(fp))
 
 
 def verify_convexity(fp: FiberPoset) -> bool:

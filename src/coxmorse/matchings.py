@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .coxeter import CoxeterSystem
 from .errors import (
@@ -211,12 +211,6 @@ def is_acyclic(poset: FinitePoset, matching: Matching) -> AcyclicityReport:
             path.append(y)
             todo.append(iter(below[partner[y]]))
     return AcyclicityReport(True)
-
-
-def is_M_subset(matching: Matching, subset: Iterable[int]) -> bool:
-    """True iff the matching restricts to an involution of ``subset``."""
-    sub = set(subset)
-    return all(matching.partner[x] in sub for x in sub)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,9 @@ the CLI's ``--paranoid`` runs.
 
 Each oracle recomputes a production result by a different route (subword
 recursion, literal optimization over lower sets, exhaustive word
-enumeration, prefix unions read from the Bruhat order's rows) and never
-calls the production code it is checking.  The one shared piece is the
+enumeration, prefix unions read from the Bruhat order's rows, a slice's
+partners read off the matching of its whole interval) and never calls the
+production code it is checking.  The one shared piece is the
 Todd-Coxeter routine under :func:`oracle_group_tables`, whose production
 output is proved correct on every build by :func:`coxeter.certify_table`.
 """
@@ -19,7 +20,8 @@ from .coxeter import (DEFAULT_MAX_ELEMENTS, CoxeterMatrix, CoxeterSystem,
                       _coset_enumeration)
 from .errors import (CapExceeded, CorollaryFalsified, NonUniqueOptimum, NotAMatching,
                      NotMinimalCosetRep, TheoremFalsified)
-from .matchings import LabeledInterval, Matching, ShellingReport
+from .matchings import (LabeledInterval, Matching, ShellingReport, build_matching,
+                        labeled_interval)
 from .posets import FinitePoset
 from .reflection_orders import ReflectionOrder
 
@@ -187,6 +189,20 @@ def oracle_shelling_subsets(li: LabeledInterval, order: ReflectionOrder,
         if not union[partner[union]].all():
             raise falsified(f"atom prefix union of {k} intervals is not an M-subset")
     return ShellingReport(len(coatoms), len(atoms))
+
+
+def oracle_slice_partners(system: CoxeterSystem, x: int, top: int,
+                          order: ReflectionOrder) -> dict[int, int]:
+    """The partner of every element of [x, top] under the matching of the
+    whole interval: extracted by :meth:`CoxeterSystem.interval_ids` with
+    the up-covers inside it (:func:`matchings.labeled_interval`) and
+    matched there (:func:`matchings.build_matching`, which checks that
+    the selection is a complete matching).  No down-cover is read, where
+    :func:`cells.slice_partners` reads each element's down-covers and one
+    order bit per cover."""
+    li = labeled_interval(system, x, top)
+    partner = build_matching(li, order).partner
+    return {y: li.ids[partner[k]] for k, y in enumerate(li.ids)}
 
 
 def oracle_springer_member(system: CoxeterSystem, v: int, w: int, J, Jprime) -> bool:

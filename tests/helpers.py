@@ -1,7 +1,8 @@
 """Posets and systems that only the tests build: toy posets given by their
 covers, packed orders given as dense matrices, the fiber posets of a
-fiber sweep, Springer and fiber posets with tampered cells, and a B3
-system with a planted cover that skips two lengths."""
+fiber sweep, Springer and fiber posets with tampered cells, the
+M-subset test on an interval matching, and a B3 system with a planted
+cover that skips two lengths."""
 
 import dataclasses
 
@@ -47,6 +48,12 @@ def with_members(cells, members):
     poset = FinitePoset(tuple(length(w) - length(v) for v, w in members), None, (), members,
                         {p: k for k, p in enumerate(members)}, cells.poset.name_of)
     return dataclasses.replace(cells, poset=poset)
+
+
+def is_M_subset(matching, subset):
+    """True iff the matching restricts to an involution of ``subset``."""
+    sub = set(subset)
+    return all(matching.partner[x] in sub for x in sub)
 
 
 def b3_with_a_cover_across_dims():

@@ -14,7 +14,6 @@ from coxmorse.matchings import (
     LabeledInterval,
     Matching,
     build_matching,
-    is_M_subset,
     is_acyclic,
     labeled_interval,
     morse_counts,
@@ -24,7 +23,7 @@ from coxmorse.posets import FinitePoset
 from coxmorse.reflection_orders import order_from_reduced_word, shortlex_order
 from coxmorse.springer import build_springer_poset, springer_matching
 from coxmorse.verify import all_orders
-from helpers import poset_from_covers
+from helpers import is_M_subset, poset_from_covers
 
 
 def id_pairs(s, li, matching):

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from coxmorse import posets
+from coxmorse import cli, posets
 from coxmorse.cells import graded_covers, pair_name, pair_poset
 from coxmorse.errors import (ELViolation, IntervalTooLarge, NotPure, OrderTooLarge,
                              TheoremFalsified)
@@ -377,6 +377,28 @@ def test_springer_pair_order_guard_fires_before_storing_members(system, monkeypa
     finally:
         tracemalloc.stop()
     assert peak < 8 * 3781, f"{peak} bytes allocated for 3781 members before the guard"
+
+
+def test_springer_member_blocks_are_counted_before_they_are_stored(system, monkeypatch,
+                                                                   capsys):
+    s = system("B3")
+    s.bruhat
+    pairs = len(s.comparable_pairs())
+    monkeypatch.setattr(posets, "MAX_ORDER_BYTES", 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(OrderTooLarge, match=f"springer pair poset on {pairs} elements"):
+            build_springer_poset(s, set(), set())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the (v, w) index arrays of the members alone take two int64 per pair
+    assert peak < 16 * pairs, f"{peak} bytes allocated for {pairs} members before the guard"
+    monkeypatch.setattr(cli, "_system_from_args", lambda args: s)   # its order is closed
+    assert cli.main(["springer", "--group", "B3", "--J", "{}", "--Jprime", "{}"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"error: springer pair poset on {pairs} elements")
 
 
 def test_qk_guard_fires_before_pair_arrays(system, monkeypatch):

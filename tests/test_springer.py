@@ -4,21 +4,24 @@ import re
 
 import pytest
 
-from coxmorse import cells, springer
+from coxmorse import build_system, cells, cli, springer
 from coxmorse.cli import main
 from coxmorse.errors import (
     CyclicMatching,
+    NotAMatching,
     NotMinimalCosetRep,
     OverlappingSubsets,
     TheoremFalsified,
 )
-from coxmorse.matchings import Matching
-from coxmorse.oracles import oracle_coset_piece, oracle_springer_member
+from coxmorse.fibers import fiber_slices
+from coxmorse.oracles import oracle_coset_piece, oracle_slice_partners, oracle_springer_member
 from coxmorse.posets import euler_characteristic, is_pure
+from coxmorse.reflection_orders import ReflectionOrder, order_for_springer
 from coxmorse.springer import (
     build_slices,
     build_springer_poset,
     springer_matching,
+    springer_slices,
 )
 from coxmorse.verify import disjoint_pairs
 from helpers import with_members
@@ -193,27 +196,25 @@ def test_build_slices_rejects_a_dropped_member(system):
 
 
 def swap_across_slice(members):
-    """build_matching with the partners of one cell of the slice at li.v and
-    of one cell of the interval outside that slice swapped."""
-    real = cells.build_matching
+    """slice_partners with the partners of one cell of the slice at x and
+    of one checked element outside that slice swapped."""
+    real = cells.slice_partners
 
-    def faulty(li, order):
-        m = real(li, order)
-        inside = {li.index[w] for v, w in members if v == li.v}
-        outside = [c for c in range(li.poset.n) if c not in inside]
-        if not outside:
-            return m
-        a, c = min(inside), outside[0]
-        partner = list(m.partner)
-        partner[a], partner[c] = partner[c], partner[a]
-        return Matching(li.poset, tuple(partner))
+    def faulty(system, x, top, ys, covers):
+        m = real(system, x, top, ys, covers)
+        inside = {w for v, w in members if v == x}
+        outside = sorted(set(m) - inside)
+        if outside:
+            a, c = min(inside), outside[0]
+            m[a], m[c] = m[c], m[a]
+        return m
 
     return faulty
 
 
 def test_slice_matching_rejects_a_partner_outside_the_slice(system, monkeypatch):
     sp = build_springer_poset(system("A3"), {1}, {3})
-    monkeypatch.setattr(cells, "build_matching", swap_across_slice(sp.members))
+    monkeypatch.setattr(cells, "slice_partners", swap_across_slice(sp.members))
     with pytest.raises(TheoremFalsified, match="is not preserved by the matching of"):
         springer_matching(sp)
 
@@ -236,32 +237,135 @@ def test_slice_matching_rejects_a_wrong_apex(system, monkeypatch):
 def test_slice_matching_rejects_a_cyclic_assembly(system, monkeypatch):
     # on the slice at e, x0, x1 both covered by y0 and y1 are matched
     # x0-y0 and x1-y1: x0 -> y0 -> x1 -> y1 -> x0 within one slice
-    real = cells.build_matching
+    real = cells.slice_partners
 
-    def cyclic(li, order):
-        up = {}
-        for lo, hi, _ in li.poset.covers:
-            up.setdefault(lo, set()).add(hi)
-        quad = next(((a, b, *sorted(up[a] & up[b])[:2]) for a in up for b in up
+    def cyclic(system, x, top, ys, covers):
+        up = {y: {u for u, _ in system.bruhat_covers_up(y)} & set(ys) for y in ys}
+        quad = next(((a, b, *sorted(up[a] & up[b])[:2]) for a in sorted(up) for b in sorted(up)
                      if a < b and len(up[a] & up[b]) >= 2), None)
         if quad is None:
-            return real(li, order)
+            return real(system, x, top, ys, covers)
         x0, x1, y0, y1 = quad
-        partner = list(range(li.poset.n))
+        partner = {y: y for y in ys}
         partner[x0], partner[y0], partner[x1], partner[y1] = y0, x0, y1, x1
-        return Matching(li.poset, tuple(partner))
+        return partner
 
     sp = build_springer_poset(system("A2"), set(), set())
-    monkeypatch.setattr(cells, "build_matching", cyclic)
+    monkeypatch.setattr(cells, "slice_partners", cyclic)
     with pytest.raises(CyclicMatching):
         springer_matching(sp)
+
+
+def test_slice_matching_rejects_partners_that_are_not_an_involution(system, monkeypatch):
+    # on the first slice with two matched pairs y-u and y2-u2 inside it, y
+    # is sent to u2: every checked set is still preserved, but y -> u2 -> y2
+    s = system("A3")
+    sp = build_springer_poset(s, {1}, {3})
+    real = cells.slice_partners
+    seen = []
+
+    def faulty(system, x, top, ys, covers):
+        m = real(system, x, top, ys, covers)
+        inside = {w for v, w in sp.members if v == x}
+        pairs = sorted((y, u) for y, u in m.items() if y < u and {y, u} <= inside)
+        if not seen and len(pairs) >= 2:
+            (y, _), (_, u2) = pairs[:2]
+            m[y] = u2
+            seen.append(x)
+        return m
+
+    monkeypatch.setattr(cells, "slice_partners", faulty)
+    with pytest.raises(NotAMatching, match=r"edge selection is not an involution at .* in \[") as exc:
+        springer_matching(sp)
+    assert f"in [{s.word_str(seen[0])}, {s.word_str(s.w0)}] in the springer pair poset" in str(exc.value)
 
 
 def test_cli_exits_as_falsification_on_a_partner_outside_the_slice(system, monkeypatch,
                                                                   capsys):
     sp = build_springer_poset(system("A3"), {1}, {3})
-    monkeypatch.setattr(cells, "build_matching", swap_across_slice(sp.members))
+    monkeypatch.setattr(cells, "slice_partners", swap_across_slice(sp.members))
     code = main(["springer", "--group", "A3", "--J", "{1}", "--Jprime", "{3}"])
     out = capsys.readouterr()
     assert code == 3 and out.out == ""
     assert out.err.startswith("FALSIFIED: ") and "is not preserved by the matching" in out.err
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "A4", "D4", "B4"])
+def test_slice_partners_match_the_full_interval_oracle(system, name):
+    s = system(name)
+    for J, Jp in disjoint_pairs(s.rank):
+        slices, order, _, _ = springer_slices(build_springer_poset(s, J, Jp))
+        for x, top, _, _ in slices:
+            want = oracle_slice_partners(s, x, top, order)
+            got = cells.slice_partners(s, x, top, want, cells.RankedCovers(s, order.rank))
+            assert got == want, (J, Jp, x)
+
+
+def test_fiber_slice_partners_match_the_full_interval_oracle(system, a3_fibers):
+    s = system("A3")
+    for fp in a3_fibers:
+        slices, order, _, _ = fiber_slices(fp)
+        for x, top, _, _ in slices:
+            want = oracle_slice_partners(s, x, top, order)
+            got = cells.slice_partners(s, x, top, want, cells.RankedCovers(s, order.rank))
+            assert got == want, fp.anchors
+
+
+def matched_down_cover(s, J, Jp):
+    """(x, y, u): the first slice at x of the Springer poset of (J, J') on
+    ``s`` with a cell (x, y) matched to (x, u) for u covered by y."""
+    sp = build_springer_poset(s, J, Jp)
+    slices, order, _, _ = springer_slices(sp)
+    for x, top, _, z_x in slices:
+        m = cells.slice_partners(s, x, top, z_x, cells.RankedCovers(s, order.rank))
+        for y in z_x:
+            if any(u == m[y] for u, _ in s.bruhat_covers_down(y)):
+                return x, y, m[y]
+    raise AssertionError("no cell is matched downwards")
+
+
+def run_springer_on(monkeypatch, capsys, s, J, Jp, *flags):
+    monkeypatch.setattr(cli, "_system_from_args", lambda args: s)
+    code = main(["springer", "--group", s.matrix.label, "--J", J, "--Jprime", Jp, *flags])
+    out = capsys.readouterr()
+    assert out.out == ""
+    return code, out.err
+
+
+@pytest.mark.parametrize("flags", [(), ("--paranoid",)])
+def test_a_wrong_down_cover_label_is_falsified_naming_the_slice(monkeypatch, capsys, flags):
+    a3 = build_system("A3")   # fresh: never corrupt the session-cached system
+    x, y, u = matched_down_cover(a3, {1}, {3})
+    lowest = order_for_springer(a3, frozenset({3}), frozenset({1})).sequence[0]
+    downs = list(a3._covers_down)
+    downs[y] = tuple((c, lowest if c == u else t) for c, t in downs[y])
+    assert downs[y] != a3._covers_down[y]
+    a3._covers_down = tuple(downs)
+    code, err = run_springer_on(monkeypatch, capsys, a3, "{1}", "{3}", *flags)
+    assert code == 3 and err.startswith("FALSIFIED: ")
+    assert f"[{a3.word_str(x)}, {a3.word_str(a3.w0)}] in the springer pair poset" in err
+    if flags:
+        assert "disagrees with the full-interval oracle at" in err
+
+
+def test_a_dropped_down_cover_is_falsified_naming_the_slice(monkeypatch, capsys):
+    a3 = build_system("A3")   # fresh: never corrupt the session-cached system
+    x, y, u = matched_down_cover(a3, {1}, {3})
+    downs = list(a3._covers_down)
+    downs[y] = tuple(c for c in downs[y] if c[0] != u)
+    a3._covers_down = tuple(downs)
+    code, err = run_springer_on(monkeypatch, capsys, a3, "{1}", "{3}")
+    assert code == 3 and err.startswith("FALSIFIED: ")
+    assert f"[{a3.word_str(x)}, {a3.word_str(a3.w0)}] in the springer pair poset" in err
+
+
+def test_two_swapped_ranks_are_falsified_naming_a_slice(system, monkeypatch, capsys):
+    s = system("A3")
+    order = order_for_springer(s, frozenset({3}), frozenset({1}))
+    first, last = order.sequence[0], order.sequence[-1]
+    swapped = ReflectionOrder(s, order.sequence, order.word)
+    swapped.__dict__["rank"] = {**order.rank, first: order.rank[last], last: order.rank[first]}
+    monkeypatch.setattr(springer, "order_for_springer", lambda *args: swapped)
+    code, err = run_springer_on(monkeypatch, capsys, s, "{1}", "{3}")
+    assert code == 3 and err.startswith("FALSIFIED: ")
+    assert re.search(r"\[[\d.e]+, 1\.2\.1\.3\.2\.1\] in the springer pair poset", err)

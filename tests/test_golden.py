@@ -22,6 +22,11 @@ COMMANDS = {
                                  "--anchors", "e:e:e:1.2.3"],
     "fiber_A3_K13_2.2.e.2-1-3-2": ["fiber", "--group", "A3", "--K", "{1,3}",
                                    "--anchors", "2:2:e:2.1.3.2"],
+    # Q_K of A4 for K = {} (W_K = {e}, so every fiber is one cell) and K = {1}
+    "fiber_A4_K-_2.2-3.e.2-1-3-2": ["fiber", "--group", "A4", "--K", "{}",
+                                    "--anchors", "2:2.3:e:2.1.3.2"],
+    "fiber_A4_K1_2.2-3.e.2-1-3-2": ["fiber", "--group", "A4", "--K", "{1}",
+                                    "--anchors", "2:2.3:e:2.1.3.2"],
     "matching_A3_2_2.3.1.2": ["matching", "--group", "A3", "--interval", "2", "2.3.1.2"],
     "matching_B3_e_1.2.1.3.2.1.3.2.3": ["matching", "--group", "B3",
                                         "--interval", "e", "1.2.1.3.2.1.3.2.3"],

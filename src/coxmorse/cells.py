@@ -25,6 +25,7 @@ a slice costs what it holds, not its interval.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -36,67 +37,149 @@ from .posets import FinitePoset, PackedOrder, check_order_size
 from .reflection_orders import ReflectionOrder
 
 
+# bytes of gathered rows per block of the row check in :func:`graded_covers`
+ROW_CHECK_BYTES = 1 << 18
+
+
 def graded_covers(leq: PackedOrder, dims: Sequence[int], what: str,
                   name: Callable[[int], str] = str) -> tuple[tuple[int, int, None], ...]:
-    """The covers of the order ``leq``, checked to be graded by ``dims``.
+    """The covers of the order ``leq``, checked to be graded by ``dims``
+    (ascending, as every caller numbers its cells by dim).
 
-    The comparable pairs whose dims differ by one, read in row blocks, are
-    taken as covers and closed; the closure must equal ``leq`` byte for
-    byte.  Equality makes ``leq`` reflexive, antisymmetric and transitive,
-    every cover a step of one dim, and the padding bits zero.  Otherwise
-    :class:`TheoremFalsified` names the first disagreeing entry (``name``
-    formats an index) and what it breaks.  Covers come sorted by (lo, hi).
-    """
+    The comparable pairs whose dims differ by one are taken as covers,
+    read from the nonzero bytes of blocks of rows of one dim over the
+    columns of the next.  Each row x of ``leq`` must be bit x ORed with
+    the rows of the covers above x (:func:`_rows_are_closed`); by
+    induction down the dims this holds for every row iff ``leq`` is the
+    closure of its covers, byte for byte.  Equality makes ``leq`` reflexive, antisymmetric and transitive, every
+    cover a step of one dim, and the padding bits zero.  Otherwise the
+    covers are closed (:meth:`PackedOrder.closure`) and
+    :class:`TheoremFalsified` names the first entry that disagrees with
+    ``leq`` (``name`` formats an index) and what it breaks.  Covers come
+    sorted by (lo, hi)."""
     dim_arr = np.asarray(dims)
+    if (dim_arr[1:] < dim_arr[:-1]).any():
+        raise ValueError("graded_covers needs its elements numbered by ascending dim")
+    packed = leq.packed
+    # elements of dim d are the range first[d - dims[0]] .. first[d - dims[0] + 1]
+    first = np.searchsorted(dim_arr, np.arange(dim_arr[0], dim_arr[-1] + 3)).tolist()
+    los, his = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+    for r0, c0, c1 in zip(first, first[1:], first[2:]):
+        b0, b1 = c0 >> 3, (c1 + 7) >> 3
+        step = max(1, (1 << 20) // max(1, b1 - b0))
+        for i in range(r0, c0, step):
+            block = packed[i:min(i + step, c0), b0:b1]
+            row, byte = np.divmod(np.flatnonzero(block), b1 - b0)   # 2-D nonzero is slow
+            k, bit = np.nonzero(np.unpackbits(block[row, byte][:, None], axis=1,
+                                              bitorder="little"))
+            col = (byte[k] + b0) * 8 + bit
+            keep = (c0 <= col) & (col < c1)
+            los.append(row[k][keep] + i)
+            his.append(col[keep])
+    lo, hi = np.concatenate(los), np.concatenate(his)
+    if not _rows_are_closed(packed, lo, hi):
+        _name_the_first_bad_entry(leq, lo, hi, dims, what, name)
+    ids = np.arange(leq.size).astype(object)   # one int object per element, shared by the covers
+    return tuple(zip(ids[lo].tolist(), ids[hi].tolist(), repeat(None)))
+
+
+def _rows_are_closed(packed: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> bool:
+    """Whether each row x of ``packed`` is bit x ORed with the rows hi[k]
+    of the covers lo[k] = x (``lo`` sorted).
+
+    The covers' rows are gathered in blocks of about ``ROW_CHECK_BYTES``,
+    each row zero-padded to whole uint64 words, and the rows of each x are
+    ORed by ``np.bitwise_or.reduceat``; an x whose covers run past the end
+    of a block carries its partial OR into the next one.  A row with no
+    cover above it must be bit x alone."""
+    n, width = packed.shape
+    padded = -(-width // 8) * 8
+    step = max(1, ROW_CHECK_BYTES // padded)
+    lonely = np.flatnonzero(np.bincount(lo, minlength=n) == 0)
+    for a in range(0, len(lonely), step):
+        xs = lonely[a:a + step]
+        rows = packed[xs]
+        rows[np.arange(len(xs)), xs >> 3] ^= np.left_shift(1, xs & 7).astype(np.uint8)
+        if rows.any():
+            return False
+    buf = np.zeros((step, padded), dtype=np.uint8)   # the padding stays zero
+    carry_x, carry = -1, None
+    for a in range(0, len(lo), step):
+        los = lo[a:a + step]
+        block = buf[:len(los)]
+        block[:, :width] = packed[hi[a:a + step]]
+        heads = np.flatnonzero(np.r_[True, los[1:] != los[:-1]])
+        ored = np.bitwise_or.reduceat(block.view(np.uint64), heads, axis=0)
+        xs = los[heads]
+        if xs[0] == carry_x:
+            ored[0] |= carry
+        if a + step < len(lo) and lo[a + step] == xs[-1]:
+            carry_x, carry = xs[-1], ored[-1].copy()
+            ored, xs = ored[:-1], xs[:-1]
+        rows = ored.view(np.uint8)[:, :width]
+        rows[np.arange(len(xs)), xs >> 3] |= np.left_shift(1, xs & 7).astype(np.uint8)
+        if (rows != packed[xs]).any():
+            return False
+    return True
+
+
+def _name_the_first_bad_entry(leq: PackedOrder, lo: np.ndarray, hi: np.ndarray,
+                              dims: Sequence[int], what: str, name: Callable[[int], str]) -> None:
+    """Raise :class:`TheoremFalsified` at the first entry where ``leq``
+    differs from the closure of the covers (lo, hi), naming what it
+    breaks."""
     up: list[list[int]] = [[] for _ in dims]
-    for start, block in leq.blocks():
-        block &= dim_arr[start:start + len(block), None] + 1 == dim_arr
-        for k in np.flatnonzero(block).tolist():
-            lo, hi = divmod(k, len(up))
-            up[start + lo].append(hi)
+    for x, y in zip(lo.tolist(), hi.tolist()):
+        up[x].append(y)
     diff = PackedOrder.closure(up, sorted(range(len(up)), key=dims.__getitem__,
                                           reverse=True)).packed
     diff ^= leq.packed
-    if np.count_nonzero(diff):
-        i = int(diff.any(axis=1).argmax())
-        j = int(np.unpackbits(diff[i], bitorder="little").argmax())
-        if j >= leq.size:
-            raise TheoremFalsified(f"{what} has a relation past its last cell at {name(i)}")
-        if i == j:
-            raise TheoremFalsified(f"{what} is not reflexive at {name(i)}")
-        if not leq.leq(i, j):
-            raise TheoremFalsified(
-                f"{what} is not transitive: {name(i)} <= {name(j)} follows from the covers "
-                f"but is missing"
-            )
-        if leq.leq(j, i):
-            raise TheoremFalsified(f"{what} is not antisymmetric at {name(i)}, {name(j)}")
+    i = int(diff.any(axis=1).argmax())
+    j = int(np.unpackbits(diff[i], bitorder="little").argmax())
+    if j >= leq.size:
+        raise TheoremFalsified(f"{what} has a relation past its last cell at {name(i)}")
+    if i == j:
+        raise TheoremFalsified(f"{what} is not reflexive at {name(i)}")
+    if not leq.leq(i, j):
         raise TheoremFalsified(
-            f"{what} is not graded by dimension: relation between {name(i)} and "
-            f"{name(j)} disagrees with the cover closure"
+            f"{what} is not transitive: {name(i)} <= {name(j)} follows from the covers "
+            f"but is missing"
         )
-    return tuple((lo, hi, None) for lo, ups in enumerate(up) for hi in ups)
+    if leq.leq(j, i):
+        raise TheoremFalsified(f"{what} is not antisymmetric at {name(i)}, {name(j)}")
+    raise TheoremFalsified(
+        f"{what} is not graded by dimension: relation between {name(i)} and "
+        f"{name(j)} disagrees with the cover closure"
+    )
 
 
 def nested_pair_order(system: CoxeterSystem, v: np.ndarray, w: np.ndarray,
-                      shifts: Iterable[int] = (0,)) -> PackedOrder:
+                      K: Iterable[int] = frozenset()) -> PackedOrder:
     """Order of the cells (v_i, w_i): entry [i, j] iff
-    v_j <= v_i u <= w_i u <= w_j for some u in ``shifts``."""
-    b = system.bruhat
+    v_j <= v_i u <= w_i u <= w_j for some u in W_K.  The shifted ends
+    v u and w u come from one walk over W_K (:attr:`ParabolicSubset.steps`),
+    and the rows are ORed over the shifts in blocks of about 1 MiB, so no
+    shifted copy of the whole order is made."""
+    b, right = system.bruhat, system.right
     # |W| x n column tables packed along the cells, row x holding the cells
     # j with v_j <= x and with x <= w_j: each order row ANDs two of them
     below_v = np.packbits(b.rows(v).T, axis=1, bitorder="little")
     above_w = np.packbits(b[:, w], axis=1, bitorder="little")
-    leq = None
-    for u in shifts:
-        vu, wu = v, w
-        for g in system.letters(u):
-            vu, wu = system.right[vu, g], system.right[wu, g]
-        shifted = below_v[vu]
-        shifted &= above_w[wu]
-        shifted[~b[vu, wu]] = 0
-        leq = shifted if leq is None else np.bitwise_or(leq, shifted, out=leq)
-    return PackedOrder(len(v), leq)
+    vs, ws = [v], [w]
+    for p, g in system.parabolic(K).steps:
+        vs.append(right[vs[p], g])
+        ws.append(right[ws[p], g])
+    order = PackedOrder(len(v))
+    step = max(1, (1 << 20) // order.packed.shape[1])   # rows per block of about 1 MiB
+    for i in range(0, len(v), step):
+        block = order.packed[i:i + step]
+        for vu, wu in zip(vs, ws):
+            vu, wu = vu[i:i + step], wu[i:i + step]
+            shifted = below_v[vu]
+            shifted &= above_w[wu]
+            shifted[~b[vu, wu]] = 0
+            block |= shifted
+    return order
 
 
 def pair_name(system: CoxeterSystem, pair: tuple[int, int]) -> str:
@@ -104,9 +187,9 @@ def pair_name(system: CoxeterSystem, pair: tuple[int, int]) -> str:
 
 
 def pair_poset(system: CoxeterSystem, pairs, what: str = "pair poset",
-               shifts: Iterable[int] = (0,)) -> FinitePoset:
+               K: Iterable[int] = frozenset()) -> FinitePoset:
     """The poset of the cells (v, w) in ``pairs`` (a sequence of pairs or an
-    n x 2 array), ordered by :func:`nested_pair_order` under ``shifts``.
+    n x 2 array), ordered by :func:`nested_pair_order` with shifts in W_K.
 
     Cells are numbered by (dimension l(w) - l(v), v, w).  The size guard
     runs before the packed order is allocated, and the order is checked by
@@ -117,43 +200,56 @@ def pair_poset(system: CoxeterSystem, pairs, what: str = "pair poset",
     order = np.lexsort((w, v, dims))
     v, w, dims = v[order], w[order], tuple(dims[order].tolist())
     members = tuple(zip(v.tolist(), w.tolist()))
-    leq = nested_pair_order(system, v, w, shifts)
+    leq = nested_pair_order(system, v, w, K)
     covers = graded_covers(leq, dims, what, lambda k: pair_name(system, members[k]))
     return FinitePoset(dims, leq, covers, members, {p: k for k, p in enumerate(members)},
                        lambda p: pair_name(system, p))
 
 
 def step_covers(system: CoxeterSystem, members: Sequence[tuple[int, int]],
-                index: Callable[[tuple[int, int]], int | None],
                 what: str) -> list[list[int]]:
     """The single steps of the nesting poset P between the cells
     ``members``, checked to leave no lower cover out: ups[j] lists, in
-    increasing k, the cells k covering cell j.  ``index`` maps a pair to
-    its cell, or to None.
+    increasing k, the cells k covering cell j.
 
     The step rule: the single-step lower covers of a cell (v, w) in P are
     (u, w) for u covering v and (v, u) for u covered by w, whenever the
     ends are comparable.  Each cell must have v <= w and each of its
     single-step lower covers must be a cell; otherwise
     :class:`TheoremFalsified` names the cell and the missing one.  By
-    induction down P the cells are then a lower set of P."""
-    leq, up, down = system.bruhat.leq, system.bruhat_covers_up, system.bruhat_covers_down
+    induction down P the cells are then a lower set of P.  A pair (v, w)
+    is looked up by the int key v |W| + w, and the covers are read as ids
+    (:attr:`CoxeterSystem.cover_ids`)."""
+    leq, size = system.bruhat.leq, system.size
+    up, down = system.cover_ids
+    cell = {x * size + y: k for k, (x, y) in enumerate(members)}.get
     ups: list[list[int]] = [[] for _ in members]
     for k, (x, y) in enumerate(members):
         if not leq(x, y):
             raise TheoremFalsified(f"{what} has a cell {pair_name(system, (x, y))} "
                                    f"whose ends are not comparable")
-        for lower in [(u, y) for u, _ in up(x)] + [(x, u) for u, _ in down(y)]:
-            j = index(lower)
+        for u in up[x]:
+            j = cell(u * size + y)
             if j is not None:
                 ups[j].append(k)
-            elif leq(*lower):
-                raise TheoremFalsified(
-                    f"{what} is not a lower set of the nesting order: the cell "
-                    f"{pair_name(system, (x, y))} has the lower cover "
-                    f"{pair_name(system, lower)}, which is not a cell"
-                )
+            elif leq(u, y):
+                raise _missing_step(system, what, (x, y), (u, y))
+        for u in down[y]:
+            j = cell(x * size + u)
+            if j is not None:
+                ups[j].append(k)
+            elif leq(x, u):
+                raise _missing_step(system, what, (x, y), (x, u))
     return ups
+
+
+def _missing_step(system: CoxeterSystem, what: str, pair: tuple[int, int],
+                  lower: tuple[int, int]) -> TheoremFalsified:
+    return TheoremFalsified(
+        f"{what} is not a lower set of the nesting order: the cell "
+        f"{pair_name(system, pair)} has the lower cover {pair_name(system, lower)}, "
+        f"which is not a cell"
+    )
 
 
 def ideal_poset(system: CoxeterSystem, pairs: Sequence[tuple[int, int]],
@@ -168,12 +264,13 @@ def ideal_poset(system: CoxeterSystem, pairs: Sequence[tuple[int, int]],
     from them only when read (:attr:`FinitePoset.leq`)."""
     check_order_size(len(pairs), what)
     length = system.len_of
-    members = tuple(sorted(pairs, key=lambda p: (length(p[1]) - length(p[0]), p)))
+    cells = sorted([(length(w) - length(v), v, w) for v, w in pairs])
+    members = tuple([(v, w) for _, v, w in cells])
     index = {p: k for k, p in enumerate(members)}
-    ups = step_covers(system, members, index.get, what)
-    covers = tuple((lo, hi, None) for lo, his in enumerate(ups) for hi in his)
-    return FinitePoset(tuple(length(w) - length(v) for v, w in members), None, covers,
-                       members, index, lambda p: pair_name(system, p))
+    ups = step_covers(system, members, what)
+    covers = tuple([(lo, hi, None) for lo, his in enumerate(ups) for hi in his])
+    return FinitePoset(tuple([d for d, _, _ in cells]), None, covers, members, index,
+                       lambda p: pair_name(system, p))
 
 
 def check_against_pair_poset(system: CoxeterSystem, poset: FinitePoset, what: str) -> None:

@@ -17,11 +17,11 @@ import re
 import sys
 
 from . import __version__
-from .cells import RankedCovers, check_against_pair_poset, pair_name, slice_partners
+from .cells import (RankedCovers, check_against_pair_poset, pair_name, slice_matching,
+                    slice_partners)
 from .coxeter import DEFAULT_MAX_ELEMENTS, CoxeterMatrix, CoxeterSystem, build_system
 from .errors import Falsification, InputError, InvalidSubset, TheoremFalsified
-from .fibers import (build_fiber_poset, build_qk, fiber_matching, fiber_slices,
-                     generalized_quotient, verify_convexity)
+from .fibers import build_fiber_poset, build_qk, fiber_slices, verify_convexity
 from .matchings import build_matching, labeled_interval, morse_counts, verify_shelling_subsets
 from .oracles import (oracle_bruhat_leq, oracle_convexity, oracle_fiber_members,
                       oracle_interval_covers, oracle_interval_ids, oracle_shelling_subsets,
@@ -304,11 +304,10 @@ def cmd_fiber(args) -> int:
         check_against_pair_poset(system, fp.poset, "fiber pair poset")
         oracle_convexity(fp)
     convex = verify_convexity(fp)
-    gq = generalized_quotient(fp)
+    slices, order, apex, what = fiber_slices(fp)
     if args.paranoid:
-        slices, order, _, what = fiber_slices(fp)
         _check_slices(system, slices, order, what)
-    matching, summary = fiber_matching(fp)
+    matching, summary = slice_matching(system, fp.poset, slices, order, apex, what)
     if args.paranoid:
         _rescan_unmatched(fp.poset, matching, summary)
     if args.format == "dot":
@@ -321,7 +320,7 @@ def cmd_fiber(args) -> int:
                     "v": system.word_str(v), "w": system.word_str(w)},
         "z": system.word_str(fp.z),
         "z_prime": system.word_str(fp.z_prime),
-        "z_tilde": system.word_str(gq.z_tilde),
+        "z_tilde": system.word_str(fp.members[apex][0]),
         "members": [{"id": i, "a": system.word_str(p[0]), "b": system.word_str(p[1]),
                      "dim": fp.poset.dims[i]} for i, p in enumerate(fp.members)],
         "matching": [list(p) for p in matching.pairs],

@@ -510,9 +510,10 @@ class CoxeterSystem:
         self._build_tables(order)
         self._parabolic_cache: dict[frozenset[int], ParabolicSubset] = {}
         self._n_r_cache: dict[int, frozenset[int]] = {}
-        # v' -> (sequence, word) of its checked reflection order, filled
-        # by :func:`reflection_orders.order_for_fiber`
-        self._fiber_orders: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+        # v' -> (sequence, word, rank map) of its checked reflection order,
+        # filled by :func:`reflection_orders.order_for_fiber`
+        self._fiber_orders: dict[int, tuple[tuple[int, ...], tuple[int, ...],
+                                            dict[int, int]]] = {}
 
     # -- construction -----------------------------------------------------
 
@@ -717,6 +718,14 @@ class CoxeterSystem:
         up = [[u for u, _ in covers] for covers in self._covers_up]
         return PackedOrder.closure(up, range(self.size - 1, -1, -1))
 
+    @cached_property
+    def cover_ids(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+        """(up, down): up[v] lists the elements covering v and down[w] those
+        covered by w, as in :meth:`bruhat_covers_up` and
+        :meth:`bruhat_covers_down` without their labels; built on first use."""
+        return tuple(tuple(u for u, _ in covers) for covers in self._covers_up), \
+            tuple(tuple(u for u, _ in covers) for covers in self._covers_down)
+
     def bruhat_leq(self, v: int, w: int) -> bool:
         return self.bruhat.leq(v, w)
 
@@ -779,6 +788,11 @@ class CoxeterSystem:
     # -- parabolic subgroups --------------------------------------------------
 
     def check_subset(self, J: Iterable[int]) -> frozenset[int]:
+        """J as a frozenset, once each member is checked to be a generator
+        index 1..rank; the very frozenset that :meth:`parabolic` keeps was
+        checked when it was kept, and is returned at once."""
+        if self._kept(J) is not None:
+            return J
         J = frozenset(J)
         for i in J:
             if not isinstance(i, int) or not 1 <= i <= self.rank:
@@ -790,7 +804,18 @@ class CoxeterSystem:
         word of x is a generator in J."""
         return not self.support_bits[x] & ~_bits(J)
 
+    def _kept(self, J) -> "ParabolicSubset | None":
+        """The kept W_J if J is the very frozenset that keys it, else None
+        (an equal frozenset may hold members such as 1.0 that
+        :meth:`check_subset` rejects)."""
+        sub = self._parabolic_cache.get(J) if type(J) is frozenset else None
+        return sub if sub is not None and sub.J is J else None
+
     def parabolic(self, J: Iterable[int]) -> "ParabolicSubset":
+        """W_J, built once per subset and kept on the system."""
+        cached = self._kept(J)
+        if cached is not None:
+            return cached
         J = self.check_subset(J)
         cached = self._parabolic_cache.get(J)
         if cached is not None:

@@ -30,6 +30,7 @@ in W_K come from one walk over W_K (:meth:`CoxeterSystem.right_multiples`).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -86,7 +87,7 @@ def build_qk(system: CoxeterSystem, K) -> QKPoset:
     # blocks) before any pair array exists
     check_order_size(bru.count(sub.min_right), "q_k relation")
     v, w = bru.nonzero(sub.min_right)
-    poset = pair_poset(system, np.column_stack((v, w)), "q_k relation", sub.elements)
+    poset = pair_poset(system, np.column_stack((v, w)), "q_k relation", K)
     return QKPoset(system, K, poset)
 
 
@@ -101,13 +102,27 @@ def z_lower(system: CoxeterSystem, vprime: int, v: int, K) -> int:
     return z
 
 
-def z_upper(system: CoxeterSystem, wprime: int, w: int, K) -> int:
+def _below(system: CoxeterSystem, elems: tuple[int, ...], top: int) -> list[int]:
+    """The a in ``elems`` (ascending ids) with a <= top.  Ids are sorted by
+    length, so a <= top implies a <= top as ids, and only the ids up to
+    top are read."""
+    leq = system.bruhat.leq
+    return [a for a in elems[:bisect_right(elems, top)] if leq(a, top)]
+
+
+def z_upper(system: CoxeterSystem, wprime: int, w: int, K, hits=None) -> int:
     """The set {a in W_K : w'a <= w} is a lower interval [e, z'] of W_K;
-    return z', raising if the interval shape fails.
+    return z', raising if the interval shape fails.  ``hits``, if given,
+    is that set in id order, as the caller's own scan of W_K found it.
 
     Requires w' to be a minimal right coset representative: without that,
     the interval shape genuinely fails (w' = s1, w = s2 s1, K = {1, 2}
     yields {e, s1, s1 s2, s1 s2 s1}, which is not a lower interval).
+
+    Ids are sorted by length, so the last hit is a longest one, z'
+    whenever the shape holds; the hits must then be the a in W_K below
+    it.  Only if they are not are the maximal hits compared pairwise, to
+    say what fails.
     """
     K = system.check_subset(K)
     if system.descents(wprime, "right") & K:
@@ -117,20 +132,22 @@ def z_upper(system: CoxeterSystem, wprime: int, w: int, K) -> int:
     if not system.bruhat_leq(wprime, w):
         raise NotComparable(f"{system.word_str(wprime)} is not <= {system.word_str(w)}")
     leq = system.bruhat.leq
-    hits = [a for a, wa in zip(system.parabolic(K).elements,
-                               system.right_multiples([wprime], K)[0]) if leq(wa, w)]
+    elems = system.parabolic(K).elements
+    if hits is None:
+        hits = [a for a, wa in zip(elems, system.right_multiples([wprime], K)[0])
+                if leq(wa, w)]
     if not hits:
         raise LemmaFalsified("upper-bound set does not even contain e")
+    zp = hits[-1]
+    if hits == _below(system, elems, zp):
+        return zp
     maxes = [a for a in hits if not any(b != a and leq(a, b) for b in hits)]
     if len(maxes) != 1:
         raise LemmaFalsified(
             f"upper-bound set has {len(maxes)} maximal elements: "
             f"{[system.word_str(a) for a in maxes]}"
         )
-    zp = maxes[0]
-    if sorted(hits) != sorted(a for a in system.parabolic(K).elements if leq(a, zp)):
-        raise LemmaFalsified("upper-bound set is not the full lower interval [e, z']")
-    return zp
+    raise LemmaFalsified("upper-bound set is not the full lower interval [e, z']")
 
 
 @dataclass(frozen=True)
@@ -173,7 +190,9 @@ def build_fiber_poset(qk: QKPoset, lower: tuple[int, int], upper: tuple[int, int
     Each description is scanned on the pairs a <= b of its own candidate
     sets, the conditions with one end fixed: (i) on a with v <= v'a
     times b with w'b <= w, so that it reads neither z nor z'; (ii)-(iv) on
-    [z, z'] cap W_K twice over.  The lists are in (a, b) order.
+    [z, z'] cap W_K twice over.  The lists are in (a, b) order.  W_K is
+    walked once (:meth:`CoxeterSystem.right_multiples`), and z' is read
+    from the scan for w'b <= w (:func:`z_upper`).
     :func:`oracles.oracle_fiber_members` tests (i) on all of W_K x W_K by
     the subword test (``fiber --paranoid``).
     """
@@ -184,38 +203,37 @@ def build_fiber_poset(qk: QKPoset, lower: tuple[int, int], upper: tuple[int, int
         raise NotComparable(f"anchors are not comparable: {lower} !<= {upper}")
     (vp, wp), (v, w) = lower, upper
     z = z_lower(system, vp, v, qk.K)
-    zp = z_upper(system, wp, w, qk.K)
     elems = system.parabolic(qk.K).elements
     n_r = system.right_inversion_reflections(vp)
     length, leq = system.length, system.bruhat.leq
     lvp = length[vp]
 
-    # the products v'a, w'b, t a (one walk over W_K)
-    rows = system.right_multiples([vp, wp, *n_r], qk.K)
-    vp_a, wp_b = dict(zip(elems, rows[0])), dict(zip(elems, rows[1]))
+    # a -> (v'a, w'a, t a for t in N_R(v')), from one walk over W_K
+    prod = dict(zip(elems, zip(*system.right_multiples([vp, wp, *n_r], qk.K))))
     # the candidate sets, one Bruhat read per element of W_K each
-    above_v = [a for a in elems if leq(v, vp_a[a])]   # v <= v'a
-    below_w = [b for b in elems if leq(wp_b[b], w)]   # w'b <= w
-    # t a over t in N_R(v'), kept for the a with z <= a, which (iii)-(iv) read
-    t_a = {a: [row[k] for row in rows[2:]] for k, a in enumerate(elems) if leq(z, a)}
-    above_z = list(t_a)                               # z <= a
-    below_zp = [b for b in elems if leq(b, zp)]
+    above_v = [a for a in elems if leq(v, prod[a][0])]   # v <= v'a
+    below_w = [b for b in elems if leq(prod[b][1], w)]   # w'b <= w
+    zp = z_upper(system, wp, w, qk.K, below_w)
+    below_zp = _below(system, elems, zp)
+    # t a over t in N_R(v'), for the a in [z, z'], which (iii)-(iv) read
+    t_a = {a: prod[a][2:] for a in below_zp[bisect_left(below_zp, z):] if leq(z, a)}
+    above_z = list(t_a)                                  # z <= a <= z'
     inv = {b: system.inverse(b) for b in {*below_w, *below_zp}}
 
     def in_i(a: int, b: int) -> bool:
-        va = vp_a[a]
-        return (leq(va, wp_b[b]) and system.circ_r(va, inv[b]) == vp
+        va = prod[a][0]
+        return (leq(va, prod[b][1]) and system.circ_r(va, inv[b]) == vp
                 and length[va] == lvp + length[a])
 
     def in_ii(a: int, b: int) -> bool:
-        return system.circ_r(vp_a[a], inv[b]) == vp
+        return system.circ_r(prod[a][0], inv[b]) == vp
 
     def in_iii(a: int, b: int) -> bool:
         return not any(leq(ta, b) for ta in t_a[a])
 
     def in_iv(a: int, b: int) -> bool:
         la = length[a]
-        if length[vp_a[a]] != lvp + la:
+        if length[prod[a][0]] != lvp + la:
             return False
         for ta in t_a[a]:
             if length[ta] == la + 1 and leq(ta, b):
@@ -255,34 +273,39 @@ class GeneralizedQuotient:
 
 
 def generalized_quotient(fp: FiberPoset) -> GeneralizedQuotient:
+    """The generalized quotient of F, computed from [z, z'] cap W_K (read
+    only over the ids from z to z', see :func:`_below`) and checked to be
+    the diagonal of F.
+
+    Ids are sorted by length, so its last member is a longest one; it is
+    z~ once every member is below it, which makes it the unique maximal
+    element.  Only if some member is not below it are the maximal members
+    compared pairwise, to say how many there are.  Below z~ one must
+    always be able to step up by a Bruhat cover inside the quotient."""
     system = fp.system
     vp = fp.vprime
     lvp = system.len_of(vp)
-    leq, length = system.bruhat.leq, system.len_of
-    members = [a for a, va in zip(system.parabolic(fp.K).elements,
-                                  system.right_multiples([vp], fp.K)[0])
-               if leq(fp.z, a) and leq(a, fp.z_prime) and length(va) == lvp + length(a)]
+    leq, length, mul = system.bruhat.leq, system.len_of, system.mul
+    elems, z, zp = system.parabolic(fp.K).elements, fp.z, fp.z_prime
+    members = [a for a in elems[bisect_left(elems, z):bisect_right(elems, zp)]
+               if leq(z, a) and leq(a, zp) and length(mul(vp, a)) == lvp + length(a)]
     diag = sorted(a for a, b in fp.members if a == b)
-    if sorted(members) != diag:
+    if members != diag:
         raise PropositionFalsified(
             "generalized quotient differs from the diagonal of the fiber poset"
         )
-    maxes = [a for a in members
-             if not any(b != a and system.bruhat_leq(a, b) for b in members)]
-    if len(maxes) != 1:
+    zt = members[-1]
+    if not all(leq(a, zt) for a in members):
+        maxes = [a for a in members if not any(b != a and leq(a, b) for b in members)]
         raise NonUniqueMaximum(
             f"generalized quotient has {len(maxes)} maximal elements: "
             f"{[system.word_str(a) for a in maxes]}"
         )
-    zt = maxes[0]
-    # gradedness: below z~ one can always step up by a cover inside the quotient
-    mem = set(members)
+    # gradedness: below z~ one can always step up by a cover inside the
+    # quotient (every member is below z~, so such a cover is too)
+    mem, up = set(members), system.cover_ids[0]
     for a in members:
-        if a == zt:
-            continue
-        if not any(system.len_of(ap) == system.len_of(a) + 1
-                   and ap in mem and system.bruhat_leq(ap, zt)
-                   for ap, _ in system.bruhat_covers_up(a)):
+        if a != zt and not any(u in mem for u in up[a]):
             raise TheoremFalsified(
                 f"no quotient cover step above {system.word_str(a)} toward z~"
             )
@@ -297,13 +320,18 @@ def fiber_slices(fp: FiberPoset) -> tuple[list[tuple], ReflectionOrder, int, str
     (a, z', (), P_a) of [a, z'], P_a = {b : (a, b) in F}, under a
     reflection order with N_R(v') first
     (:func:`reflection_orders.order_for_fiber`); P_a must be a singleton
-    iff a = z~, and the apex is (z~, z~)."""
+    iff a = z~, and the apex is (z~, z~).  The P_a are read off F in one
+    pass."""
     system = fp.system
     gq = generalized_quotient(fp)
     order = order_for_fiber(system, fp.vprime)
+    p = {a: [] for a in gq.members}
+    for a, b in fp.members:
+        if a in p:
+            p[a].append(b)
     slices = []
-    for a in gq.members:
-        p_a = sorted(b for x, b in fp.members if x == a)
+    for a, p_a in p.items():
+        p_a.sort()
         if (p_a == [a]) != (a == gq.z_tilde):
             raise TheoremFalsified(
                 f"slice at {system.word_str(a)} is a singleton iff a = z~ failed"
@@ -329,7 +357,7 @@ def verify_convexity(fp: FiberPoset) -> bool:
     :class:`CorollaryFalsified` names both cells.
     :func:`oracles.oracle_convexity` is the brute-force route."""
     try:
-        step_covers(fp.system, fp.members, fp.index.get, "fiber pair poset")
+        step_covers(fp.system, fp.members, "fiber pair poset")
     except TheoremFalsified as exc:
         raise CorollaryFalsified(str(exc)) from None
     return True

@@ -193,13 +193,17 @@ def order_for_springer(system: CoxeterSystem, Jprime, J) -> ReflectionOrder:
 def order_for_fiber(system: CoxeterSystem, vprime: int) -> ReflectionOrder:
     """A reflection order whose initial segment is N_R(v'), realized as the
     inversion order of w0 = (v'^{-1}) . (v' w0).  The order depends on v'
-    alone, so each system keeps the sequence and word of the orders it has
-    built, once their initial segment has been checked.  It keeps no
-    :class:`ReflectionOrder`, which would refer back to the system and
-    keep a discarded system alive until the next full garbage collection."""
+    alone, so each system keeps the sequence, word and rank map of the
+    orders it has built, once their initial segment has been checked.  It
+    keeps no :class:`ReflectionOrder`, which would refer back to the system
+    and keep a discarded system alive until the next full garbage
+    collection."""
     kept = system._fiber_orders.get(vprime)
     if kept is not None:
-        return ReflectionOrder(system, *kept)
+        sequence, word, rank = kept
+        order = ReflectionOrder(system, sequence, word)
+        order.__dict__["rank"] = rank
+        return order
     order = _concat_order(system, [system.inverse(vprime), system.mul(vprime, system.w0)])
     n_r = system.right_inversion_reflections(vprime)
     if set(order.sequence[: len(n_r)]) != n_r:
@@ -207,5 +211,5 @@ def order_for_fiber(system: CoxeterSystem, vprime: int) -> ReflectionOrder:
             f"{order} in {system.matrix.label} does not start with N_R(v') "
             f"(v'={system.word_str(vprime)})"
         )
-    system._fiber_orders[vprime] = order.sequence, order.word
+    system._fiber_orders[vprime] = order.sequence, order.word, order.rank
     return order

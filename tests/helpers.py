@@ -1,14 +1,15 @@
 """Posets and systems that only the tests build: toy posets given by their
-covers, packed orders given as dense matrices, the fiber posets of a
-fiber sweep, Springer and fiber posets with tampered cells, the
-M-subset test on an interval matching, and a B3 system with a planted
-cover that skips two lengths."""
+covers, packed orders given as dense matrices, the closure route of the
+order check, the fiber posets of a fiber sweep, Springer and fiber posets
+with tampered cells, the M-subset test on an interval matching, and a B3
+system with a planted cover that skips two lengths."""
 
 import dataclasses
 
 import numpy as np
 
 from coxmorse import build_system
+from coxmorse.errors import TheoremFalsified
 from coxmorse.fibers import build_fiber_poset, build_qk
 from coxmorse.posets import FinitePoset, PackedOrder
 
@@ -24,6 +25,37 @@ def poset_from_covers(names, dims, covers):
 def packed_from_dense(matrix):
     """Pack an n x n boolean matrix, entry [x, y] iff x <= y."""
     return PackedOrder(len(matrix), np.packbits(matrix, axis=1, bitorder="little"))
+
+
+def closure_route_covers(leq, dims, what, name=str):
+    """The covers of ``leq`` by the route that :func:`cells.graded_covers`
+    replaced: the comparable pairs whose dims differ by one, closed by
+    :meth:`PackedOrder.closure`, must give ``leq`` byte for byte, or
+    :class:`TheoremFalsified` names the first entry that differs."""
+    dims, n = np.asarray(dims), leq.size
+    dense = np.asarray(leq)
+    up = [np.flatnonzero(dense[x] & (dims == dims[x] + 1)).tolist() for x in range(n)]
+    diff = PackedOrder.closure(up, np.argsort(-dims, kind="stable").tolist()).packed
+    diff ^= leq.packed
+    if np.count_nonzero(diff):
+        i = int(diff.any(axis=1).argmax())
+        j = int(np.unpackbits(diff[i], bitorder="little").argmax())
+        if j >= n:
+            raise TheoremFalsified(f"{what} has a relation past its last cell at {name(i)}")
+        if i == j:
+            raise TheoremFalsified(f"{what} is not reflexive at {name(i)}")
+        if not leq.leq(i, j):
+            raise TheoremFalsified(
+                f"{what} is not transitive: {name(i)} <= {name(j)} follows from the covers "
+                f"but is missing"
+            )
+        if leq.leq(j, i):
+            raise TheoremFalsified(f"{what} is not antisymmetric at {name(i)}, {name(j)}")
+        raise TheoremFalsified(
+            f"{what} is not graded by dimension: relation between {name(i)} and "
+            f"{name(j)} disagrees with the cover closure"
+        )
+    return tuple((lo, hi, None) for lo, ups in enumerate(up) for hi in ups)
 
 
 def fiber_posets(s, len_cap):

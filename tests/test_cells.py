@@ -142,8 +142,8 @@ def test_oracle_mismatch_names_the_first_differing_cover(system):
 def test_paranoid_exits_as_falsification_when_the_routes_differ(monkeypatch, capsys, command):
     real = cells.pair_poset
 
-    def dropped_cover(system, pairs, what="pair poset", shifts=(0,)):
-        poset = real(system, pairs, what, shifts)
+    def dropped_cover(system, pairs, what="pair poset", K=frozenset()):
+        poset = real(system, pairs, what, K)
         return FinitePoset(poset.dims, poset.leq, poset.covers[1:], poset.payload,
                            poset.index, poset.name_of)
 

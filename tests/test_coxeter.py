@@ -441,3 +441,31 @@ def test_interval_purity(system):
                 assert any(s.bruhat_leq(u, w) for u, _ in s.bruhat_covers_up(z))
             if z != v:
                 assert any(s.bruhat_leq(v, u) for u, _ in s.bruhat_covers_down(z))
+
+
+@pytest.mark.parametrize("bad", [frozenset({0}), frozenset({5}), frozenset({1.0}),
+                                 frozenset({np.int64(1)}), frozenset({"1"}), [0], (1, 5),
+                                 {1.0}])
+def test_subset_checks_reject_bad_members_after_their_subsets_are_kept(bad):
+    # the equal frozenset {1} is kept first, so that {1.0} and {np.int64(1)},
+    # which hash and compare equal to it, must not take its fast path
+    s = build_system("A4")
+    s.parabolic(frozenset({1}))
+    for check in (s.check_subset, s.parabolic):
+        with pytest.raises(InvalidSubset, match="bad generator subset member"):
+            check(bad)
+
+
+def test_a_kept_subset_returns_at_once_and_only_on_its_own_system():
+    a4, a2 = build_system("A4"), build_system("A2")
+    K = frozenset({4})
+    sub = a4.parabolic(K)
+    assert sub.J is K
+    assert a4.parabolic(K) is sub and a4.check_subset(K) is K
+    # an equal frozenset that is not the kept one is checked, then finds W_K
+    assert a4.parabolic(frozenset([4])) is sub
+    assert a4.parabolic({4}) is sub and a4.check_subset([4]) == K
+    # caches are per system: rank 2 has no generator 4
+    for check in (a2.check_subset, a2.parabolic):
+        with pytest.raises(InvalidSubset, match="bad generator subset member 4"):
+            check(K)

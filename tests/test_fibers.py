@@ -7,8 +7,9 @@ import pytest
 
 from coxmorse import build_system, fibers
 from coxmorse.cells import pair_name
-from coxmorse.errors import (CorollaryFalsified, NotComparable, NotMinimalCosetRep,
-                             PropositionFalsified)
+from coxmorse.errors import (CorollaryFalsified, LemmaFalsified, NonUniqueMaximum,
+                             NotComparable, NotMinimalCosetRep, PropositionFalsified,
+                             TheoremFalsified)
 from coxmorse.fibers import (
     build_fiber_poset,
     build_qk,
@@ -319,3 +320,40 @@ def test_a_wrong_bound_is_caught_by_the_defining_description(monkeypatch, system
     with pytest.raises(PropositionFalsified,
                        match=r"fiber descriptions disagree \(defining vs cover-restricted\)"):
         build_fiber_poset(qk, *anchors)
+
+
+def test_z_upper_reads_the_callers_hits_and_names_a_wrong_shape(system):
+    # fault injection through the hits a caller passes: a longest hit that
+    # is not above every hit, and one that is but has more below it
+    s = system("A3")
+    K = frozenset({1, 2})
+    s1, s2, s12 = s.simple(1), s.simple(2), s.parse_word("1.2")
+    for wp, w in [(0, s.w0), (0, s12), (s.parse_word("3"), s.parse_word("3.1.2"))]:
+        hits = [a for a in s.parabolic(K).elements if s.bruhat_leq(s.mul(wp, a), w)]
+        assert z_upper(s, wp, w, K, hits) == z_upper(s, wp, w, K)
+    cases = [([], "upper-bound set does not even contain e"),
+             (sorted([0, s1, s2]), r"upper-bound set has 2 maximal elements: \['1', '2'\]"),
+             (sorted([0, s1, s12]), r"upper-bound set is not the full lower interval \[e, z'\]")]
+    for hits, message in cases:
+        with pytest.raises(LemmaFalsified, match=message):
+            z_upper(s, 0, s.w0, K, hits)
+
+
+def test_generalized_quotient_names_a_wrong_shape(monkeypatch):
+    # fault injection: on a fresh system, v'a is misread as w0 for the a of
+    # [z, z'] = [e, 1.2] outside a chosen set, so the length test keeps only
+    # that set, and F is given it as its diagonal: {e, 1, 2} has two maximal
+    # members, and {e, 1.2} no cover step from e toward its top
+    s = build_system("A3")
+    qk = build_qk(s, {1, 2})
+    fp = build_fiber_poset(qk, (0, 0), (0, s.parse_word("1.2.3")))
+    s1, s2, s12 = s.simple(1), s.simple(2), s.parse_word("1.2")
+    assert (fp.vprime, fp.z, fp.z_prime) == (0, 0, s12)
+    cases = [({0, s1, s2}, NonUniqueMaximum,
+              r"generalized quotient has 2 maximal elements: \['1', '2'\]"),
+             ({0, s12}, TheoremFalsified, "no quotient cover step above e toward z~")]
+    mul = s.mul
+    for quotient, error, message in cases:
+        monkeypatch.setattr(s, "mul", lambda x, a: mul(x, a) if a in quotient else s.w0)
+        with pytest.raises(error, match=message):
+            generalized_quotient(with_members(fp, tuple((a, a) for a in sorted(quotient))))

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from coxmorse import cli, posets
+from coxmorse import cells, cli, posets
 from coxmorse.cells import graded_covers, pair_name, pair_poset
 from coxmorse.errors import (ELViolation, IntervalTooLarge, NotPure, OrderTooLarge,
                              TheoremFalsified)
@@ -15,6 +15,7 @@ from coxmorse.fibers import build_fiber_poset, build_qk
 from coxmorse.matchings import labeled_interval
 from coxmorse.oracles import oracle_bruhat_leq
 from coxmorse.posets import (
+    PackedOrder,
     all_maximal_chains,
     check_el_labeling,
     euler_characteristic,
@@ -25,7 +26,8 @@ from coxmorse.posets import (
 from coxmorse.reflection_orders import order_from_reduced_word
 from coxmorse.springer import build_springer_poset, springer_matching
 from coxmorse.verify import disjoint_pairs
-from helpers import b3_with_a_cover_across_dims, packed_from_dense, poset_from_covers
+from helpers import (b3_with_a_cover_across_dims, closure_route_covers, packed_from_dense,
+                     poset_from_covers)
 
 
 def chain_poset(n):
@@ -354,6 +356,63 @@ def test_flipped_bit_in_a_packed_pair_order_names_the_axiom_and_cells(system):
                        match=re.escape(f"springer pair poset is not transitive: {name(i)} <= "
                                        f"{name(j)} follows from the covers")):
         graded_covers(leq, dims, "springer pair poset", name)
+
+
+def order_check_outcome(route, leq, dims, name):
+    """The covers that ``route`` finds in ``leq``, or the message of the
+    :class:`TheoremFalsified` it raises."""
+    try:
+        return route(leq, dims, "q_k relation", name)
+    except TheoremFalsified as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("block_rows", [None, 3])
+@pytest.mark.parametrize("name", ["A3", "B3"])
+def test_row_check_agrees_with_the_closure_route_on_edited_orders(system, monkeypatch, name,
+                                                                  block_rows):
+    # fault injection: seeded single-bit edits of every packed Q_K order (a
+    # missing relation set, a present one cleared, a padding bit set) give
+    # the closure route's outcome, its message or, for an edit that leaves
+    # an order closed from its covers, its covers; with blocks of 3 gathered
+    # rows some row's covers straddle a block boundary
+    s = system(name)
+    straddled = False
+    for r in range(1 << s.rank):
+        K = {i + 1 for i in range(s.rank) if r >> i & 1}
+        qk = build_qk(s, K)
+        leq, dims = qk.leq, qk.poset.dims
+        n, width = leq.packed.shape
+        label = lambda k: pair_name(s, qk.members[k])   # noqa: E731
+        if block_rows is not None:
+            monkeypatch.setattr(cells, "ROW_CHECK_BYTES", block_rows * -(-width // 8) * 8)
+            ends = np.cumsum(np.bincount([lo for lo, _, _ in qk.poset.covers], minlength=n))
+            starts = np.r_[0, ends[:-1]]
+            straddled |= bool((starts // block_rows < (ends - 1) // block_rows).any())
+        want = closure_route_covers(leq, dims, "q_k relation", label)
+        assert graded_covers(leq, dims, "q_k relation", label) == want == qk.poset.covers
+        rng = random.Random(f"{name} {sorted(K)}")
+        dense = np.asarray(leq)
+        kinds = ["set", "clear", "pad"] if n % 8 else ["set", "clear"]
+        if dense.all():
+            kinds.remove("set")
+        for k in range(21):
+            kind = kinds[k % len(kinds)]
+            if kind == "set":
+                i, j = rng.randrange(n), rng.randrange(n)
+                while dense[i, j]:
+                    i, j = rng.randrange(n), rng.randrange(n)
+            elif kind == "clear":
+                i = rng.randrange(n)
+                j = rng.choice(np.flatnonzero(dense[i]).tolist())
+            else:
+                i, j = rng.randrange(n), rng.randrange(n, 8 * width)
+            edited = PackedOrder(n, leq.packed.copy())
+            edited.packed[i, j >> 3] ^= 1 << (j & 7)
+            assert (order_check_outcome(graded_covers, edited, dims, label)
+                    == order_check_outcome(closure_route_covers, edited, dims, label)), \
+                (sorted(K), kind, i, j)
+    assert straddled or block_rows is None
 
 
 def test_padding_bit_in_a_packed_pair_order_is_falsified(system):

@@ -28,7 +28,7 @@ from .oracles import (oracle_bruhat_leq, oracle_convexity, oracle_fiber_members,
                       oracle_slice_partners, oracle_unmatched_scan)
 from .posets import euler_characteristic, poset_to_dot
 from .reflection_orders import order_from_reduced_word, shortlex_order
-from .springer import build_springer_poset, springer_matching, springer_slices
+from .springer import build_springer_poset, springer_slices
 from .verify import run_level
 
 EXIT_OK = 0
@@ -257,9 +257,10 @@ def cmd_springer(args) -> int:
     sp = build_springer_poset(system, J, Jp)
     if args.paranoid:
         check_against_pair_poset(system, sp.poset, "springer pair poset")
-        slices, order, _, what = springer_slices(sp)
+    slices, order, apex, what = springer_slices(sp)
+    if args.paranoid:
         _check_slices(system, slices, order, what)
-    matching, summary = springer_matching(sp)
+    matching, summary = slice_matching(system, sp.poset, slices, order, apex, what)
     if args.paranoid:
         _rescan_unmatched(sp.poset, matching, summary)
     if args.format == "dot":

@@ -591,14 +591,19 @@ class CoxeterSystem:
 
         objs = np.arange(n).astype(object)   # one int object per id, shared by all pairs
 
-        def split(key: np.ndarray, other: np.ndarray) -> tuple[tuple[tuple[int, int], ...], ...]:
+        def split(key: np.ndarray, other: np.ndarray):
+            """The (other, label) pairs of each key sorted by (key, other),
+            as tuples, and as the arrays (offsets, others)."""
             o = np.lexsort((other, key))
             pairs = list(zip(objs[other[o]].tolist(), objs[ts[o]].tolist()))
-            bounds = np.cumsum(np.bincount(key, minlength=n)).tolist()
-            return tuple(tuple(pairs[a:b]) for a, b in zip([0] + bounds, bounds))
+            start = np.zeros(n + 1, dtype=np.intp)
+            np.cumsum(np.bincount(key, minlength=n), out=start[1:])
+            bounds = start.tolist()
+            return tuple(tuple(pairs[a:b]) for a, b in zip(bounds, bounds[1:])), start, other[o]
 
-        self._covers_down = split(ws, vs)
-        self._covers_up = split(vs, ws)
+        self._covers_down = split(ws, vs)[0]
+        # the up-covers also as arrays, kept for the closure of the order
+        self._covers_up, self._up_start, self._up_ids = split(vs, ws)
 
         # diagram involution i -> i* with s_{i*} = w0 s_i w0
         star = []
@@ -711,12 +716,14 @@ class CoxeterSystem:
 
     @cached_property
     def bruhat(self) -> PackedOrder:
-        """The Bruhat order (:class:`PackedOrder`), closed from the up-covers
-        on first use once :func:`posets.check_order_size` passes; ids are
-        sorted by length, so walking them downwards visits up-covers first."""
+        """The Bruhat order (:class:`PackedOrder`), closed from the up-cover
+        arrays on first use once :func:`posets.check_order_size` passes.
+        Ids are sorted by length and every up-cover is one length up, so
+        the order is closed one length layer at a time from the top
+        (:meth:`PackedOrder.layered_closure`), one gather per cover slot
+        rather than one OR per cover."""
         check_order_size(self.size, "the Bruhat order")
-        up = [[u for u, _ in covers] for covers in self._covers_up]
-        return PackedOrder.closure(up, range(self.size - 1, -1, -1))
+        return PackedOrder.layered_closure(self._up_start, self._up_ids, self._length_start)
 
     @cached_property
     def cover_ids(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:

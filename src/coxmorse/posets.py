@@ -95,6 +95,63 @@ class PackedOrder:
                 np.bitwise_or(row, packed[y], out=row)
         return order
 
+    @classmethod
+    def layered_closure(cls, start: np.ndarray, up: np.ndarray,
+                        layers: np.ndarray) -> "PackedOrder":
+        """The order generated by covers given as arrays: the up-covers of
+        x are ``up[start[x]:start[x + 1]]``, the ids a..b-1 between
+        consecutive ``layers`` bounds form a layer, and every up-cover lies
+        in a later layer than its element.
+
+        Closes one layer at a time from the top, with one gather per cover
+        slot where :meth:`closure` pays one OR per cover.  The layer's
+        elements are sorted by decreasing up-degree, so slot k, the rows of
+        the k-th up-covers, is ORed into the first rows of the layer's
+        block: those of the elements with more than k up-covers.  Only the
+        byte columns from a >> 3 on are read or written, since no upper
+        set in the layer holds an id below a.  A layer is worked in row
+        blocks of at most 256 KiB, so that a block and the rows gathered
+        into it stay in cache."""
+        n = len(start) - 1
+        order = cls(n)
+        packed = order.packed
+        width = packed.shape[1]
+        degree = np.diff(start)
+        sizes = np.diff(layers)
+        slots = int(degree.max(initial=0)) + 1
+        # sorted by (layer, -degree), the keys layer * slots - degree
+        # ascend, so counts[l, k], the elements of layer l with more than k
+        # up-covers, is one searchsorted for every layer and slot
+        layer = np.repeat(np.arange(len(sizes)), sizes)
+        by = np.lexsort((-degree, layer))
+        key = layer[by] * slots - degree[by]
+        slot = np.arange(slots)[:, None]
+        counts = np.searchsorted(key, np.arange(len(sizes)) * slots - slot).T - layers[:-1, None]
+        depth = np.count_nonzero(counts, axis=1).tolist()
+        counts = counts.tolist()
+        ids = np.arange(n)
+        flat = packed.reshape(-1)   # a view: bit x of row x is byte x * width + (x >> 3)
+        diagonal, bit = ids * width + (ids >> 3), np.left_shift(1, ids & 7).astype(np.uint8)
+        bounds = layers.tolist()
+        for l in range(len(sizes) - 1, -1, -1):
+            a, b = bounds[l], bounds[l + 1]
+            col, count = a >> 3, counts[l]
+            # ups[k, i]: the k-th up-cover of by[a + i], for i < count[k]
+            ups = up.take(start[by[a:b]] + slot[:depth[l]], mode="clip")
+            step = max(1, (1 << 18) // (width - col))
+            for i in range(0, b - a, step):
+                j = min(i + step, b - a)
+                block = np.zeros((j - i, width - col), dtype=np.uint8)
+                for k in range(depth[l]):
+                    c = min(count[k], j)
+                    if c <= i:
+                        break
+                    rows = block[:c - i]
+                    np.bitwise_or(rows, packed[ups[k, i:c], col:], out=rows)
+                packed[by[a + i:a + j], col:] = block
+            flat[diagonal[a:b]] |= bit[a:b]
+        return order
+
     @property
     def nbytes(self) -> int:
         return self.packed.nbytes

@@ -1,9 +1,12 @@
 """The names of the library that the benchmark in perfbench/ imports,
 patches or reads must exist: a deleted one fails here, under pytest,
-rather than in a benchmark run.  Nothing under perfbench/ is written."""
+rather than in a benchmark run.  The committed BENCH_*.json records must
+name the workloads and metrics of BENCHMARK.json, so the trajectory stays
+readable.  Nothing under perfbench/ and no BENCHMARK.json is written."""
 
 import ast
 import importlib
+import json
 import sys
 from pathlib import Path
 
@@ -65,3 +68,21 @@ def test_every_library_name_the_benchmark_reads_exists():
                     if not hasattr(module, node.attr):
                         missing.append(f"{path.name}: {mod}.{node.attr}")
     assert not missing
+
+
+def test_every_bench_file_reads_against_the_benchmark():
+    # each committed BENCH_*.json parses, its end_to_end results are keyed
+    # by workloads of BENCHMARK.json, and its claim, if any, names one of
+    # those workloads and one of its end-to-end metrics
+    root = PERFBENCH.parent
+    benchmark = json.loads((root / "BENCHMARK.json").read_text())
+    workloads = {w["name"] for w in benchmark["workloads"]}
+    metrics = {m["name"] for m in benchmark["end_to_end"]}
+    paths = sorted(root.glob("BENCH_*.json"))
+    assert len(paths) >= 12
+    for path in paths:
+        record = json.loads(path.read_text())
+        assert set(record["end_to_end"]) <= workloads, path.name
+        claim = record.get("claim")
+        if claim:
+            assert claim["workload"] in workloads and claim["metric"] in metrics, path.name

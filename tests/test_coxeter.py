@@ -16,6 +16,7 @@ from coxmorse.errors import (
 )
 from coxmorse.matchings import labeled_interval
 from coxmorse.oracles import oracle_bruhat_leq, oracle_group_tables, oracle_reduced_words
+from coxmorse.posets import PackedOrder
 
 
 KNOWN_SIZES = {
@@ -288,6 +289,45 @@ def test_h4_closure_and_interval_allocate_no_dense_matrix():
     assert s.bruhat.nbytes == n * (n // 8) == 25_920_000
     assert peak < n * n // 4, f"{peak} bytes for the closure and one interval"
     assert li.poset.n == len(s.interval_ids(li.v, li.w)) > 1
+
+
+def per_cover_closure(s):
+    """The Bruhat order closed by the per-cover loop, over ``_covers_up``:
+    the reference for the layered closure."""
+    up = [[u for u, _ in covers] for covers in s._covers_up]
+    return PackedOrder.closure(up, range(s.size - 1, -1, -1))
+
+
+@pytest.mark.parametrize("name", sorted(KNOWN_SIZES) + ["B5", "D5"] + sorted(REDUCIBLE))
+def test_layered_closure_matches_the_per_cover_closure(system, name):
+    s = build_system(REDUCIBLE[name]) if name in REDUCIBLE else system(name)
+    # whole bytes, so the padding bits past column n are compared too
+    assert np.array_equal(s.bruhat.packed, per_cover_closure(s).packed)
+
+
+def test_layered_closure_with_maximal_elements_below_the_top():
+    # 0 < 2 < 4, 1 < 2 and 1 < 3: 3 is maximal beside 2, and in the bottom
+    # layer the later id has more up-covers
+    start, up, layers = np.array([0, 1, 3, 4, 4, 4]), np.array([2, 2, 3, 4]), np.array([0, 2, 4, 5])
+    order = PackedOrder.layered_closure(start, up, layers)
+    ref = PackedOrder.closure([[2], [2, 3], [4], [], []], range(4, -1, -1))
+    assert np.array_equal(order.packed, ref.packed)
+
+
+def test_h4_layered_closure():
+    s = build_system("H4")   # fresh: its closure is not cached yet
+    tracemalloc.start()
+    try:
+        b = s.bruhat
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * b.nbytes, f"{peak} bytes for a {b.nbytes}-byte order"
+    assert np.array_equal(b.packed, per_cover_closure(s).packed)
+    rng = np.random.default_rng(2121)
+    for v, w in rng.integers(s.size, size=(2000, 2)).tolist():
+        v, w = sorted((v, w), key=s.len_of)
+        assert b.leq(v, w) == oracle_bruhat_leq(s, v, w), (s.word_str(v), s.word_str(w))
 
 
 def test_reflections_are_left_inversions_of_w0(system):

@@ -1,6 +1,7 @@
 """Springer pair posets: membership, slices, coset pieces, certificates."""
 
 import re
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +26,8 @@ from coxmorse.springer import (
 )
 from coxmorse.verify import disjoint_pairs
 from helpers import with_members
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_a1_examples(system):
@@ -357,6 +360,23 @@ def test_a_dropped_down_cover_is_falsified_naming_the_slice(monkeypatch, capsys)
     code, err = run_springer_on(monkeypatch, capsys, a3, "{1}", "{3}")
     assert code == 3 and err.startswith("FALSIFIED: ")
     assert f"[{a3.word_str(x)}, {a3.word_str(a3.w0)}] in the springer pair poset" in err
+
+
+def test_paranoid_springer_builds_each_slice_once(system, monkeypatch, capsys):
+    # the slice-oracle comparison and the matching share one set of slices;
+    # the report is the golden one
+    s = system("A4")
+    argv = ["springer", "--group", "A4", "--J", "{2}", "--Jprime", "{3}", "--format", "json"]
+    assert main(argv) == 0
+    plain = capsys.readouterr()
+    calls = []
+    build = springer.build_slices
+    monkeypatch.setattr(springer, "build_slices", lambda sp, v: calls.append(v) or build(sp, v))
+    monkeypatch.setattr(cli, "_system_from_args", lambda args: s)
+    assert main([*argv, "--paranoid"]) == 0
+    assert capsys.readouterr() == plain
+    assert plain.out.encode() == (GOLDEN / "springer_A4_J2_Jp3.json").read_bytes()
+    assert sorted(calls) == sorted(build_springer_poset(s, {2}, {3}).slice_members)
 
 
 def test_two_swapped_ranks_are_falsified_naming_a_slice(system, monkeypatch, capsys):

@@ -593,17 +593,19 @@ class CoxeterSystem:
 
         def split(key: np.ndarray, other: np.ndarray):
             """The (other, label) pairs of each key sorted by (key, other),
-            as tuples, and as the arrays (offsets, others)."""
+            as tuples, with the offsets of each key's pairs and the sort."""
             o = np.lexsort((other, key))
             pairs = list(zip(objs[other[o]].tolist(), objs[ts[o]].tolist()))
             start = np.zeros(n + 1, dtype=np.intp)
             np.cumsum(np.bincount(key, minlength=n), out=start[1:])
             bounds = start.tolist()
-            return tuple(tuple(pairs[a:b]) for a, b in zip(bounds, bounds[1:])), start, other[o]
+            return tuple(tuple(pairs[a:b]) for a, b in zip(bounds, bounds[1:])), start, o
 
         self._covers_down = split(ws, vs)[0]
-        # the up-covers also as arrays, kept for the closure of the order
-        self._covers_up, self._up_start, self._up_ids = split(vs, ws)
+        # the up-covers also as arrays (offsets, targets, labels), kept for
+        # the closure of the order and the partner tables of the interval sweep
+        self._covers_up, self._up_start, o = split(vs, ws)
+        self._up_ids, self._up_labels = ws[o], ts[o]
 
         # diagram involution i -> i* with s_{i*} = w0 s_i w0
         star = []

@@ -16,6 +16,11 @@ chain and thinness checks read), and on :class:`LabeledInterval` the
 labeled atoms and coatoms and the lower and upper set of every element as
 bit masks.  Per order, only edge selection, the acyclicity search and one
 sweep per side of the shelling check run.
+
+A whole group's intervals are matched in whole-array steps by
+:func:`sweep_failures`, which reads each order from one
+:func:`partner_table`; the per-interval route above is its oracle and
+names what it finds.
 """
 
 from __future__ import annotations
@@ -23,6 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .coxeter import CoxeterSystem
 from .errors import (
@@ -211,6 +218,131 @@ def is_acyclic(poset: FinitePoset, matching: Matching) -> AcyclicityReport:
             path.append(y)
             todo.append(iter(below[partner[y]]))
     return AcyclicityReport(True)
+
+
+# the intervals of one block of :func:`sweep_failures`: their member masks,
+# one byte per (interval, element), take about this many bytes
+SWEEP_BLOCK_BYTES = 1 << 14
+
+
+def partner_table(system: CoxeterSystem, order: ReflectionOrder) -> np.ndarray:
+    """Row x lists the other ends of the covers at x, up and down, by
+    decreasing rank of their labels under ``order``; shorter rows are
+    padded with ``system.size``, the end of a dummy cover.  Built from
+    the up-cover arrays with one lexsort.  In any interval that holds x,
+    the partner of x is the first entry of row x inside the interval."""
+    start, ids, labels = system._up_start, system._up_ids, system._up_labels
+    n = system.size
+    rank = np.full(n, -1, dtype=np.intp)
+    rank[list(order.sequence)] = np.arange(len(order.sequence))
+    lows = np.repeat(np.arange(n), np.diff(start))
+    at = np.concatenate((lows, ids))
+    ranks = rank[labels]
+    o = np.lexsort((-np.concatenate((ranks, ranks)), at))
+    at = at[o]
+    degree = np.bincount(at, minlength=n)
+    slot = np.arange(len(at)) - (np.cumsum(degree) - degree)[at]
+    table = np.full((n, int(degree.max(initial=0))), n, dtype=np.intp)
+    table[at, slot] = np.concatenate((ids, lows))[o]
+    return table
+
+
+def sweep_failures(system: CoxeterSystem,
+                   orders: Sequence[ReflectionOrder]) -> list[tuple[int, int, int]]:
+    """(v, w, k) for each nontrivial interval [v, w] and order index k on
+    which the reflection-order matching is not complete and acyclic, in the
+    order of :meth:`CoxeterSystem.comparable_pairs` and then of ``orders``.
+
+    The route of :func:`build_matching` and :func:`is_acyclic` in whole-array
+    steps, over blocks of intervals at once (:func:`_block_failures`), each
+    order read from its :func:`partner_table`.  The peeling there reads
+    every cover as one step of length, so that is checked once for the
+    whole group: an interval that holds a cover skipping a length fails
+    under every order.  Only the failing instances are returned;
+    :func:`verify.check_matchings` re-runs them through the per-interval
+    route, which names what went wrong."""
+    bruhat, length, n = system.bruhat, system.length, system.size
+    vs, ws = bruhat.nonzero()
+    strict = vs != ws
+    vs, ws = vs[strict], ws[strict]
+    start, ups = system._up_start, system._up_ids
+    lows = np.repeat(np.arange(n), np.diff(start))
+    skips = length[ups] != length[lows] + 1
+    skip_lo, skip_hi = lows[skips], ups[skips]
+    # row x: the up-covers of x, padded with n
+    above = np.full((n, int(np.diff(start).max(initial=0))), n, dtype=np.intp)
+    above[lows, np.arange(len(ups)) - start[lows]] = ups
+    tables = [partner_table(system, order) for order in orders]
+    packed, width = bruhat.packed, n + 1    # column n: the dummy end, in no interval
+    failing: list[tuple[int, int, int]] = []
+    step = max(1, SWEEP_BLOCK_BYTES // width)
+    for a in range(0, len(vs), step):
+        v, w = vs[a:a + step], ws[a:a + step]
+        # row v of the order ANDed with column w
+        member = np.zeros((len(v), width), dtype=bool)
+        member[:, :n] = np.unpackbits(packed[v], axis=1, count=n, bitorder="little")
+        member[:, :n] &= ((packed[:, w >> 3] >> (w & 7).astype(np.uint8)) & 1).T.view(bool)
+        bad = _block_failures(member, above, tables, length)
+        bad |= (member[:, skip_lo] & member[:, skip_hi]).any(axis=1)
+        i, k = np.nonzero(bad.T)
+        failing += zip(vs[a + i].tolist(), ws[a + i].tolist(), k.tolist())
+    return failing
+
+
+def _block_failures(member: np.ndarray, above: np.ndarray, tables: list[np.ndarray],
+                    length: np.ndarray) -> np.ndarray:
+    """bad[k, i]: the matching of interval i, whose elements are row i of
+    ``member``, is not complete and acyclic under ``tables[k]``.
+
+    A position is an (interval, element) pair with the element in the
+    interval, kept as its index into ``member``, flattened.  The inside
+    covers y < h are read once from ``above``.  Then, per order:
+
+    - the partner of each position is the first entry of its table row
+      inside the interval; a position with none, or whose partner's
+      partner is another position, fails its interval;
+    - the V-path edges x -> y (see :func:`is_acyclic`) are the inside
+      covers y < h with M(y) above y and M(h) = x != y below h.  Sources,
+      the positions with no in-edge, are peeled as in Kahn's topological
+      sort; once a round removes no edge, every interval that still holds
+      an edge has a cycle."""
+    size, width = member.shape
+    member = member.reshape(-1)
+    flat = np.flatnonzero(member)
+    count = len(flat)
+    interval, element = np.divmod(flat, width)
+    base = flat - element
+    position = np.zeros(len(member), dtype=np.intp)
+    position[flat] = np.arange(count)
+    ups = above[element] + base[:, None]
+    y, j = np.nonzero(member[ups])
+    h = position[ups[y, j]]
+    bad = np.zeros((len(tables), size), dtype=bool)
+    for table, failed in zip(tables, bad):
+        # the partner's index into member, by table columns over the
+        # positions not yet matched; a position with none keeps its own
+        spot = flat.copy()
+        todo = np.arange(count)
+        for column in table.T:
+            ends = column[element[todo]] + base[todo]
+            hit = member[ends]
+            spot[todo[hit]] = ends[hit]
+            todo = todo[~hit]
+            if not todo.size:
+                break
+        partner = position[spot]
+        failed[interval[todo]] = True
+        failed[interval[partner[partner] != np.arange(count)]] = True
+        raised = length[spot - base] > length[element]
+        keep = raised[y] & ~raised[h] & (partner[h] != y) & ~failed[interval[y]]
+        src, dst = partner[h[keep]], y[keep]
+        while src.size:
+            held = np.bincount(dst, minlength=count)[src] > 0
+            if held.all():
+                failed[interval[src]] = True
+                break
+            src, dst = src[held], dst[held]
+    return bad
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,19 @@
 """Posets and systems that only the tests build: toy posets given by their
 covers, packed orders given as dense matrices, the closure route of the
 order check, the fiber posets of a fiber sweep, Springer and fiber posets
-with tampered cells, the M-subset test on an interval matching, and a B3
-system with a planted cover that skips two lengths."""
+with tampered cells, the M-subset test on an interval matching, a B3
+system with a planted cover that skips two lengths, cover tables replaced
+in one or both of their copies, and the per-interval route of the
+interval matching check."""
 
 import dataclasses
 
 import numpy as np
 
 from coxmorse import build_system
-from coxmorse.errors import TheoremFalsified
+from coxmorse.errors import CoxmorseError, TheoremFalsified
 from coxmorse.fibers import build_fiber_poset, build_qk
+from coxmorse.matchings import build_matching, is_acyclic, labeled_interval
 from coxmorse.posets import FinitePoset, PackedOrder
 
 
@@ -96,5 +99,41 @@ def b3_with_a_cover_across_dims():
     b3.bruhat
     x = b3.parse_word("1.2.1")
     ups = b3._covers_up
-    b3._covers_up = ((*ups[0], (x, x)),) + ups[1:]
+    set_up_covers(b3, ((*ups[0], (x, x)),) + ups[1:])
     return b3
+
+
+def set_up_cover_arrays(system, covers_up):
+    """Give ``system`` the up-cover arrays (offsets, ids, labels) of the
+    up-cover tuples ``covers_up``, leaving its tuples as they are."""
+    start = np.zeros(len(covers_up) + 1, dtype=np.intp)
+    np.cumsum([len(ups) for ups in covers_up], out=start[1:])
+    system._up_start = start
+    system._up_ids = np.array([u for ups in covers_up for u, _ in ups], dtype=np.int64)
+    system._up_labels = np.array([t for ups in covers_up for _, t in ups], dtype=np.int64)
+
+
+def set_up_covers(system, covers_up):
+    """Give ``system`` the up-cover tuples ``covers_up``, in both copies:
+    the tuples and the arrays."""
+    system._covers_up = tuple(map(tuple, covers_up))
+    set_up_cover_arrays(system, covers_up)
+
+
+def per_interval_failures(system, orders):
+    """(v, w, k, message) for each nontrivial interval [v, w] and order
+    index k on which the per-interval route (:func:`build_matching`, then
+    :func:`is_acyclic`) fails, in the order of ``comparable_pairs``."""
+    out = []
+    for v, w in system.comparable_pairs(strict=True):
+        li = labeled_interval(system, v, w)
+        for k, order in enumerate(orders):
+            try:
+                acyc = is_acyclic(li.poset, build_matching(li, order))
+            except CoxmorseError as exc:
+                out.append((v, w, k, str(exc)))
+                continue
+            if not acyc.acyclic:
+                out.append((v, w, k, f"cycle in [{system.word_str(v)}, {system.word_str(w)}]: "
+                                     f"{acyc.cycle}"))
+    return out

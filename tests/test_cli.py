@@ -7,7 +7,7 @@ import pytest
 from coxmorse import posets
 from coxmorse.cli import main, parse_subset
 from coxmorse.errors import InvalidSubset
-from helpers import b3_with_a_cover_across_dims, with_members
+from helpers import b3_with_a_cover_across_dims, set_up_covers, with_members
 
 
 def run(capsys, *argv):
@@ -209,8 +209,8 @@ def test_paranoid_matching_rechecks_interval_covers(monkeypatch, capsys):
     lo, hi = li.index[x], li.index[y]
     assert build_matching(li, shortlex_order(b3)).partner[lo] != hi
     full = b3._covers_up
-    b3._covers_up = tuple(tuple(c for c in ups if (z, c[0]) != (x, y))
-                          for z, ups in enumerate(full))
+    set_up_covers(b3, [tuple(c for c in ups if (z, c[0]) != (x, y))
+                       for z, ups in enumerate(full)])
     monkeypatch.setattr(cli, "_system_from_args", lambda args: b3)
     argv = ["matching", "--group", "B3", "--interval", "2", "2.3.2.1"]
     assert run(capsys, *argv)[0] == 0
@@ -219,7 +219,7 @@ def test_paranoid_matching_rechecks_interval_covers(monkeypatch, capsys):
                "cover 2 < 2.1 (only in the oracle)\n")
     # a relation of length gap two planted as a cover is named from the other side
     z = b3.parse_word("2.1.3")
-    b3._covers_up = full[:x] + (full[x] + ((z, b3.mul(x, b3.inverse(z))),),) + full[x + 1:]
+    set_up_covers(b3, full[:x] + (full[x] + ((z, b3.mul(x, b3.inverse(z))),),) + full[x + 1:])
     assert run(capsys, *argv, "--paranoid") == (
         3, "", "FALSIFIED: interval [2, 2.3.2.1] disagrees with the subword oracle at the "
                "cover 2 < 2.1.3 (only in the extracted interval)\n")

@@ -305,6 +305,15 @@ def test_layered_closure_matches_the_per_cover_closure(system, name):
     assert np.array_equal(s.bruhat.packed, per_cover_closure(s).packed)
 
 
+@pytest.mark.parametrize("name", sorted(KNOWN_SIZES) + ["B5", "D5"] + sorted(REDUCIBLE))
+def test_up_cover_arrays_match_the_tuples(system, name):
+    s = build_system(REDUCIBLE[name]) if name in REDUCIBLE else system(name)
+    start, ids, labels = s._up_start.tolist(), s._up_ids.tolist(), s._up_labels.tolist()
+    assert len(start) == s.size + 1 and start[0] == 0 and start[-1] == len(ids) == len(labels)
+    assert s._covers_up == tuple(tuple(zip(ids[a:b], labels[a:b]))
+                                 for a, b in zip(start, start[1:]))
+
+
 def test_layered_closure_with_maximal_elements_below_the_top():
     # 0 < 2 < 4, 1 < 2 and 1 < 3: 3 is maximal beside 2, and in the bottom
     # layer the later id has more up-covers

@@ -19,20 +19,22 @@ generate it.  :func:`pair_poset` on the cells of Z or F is their
 independent oracle route (:func:`check_against_pair_poset`).  Such a
 poset is matched slice by slice (:func:`slice_matching`): the matching of
 a slice's interval is read only on the slice and its checked subsets,
-each element's partner from its own covers (:func:`slice_partners`), so
-a slice costs what it holds, not its interval.
+each element's partner the first entry of its row of the partner table
+inside the interval (:func:`slice_partners`; the table is the interval
+sweep's, :func:`matchings.partner_table`), so a slice costs what it
+holds, not its interval.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .coxeter import CoxeterSystem
 from .errors import Falsification, NotAMatching, TheoremFalsified
-from .matchings import Matching, MorseSummary, morse_counts
+from .matchings import Matching, MorseSummary, morse_counts, partner_table
 from .posets import FinitePoset, PackedOrder, check_order_size
 from .reflection_orders import ReflectionOrder
 
@@ -218,23 +220,22 @@ def step_covers(system: CoxeterSystem, members: Sequence[tuple[int, int]],
     single-step lower covers must be a cell; otherwise
     :class:`TheoremFalsified` names the cell and the missing one.  By
     induction down P the cells are then a lower set of P.  A pair (v, w)
-    is looked up by the int key v |W| + w, and the covers are read as ids
-    (:attr:`CoxeterSystem.cover_ids`)."""
+    is looked up by the int key v |W| + w."""
     leq, size = system.bruhat.leq, system.size
-    up, down = system.cover_ids
+    up, down = system.bruhat_covers_up, system.bruhat_covers_down
     cell = {x * size + y: k for k, (x, y) in enumerate(members)}.get
     ups: list[list[int]] = [[] for _ in members]
     for k, (x, y) in enumerate(members):
         if not leq(x, y):
             raise TheoremFalsified(f"{what} has a cell {pair_name(system, (x, y))} "
                                    f"whose ends are not comparable")
-        for u in up[x]:
+        for u, _ in up(x):
             j = cell(u * size + y)
             if j is not None:
                 ups[j].append(k)
             elif leq(u, y):
                 raise _missing_step(system, what, (x, y), (u, y))
-        for u in down[y]:
+        for u, _ in down(y):
             j = cell(x * size + u)
             if j is not None:
                 ups[j].append(k)
@@ -294,46 +295,30 @@ def check_against_pair_poset(system: CoxeterSystem, poset: FinitePoset, what: st
         )
 
 
-class RankedCovers(dict):
-    """y -> the Bruhat covers of y as (u, up), u covering y if ``up`` and
-    covered by y otherwise, by decreasing rank of their labels under
-    ``rank``; built for each y on first read.  The labels at y are
-    distinct reflections, so there are no ties."""
-
-    def __init__(self, system: CoxeterSystem, rank: Mapping[int, int]):
-        super().__init__()
-        self.system, self.rank = system, rank
-
-    def __missing__(self, y: int) -> list[tuple[int, bool]]:
-        rank = self.rank
-        edges = [(rank[t], u, True) for u, t in self.system.bruhat_covers_up(y)]
-        edges += [(rank[t], u, False) for u, t in self.system.bruhat_covers_down(y)]
-        edges.sort(reverse=True)
-        self[y] = out = [(u, up) for _, u, up in edges]
-        return out
-
-
 def slice_partners(system: CoxeterSystem, x: int, top: int, ys: Iterable[int],
-                   covers: RankedCovers) -> dict[int, int]:
+                   rows: Sequence[Sequence[int]]) -> dict[int, int]:
     """M(y) for each y in ``ys``, M the matching of [x, top] under the
-    reflection order of ``covers``, read from y's own covers: the edges of
-    [x, top] at y are the up-covers u of y with u <= top and the down-covers
-    u with x <= u, and M(y) ends the one with the largest label (the rule
-    of :func:`matchings.build_matching`).  An element with no edge raises
-    :class:`NotAMatching`."""
-    leq = system.bruhat.leq
+    reflection order of the partner table ``rows``
+    (:func:`matchings.partner_table`, as lists): M(y) is the first entry u
+    of row y inside [x, top], that is an up-cover (l(u) > l(y), so u > y,
+    as ids are sorted by length) with u <= top or a down-cover with
+    x <= u.  A row that reaches its pad ``system.size`` first holds no
+    edge of [x, top] at y, and raises :class:`NotAMatching`."""
+    leq, pad = system.bruhat.leq, system.size
     below_top = top == system.w0   # then every up-cover of y lies below top
     partner = {}
     for y in ys:
-        for u, up in covers[y]:
-            if (below_top or leq(u, top)) if up else leq(x, u):
-                partner[y] = u
+        for u in rows[y]:
+            if u == pad or ((below_top or leq(u, top)) if u > y else leq(x, u)):
                 break
         else:
+            u = pad
+        if u == pad:
             raise NotAMatching(
                 f"isolated element {system.word_str(y)} in the Hasse diagram of "
                 f"[{system.word_str(x)}, {system.word_str(top)}]"
             )
+        partner[y] = u
     return partner
 
 
@@ -348,8 +333,10 @@ def slice_matching(system: CoxeterSystem, poset: FinitePoset, slices: Iterable[t
     [x, top]; a subset that is all of [x, top] is preserved by any
     matching of it and is left out by the caller.  The matching M of
     [x, top] under ``order`` is read only on the subsets and z_x
-    (:func:`slice_partners`): it must preserve each of them and be an
-    involution there; then (x, y) and (x, M(y)) are matched for y in z_x.
+    (:func:`slice_partners`, from the :func:`matchings.partner_table` of
+    ``order``, built at the first slice): it must preserve each of them
+    and be an involution there; then (x, y) and (x, M(y)) are matched for
+    y in z_x.
     Postconditions: every matched pair is a cover, the matching is
     acyclic (checked by :func:`morse_counts`), and the cell ``apex`` is
     the only unmatched one.  ``what`` names the poset in errors.
@@ -357,11 +344,13 @@ def slice_matching(system: CoxeterSystem, poset: FinitePoset, slices: Iterable[t
     (``--paranoid``).
     """
     index, name = poset.index, system.word_str
-    covers = RankedCovers(system, order.rank)
+    rows = None
     partner = list(range(poset.n))
     for x, top, subsets, z_x in slices:
+        if rows is None:
+            rows = partner_table(system, order).tolist()
         checked = [(label, set(subset)) for label, subset in (*subsets, ("slice", z_x))]
-        m = slice_partners(system, x, top, set().union(*(s for _, s in checked)), covers)
+        m = slice_partners(system, x, top, set().union(*(s for _, s in checked)), rows)
         for label, inside in checked:
             if not inside.issuperset(map(m.__getitem__, inside)):
                 raise TheoremFalsified(

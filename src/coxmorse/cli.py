@@ -17,12 +17,12 @@ import re
 import sys
 
 from . import __version__
-from .cells import (RankedCovers, check_against_pair_poset, pair_name, slice_matching,
-                    slice_partners)
+from .cells import check_against_pair_poset, pair_name, slice_matching, slice_partners
 from .coxeter import DEFAULT_MAX_ELEMENTS, CoxeterMatrix, CoxeterSystem, build_system
 from .errors import Falsification, InputError, InvalidSubset, TheoremFalsified
 from .fibers import build_fiber_poset, build_qk, fiber_slices, verify_convexity
-from .matchings import build_matching, labeled_interval, morse_counts, verify_shelling_subsets
+from .matchings import (build_matching, labeled_interval, morse_counts, partner_table,
+                        verify_shelling_subsets)
 from .oracles import (oracle_bruhat_leq, oracle_convexity, oracle_fiber_members,
                       oracle_interval_covers, oracle_interval_ids, oracle_shelling_subsets,
                       oracle_slice_partners, oracle_unmatched_scan)
@@ -56,8 +56,11 @@ def _system_from_args(args) -> CoxeterSystem:
 
 def _emit(args, text: str) -> None:
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write report to {args.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -172,14 +175,15 @@ def _check_fiber_members(fp) -> None:
 
 def _check_slices(system, slices, order, what) -> None:
     """Under ``--paranoid``: on every slice (x, top, subsets, z_x), the
-    partners that :func:`cells.slice_partners` reads from each checked
-    element's own covers must be those of the matching of all of
-    [x, top] (:func:`oracles.oracle_slice_partners`); the slice and the
-    first element whose partners differ are named."""
-    covers = RankedCovers(system, order.rank)
+    partners that :func:`cells.slice_partners` reads for each checked
+    element from the order's :func:`matchings.partner_table` must be those
+    of the matching of all of [x, top]
+    (:func:`oracles.oracle_slice_partners`); the slice and the first
+    element whose partners differ are named."""
+    rows = partner_table(system, order).tolist()
     for x, top, subsets, z_x in slices:
         checked = sorted({y for _, subset in (*subsets, ("slice", z_x)) for y in subset})
-        local = slice_partners(system, x, top, checked, covers)
+        local = slice_partners(system, x, top, checked, rows)
         oracle = oracle_slice_partners(system, x, top, order)
         y = next((y for y in checked if local[y] != oracle[y]), None)
         if y is not None:

@@ -603,7 +603,8 @@ class CoxeterSystem:
 
         self._covers_down = split(ws, vs)[0]
         # the up-covers also as arrays (offsets, targets, labels), kept for
-        # the closure of the order and the partner tables of the interval sweep
+        # the closure of the order and the partner tables of the interval
+        # sweep and the slices
         self._covers_up, self._up_start, o = split(vs, ws)
         self._up_ids, self._up_labels = ws[o], ts[o]
 
@@ -726,14 +727,6 @@ class CoxeterSystem:
         rather than one OR per cover."""
         check_order_size(self.size, "the Bruhat order")
         return PackedOrder.layered_closure(self._up_start, self._up_ids, self._length_start)
-
-    @cached_property
-    def cover_ids(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-        """(up, down): up[v] lists the elements covering v and down[w] those
-        covered by w, as in :meth:`bruhat_covers_up` and
-        :meth:`bruhat_covers_down` without their labels; built on first use."""
-        return tuple(tuple(u for u, _ in covers) for covers in self._covers_up), \
-            tuple(tuple(u for u, _ in covers) for covers in self._covers_down)
 
     def bruhat_leq(self, v: int, w: int) -> bool:
         return self.bruhat.leq(v, w)

@@ -14,7 +14,10 @@ route over all of W_K x W_K by the subword test (``fiber --paranoid``).
 A reflection order with N_R(v') first, built once per v' and group
 (:func:`reflection_orders.order_for_fiber`), induces a matching on F with
 unique unmatched element (z~, z~), the top of the generalized quotient,
-giving the contractibility certificate.
+giving the contractibility certificate.  Its partners are read slice by
+slice from the order's partner table (:func:`matchings.partner_table`,
+shared with the interval sweep), built only for a fiber with a slice: a
+one-cell fiber builds none.
 
 F is order convex, so it is a lower set of the nesting poset of pairs and
 is built from single steps by :func:`cells.ideal_poset`, which checks that
@@ -303,9 +306,9 @@ def generalized_quotient(fp: FiberPoset) -> GeneralizedQuotient:
         )
     # gradedness: below z~ one can always step up by a cover inside the
     # quotient (every member is below z~, so such a cover is too)
-    mem, up = set(members), system.cover_ids[0]
+    mem, up = set(members), system.bruhat_covers_up
     for a in members:
-        if a != zt and not any(u in mem for u in up[a]):
+        if a != zt and not any(u in mem for u, _ in up(a)):
             raise TheoremFalsified(
                 f"no quotient cover step above {system.word_str(a)} toward z~"
             )

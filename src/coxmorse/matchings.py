@@ -229,16 +229,21 @@ def partner_table(system: CoxeterSystem, order: ReflectionOrder) -> np.ndarray:
     """Row x lists the other ends of the covers at x, up and down, by
     decreasing rank of their labels under ``order``; shorter rows are
     padded with ``system.size``, the end of a dummy cover.  Built from
-    the up-cover arrays with one lexsort.  In any interval that holds x,
-    the partner of x is the first entry of row x inside the interval."""
+    the up-cover arrays with one stable argsort of a key that orders the
+    rows by x and each row by decreasing rank.  In any interval that
+    holds x, the partner of x is the first entry of row x inside the
+    interval; the interval sweep and :func:`cells.slice_partners` both
+    read it so."""
     start, ids, labels = system._up_start, system._up_ids, system._up_labels
-    n = system.size
+    n, m = system.size, len(order.sequence)
     rank = np.full(n, -1, dtype=np.intp)
-    rank[list(order.sequence)] = np.arange(len(order.sequence))
+    rank[list(order.sequence)] = np.arange(m)
     lows = np.repeat(np.arange(n), np.diff(start))
     at = np.concatenate((lows, ids))
     ranks = rank[labels]
-    o = np.lexsort((-np.concatenate((ranks, ranks)), at))
+    # ranks lie in -1 .. m - 1, so the keys of row x lie in
+    # x (m + 1) - m + 1 .. x (m + 1) + 1, below those of row x + 1
+    o = np.argsort(at * (m + 1) - np.concatenate((ranks, ranks)), kind="stable")
     at = at[o]
     degree = np.bincount(at, minlength=n)
     slot = np.arange(len(at)) - (np.cumsum(degree) - degree)[at]

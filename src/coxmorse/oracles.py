@@ -196,10 +196,12 @@ def oracle_slice_partners(system: CoxeterSystem, x: int, top: int,
     """The partner of every element of [x, top] under the matching of the
     whole interval: extracted by :meth:`CoxeterSystem.interval_ids` with
     the up-covers inside it (:func:`matchings.labeled_interval`) and
-    matched there (:func:`matchings.build_matching`, which checks that
-    the selection is a complete matching).  No down-cover is read, where
-    :func:`cells.slice_partners` reads each element's down-covers and one
-    order bit per cover."""
+    matched there (:func:`matchings.build_matching` over ``order.rank``,
+    which checks that the selection is a complete matching).  Neither the
+    up-cover arrays nor the partner table is read, where
+    :func:`cells.slice_partners` reads each element's row of the
+    :func:`matchings.partner_table` built from those arrays and one order
+    bit per entry."""
     li = labeled_interval(system, x, top)
     partner = build_matching(li, order).partner
     return {y: li.ids[partner[k]] for k, y in enumerate(li.ids)}

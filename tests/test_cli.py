@@ -134,6 +134,15 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(target.read_text())["size"] == 2
 
 
+@pytest.mark.parametrize("argv", [("group", "--group", "A2"), ("suite",)])
+def test_an_unwritable_out_file_is_an_input_error(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "out.json"
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write report to {target}: ")
+    assert not target.parent.exists()
+
+
 def test_suite_failure_exit_code(monkeypatch, capsys):
     import coxmorse.cli as cli
     from coxmorse.verify import CheckReport

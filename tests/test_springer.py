@@ -14,10 +14,11 @@ from coxmorse.errors import (
     OverlappingSubsets,
     TheoremFalsified,
 )
-from coxmorse.fibers import fiber_slices
+from coxmorse.fibers import fiber_matching, fiber_slices
+from coxmorse.matchings import partner_table
 from coxmorse.oracles import oracle_coset_piece, oracle_slice_partners, oracle_springer_member
 from coxmorse.posets import euler_characteristic, is_pure
-from coxmorse.reflection_orders import ReflectionOrder, order_for_springer
+from coxmorse.reflection_orders import ReflectionOrder, order_for_springer, shortlex_order
 from coxmorse.springer import (
     build_slices,
     build_springer_poset,
@@ -25,7 +26,7 @@ from coxmorse.springer import (
     springer_slices,
 )
 from coxmorse.verify import disjoint_pairs
-from helpers import with_members
+from helpers import set_up_cover_arrays, with_members
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -203,8 +204,8 @@ def swap_across_slice(members):
     of one checked element outside that slice swapped."""
     real = cells.slice_partners
 
-    def faulty(system, x, top, ys, covers):
-        m = real(system, x, top, ys, covers)
+    def faulty(system, x, top, ys, rows):
+        m = real(system, x, top, ys, rows)
         inside = {w for v, w in members if v == x}
         outside = sorted(set(m) - inside)
         if outside:
@@ -242,12 +243,12 @@ def test_slice_matching_rejects_a_cyclic_assembly(system, monkeypatch):
     # x0-y0 and x1-y1: x0 -> y0 -> x1 -> y1 -> x0 within one slice
     real = cells.slice_partners
 
-    def cyclic(system, x, top, ys, covers):
+    def cyclic(system, x, top, ys, rows):
         up = {y: {u for u, _ in system.bruhat_covers_up(y)} & set(ys) for y in ys}
         quad = next(((a, b, *sorted(up[a] & up[b])[:2]) for a in sorted(up) for b in sorted(up)
                      if a < b and len(up[a] & up[b]) >= 2), None)
         if quad is None:
-            return real(system, x, top, ys, covers)
+            return real(system, x, top, ys, rows)
         x0, x1, y0, y1 = quad
         partner = {y: y for y in ys}
         partner[x0], partner[y0], partner[x1], partner[y1] = y0, x0, y1, x1
@@ -267,8 +268,8 @@ def test_slice_matching_rejects_partners_that_are_not_an_involution(system, monk
     real = cells.slice_partners
     seen = []
 
-    def faulty(system, x, top, ys, covers):
-        m = real(system, x, top, ys, covers)
+    def faulty(system, x, top, ys, rows):
+        m = real(system, x, top, ys, rows)
         inside = {w for v, w in sp.members if v == x}
         pairs = sorted((y, u) for y, u in m.items() if y < u and {y, u} <= inside)
         if not seen and len(pairs) >= 2:
@@ -298,9 +299,10 @@ def test_slice_partners_match_the_full_interval_oracle(system, name):
     s = system(name)
     for J, Jp in disjoint_pairs(s.rank):
         slices, order, _, _ = springer_slices(build_springer_poset(s, J, Jp))
+        rows = partner_table(s, order).tolist()
         for x, top, _, _ in slices:
             want = oracle_slice_partners(s, x, top, order)
-            got = cells.slice_partners(s, x, top, want, cells.RankedCovers(s, order.rank))
+            got = cells.slice_partners(s, x, top, want, rows)
             assert got == want, (J, Jp, x)
 
 
@@ -308,10 +310,35 @@ def test_fiber_slice_partners_match_the_full_interval_oracle(system, a3_fibers):
     s = system("A3")
     for fp in a3_fibers:
         slices, order, _, _ = fiber_slices(fp)
+        rows = partner_table(s, order).tolist()
         for x, top, _, _ in slices:
             want = oracle_slice_partners(s, x, top, order)
-            got = cells.slice_partners(s, x, top, want, cells.RankedCovers(s, order.rank))
+            got = cells.slice_partners(s, x, top, want, rows)
             assert got == want, fp.anchors
+
+
+def test_a_fiber_builds_a_partner_table_only_if_it_has_a_slice(system, a3_fibers,
+                                                               monkeypatch):
+    real, calls = cells.partner_table, []
+    monkeypatch.setattr(cells, "partner_table",
+                        lambda system, order: calls.append(order) or real(system, order))
+    with_slices = sum(bool(fiber_slices(fp)[0]) for fp in a3_fibers)
+    assert 0 < with_slices < len(a3_fibers)
+    for fp in a3_fibers:
+        fiber_matching(fp)
+    assert len(calls) == with_slices
+
+
+@pytest.mark.parametrize("top", ["1.2.1.3.2.1", "1.2.3"])
+def test_a_row_of_pads_is_an_isolated_element(system, top):
+    # the top w0 reads no order bit for an up-cover; any other top does
+    s = system("A3")
+    rows = partner_table(s, shortlex_order(s)).tolist()
+    y = s.parse_word("2")
+    rows[y] = [s.size] * len(rows[y])
+    message = f"isolated element 2 in the Hasse diagram of [e, {top}]"
+    with pytest.raises(NotAMatching, match=re.escape(message)):
+        cells.slice_partners(s, 0, s.parse_word(top), [y], rows)
 
 
 def matched_down_cover(s, J, Jp):
@@ -319,12 +346,30 @@ def matched_down_cover(s, J, Jp):
     ``s`` with a cell (x, y) matched to (x, u) for u covered by y."""
     sp = build_springer_poset(s, J, Jp)
     slices, order, _, _ = springer_slices(sp)
+    rows = partner_table(s, order).tolist()
     for x, top, _, z_x in slices:
-        m = cells.slice_partners(s, x, top, z_x, cells.RankedCovers(s, order.rank))
+        m = cells.slice_partners(s, x, top, z_x, rows)
         for y in z_x:
             if any(u == m[y] for u, _ in s.bruhat_covers_down(y)):
                 return x, y, m[y]
     raise AssertionError("no cell is matched downwards")
+
+
+def two_edges_in_a_row(s, J, Jp):
+    """(x, y, i, j): the first slice at x of the Springer poset of (J, J')
+    on ``s`` with a cell (x, y) whose partner table row holds two edges of
+    the slice's interval, the first at position i and the next at j."""
+    sp = build_springer_poset(s, J, Jp)
+    slices, order, _, _ = springer_slices(sp)
+    table = partner_table(s, order)
+    leq = s.bruhat_leq
+    for x, top, _, z_x in slices:
+        for y in z_x:
+            inside = [k for k, u in enumerate(table[y].tolist())
+                      if u < s.size and leq(x, u) and leq(u, top)]
+            if len(inside) >= 2:
+                return x, y, inside[0], inside[1]
+    raise AssertionError("no row holds two edges of its slice")
 
 
 def run_springer_on(monkeypatch, capsys, s, J, Jp, *flags):
@@ -337,29 +382,52 @@ def run_springer_on(monkeypatch, capsys, s, J, Jp, *flags):
 
 @pytest.mark.parametrize("flags", [(), ("--paranoid",)])
 def test_a_wrong_down_cover_label_is_falsified_naming_the_slice(monkeypatch, capsys, flags):
+    # the label of u < y is planted in the up-cover arrays, which the
+    # partner table is built from; the Bruhat order is closed before
     a3 = build_system("A3")   # fresh: never corrupt the session-cached system
     x, y, u = matched_down_cover(a3, {1}, {3})
     lowest = order_for_springer(a3, frozenset({3}), frozenset({1})).sequence[0]
-    downs = list(a3._covers_down)
-    downs[y] = tuple((c, lowest if c == u else t) for c, t in downs[y])
-    assert downs[y] != a3._covers_down[y]
-    a3._covers_down = tuple(downs)
+    ups = list(a3._covers_up)
+    ups[u] = tuple((c, lowest if c == y else t) for c, t in ups[u])
+    assert ups[u] != a3._covers_up[u]
+    set_up_cover_arrays(a3, ups)
     code, err = run_springer_on(monkeypatch, capsys, a3, "{1}", "{3}", *flags)
     assert code == 3 and err.startswith("FALSIFIED: ")
     assert f"[{a3.word_str(x)}, {a3.word_str(a3.w0)}] in the springer pair poset" in err
     if flags:
-        assert "disagrees with the full-interval oracle at" in err
+        assert "disagrees with the full-interval oracle at 1" in err
 
 
 def test_a_dropped_down_cover_is_falsified_naming_the_slice(monkeypatch, capsys):
     a3 = build_system("A3")   # fresh: never corrupt the session-cached system
     x, y, u = matched_down_cover(a3, {1}, {3})
-    downs = list(a3._covers_down)
-    downs[y] = tuple(c for c in downs[y] if c[0] != u)
-    a3._covers_down = tuple(downs)
+    ups = list(a3._covers_up)
+    ups[u] = tuple(c for c in ups[u] if c[0] != y)
+    set_up_cover_arrays(a3, ups)
     code, err = run_springer_on(monkeypatch, capsys, a3, "{1}", "{3}")
     assert code == 3 and err.startswith("FALSIFIED: ")
     assert f"[{a3.word_str(x)}, {a3.word_str(a3.w0)}] in the springer pair poset" in err
+
+
+@pytest.mark.parametrize("flags", [(), ("--paranoid",)])
+def test_two_swapped_entries_of_a_table_row_are_falsified_naming_the_slice(
+        system, monkeypatch, capsys, flags):
+    s = system("A3")
+    x, y, i, j = two_edges_in_a_row(s, {1}, {3})
+    real = cells.partner_table
+
+    def swapped(system, order):
+        table = real(system, order)
+        table[y, [i, j]] = table[y, [j, i]]
+        return table
+
+    monkeypatch.setattr(cells, "partner_table", swapped)
+    monkeypatch.setattr(cli, "partner_table", swapped)
+    code, err = run_springer_on(monkeypatch, capsys, s, "{1}", "{3}", *flags)
+    assert code == 3 and err.startswith("FALSIFIED: ")
+    assert f"[{s.word_str(x)}, {s.word_str(s.w0)}] in the springer pair poset" in err
+    if flags:
+        assert "disagrees with the full-interval oracle at" in err
 
 
 def test_paranoid_springer_builds_each_slice_once(system, monkeypatch, capsys):
@@ -382,9 +450,9 @@ def test_paranoid_springer_builds_each_slice_once(system, monkeypatch, capsys):
 def test_two_swapped_ranks_are_falsified_naming_a_slice(system, monkeypatch, capsys):
     s = system("A3")
     order = order_for_springer(s, frozenset({3}), frozenset({1}))
-    first, last = order.sequence[0], order.sequence[-1]
-    swapped = ReflectionOrder(s, order.sequence, order.word)
-    swapped.__dict__["rank"] = {**order.rank, first: order.rank[last], last: order.rank[first]}
+    sequence = list(order.sequence)
+    sequence[0], sequence[-1] = sequence[-1], sequence[0]
+    swapped = ReflectionOrder(s, tuple(sequence), order.word)
     monkeypatch.setattr(springer, "order_for_springer", lambda *args: swapped)
     code, err = run_springer_on(monkeypatch, capsys, s, "{1}", "{3}")
     assert code == 3 and err.startswith("FALSIFIED: ")

@@ -11,12 +11,12 @@ The Springer poset Z and the fiber poset F are lower sets of P, built by
 :func:`ideal_poset` from single steps alone: that every single-step lower
 cover of a cell is a cell is checked, not assumed (:func:`step_covers`,
 the one statement of the step rule), and it makes the covers between
-cells the whole Hasse diagram.  Q_K shifts (x', y') on the right
-by some u in W_K, which is not a restriction of P; it is built by
-:func:`pair_poset`, whose covers are the dimension-gap-one comparable
-pairs of a packed order (:class:`posets.PackedOrder`), asserted to
-generate it.  :func:`pair_poset` on the cells of Z or F is their
-independent oracle route (:func:`check_against_pair_poset`).  Such a
+cells the whole Hasse diagram, so Z and F carry no order.  Q_K shifts
+(x', y') on the right by some u in W_K, which is not a restriction of P;
+it is built by :func:`pair_poset`, whose covers are the dimension-gap-one
+comparable pairs of a packed order (:class:`posets.PackedOrder`),
+asserted to generate it.  :func:`pair_poset` on the cells of Z or F is
+their independent oracle route (:func:`check_against_pair_poset`).  Such a
 poset is matched slice by slice (:func:`slice_matching`): the matching of
 a slice's interval is read only on the slice and its checked subsets,
 each element's partner the first entry of its row of the partner table
@@ -53,9 +53,10 @@ def graded_covers(leq: PackedOrder, dims: Sequence[int], what: str,
     columns of the next.  Each row x of ``leq`` must be bit x ORed with
     the rows of the covers above x (:func:`_rows_are_closed`); by
     induction down the dims this holds for every row iff ``leq`` is the
-    closure of its covers, byte for byte.  Equality makes ``leq`` reflexive, antisymmetric and transitive, every
-    cover a step of one dim, and the padding bits zero.  Otherwise the
-    covers are closed (:meth:`PackedOrder.closure`) and
+    closure of its covers, byte for byte.  Equality makes ``leq``
+    reflexive, antisymmetric and transitive, every cover a step of one
+    dim, and the padding bits zero.  Otherwise the covers are closed
+    (:meth:`PackedOrder.layered_closure`, one layer per dim) and
     :class:`TheoremFalsified` names the first entry that disagrees with
     ``leq`` (``name`` formats an index) and what it breaks.  Covers come
     sorted by (lo, hi)."""
@@ -80,7 +81,7 @@ def graded_covers(leq: PackedOrder, dims: Sequence[int], what: str,
             his.append(col[keep])
     lo, hi = np.concatenate(los), np.concatenate(his)
     if not _rows_are_closed(packed, lo, hi):
-        _name_the_first_bad_entry(leq, lo, hi, dims, what, name)
+        _name_the_first_bad_entry(leq, lo, hi, first[:-1], what, name)
     ids = np.arange(leq.size).astype(object)   # one int object per element, shared by the covers
     return tuple(zip(ids[lo].tolist(), ids[hi].tolist(), repeat(None)))
 
@@ -126,15 +127,15 @@ def _rows_are_closed(packed: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> bool
 
 
 def _name_the_first_bad_entry(leq: PackedOrder, lo: np.ndarray, hi: np.ndarray,
-                              dims: Sequence[int], what: str, name: Callable[[int], str]) -> None:
+                              layers: Sequence[int], what: str, name: Callable[[int], str]) -> None:
     """Raise :class:`TheoremFalsified` at the first entry where ``leq``
     differs from the closure of the covers (lo, hi), naming what it
-    breaks."""
-    up: list[list[int]] = [[] for _ in dims]
-    for x, y in zip(lo.tolist(), hi.tolist()):
-        up[x].append(y)
-    diff = PackedOrder.closure(up, sorted(range(len(up)), key=dims.__getitem__,
-                                          reverse=True)).packed
+    breaks.  The covers (sorted by lo) are closed by
+    :meth:`PackedOrder.layered_closure` with the dims as its ``layers``
+    (the bounds of the ids of each dim)."""
+    start = np.zeros(leq.size + 1, dtype=np.intp)
+    np.cumsum(np.bincount(lo, minlength=leq.size), out=start[1:])
+    diff = PackedOrder.layered_closure(start, hi, np.asarray(layers)).packed
     diff ^= leq.packed
     i = int(diff.any(axis=1).argmax())
     j = int(np.unpackbits(diff[i], bitorder="little").argmax())
@@ -259,10 +260,12 @@ def ideal_poset(system: CoxeterSystem, pairs: Sequence[tuple[int, int]],
     set of the nesting poset P by :func:`step_covers`.
 
     Cells are numbered by (dimension l(w) - l(v), v, w), as in
-    :func:`pair_poset`, and the size guard runs first.  A lower set's
-    order is P restricted, graded by dimension, and its covers are the
-    single steps between cells, sorted by (lo, hi).  The order is closed
-    from them only when read (:attr:`FinitePoset.leq`)."""
+    :func:`pair_poset`.  A lower set's order is P restricted, graded by
+    dimension, and its covers are the single steps between cells, sorted
+    by (lo, hi).  The poset is given by them alone: its ``leq`` is None,
+    as no certificate reads an order.  The size guard runs first; it
+    bounds the cells to what the oracle route
+    (:func:`check_against_pair_poset`) can pack."""
     check_order_size(len(pairs), what)
     length = system.len_of
     cells = sorted([(length(w) - length(v), v, w) for v, w in pairs])

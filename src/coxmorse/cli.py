@@ -12,6 +12,7 @@ written "{1,3}" (or "{}").  Fiber anchors are four words "v':w':v:w".
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import re
 import sys
@@ -54,15 +55,23 @@ def _system_from_args(args) -> CoxeterSystem:
     return build_system(matrix, max_elements=args.max_elements)
 
 
+@contextlib.contextmanager
+def _report_file(args):
+    """The file that ``--out`` names, opened for writing, or stdout; a
+    file that cannot be opened or written is an input error."""
+    if not args.out:
+        yield sys.stdout
+        return
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise InputError(f"cannot write report to {args.out}: {exc}") from exc
+
+
 def _emit(args, text: str) -> None:
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise InputError(f"cannot write report to {args.out}: {exc}") from exc
-    else:
-        sys.stdout.write(text)
+    with _report_file(args) as fh:
+        fh.write(text)
 
 
 def _json_dump(doc) -> str:
@@ -237,7 +246,7 @@ def cmd_matching(args) -> int:
         "unmatched": list(summary.unmatched),
         "morse": {str(d): c for d, c in sorted(summary.counts.items())},
         "acyclic": summary.acyclic,
-        "complete": matching.is_complete(),
+        "complete": True,  # the check raises otherwise
         "shelling": {"coatom_prefixes": shelling.coatom_prefixes,
                      "atom_prefixes": shelling.atom_prefixes,
                      "partition_ok": True},  # the check raises otherwise
@@ -249,7 +258,7 @@ def cmd_matching(args) -> int:
                  f"{doc['group']}: {li.poset.n} elements, rank {li.rank}"]
         for a, b in matching.pairs:
             lines.append(f"  matched {li.poset.names[a]} -- {li.poset.names[b]}")
-        lines.append(f"  complete={matching.is_complete()} acyclic={summary.acyclic}")
+        lines.append(f"  complete={doc['complete']} acyclic={summary.acyclic}")
         _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -344,11 +353,12 @@ def cmd_fiber(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    reports = run_level(args.level)
-    lines = [r.line() for r in reports]
-    ok = all(r.ok for r in reports)
-    lines.append(f"suite {args.level}: {'all checks passed' if ok else 'FAILURES PRESENT'}")
-    _emit(args, "\n".join(lines) + "\n")
+    with _report_file(args) as fh:   # opened first, so a bad path costs no run
+        reports = run_level(args.level)
+        lines = [r.line() for r in reports]
+        ok = all(r.ok for r in reports)
+        lines.append(f"suite {args.level}: {'all checks passed' if ok else 'FAILURES PRESENT'}")
+        fh.write("\n".join(lines) + "\n")
     return EXIT_OK if ok else EXIT_FALSIFIED
 
 

@@ -11,11 +11,11 @@ falsification error carrying the witness.
 An interval is extracted once and may be matched under many orders.  What
 does not depend on the order is built once per interval, when first read,
 and shared by every order: on its :class:`FinitePoset` the graded
-adjacency and the Euler characteristic (and the order, which only the
-chain and thinness checks read), and on :class:`LabeledInterval` the
-labeled atoms and coatoms and the lower and upper set of every element as
-bit masks.  Per order, only edge selection, the acyclicity search and one
-sweep per side of the shelling check run.
+adjacency and the Euler characteristic, and on :class:`LabeledInterval`
+the labeled atoms and coatoms and the lower and upper set of every
+element as bit masks, the one form of its order.  Per order, only edge
+selection, the acyclicity search and one sweep per side of the shelling
+check run.
 
 A whole group's intervals are matched in whole-array steps by
 :func:`sweep_failures`, which reads each order from one
@@ -104,8 +104,8 @@ class LabeledInterval:
 
 
 def labeled_interval(system: CoxeterSystem, v: int, w: int) -> LabeledInterval:
-    """[v, w] with its labeled covers; its order is closed from them only
-    when read (:attr:`FinitePoset.leq`)."""
+    """[v, w] with its labeled covers, which give its poset alone (its
+    ``leq`` is None)."""
     if not system.bruhat_leq(v, w):
         raise NotComparable(f"{system.word_str(v)} is not <= {system.word_str(w)}")
     ids = tuple(system.interval_ids(v, w))
@@ -139,9 +139,6 @@ class Matching:
     @property
     def fixed(self) -> tuple[int, ...]:
         return tuple(i for i, p in enumerate(self.partner) if p == i)
-
-    def is_complete(self) -> bool:
-        return not self.fixed
 
 
 def build_matching(li: LabeledInterval, order: ReflectionOrder) -> Matching:

@@ -6,26 +6,27 @@ A :class:`FinitePoset` is graded by its ``dims``: every cover joins
 adjacent dims (Bruhat intervals are graded by length, the Springer,
 fiber and Q_K cells by l(w) - l(v)).  The invariant is checked once, by
 the one adjacency built from the covers,
-:attr:`FinitePoset.graded_adjacency`, which the order, the maximal
-chains, purity and thinness all read.  A poset also carries its one
-cell index, the payload -> element dict its builder made.
+:attr:`FinitePoset.graded_adjacency`, which the maximal chains, purity
+and thinness all read.  A poset also carries its one cell index, the
+payload -> element dict its builder made.
 
-Orders are :class:`PackedOrder` bits (the Bruhat order too).  A poset
-given by its covers alone (the interval, Springer and fiber posets)
-closes them into the order only when the order is first read; an
-interval's shelling check reads Python-int lower and upper set masks
-instead (:class:`matchings.LabeledInterval`).  Each element carries an
+Orders are :class:`PackedOrder` bits (the Bruhat order too), closed from
+covers by one kernel, :meth:`PackedOrder.layered_closure`.  A poset given
+by its covers alone (the interval, Springer and fiber posets) is never
+closed: the matchings, purity, thinness and the chains read its covers,
+and an interval's shelling check reads Python-int lower and upper set
+masks (:class:`matchings.LabeledInterval`).  Each element carries an
 integer dimension (cell dimension for face posets, rank from the bottom
 for interval posets) and a payload, from which its display name is
 built on first use.  Posets are immutable, so what is derived from the
-covers (the adjacency, the order, the Euler characteristic) is built
-once, when first read, and shared by every matching of the poset.
+covers (the adjacency, the Euler characteristic) is built once, when
+first read, and shared by every matching of the poset.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -82,20 +83,6 @@ class PackedOrder:
         self._columns = None
 
     @classmethod
-    def closure(cls, up: Sequence[Iterable[int]], walk: Iterable[int]) -> "PackedOrder":
-        """The order generated by covers: ``up[x]`` lists the up-covers of
-        x, and ``walk`` visits every element after all of its up-covers, so
-        row x is bit x ORed with the complete rows of its up-covers."""
-        order = cls(len(up))
-        packed = order.packed
-        for x in walk:
-            row = packed[x]
-            row[x >> 3] = 1 << (x & 7)
-            for y in up[x]:
-                np.bitwise_or(row, packed[y], out=row)
-        return order
-
-    @classmethod
     def layered_closure(cls, start: np.ndarray, up: np.ndarray,
                         layers: np.ndarray) -> "PackedOrder":
         """The order generated by covers given as arrays: the up-covers of
@@ -104,7 +91,7 @@ class PackedOrder:
         in a later layer than its element.
 
         Closes one layer at a time from the top, with one gather per cover
-        slot where :meth:`closure` pays one OR per cover.  The layer's
+        slot rather than one OR per cover.  The layer's
         elements are sorted by decreasing up-degree, so slot k, the rows of
         the k-th up-covers, is ORed into the first rows of the layer's
         block: those of the elements with more than k up-covers.  Only the
@@ -223,31 +210,19 @@ class PackedOrder:
 @dataclass(frozen=True)
 class FinitePoset:
     """A finite poset graded by ``dims``: every cover joins adjacent dims
-    (checked by :attr:`graded_adjacency`).  ``order`` is its
-    :class:`PackedOrder`, or None for the closure of ``covers``; either
-    way it is read as :attr:`leq`.  ``index`` maps each payload entry to
-    its element.  The order, the display names, the graded adjacency and
-    the Euler characteristic are each built on first read and kept."""
+    (checked by :attr:`graded_adjacency`).  ``leq`` is the order its
+    builder made (:func:`cells.pair_poset`), or None for a poset given by
+    its ``covers`` alone, which nothing closes.  ``index`` maps each
+    payload entry to its element.  The display names, the graded
+    adjacency and the Euler characteristic are each built on first read
+    and kept."""
 
     dims: tuple[int, ...]
-    order: InitVar[PackedOrder | None]
+    leq: PackedOrder | None   # leq[i, j] iff i <= j
     covers: tuple[tuple[int, int, int | None], ...]  # (lo, hi, label)
     payload: tuple  # one entry per element
     index: Mapping[Any, int]  # payload entry -> element
     name_of: Callable[[Any], str] = str  # display name of a payload entry
-
-    def __post_init__(self, order: PackedOrder | None) -> None:
-        if order is not None:
-            self.__dict__["leq"] = order
-
-    @cached_property
-    def leq(self) -> PackedOrder:
-        """The order, leq[i, j] iff i <= j; without a given order, the
-        closure of the up-covers of :attr:`graded_adjacency`, built on
-        first read in one sweep by decreasing dim."""
-        return PackedOrder.closure(self.graded_adjacency[1],
-                                   sorted(range(self.n), key=self.dims.__getitem__,
-                                          reverse=True))
 
     @property
     def n(self) -> int:
@@ -298,13 +273,19 @@ class MaximalChain:
 def all_maximal_chains(poset: FinitePoset, x: int, y: int) -> list[MaximalChain]:
     """All maximal chains from x to y by downward DFS over the lower
     covers of :attr:`FinitePoset.graded_adjacency`, the smaller lower
-    cover first; more than ``CHAIN_CAP_DEFAULT`` of them raise
+    cover first, kept inside the upper set of x (one search up the upper
+    covers); more than ``CHAIN_CAP_DEFAULT`` of them raise
     :class:`IntervalTooLarge`."""
-    if not poset.leq.leq(x, y):
+    below, above = poset.graded_adjacency
+    inside, todo = {x}, [x]
+    while todo:
+        for hi in above[todo.pop()]:
+            if hi not in inside:
+                inside.add(hi)
+                todo.append(hi)
+    if y not in inside:
         raise NotComparable(f"{poset.names[x]} is not <= {poset.names[y]}")
-    below = poset.graded_adjacency[0]
     label = {(lo, hi): lab for lo, hi, lab in poset.covers}
-    inside = poset.leq.rows(x)
     chains: list[MaximalChain] = []
     stack: list[tuple[int, tuple[int, ...], tuple[int | None, ...]]] = [(y, (y,), ())]
     while stack:
@@ -315,7 +296,7 @@ def all_maximal_chains(poset: FinitePoset, x: int, y: int) -> list[MaximalChain]
                 raise IntervalTooLarge(f"more than {CHAIN_CAP_DEFAULT} maximal chains")
             continue
         for lo in sorted(below[z], reverse=True):
-            if inside[lo]:
+            if lo in inside:
                 stack.append((lo, path + (lo,), labs + (label[lo, z],)))
     return chains
 

@@ -71,7 +71,8 @@ def _members(system: CoxeterSystem, J, Jprime) -> list[tuple[int, int]]:
     rows of the Bruhat order select the pairs: v <= w, v not <= s_i w for
     each i in J, and s_j v not <= w for each j in J'.  Each block's pairs
     are counted first and kept only while n packed rows, the order that
-    :attr:`FinitePoset.leq` would close, fit ``posets.MAX_ORDER_BYTES``."""
+    the ``--paranoid`` oracle :func:`cells.check_against_pair_poset`
+    packs, fit ``posets.MAX_ORDER_BYTES``."""
     b, left, length = system.bruhat, system.left, system.length
     w_ok = np.ones(system.size, dtype=bool)
     for i in J:

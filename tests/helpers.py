@@ -1,10 +1,11 @@
 """Posets and systems that only the tests build: toy posets given by their
-covers, packed orders given as dense matrices, the closure route of the
-order check, the fiber posets of a fiber sweep, Springer and fiber posets
-with tampered cells, the M-subset test on an interval matching, a B3
-system with a planted cover that skips two lengths, cover tables replaced
-in one or both of their copies, and the per-interval route of the
-interval matching check."""
+covers, packed orders given as dense matrices, the per-cover closure (the
+reference for the layered one) and the order it gives a poset given by
+covers, the closure route of the order check, the fiber posets of a fiber
+sweep, Springer and fiber posets with tampered cells, the M-subset test on
+an interval matching, a B3 system with a planted cover that skips two
+lengths, cover tables replaced in one or both of their copies, and the
+per-interval route of the interval matching check."""
 
 import dataclasses
 
@@ -19,7 +20,8 @@ from coxmorse.posets import FinitePoset, PackedOrder
 
 def poset_from_covers(names, dims, covers):
     """The poset on ``names`` (its payload) graded by ``dims`` with the
-    cover edges ``covers`` (lo, hi, label); its order is their closure."""
+    cover edges ``covers`` (lo, hi, label), and no order
+    (:func:`closed_order` closes them)."""
     names = tuple(names)
     return FinitePoset(tuple(dims), None, tuple(covers), names,
                        {x: k for k, x in enumerate(names)})
@@ -30,15 +32,39 @@ def packed_from_dense(matrix):
     return PackedOrder(len(matrix), np.packbits(matrix, axis=1, bitorder="little"))
 
 
+def closure(up, walk):
+    """The order generated by covers, one OR per cover: ``up[x]`` lists
+    the up-covers of x, and ``walk`` visits every element after all of
+    its up-covers, so row x is bit x ORed with the complete rows of its
+    up-covers."""
+    order = PackedOrder(len(up))
+    packed = order.packed
+    for x in walk:
+        row = packed[x]
+        row[x >> 3] = 1 << (x & 7)
+        for y in up[x]:
+            np.bitwise_or(row, packed[y], out=row)
+    return order
+
+
+def closed_order(poset):
+    """The order of ``poset``: the one its builder made, or else the
+    :func:`closure` of its covers, walked by decreasing dim."""
+    if poset.leq is not None:
+        return poset.leq
+    return closure(poset.graded_adjacency[1],
+                   sorted(range(poset.n), key=poset.dims.__getitem__, reverse=True))
+
+
 def closure_route_covers(leq, dims, what, name=str):
     """The covers of ``leq`` by the route that :func:`cells.graded_covers`
     replaced: the comparable pairs whose dims differ by one, closed by
-    :meth:`PackedOrder.closure`, must give ``leq`` byte for byte, or
+    :func:`closure`, must give ``leq`` byte for byte, or
     :class:`TheoremFalsified` names the first entry that differs."""
     dims, n = np.asarray(dims), leq.size
     dense = np.asarray(leq)
     up = [np.flatnonzero(dense[x] & (dims == dims[x] + 1)).tolist() for x in range(n)]
-    diff = PackedOrder.closure(up, np.argsort(-dims, kind="stable").tolist()).packed
+    diff = closure(up, np.argsort(-dims, kind="stable").tolist()).packed
     diff ^= leq.packed
     if np.count_nonzero(diff):
         i = int(diff.any(axis=1).argmax())

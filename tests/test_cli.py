@@ -4,9 +4,12 @@ import json
 
 import pytest
 
-from coxmorse import posets
+from coxmorse import build_system, cli, posets
 from coxmorse.cli import main, parse_subset
 from coxmorse.errors import InvalidSubset
+from coxmorse.fibers import build_qk
+from coxmorse.posets import FinitePoset, PackedOrder
+from coxmorse.verify import CheckReport, all_orders, check_el_properties
 from helpers import b3_with_a_cover_across_dims, set_up_covers, with_members
 
 
@@ -135,12 +138,26 @@ def test_out_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [("group", "--group", "A2"), ("suite",)])
-def test_an_unwritable_out_file_is_an_input_error(tmp_path, capsys, argv):
+def test_an_unwritable_out_file_is_an_input_error(tmp_path, monkeypatch, capsys, argv):
+    def no_run(level):
+        raise AssertionError("the suite ran before its report file was opened")
+
+    monkeypatch.setattr(cli, "run_level", no_run)
     target = tmp_path / "missing" / "out.json"
     code, out, err = run(capsys, *argv, "--out", str(target))
     assert code == 2 and out == ""
     assert err.startswith(f"error: cannot write report to {target}: ")
     assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("failures", [[], ["synthetic failure"]])
+def test_a_suite_out_file_holds_the_bytes_of_stdout(tmp_path, monkeypatch, capsys, failures):
+    monkeypatch.setattr(cli, "run_level",
+                        lambda level: [CheckReport("stub check", 1, failures, 0.25)])
+    code, out, _ = run(capsys, "suite")
+    target = tmp_path / "suite.txt"
+    assert run(capsys, "suite", "--out", str(target)) == (code, "", "")
+    assert target.read_bytes() == out.encode() and out.startswith("PASS" if code == 0 else "FAIL")
 
 
 def test_suite_failure_exit_code(monkeypatch, capsys):
@@ -427,3 +444,35 @@ def test_infinite_matrix_exits_as_usage_error(capsys, tmp_path):
     assert code == 2 and out == ""
     assert err == ("error: the Coxeter graph on generators [1, 2, 3] is not of type A_n, B_n, "
                    "D_n, E6-E8, F4, H3, H4 or I2(m), so the group is infinite\n")
+
+
+def test_production_never_closes_a_poset_given_by_covers(monkeypatch, capsys):
+    s = build_system("A3")   # fresh, with its Bruhat order closed before the kernel is patched
+    s.bruhat
+    qk_cells = build_qk(s, {1, 2}).members
+
+    def refuse(*args):
+        raise AssertionError("an order was closed from its covers")
+
+    monkeypatch.setattr(PackedOrder, "layered_closure", refuse)
+    monkeypatch.setattr(cli, "build_system", lambda matrix, max_elements: s)
+    built, init = [], FinitePoset.__init__
+
+    def record(poset, *args):
+        init(poset, *args)
+        built.append(poset)
+
+    monkeypatch.setattr(FinitePoset, "__init__", record)
+    for argv in (["matching", "--interval", "e", s.word_str(s.w0)],
+                 ["springer", "--J", "{}", "--Jprime", "{}"],
+                 ["fiber", "--K", "{1,2}", "--anchors", "e:e:e:1.2.3"]):
+        built.clear()
+        code, _, err = run(capsys, argv[0], "--group", "A3", *argv[1:])
+        assert code == 0, err
+        # the fiber query's Q_K is the one poset with an order, made by pair_poset
+        ordered = [p.payload for p in built if p.leq is not None]
+        assert ordered == ([qk_cells] if argv[0] == "fiber" else [])
+        assert len(built) > len(ordered)
+    built.clear()
+    assert check_el_properties(s, all_orders(s)).ok
+    assert built and all(p.leq is None for p in built)

@@ -17,6 +17,7 @@ from coxmorse.errors import (
 from coxmorse.matchings import labeled_interval
 from coxmorse.oracles import oracle_bruhat_leq, oracle_group_tables, oracle_reduced_words
 from coxmorse.posets import PackedOrder
+from helpers import closure
 
 
 KNOWN_SIZES = {
@@ -295,7 +296,7 @@ def per_cover_closure(s):
     """The Bruhat order closed by the per-cover loop, over ``_covers_up``:
     the reference for the layered closure."""
     up = [[u for u, _ in covers] for covers in s._covers_up]
-    return PackedOrder.closure(up, range(s.size - 1, -1, -1))
+    return closure(up, range(s.size - 1, -1, -1))
 
 
 @pytest.mark.parametrize("name", sorted(KNOWN_SIZES) + ["B5", "D5"] + sorted(REDUCIBLE))
@@ -319,7 +320,7 @@ def test_layered_closure_with_maximal_elements_below_the_top():
     # layer the later id has more up-covers
     start, up, layers = np.array([0, 1, 3, 4, 4, 4]), np.array([2, 2, 3, 4]), np.array([0, 2, 4, 5])
     order = PackedOrder.layered_closure(start, up, layers)
-    ref = PackedOrder.closure([[2], [2, 3], [4], [], []], range(4, -1, -1))
+    ref = closure([[2], [2, 3], [4], [], []], range(4, -1, -1))
     assert np.array_equal(order.packed, ref.packed)
 
 

@@ -23,7 +23,7 @@ from coxmorse.posets import FinitePoset
 from coxmorse.reflection_orders import order_from_reduced_word, shortlex_order
 from coxmorse.springer import build_springer_poset, springer_matching
 from coxmorse.verify import all_orders
-from helpers import is_M_subset, poset_from_covers
+from helpers import closed_order, is_M_subset, poset_from_covers
 
 
 def id_pairs(s, li, matching):
@@ -34,7 +34,7 @@ def test_rank_one_interval(system):
     s = system("A2")
     li = labeled_interval(s, 0, s.simple(1))
     m = build_matching(li, order_from_reduced_word(s, [1, 2, 1]))
-    assert m.pairs == ((0, 1),) and m.is_complete()
+    assert m.pairs == ((0, 1),) and not m.fixed
 
 
 def test_empty_interval_rejected(system):
@@ -183,8 +183,8 @@ def test_shelling_check_fires_on_swapped_partners(system):
 
 
 def test_interval_masks_and_order_are_the_bruhat_order(system):
-    # the masks and the lazy order are closed from the interval's covers
-    # alone; they must agree with the Bruhat order read on the interval
+    # the masks, and the order the tests close, come from the interval's
+    # covers alone; they must agree with the Bruhat order read on the interval
     s = system("A3")
     for v, w in s.comparable_pairs(strict=True):
         li = labeled_interval(s, v, w)
@@ -193,7 +193,7 @@ def test_interval_masks_and_order_are_the_bruhat_order(system):
             above = {j for j, y in enumerate(li.ids) if s.bruhat_leq(x, y)}
             assert li.lower_sets[i] == sum(1 << j for j in below)
             assert li.upper_sets[i] == sum(1 << j for j in above)
-            assert set(li.poset.leq.rows(i).nonzero()[0].tolist()) == above
+            assert set(closed_order(li.poset).rows(i).nonzero()[0].tolist()) == above
         assert [x for _, x in li.atoms] == [i for i in range(li.poset.n)
                                              if li.poset.dims[i] == 1]
         assert [x for _, x in li.coatoms] == [i for i in range(li.poset.n)

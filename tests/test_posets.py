@@ -9,8 +9,8 @@ import pytest
 
 from coxmorse import cells, cli, posets
 from coxmorse.cells import graded_covers, pair_name, pair_poset
-from coxmorse.errors import (ELViolation, IntervalTooLarge, NotPure, OrderTooLarge,
-                             TheoremFalsified)
+from coxmorse.errors import (ELViolation, IntervalTooLarge, NotComparable, NotPure,
+                             OrderTooLarge, TheoremFalsified)
 from coxmorse.fibers import build_fiber_poset, build_qk
 from coxmorse.matchings import labeled_interval
 from coxmorse.oracles import oracle_bruhat_leq
@@ -26,8 +26,8 @@ from coxmorse.posets import (
 from coxmorse.reflection_orders import order_from_reduced_word
 from coxmorse.springer import build_springer_poset, springer_matching
 from coxmorse.verify import disjoint_pairs
-from helpers import (b3_with_a_cover_across_dims, closure_route_covers, packed_from_dense,
-                     poset_from_covers)
+from helpers import (b3_with_a_cover_across_dims, closed_order, closure_route_covers,
+                     packed_from_dense, poset_from_covers)
 
 
 def chain_poset(n):
@@ -44,9 +44,10 @@ def boolean_2():
 
 def test_closure_reduction_roundtrip():
     p = boolean_2()
-    q = poset_from_covers(p.names, p.dims, graded_covers(p.leq, p.dims, "diamond"))
+    leq = closed_order(p)
+    q = poset_from_covers(p.names, p.dims, graded_covers(leq, p.dims, "diamond"))
     assert q.covers == tuple((lo, hi, None) for lo, hi, _ in p.covers)
-    assert np.array_equal(q.leq, p.leq)
+    assert np.array_equal(closed_order(q), leq)
 
 
 def test_interval_basics(system):
@@ -91,13 +92,49 @@ def test_chain_label_products(system):
             assert prod == want
 
 
+def chain_count_by_covers(poset, x, y):
+    """The maximal chains of [x, y], counted by dynamic programming up the
+    covers taken by increasing dim: chains[z] counts those of [x, z]."""
+    chains = {x: 1}
+    for lo, hi, _ in sorted(poset.covers, key=lambda cover: poset.dims[cover[0]]):
+        if lo in chains:
+            chains[hi] = chains.get(hi, 0) + chains[lo]
+    return chains.get(y, 0)
+
+
+@pytest.mark.parametrize("name,v,w", [("A3", "e", None), ("B3", "2", "1.2.3.2.1")])
+def test_chains_between_any_two_comparable_elements_match_a_count_over_the_covers(
+        system, name, v, w):
+    s = system(name)
+    li = labeled_interval(s, s.parse_word(v), s.w0 if w is None else s.parse_word(w))
+    pairs = 0
+    for x, a in enumerate(li.ids):
+        for y, b in enumerate(li.ids):
+            if s.bruhat_leq(a, b):
+                chains = all_maximal_chains(li.poset, x, y)
+                assert len(chains) == chain_count_by_covers(li.poset, x, y), (x, y)
+                assert all(ch.elements[0] == y and ch.elements[-1] == x for ch in chains)
+                pairs += 1
+    assert pairs > 2 * li.poset.n
+
+
+def test_chains_between_two_atoms_are_not_comparable(system):
+    s = system("A3")
+    li = labeled_interval(s, 0, s.w0)
+    (_, a), (_, b) = li.atoms[:2]
+    assert a != b
+    with pytest.raises(NotComparable, match=re.escape(
+            f"{li.poset.names[a]} is not <= {li.poset.names[b]}")):
+        all_maximal_chains(li.poset, a, b)
+
+
 def test_purity_and_thinness():
     assert is_pure(chain_poset(3))
     assert not is_thin(chain_poset(3))
     assert is_thin(boolean_2())
     assert is_pure(toy_posets()["long chain"])
     uneven = poset_from_covers(["x", "m", "y"], [0, 1, 2], [(0, 1, None), (1, 2, None)])
-    assert np.array_equal(uneven.leq, np.array([[1, 1, 1], [0, 1, 1], [0, 0, 1]], dtype=bool))
+    assert np.array_equal(closed_order(uneven), np.array([[1, 1, 1], [0, 1, 1], [0, 0, 1]], dtype=bool))
     # x < m < y and the direct relation x < y: still pure (chains equal)
     assert is_pure(uneven)
 
@@ -332,7 +369,7 @@ def test_a4_springer_poset_fits_a_budget_below_its_dense_size(system, monkeypatc
     monkeypatch.setattr(posets, "MAX_ORDER_BYTES", 2 * n * ((n + 7) // 8))
     assert posets.MAX_ORDER_BYTES < n * n
     sp = build_springer_poset(s, set(), set())
-    assert sp.poset.n == n and sp.poset.leq.nbytes == n * ((n + 7) // 8)
+    assert sp.poset.n == n and sp.poset.leq is None
     _, summary = springer_matching(sp)
     assert summary.certificate
 
@@ -489,11 +526,14 @@ def test_springer_and_fiber_orders_match_the_oracle_nesting(system):
                     for x in range(s.size)])
     for J, Jp in disjoint_pairs(s.rank):
         sp = build_springer_poset(s, J, Jp)
-        assert np.array_equal(sp.poset.leq, oracle_nested_order(bru, sp.members)), (J, Jp)
+        assert sp.poset.leq is None
+        assert np.array_equal(closed_order(sp.poset), oracle_nested_order(bru, sp.members)), \
+            (J, Jp)
     for r in range(1 << s.rank):
         K = {i + 1 for i in range(s.rank) if r >> i & 1}
         qk = build_qk(s, K)
         lo, hi = np.nonzero(qk.leq)
         for k in random.Random(r).choices(range(len(lo)), k=30):
             fp = build_fiber_poset(qk, qk.members[lo[k]], qk.members[hi[k]])
-            assert np.array_equal(fp.poset.leq, oracle_nested_order(bru, fp.members)), K
+            assert fp.poset.leq is None
+            assert np.array_equal(closed_order(fp.poset), oracle_nested_order(bru, fp.members)), K

@@ -15,7 +15,9 @@ cells the whole Hasse diagram, so Z and F carry no order.  Q_K shifts
 (x', y') on the right by some u in W_K, which is not a restriction of P;
 it is built by :func:`pair_poset`, whose covers are the dimension-gap-one
 comparable pairs of a packed order (:class:`posets.PackedOrder`),
-asserted to generate it.  :func:`pair_poset` on the cells of Z or F is
+checked to be its closure by the layer kernel that closes the Bruhat
+order (:meth:`posets.PackedOrder.is_closure_of`, one layer per
+dimension).  :func:`pair_poset` on the cells of Z or F is
 their independent oracle route (:func:`check_against_pair_poset`).  Such a
 poset is matched slice by slice (:func:`slice_matching`): the matching of
 a slice's interval is read only on the slice and its checked subsets,
@@ -39,10 +41,6 @@ from .posets import FinitePoset, PackedOrder, check_order_size
 from .reflection_orders import ReflectionOrder
 
 
-# bytes of gathered rows per block of the row check in :func:`graded_covers`
-ROW_CHECK_BYTES = 1 << 18
-
-
 def graded_covers(leq: PackedOrder, dims: Sequence[int], what: str,
                   name: Callable[[int], str] = str) -> tuple[tuple[int, int, None], ...]:
     """The covers of the order ``leq``, checked to be graded by ``dims``
@@ -50,13 +48,13 @@ def graded_covers(leq: PackedOrder, dims: Sequence[int], what: str,
 
     The comparable pairs whose dims differ by one are taken as covers,
     read from the nonzero bytes of blocks of rows of one dim over the
-    columns of the next.  Each row x of ``leq`` must be bit x ORed with
-    the rows of the covers above x (:func:`_rows_are_closed`); by
-    induction down the dims this holds for every row iff ``leq`` is the
-    closure of its covers, byte for byte.  Equality makes ``leq``
-    reflexive, antisymmetric and transitive, every cover a step of one
-    dim, and the padding bits zero.  Otherwise the covers are closed
-    (:meth:`PackedOrder.layered_closure`, one layer per dim) and
+    columns of the next.  ``leq`` must be the closure of these covers,
+    byte for byte, with one layer per dim
+    (:meth:`PackedOrder.is_closure_of`: each row x is bit x ORed with
+    the rows of the covers above x, and zero below its dim).  Equality
+    makes ``leq`` reflexive, antisymmetric and transitive, every cover a
+    step of one dim, and the padding bits zero.  Otherwise the covers are
+    closed (:meth:`PackedOrder.layered_closure`) and
     :class:`TheoremFalsified` names the first entry that disagrees with
     ``leq`` (``name`` formats an index) and what it breaks.  Covers come
     sorted by (lo, hi)."""
@@ -80,62 +78,22 @@ def graded_covers(leq: PackedOrder, dims: Sequence[int], what: str,
             los.append(row[k][keep] + i)
             his.append(col[keep])
     lo, hi = np.concatenate(los), np.concatenate(his)
-    if not _rows_are_closed(packed, lo, hi):
-        _name_the_first_bad_entry(leq, lo, hi, first[:-1], what, name)
+    start = np.zeros(leq.size + 1, dtype=np.intp)
+    np.cumsum(np.bincount(lo, minlength=leq.size), out=start[1:])
+    layers = np.asarray(first[:-1])
+    if not leq.is_closure_of(start, hi, layers):
+        _name_the_first_bad_entry(leq, start, hi, layers, what, name)
     ids = np.arange(leq.size).astype(object)   # one int object per element, shared by the covers
     return tuple(zip(ids[lo].tolist(), ids[hi].tolist(), repeat(None)))
 
 
-def _rows_are_closed(packed: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> bool:
-    """Whether each row x of ``packed`` is bit x ORed with the rows hi[k]
-    of the covers lo[k] = x (``lo`` sorted).
-
-    The covers' rows are gathered in blocks of about ``ROW_CHECK_BYTES``,
-    each row zero-padded to whole uint64 words, and the rows of each x are
-    ORed by ``np.bitwise_or.reduceat``; an x whose covers run past the end
-    of a block carries its partial OR into the next one.  A row with no
-    cover above it must be bit x alone."""
-    n, width = packed.shape
-    padded = -(-width // 8) * 8
-    step = max(1, ROW_CHECK_BYTES // padded)
-    lonely = np.flatnonzero(np.bincount(lo, minlength=n) == 0)
-    for a in range(0, len(lonely), step):
-        xs = lonely[a:a + step]
-        rows = packed[xs]
-        rows[np.arange(len(xs)), xs >> 3] ^= np.left_shift(1, xs & 7).astype(np.uint8)
-        if rows.any():
-            return False
-    buf = np.zeros((step, padded), dtype=np.uint8)   # the padding stays zero
-    carry_x, carry = -1, None
-    for a in range(0, len(lo), step):
-        los = lo[a:a + step]
-        block = buf[:len(los)]
-        block[:, :width] = packed[hi[a:a + step]]
-        heads = np.flatnonzero(np.r_[True, los[1:] != los[:-1]])
-        ored = np.bitwise_or.reduceat(block.view(np.uint64), heads, axis=0)
-        xs = los[heads]
-        if xs[0] == carry_x:
-            ored[0] |= carry
-        if a + step < len(lo) and lo[a + step] == xs[-1]:
-            carry_x, carry = xs[-1], ored[-1].copy()
-            ored, xs = ored[:-1], xs[:-1]
-        rows = ored.view(np.uint8)[:, :width]
-        rows[np.arange(len(xs)), xs >> 3] |= np.left_shift(1, xs & 7).astype(np.uint8)
-        if (rows != packed[xs]).any():
-            return False
-    return True
-
-
-def _name_the_first_bad_entry(leq: PackedOrder, lo: np.ndarray, hi: np.ndarray,
-                              layers: Sequence[int], what: str, name: Callable[[int], str]) -> None:
+def _name_the_first_bad_entry(leq: PackedOrder, start: np.ndarray, up: np.ndarray,
+                              layers: np.ndarray, what: str, name: Callable[[int], str]) -> None:
     """Raise :class:`TheoremFalsified` at the first entry where ``leq``
-    differs from the closure of the covers (lo, hi), naming what it
-    breaks.  The covers (sorted by lo) are closed by
-    :meth:`PackedOrder.layered_closure` with the dims as its ``layers``
-    (the bounds of the ids of each dim)."""
-    start = np.zeros(leq.size + 1, dtype=np.intp)
-    np.cumsum(np.bincount(lo, minlength=leq.size), out=start[1:])
-    diff = PackedOrder.layered_closure(start, hi, np.asarray(layers)).packed
+    differs from the closure of its covers, naming what it breaks.  The
+    covers, as in :meth:`PackedOrder.is_closure_of`, are closed by
+    :meth:`PackedOrder.layered_closure`."""
+    diff = PackedOrder.layered_closure(start, up, layers).packed
     diff ^= leq.packed
     i = int(diff.any(axis=1).argmax())
     j = int(np.unpackbits(diff[i], bitorder="little").argmax())

@@ -355,6 +355,8 @@ def cmd_fiber(args) -> int:
 def cmd_suite(args) -> int:
     with _report_file(args) as fh:   # opened first, so a bad path costs no run
         reports = run_level(args.level)
+        for r in reports:   # timings vary from run to run, so they stay out of the report
+            print(f"{r.name}: {r.seconds:.1f}s", file=sys.stderr)
         lines = [r.line() for r in reports]
         ok = all(r.ok for r in reports)
         lines.append(f"suite {args.level}: {'all checks passed' if ok else 'FAILURES PRESENT'}")

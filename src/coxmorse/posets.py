@@ -10,17 +10,20 @@ the one adjacency built from the covers,
 and thinness all read.  A poset also carries its one cell index, the
 payload -> element dict its builder made.
 
-Orders are :class:`PackedOrder` bits (the Bruhat order too), closed from
-covers by one kernel, :meth:`PackedOrder.layered_closure`.  A poset given
-by its covers alone (the interval, Springer and fiber posets) is never
-closed: the matchings, purity, thinness and the chains read its covers,
-and an interval's shelling check reads Python-int lower and upper set
-masks (:class:`matchings.LabeledInterval`).  Each element carries an
-integer dimension (cell dimension for face posets, rank from the bottom
-for interval posets) and a payload, from which its display name is
-built on first use.  Posets are immutable, so what is derived from the
-covers (the adjacency, the Euler characteristic) is built once, when
-first read, and shared by every matching of the poset.
+Orders are :class:`PackedOrder` bits (the Bruhat order too).  One layer
+plan, :meth:`PackedOrder._layer_blocks`, both closes covers into an
+order (:meth:`PackedOrder.layered_closure`) and checks that an order is
+their closure (:meth:`PackedOrder.is_closure_of`, which Q_K's check
+runs).  A poset given by its covers alone (the interval, Springer and
+fiber posets) is never closed: the matchings, purity, thinness and the
+chains read its covers, and an interval's shelling check reads
+Python-int lower and upper set masks (:class:`matchings.LabeledInterval`).
+Each element carries an integer dimension (cell dimension for face
+posets, rank from the bottom for interval posets) and a payload, from
+which its display name is built on first use.  Posets are immutable,
+so what is derived from the covers (the adjacency, the Euler
+characteristic) is built once, when first read, and shared by every
+matching of the poset.
 """
 
 from __future__ import annotations
@@ -45,7 +48,8 @@ from .errors import (
 CHAIN_CAP_DEFAULT = 1_000_000
 
 # Largest order a query may allocate, in bytes of packed rows.  A pair
-# order's cover-closure check holds up to three orders of this size at once.
+# order's cover-closure check holds the order and row blocks of at most
+# 256 KiB; only its failure path closes the covers into a second order.
 MAX_ORDER_BYTES = 1 << 29
 
 
@@ -88,20 +92,46 @@ class PackedOrder:
         """The order generated by covers given as arrays: the up-covers of
         x are ``up[start[x]:start[x + 1]]``, the ids a..b-1 between
         consecutive ``layers`` bounds form a layer, and every up-cover lies
-        in a later layer than its element.
-
-        Closes one layer at a time from the top, with one gather per cover
-        slot rather than one OR per cover.  The layer's
-        elements are sorted by decreasing up-degree, so slot k, the rows of
-        the k-th up-covers, is ORed into the first rows of the layer's
-        block: those of the elements with more than k up-covers.  Only the
-        byte columns from a >> 3 on are read or written, since no upper
-        set in the layer holds an id below a.  A layer is worked in row
-        blocks of at most 256 KiB, so that a block and the rows gathered
-        into it stay in cache."""
-        n = len(start) - 1
-        order = cls(n)
+        in a later layer than its element.  Each block of
+        :meth:`_layer_blocks`, read from the order being built, is written
+        back before the next is taken, so the rows of the up-covers are
+        complete when a layer reads them."""
+        order = cls(len(start) - 1)
         packed = order.packed
+        for rows, col, block in cls._layer_blocks(packed, start, up, layers):
+            packed[rows, col:] = block
+        return order
+
+    def is_closure_of(self, start: np.ndarray, up: np.ndarray, layers: np.ndarray) -> bool:
+        """Whether this order is, byte for byte, the one
+        :meth:`layered_closure` builds from the same covers: the rows of
+        a layer a..b-1 must be zero before byte a >> 3, and each block of
+        :meth:`_layer_blocks`, read from this order's own rows, must equal
+        the rows it is made for.  By induction down the layers, every row
+        is then the closure's row, padding bits included."""
+        packed, bounds = self.packed, layers.tolist()
+        if any(packed[a:b, :a >> 3].any() for a, b in zip(bounds, bounds[1:])):
+            return False
+        return all(np.array_equal(packed[rows, col:], block)
+                   for rows, col, block in self._layer_blocks(packed, start, up, layers))
+
+    @staticmethod
+    def _layer_blocks(packed: np.ndarray, start: np.ndarray, up: np.ndarray,
+                      layers: np.ndarray):
+        """(rows, col, block) for blocks of the rows of one layer at a
+        time, from the top (covers as in :meth:`layered_closure`): block
+        row i is bit x ORed with the rows of ``packed`` of the up-covers
+        of x = rows[i], over the byte columns from col on.
+
+        One gather per cover slot rather than one OR per cover: the
+        layer's elements are sorted by decreasing up-degree, so slot k,
+        the rows of the k-th up-covers, is ORed into the first rows of the
+        block: those of the elements with more than k up-covers.  Only the
+        byte columns from a >> 3 on are read, since no upper set in the
+        layer a..b-1 holds an id below a.  A layer is taken in blocks of at
+        most 256 KiB, so that a block and the rows gathered into it stay
+        in cache."""
+        n = len(start) - 1
         width = packed.shape[1]
         degree = np.diff(start)
         sizes = np.diff(layers)
@@ -116,9 +146,7 @@ class PackedOrder:
         counts = np.searchsorted(key, np.arange(len(sizes)) * slots - slot).T - layers[:-1, None]
         depth = np.count_nonzero(counts, axis=1).tolist()
         counts = counts.tolist()
-        ids = np.arange(n)
-        flat = packed.reshape(-1)   # a view: bit x of row x is byte x * width + (x >> 3)
-        diagonal, bit = ids * width + (ids >> 3), np.left_shift(1, ids & 7).astype(np.uint8)
+        bit = np.left_shift(1, np.arange(n) & 7).astype(np.uint8)
         bounds = layers.tolist()
         for l in range(len(sizes) - 1, -1, -1):
             a, b = bounds[l], bounds[l + 1]
@@ -128,16 +156,16 @@ class PackedOrder:
             step = max(1, (1 << 18) // (width - col))
             for i in range(0, b - a, step):
                 j = min(i + step, b - a)
+                rows = by[a + i:a + j]
                 block = np.zeros((j - i, width - col), dtype=np.uint8)
+                block[np.arange(j - i), (rows >> 3) - col] = bit[rows]
                 for k in range(depth[l]):
                     c = min(count[k], j)
                     if c <= i:
                         break
-                    rows = block[:c - i]
-                    np.bitwise_or(rows, packed[ups[k, i:c], col:], out=rows)
-                packed[by[a + i:a + j], col:] = block
-            flat[diagonal[a:b]] |= bit[a:b]
-        return order
+                    head = block[:c - i]
+                    np.bitwise_or(head, packed[ups[k, i:c], col:], out=head)
+                yield rows, col, block
 
     @property
     def nbytes(self) -> int:

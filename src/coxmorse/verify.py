@@ -55,7 +55,7 @@ class CheckReport:
 
     def line(self) -> str:
         verdict = "PASS" if self.ok else "FAIL"
-        out = f"{verdict} {self.name}: {self.instances} instances in {self.seconds:.1f}s"
+        out = f"{verdict} {self.name}: {self.instances} instances"
         if self.failures:
             out += f"; {len(self.failures)} failures, first: {self.failures[0]}"
         return out

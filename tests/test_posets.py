@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from coxmorse import cells, cli, posets
+from coxmorse import cli, posets
 from coxmorse.cells import graded_covers, pair_name, pair_poset
 from coxmorse.errors import (ELViolation, IntervalTooLarge, NotComparable, NotPure,
                              OrderTooLarge, TheoremFalsified)
@@ -404,30 +404,38 @@ def order_check_outcome(route, leq, dims, name):
         return str(exc)
 
 
-@pytest.mark.parametrize("block_rows", [None, 3])
-@pytest.mark.parametrize("name", ["A3", "B3"])
-def test_row_check_agrees_with_the_closure_route_on_edited_orders(system, monkeypatch, name,
-                                                                  block_rows):
-    # fault injection: seeded single-bit edits of every packed Q_K order (a
-    # missing relation set, a present one cleared, a padding bit set) give
-    # the closure route's outcome, its message or, for an edit that leaves
-    # an order closed from its covers, its covers; with blocks of 3 gathered
-    # rows some row's covers straddle a block boundary
+@pytest.mark.parametrize("name", ["A3", "B3", "B4"])
+def test_row_check_agrees_with_the_closure_route_on_edited_orders(system, monkeypatch, name):
+    # fault injection: seeded single-bit edits of the packed Q_K orders of
+    # every K of A3 and B3, and of B4's K = {1,2} (a missing relation set,
+    # a present one cleared, a padding bit set) give the closure route's
+    # outcome, its message or, for an edit that leaves an order closed from
+    # its covers, its covers; some dim of B4's Q_K holds more rows than one
+    # row block of the layer kernel
     s = system(name)
-    straddled = False
-    for r in range(1 << s.rank):
-        K = {i + 1 for i in range(s.rank) if r >> i & 1}
+    blocks, kernel = [], PackedOrder._layer_blocks
+
+    def recorded(*args):
+        for rows, col, block in kernel(*args):
+            blocks.append(rows)
+            yield rows, col, block
+
+    monkeypatch.setattr(PackedOrder, "_layer_blocks", staticmethod(recorded))
+    if name == "B4":
+        Ks = [{1, 2}]
+    else:
+        Ks = [{i + 1 for i in range(s.rank) if r >> i & 1} for r in range(1 << s.rank)]
+    spanned = False
+    for K in Ks:
         qk = build_qk(s, K)
         leq, dims = qk.leq, qk.poset.dims
         n, width = leq.packed.shape
         label = lambda k: pair_name(s, qk.members[k])   # noqa: E731
-        if block_rows is not None:
-            monkeypatch.setattr(cells, "ROW_CHECK_BYTES", block_rows * -(-width // 8) * 8)
-            ends = np.cumsum(np.bincount([lo for lo, _, _ in qk.poset.covers], minlength=n))
-            starts = np.r_[0, ends[:-1]]
-            straddled |= bool((starts // block_rows < (ends - 1) // block_rows).any())
+        blocks.clear()
         want = closure_route_covers(leq, dims, "q_k relation", label)
         assert graded_covers(leq, dims, "q_k relation", label) == want == qk.poset.covers
+        block_dims = [dims[rows[0]] for rows in blocks]
+        spanned |= len(block_dims) > len(set(block_dims))
         rng = random.Random(f"{name} {sorted(K)}")
         dense = np.asarray(leq)
         kinds = ["set", "clear", "pad"] if n % 8 else ["set", "clear"]
@@ -449,7 +457,39 @@ def test_row_check_agrees_with_the_closure_route_on_edited_orders(system, monkey
             assert (order_check_outcome(graded_covers, edited, dims, label)
                     == order_check_outcome(closure_route_covers, edited, dims, label)), \
                 (sorted(K), kind, i, j)
-    assert straddled or block_rows is None
+    assert spanned or name != "B4"
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "H3", "G2"])
+def test_a_bruhat_order_is_the_closure_of_its_covers_until_one_bit_is_edited(system, name):
+    s = system(name)
+    covers = s._up_start, s._up_ids, s._length_start
+    assert s.bruhat.is_closure_of(*covers)
+    n, width, w0 = s.size, s.bruhat.packed.shape[1], s.w0   # id 0 is the identity e
+    assert w0 >> 3 > 0, "(w0, e) must lie below the top layer's first byte"
+    edits = [(w0, 0),    # a relation set before the top layer's byte column: only the zero test
+             (w0, w0),   # a diagonal bit cleared
+             (0, w0)]    # the relation e <= w0 cleared
+    if n % 8:
+        edits.append((0, 8 * width - 1))   # a padding bit set
+    for i, j in edits:
+        edited = PackedOrder(n, s.bruhat.packed.copy())
+        edited.packed[i, j >> 3] ^= 1 << (j & 7)
+        assert not edited.is_closure_of(*covers), (i, j)
+
+
+def test_the_order_check_of_a_large_qk_holds_no_full_size_copy(system):
+    qk = build_qk(system("B4"), {1})
+    leq = qk.leq
+    assert leq.nbytes > 32 << 20
+    tracemalloc.start()
+    try:
+        covers = graded_covers(leq, qk.poset.dims, "q_k relation")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert covers == qk.poset.covers
+    assert peak < leq.nbytes / 2, f"{peak} bytes to check a {leq.nbytes}-byte order"
 
 
 def test_padding_bit_in_a_packed_pair_order_is_falsified(system):

@@ -80,7 +80,7 @@ def test_a_cover_dropped_from_the_arrays_only_fails_naming_both_routes(monkeypat
     monkeypatch.setattr(verify, "_quick_tasks", lambda: [lambda: verify.check_matchings(a3, orders)])
     assert main(["suite"]) == 3
     out = capsys.readouterr().out
-    assert out.startswith("FAIL interval matchings on A3: 3024 instances in ")
+    assert out.startswith("FAIL interval matchings on A3: 3024 instances; ")
     assert out.endswith("suite quick: FAILURES PRESENT\n")
 
 

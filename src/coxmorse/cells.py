@@ -10,8 +10,9 @@ covered by y, whenever u <= y, resp. x <= u.
 The Springer poset Z and the fiber poset F are lower sets of P, built by
 :func:`ideal_poset` from single steps alone: that every single-step lower
 cover of a cell is a cell is checked, not assumed (:func:`step_covers`,
-the one statement of the step rule), and it makes the covers between
-cells the whole Hasse diagram, so Z and F carry no order.  Q_K shifts
+the one statement of the step rule), and so is that every cover joins
+adjacent dims; together they make the covers between cells the whole
+Hasse diagram, so Z and F carry no order.  Q_K shifts
 (x', y') on the right by some u in W_K, which is not a restriction of P;
 it is built by :func:`pair_poset`, whose covers are the dimension-gap-one
 comparable pairs of a packed order (:class:`posets.PackedOrder`),
@@ -220,10 +221,11 @@ def ideal_poset(system: CoxeterSystem, pairs: Sequence[tuple[int, int]],
     Cells are numbered by (dimension l(w) - l(v), v, w), as in
     :func:`pair_poset`.  A lower set's order is P restricted, graded by
     dimension, and its covers are the single steps between cells, sorted
-    by (lo, hi).  The poset is given by them alone: its ``leq`` is None,
-    as no certificate reads an order.  The size guard runs first; it
-    bounds the cells to what the oracle route
-    (:func:`check_against_pair_poset`) can pack."""
+    by (lo, hi); each must join adjacent dims
+    (:attr:`FinitePoset.graded_adjacency`, cached for the matching).  The
+    poset is given by them alone: its ``leq`` is None, as no certificate
+    reads an order.  The size guard runs first; it bounds the cells to
+    what the oracle route (:func:`check_against_pair_poset`) can pack."""
     check_order_size(len(pairs), what)
     length = system.len_of
     cells = sorted([(length(w) - length(v), v, w) for v, w in pairs])
@@ -231,8 +233,10 @@ def ideal_poset(system: CoxeterSystem, pairs: Sequence[tuple[int, int]],
     index = {p: k for k, p in enumerate(members)}
     ups = step_covers(system, members, what)
     covers = tuple([(lo, hi, None) for lo, his in enumerate(ups) for hi in his])
-    return FinitePoset(tuple([d for d, _, _ in cells]), None, covers, members, index,
-                       lambda p: pair_name(system, p))
+    poset = FinitePoset(tuple([d for d, _, _ in cells]), None, covers, members, index,
+                        lambda p: pair_name(system, p))
+    poset.graded_adjacency   # raises at a cover that skips a dim
+    return poset
 
 
 def check_against_pair_poset(system: CoxeterSystem, poset: FinitePoset, what: str) -> None:

@@ -21,7 +21,7 @@ from . import __version__
 from .cells import check_against_pair_poset, pair_name, slice_matching, slice_partners
 from .coxeter import DEFAULT_MAX_ELEMENTS, CoxeterMatrix, CoxeterSystem, build_system
 from .errors import Falsification, InputError, InvalidSubset, TheoremFalsified
-from .fibers import build_fiber_poset, build_qk, fiber_slices, verify_convexity
+from .fibers import build_fiber_poset, build_qk, fiber_slices
 from .matchings import (build_matching, labeled_interval, morse_counts, partner_table,
                         verify_shelling_subsets)
 from .oracles import (oracle_bruhat_leq, oracle_convexity, oracle_fiber_members,
@@ -30,7 +30,7 @@ from .oracles import (oracle_bruhat_leq, oracle_convexity, oracle_fiber_members,
 from .posets import euler_characteristic, poset_to_dot
 from .reflection_orders import order_from_reduced_word, shortlex_order
 from .springer import build_springer_poset, springer_slices
-from .verify import run_level
+from .verify import iter_level
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -317,7 +317,6 @@ def cmd_fiber(args) -> int:
         _check_fiber_members(fp)
         check_against_pair_poset(system, fp.poset, "fiber pair poset")
         oracle_convexity(fp)
-    convex = verify_convexity(fp)
     slices, order, apex, what = fiber_slices(fp)
     if args.paranoid:
         _check_slices(system, slices, order, what)
@@ -340,7 +339,7 @@ def cmd_fiber(args) -> int:
         "matching": [list(p) for p in matching.pairs],
         "unmatched": [fp.poset.names[i] for i in summary.unmatched],
         "morse": {str(d): c for d, c in sorted(summary.counts.items())},
-        "convex": convex,
+        "convex": True,  # the build raises otherwise
         "certificate": summary.certificate,
     }
     if args.format == "json":
@@ -354,9 +353,12 @@ def cmd_fiber(args) -> int:
 
 def cmd_suite(args) -> int:
     with _report_file(args) as fh:   # opened first, so a bad path costs no run
-        reports = run_level(args.level)
-        for r in reports:   # timings vary from run to run, so they stay out of the report
+        reports = []
+        # each check's seconds as it ends; timings vary from run to run, so
+        # they stay out of the report
+        for r in iter_level(args.level):
             print(f"{r.name}: {r.seconds:.1f}s", file=sys.stderr)
+            reports.append(r)
         lines = [r.line() for r in reports]
         ok = all(r.ok for r in reports)
         lines.append(f"suite {args.level}: {'all checks passed' if ok else 'FAILURES PRESENT'}")

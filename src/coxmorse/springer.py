@@ -10,8 +10,10 @@ The matching of [v, w0] is read only on the slice Z_v and on the
 supersets P_v and Q_v that it must preserve (:func:`cells.slice_matching`).
 Z is a lower set of the nesting poset of pairs (the totally nonnegative
 Springer fiber is a closed union of cells), so it is built from single
-steps by :func:`cells.ideal_poset`; :func:`cells.check_against_pair_poset`
-rebuilds it by :func:`cells.pair_poset` as an oracle route.  Every
+steps by :func:`cells.ideal_poset`, which proves that lower-set property
+and that every cover joins adjacent dims: a cover across slices fixes w
+and moves v by one length.  :func:`cells.check_against_pair_poset`
+rebuilds Z by :func:`cells.pair_poset` as an oracle route.  Every
 structural step is asserted and failures raise with a witness.
 """
 
@@ -114,6 +116,11 @@ def build_springer_poset(system: CoxeterSystem, J, Jprime) -> SpringerPoset:
 
 
 def _check_membership_invariants(sp: SpringerPoset) -> None:
+    """Both ends of every member lie in W^{J'}, the minimal left coset
+    representatives of J' (the lifting property).  The covers need no
+    check here: :func:`cells.ideal_poset` makes only covers that fix w or
+    fix v, and has proved that each joins adjacent dims, so a cover
+    across slices fixes w and moves v by one length."""
     system, members = sp.system, sp.members
     min_left = set(system.parabolic(sp.Jprime).min_left)
     for v, w in members:
@@ -122,22 +129,14 @@ def _check_membership_invariants(sp: SpringerPoset) -> None:
                 f"member ({system.word_str(v)}, {system.word_str(w)}) leaves the "
                 f"minimal coset representatives of J'={sorted(sp.Jprime)}"
             )
-    # Hasse edges crossing slices must fix w and move v by one cover
-    for lo, hi, _ in sp.poset.covers:
-        (v1, w1), (v2, w2) = members[lo], members[hi]
-        if v1 != v2:
-            if w1 != w2 or system.len_of(v1) != system.len_of(v2) + 1:
-                raise TheoremFalsified(
-                    f"cross-slice cover {sp.poset.names[lo]} < {sp.poset.names[hi]} "
-                    f"is not a single v-step"
-                )
 
 
 def build_slices(sp: SpringerPoset, v: int) -> tuple[list[int], list[int], list[int]]:
     """The slice Z_v = {w : (v, w) in Z} together with the supersets
     P_v (ascent conditions for J') and Q_v (descent conditions for J);
-    Z_v = P_v cap Q_v is checked, and so is that P_v (for J' empty) and
-    Q_v (for J empty) are all of [v, w0]."""
+    Z_v = P_v cap Q_v is checked.  P_v (for J' empty) and Q_v (for J
+    empty) are all of [v, w0], as they start from it and no condition
+    removes an element."""
     system = sp.system
     if system.descents(v, "left") & sp.Jprime:
         raise NotMinimalCosetRep(
@@ -157,12 +156,6 @@ def build_slices(sp: SpringerPoset, v: int) -> tuple[list[int], list[int], list[
             f"slice Z_v at v={system.word_str(v)} is not the intersection of P_v and Q_v "
             f"(J={sorted(sp.J)}, J'={sorted(sp.Jprime)})"
         )
-    for label, subset, conditions in (("P_v", p_v, sp.Jprime), ("Q_v", q_v, sp.J)):
-        if not conditions and (subset != above).any():
-            raise TheoremFalsified(
-                f"{label} at v={system.word_str(v)} has no conditions but is not "
-                f"[v, w0]"
-            )
     return z_v, p_v.nonzero()[0].tolist(), q_v.nonzero()[0].tolist()
 
 

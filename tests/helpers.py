@@ -103,8 +103,10 @@ def fiber_posets(s, len_cap):
 def with_members(cells, members):
     """A Springer or fiber poset ``cells`` with the cells ``members``: its
     poset is replaced by one whose payload and cell index are ``members``
-    and which has no covers, which neither the slice nor the convexity
-    checks read."""
+    and which has no covers, which neither the slice checks nor the
+    member and convexity oracles read.  It skips the build, whose step
+    rule (:func:`cells.ideal_poset`) refuses members that are not a lower
+    set; tests of that rule pass the members to it directly."""
     length = cells.system.len_of
     poset = FinitePoset(tuple(length(w) - length(v) for v, w in members), None, (), members,
                         {p: k for k, p in enumerate(members)}, cells.poset.name_of)

@@ -138,12 +138,29 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(target.read_text())["size"] == 2
 
 
+def test_the_suite_writes_each_checks_seconds_when_it_ends(monkeypatch, capsys):
+    import coxmorse.verify as verify
+
+    seen = []
+
+    def second():
+        seen.append(capsys.readouterr().err)
+        return CheckReport("second", 1, [], 0.5)
+
+    monkeypatch.setattr(verify, "_quick_tasks",
+                        lambda: [lambda: CheckReport("first", 2, [], 0.25), second])
+    code, out, err = run(capsys, "suite")
+    assert seen == ["first: 0.2s\n"] and err == "second: 0.5s\n"
+    assert (code, out) == (0, "PASS first: 2 instances\nPASS second: 1 instances\n"
+                              "suite quick: all checks passed\n")
+
+
 @pytest.mark.parametrize("argv", [("group", "--group", "A2"), ("suite",)])
 def test_an_unwritable_out_file_is_an_input_error(tmp_path, monkeypatch, capsys, argv):
     def no_run(level):
         raise AssertionError("the suite ran before its report file was opened")
 
-    monkeypatch.setattr(cli, "run_level", no_run)
+    monkeypatch.setattr(cli, "iter_level", no_run)
     target = tmp_path / "missing" / "out.json"
     code, out, err = run(capsys, *argv, "--out", str(target))
     assert code == 2 and out == ""
@@ -153,7 +170,7 @@ def test_an_unwritable_out_file_is_an_input_error(tmp_path, monkeypatch, capsys,
 
 @pytest.mark.parametrize("failures", [[], ["synthetic failure"]])
 def test_a_suite_out_file_holds_the_bytes_of_stdout(tmp_path, monkeypatch, capsys, failures):
-    monkeypatch.setattr(cli, "run_level",
+    monkeypatch.setattr(cli, "iter_level",
                         lambda level: [CheckReport("stub check", 1, failures, 0.25)])
     code, out, err = run(capsys, "suite")
     target = tmp_path / "suite.txt"
@@ -166,10 +183,10 @@ def test_suite_failure_exit_code(monkeypatch, capsys):
     import coxmorse.cli as cli
     from coxmorse.verify import CheckReport
 
-    def fake_run_level(level):
+    def fake_iter_level(level):
         return [CheckReport("stub check", 1, ["synthetic failure"], 0.0)]
 
-    monkeypatch.setattr(cli, "run_level", fake_run_level)
+    monkeypatch.setattr(cli, "iter_level", fake_iter_level)
     code, out, _ = run(capsys, "suite", "--level", "quick")
     assert code == 3
     assert "FAIL" in out and "FAILURES PRESENT" in out

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from coxmorse import build_system, fibers
-from coxmorse.cells import pair_name
+from coxmorse.cells import ideal_poset, pair_name
 from coxmorse.errors import (CorollaryFalsified, LemmaFalsified, NonUniqueMaximum,
                              NotComparable, NotMinimalCosetRep, PropositionFalsified,
                              TheoremFalsified)
@@ -181,19 +181,22 @@ def top_cell(fp):
 
 
 def test_both_convexity_routes_catch_every_dropped_cell_but_the_top(a3_fibers):
-    # every fiber of check_fibers(A3, len_cap=5), each cell dropped in turn
+    # every fiber of check_fibers(A3, len_cap=5), each cell dropped in turn:
+    # the build route (the step rule of ideal_poset) and the oracle route
     drops = 0
     for fp in a3_fibers:
         top = top_cell(fp)
         for k in range(fp.poset.n):
-            kept = with_members(fp, fp.members[:k] + fp.members[k + 1:])
+            members = fp.members[:k] + fp.members[k + 1:]
+            kept = with_members(fp, members)
             if k == top:
-                assert verify_convexity(kept) and oracle_convexity(kept)
+                assert ideal_poset(fp.system, members, "fiber pair poset").payload == members
+                assert oracle_convexity(kept)
                 continue
             drops += 1
             dropped = pair_name(fp.system, fp.members[k])
-            with pytest.raises(CorollaryFalsified, match=re.escape(f"the lower cover {dropped},")):
-                verify_convexity(kept)
+            with pytest.raises(TheoremFalsified, match=re.escape(f"the lower cover {dropped},")):
+                ideal_poset(fp.system, members, "fiber pair poset")
             with pytest.raises(CorollaryFalsified, match="convexity fails"):
                 oracle_convexity(kept)
     assert drops == 662
@@ -216,14 +219,14 @@ def test_both_convexity_routes_catch_an_added_pair_without_its_lower_cover(syste
             if not missing:
                 continue
             added += 1
-            grown = with_members(fp, fp.members + ((a, b),))
+            members = fp.members + ((a, b),)
             message = (f"fiber pair poset is not a lower set of the nesting order: the cell "
                        f"{pair_name(s, (a, b))} has the lower cover {pair_name(s, missing[0])}, "
                        f"which is not a cell")
-            with pytest.raises(CorollaryFalsified, match=re.escape(message)):
-                verify_convexity(grown)
+            with pytest.raises(TheoremFalsified, match=re.escape(message)):
+                ideal_poset(s, members, "fiber pair poset")
             with pytest.raises(CorollaryFalsified, match="convexity fails"):
-                oracle_convexity(grown)
+                oracle_convexity(with_members(fp, members))
     assert added > 0
 
 

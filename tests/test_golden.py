@@ -43,10 +43,21 @@ def test_every_golden_file_has_a_command():
         f"{stem}.{fmt}" for stem in COMMANDS for fmt in FORMATS}
 
 
-@pytest.mark.parametrize("fmt", FORMATS)
-@pytest.mark.parametrize("stem", sorted(COMMANDS))
-def test_cli_output_matches_the_golden_file(capsys, stem, fmt):
-    assert main(COMMANDS[stem] + ["--format", fmt]) == 0
+def check_golden(capsys, stem, fmt, *flags):
+    assert main(COMMANDS[stem] + ["--format", fmt, *flags]) == 0
     out = capsys.readouterr()
     assert out.err == ""
     assert out.out.encode() == (GOLDEN / f"{stem}.{fmt}").read_bytes()
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("stem", sorted(COMMANDS))
+def test_cli_output_matches_the_golden_file(capsys, stem, fmt):
+    check_golden(capsys, stem, fmt)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("stem", sorted(COMMANDS))
+def test_paranoid_output_matches_the_golden_file(capsys, stem, fmt):
+    # every oracle route agrees with the fast one on every pinned input
+    check_golden(capsys, stem, fmt, "--paranoid")

@@ -26,7 +26,7 @@ from coxmorse.springer import (
     springer_slices,
 )
 from coxmorse.verify import disjoint_pairs
-from helpers import set_up_cover_arrays, with_members
+from helpers import b3_with_a_cover_across_dims, set_up_cover_arrays, with_members
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -159,6 +159,19 @@ def test_cross_slice_covers(system):
             assert w1 == w2
             assert s.len_of(v1) == s.len_of(v2) + 1
             assert s.bruhat_leq(v2, v1)
+
+
+def test_a_springer_cover_that_skips_a_length_is_refused(monkeypatch, capsys):
+    # the planted cover e < 1.2.1 gives the cover (1.2.1,1.2.1) < (e,1.2.1)
+    # of Z across slices, which moves v by three lengths
+    b3 = b3_with_a_cover_across_dims()
+    cover = re.escape("(1.2.1,1.2.1) < (e,1.2.1)")
+    with pytest.raises(TheoremFalsified, match=cover):
+        build_springer_poset(b3, set(), set())
+    monkeypatch.setattr(cli, "_system_from_args", lambda args: b3)
+    assert main(["springer", "--group", "B3", "--J", "{}", "--Jprime", "{}"]) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and re.search(cover, out.err)
 
 
 def test_full_sweep_b3(system):

@@ -35,7 +35,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .coxeter import CoxeterSystem
+from .coxeter import CoxeterSystem, _flat
 from .errors import Falsification, NotAMatching, TheoremFalsified
 from .matchings import Matching, MorseSummary, morse_counts, partner_table
 from .posets import FinitePoset, PackedOrder, check_order_size
@@ -182,20 +182,21 @@ def step_covers(system: CoxeterSystem, members: Sequence[tuple[int, int]],
     induction down P the cells are then a lower set of P.  A pair (v, w)
     is looked up by the int key v |W| + w."""
     leq, size = system.bruhat.leq, system.size
-    up, down = system.bruhat_covers_up, system.bruhat_covers_down
+    up_start, up, down_start, down = map(_flat, (system._up_start, system._up_ids,
+                                                 system._down_start, system._down_ids))
     cell = {x * size + y: k for k, (x, y) in enumerate(members)}.get
     ups: list[list[int]] = [[] for _ in members]
     for k, (x, y) in enumerate(members):
         if not leq(x, y):
             raise TheoremFalsified(f"{what} has a cell {pair_name(system, (x, y))} "
                                    f"whose ends are not comparable")
-        for u, _ in up(x):
+        for u in up[up_start[x]:up_start[x + 1]]:
             j = cell(u * size + y)
             if j is not None:
                 ups[j].append(k)
             elif leq(u, y):
                 raise _missing_step(system, what, (x, y), (u, y))
-        for u, _ in down(y):
+        for u in down[down_start[y]:down_start[y + 1]]:
             j = cell(x * size + u)
             if j is not None:
                 ups[j].append(k)

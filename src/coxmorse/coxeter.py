@@ -480,8 +480,19 @@ def certify_table(matrix: CoxeterMatrix, right: np.ndarray, order: int) -> np.nd
 def _flat(table: np.ndarray) -> memoryview:
     """A flat memoryview over the buffer of a C-contiguous table, with no
     copy (a non-contiguous table raises): entry [x, g] of an n x r table
-    is item x * r + g, read as a Python int."""
-    return memoryview(table).cast("B").cast(table.dtype.char)
+    is item x * r + g, read as a Python int.  A 1-D array's own view is
+    already flat, and is taken without the two casts."""
+    view = memoryview(table)
+    return view if view.ndim == 1 else view.cast("B").cast(table.dtype.char)
+
+
+def _cover_rows(n: int, key: np.ndarray, other: np.ndarray, labels: np.ndarray):
+    """The covers (key, other, label) as CSR arrays over n keys, sorted by
+    (key, other): offsets (row x is start[x] .. start[x + 1]), ends, labels."""
+    o = np.lexsort((other, key))
+    start = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(key, minlength=n), out=start[1:])
+    return start, other[o].astype(np.intp, copy=False), labels[o]
 
 
 def _bits(J: Iterable[int]) -> int:
@@ -588,25 +599,10 @@ class CoxeterSystem:
         ws = np.concatenate(hits)
         vs = np.concatenate([perms[t][h] for t, h in zip(self.reflections, hits)])
         ts = np.repeat(self.reflections, [len(h) for h in hits])
-
-        objs = np.arange(n).astype(object)   # one int object per id, shared by all pairs
-
-        def split(key: np.ndarray, other: np.ndarray):
-            """The (other, label) pairs of each key sorted by (key, other),
-            as tuples, with the offsets of each key's pairs and the sort."""
-            o = np.lexsort((other, key))
-            pairs = list(zip(objs[other[o]].tolist(), objs[ts[o]].tolist()))
-            start = np.zeros(n + 1, dtype=np.intp)
-            np.cumsum(np.bincount(key, minlength=n), out=start[1:])
-            bounds = start.tolist()
-            return tuple(tuple(pairs[a:b]) for a, b in zip(bounds, bounds[1:])), start, o
-
-        self._covers_down = split(ws, vs)[0]
-        # the up-covers also as arrays (offsets, targets, labels), kept for
-        # the closure of the order and the partner tables of the interval
-        # sweep and the slices
-        self._covers_up, self._up_start, o = split(vs, ws)
-        self._up_ids, self._up_labels = ws[o], ts[o]
+        # the one cover store, CSR arrays each way (:func:`_cover_rows`):
+        # up-covers sorted by (lo, hi), down-covers by (hi, lo)
+        self._up_start, self._up_ids, self._up_labels = _cover_rows(n, vs, ws, ts)
+        self._down_start, self._down_ids, self._down_labels = _cover_rows(n, ws, vs, ts)
 
         # diagram involution i -> i* with s_{i*} = w0 s_i w0
         star = []
@@ -732,11 +728,16 @@ class CoxeterSystem:
         return self.bruhat.leq(v, w)
 
     def bruhat_covers_down(self, w: int) -> tuple[tuple[int, int], ...]:
-        """Pairs (v, t) with v = t*w covered by w; t = v w^{-1} is the edge label."""
-        return self._covers_down[w]
+        """Pairs (v, t), by increasing v, with v = t*w covered by w; t = v w^{-1}
+        is the edge label.  A view, built from the down-cover arrays on each
+        call; hot loops read the arrays through :func:`_flat` instead."""
+        a, b = self._down_start[w:w + 2].tolist()
+        return tuple(zip(self._down_ids[a:b].tolist(), self._down_labels[a:b].tolist()))
 
     def bruhat_covers_up(self, v: int) -> tuple[tuple[int, int], ...]:
-        return self._covers_up[v]
+        """Pairs (w, t), by increasing w, with w = t*v covering v; a view, as above."""
+        a, b = self._up_start[v:v + 2].tolist()
+        return tuple(zip(self._up_ids[a:b].tolist(), self._up_labels[a:b].tolist()))
 
     def comparable_pairs(self, strict: bool = False) -> list[tuple[int, int]]:
         vs, ws = self.bruhat.nonzero()

@@ -31,7 +31,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .coxeter import CoxeterSystem
+from .coxeter import CoxeterSystem, _flat
 from .errors import (
     CyclicMatching,
     EmptyInterval,
@@ -109,16 +109,17 @@ def labeled_interval(system: CoxeterSystem, v: int, w: int) -> LabeledInterval:
     if not system.bruhat_leq(v, w):
         raise NotComparable(f"{system.word_str(v)} is not <= {system.word_str(w)}")
     ids = tuple(system.interval_ids(v, w))
-    index = {x: k for k, x in enumerate(ids)}
-    base = system.len_of(v)
-    covers = []
+    index = dict(zip(ids, range(len(ids))))
+    length, base = system._length, system.len_of(v)
+    start, ups, labels = map(_flat, (system._up_start, system._up_ids, system._up_labels))
+    local, covers = index.get, []
+    # sorted by (lo, hi) as they come: ids ascend, and so does each row of the arrays
     for lo, x in enumerate(ids):
-        for y, t in system.bruhat_covers_up(x):
-            hi = index.get(y)
+        for k in range(start[x], start[x + 1]):
+            hi = local(ups[k])
             if hi is not None:
-                covers.append((lo, hi, t))
-    covers.sort()   # a linear pass: each element's up-covers come sorted by id
-    dims = tuple(system.len_of(x) - base for x in ids)
+                covers.append((lo, hi, labels[k]))
+    dims = tuple([length[x] - base for x in ids])
     poset = FinitePoset(dims, None, tuple(covers), ids, index, system.word_str)
     return LabeledInterval(system, v, w, poset)
 

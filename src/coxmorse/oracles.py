@@ -145,7 +145,7 @@ def oracle_interval_covers(system: CoxeterSystem,
     """The covers of the interval with ascending ids ``ids``, as (lo, hi,
     x y^{-1}) in increasing (lo, hi), indices into ``ids``: every pair x, y
     with l(y) = l(x) + 1 and x <= y by the subword test.  Reads neither the
-    Bruhat cover tables nor the Bruhat matrix."""
+    Bruhat cover arrays nor the Bruhat matrix."""
     layers: dict[int, list[tuple[int, int]]] = {}
     for k, y in enumerate(ids):
         layers.setdefault(system.len_of(y), []).append((k, y))
@@ -197,8 +197,8 @@ def oracle_slice_partners(system: CoxeterSystem, x: int, top: int,
     whole interval: extracted by :meth:`CoxeterSystem.interval_ids` with
     the up-covers inside it (:func:`matchings.labeled_interval`) and
     matched there (:func:`matchings.build_matching` over ``order.rank``,
-    which checks that the selection is a complete matching).  Neither the
-    up-cover arrays nor the partner table is read, where
+    which checks that the selection is a complete matching).  It reads
+    the system's up-cover arrays but not the partner table, where
     :func:`cells.slice_partners` reads each element's row of the
     :func:`matchings.partner_table` built from those arrays and one order
     bit per entry."""

@@ -384,7 +384,12 @@ def check_el_labeling(poset: FinitePoset, rank: Mapping[int, int], x: int,
     largest coatom label.  Raises :class:`ELViolation` naming the
     interval, the failed property and a witness chain otherwise.
     """
-    chains = all_maximal_chains(poset, x, y)
+    return check_el_chains(poset, all_maximal_chains(poset, x, y), rank, x, y)
+
+
+def check_el_chains(poset: FinitePoset, chains: Sequence[MaximalChain],
+                    rank: Mapping[int, int], x: int, y: int) -> ELReport:
+    """:func:`check_el_labeling` on ``chains``, all maximal chains of [x, y]."""
     if not chains:
         raise NotComparable("no chains between the endpoints")
     words_up = []

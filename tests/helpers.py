@@ -4,14 +4,14 @@ reference for the layered one) and the order it gives a poset given by
 covers, the closure route of the order check, the fiber posets of a fiber
 sweep, Springer and fiber posets with tampered cells, the M-subset test on
 an interval matching, a B3 system with a planted cover that skips two
-lengths, cover tables replaced in one or both of their copies, and the
-per-interval route of the interval matching check."""
+lengths, up-cover arrays replaced, a cover planted in the partner table
+alone, and the per-interval route of the interval matching check."""
 
 import dataclasses
 
 import numpy as np
 
-from coxmorse import build_system
+from coxmorse import build_system, matchings
 from coxmorse.errors import CoxmorseError, TheoremFalsified
 from coxmorse.fibers import build_fiber_poset, build_qk
 from coxmorse.matchings import build_matching, is_acyclic, labeled_interval
@@ -120,32 +120,47 @@ def is_M_subset(matching, subset):
 
 
 def b3_with_a_cover_across_dims():
-    """A fresh B3 system (never the session-cached one) whose cover table
-    has the extra cover e < 1.2.1, labeled 1.2.1, planted after the Bruhat
-    order was closed.  It joins lengths 0 and 3."""
+    """A fresh B3 system (never the session-cached one) whose up-cover
+    arrays have the extra cover e < 1.2.1, labeled 1.2.1, planted after the
+    Bruhat order was closed.  It joins lengths 0 and 3."""
     b3 = build_system("B3")
     b3.bruhat
     x = b3.parse_word("1.2.1")
-    ups = b3._covers_up
-    set_up_covers(b3, ((*ups[0], (x, x)),) + ups[1:])
+    ups = [b3.bruhat_covers_up(z) for z in range(b3.size)]
+    set_up_covers(b3, [(*ups[0], (x, x))] + ups[1:])
     return b3
 
 
-def set_up_cover_arrays(system, covers_up):
+def set_up_covers(system, covers_up):
     """Give ``system`` the up-cover arrays (offsets, ids, labels) of the
-    up-cover tuples ``covers_up``, leaving its tuples as they are."""
+    (id, label) pairs ``covers_up[x]`` of each x, leaving its down-cover
+    arrays as they are."""
     start = np.zeros(len(covers_up) + 1, dtype=np.intp)
     np.cumsum([len(ups) for ups in covers_up], out=start[1:])
     system._up_start = start
-    system._up_ids = np.array([u for ups in covers_up for u, _ in ups], dtype=np.int64)
+    system._up_ids = np.array([u for ups in covers_up for u, _ in ups], dtype=np.intp)
     system._up_labels = np.array([t for ups in covers_up for _, t in ups], dtype=np.int64)
 
 
-def set_up_covers(system, covers_up):
-    """Give ``system`` the up-cover tuples ``covers_up``, in both copies:
-    the tuples and the arrays."""
-    system._covers_up = tuple(map(tuple, covers_up))
-    set_up_cover_arrays(system, covers_up)
+def plant_in_partner_table(monkeypatch, modules, x, y, drop=False):
+    """Patch ``partner_table`` in each of ``modules`` so that every table
+    it returns has the cover between x and y moved to the end of rows x
+    and y, as if its label were ranked below every other, or with
+    ``drop`` left out of both rows.  Only the fast routes read the table:
+    the system's cover arrays stay whole."""
+    real = matchings.partner_table
+
+    def planted(system, order):
+        table = real(system, order)
+        for a, b in ((x, y), (y, x)):
+            row = [c for c in table[a].tolist() if c not in (b, system.size)]
+            if not drop:
+                row.append(b)
+            table[a] = row + [system.size] * (table.shape[1] - len(row))
+        return table
+
+    for module in modules:
+        monkeypatch.setattr(module, "partner_table", planted)
 
 
 def per_interval_failures(system, orders):

@@ -241,7 +241,7 @@ def test_paranoid_matching_rechecks_interval_members(monkeypatch, capsys):
 
 def test_paranoid_matching_rechecks_interval_covers(monkeypatch, capsys):
     # the unmatched cover 2 < 2.1 of the B3 interval [2, 2.3.2.1], dropped
-    # from the cover table, leaves the matching, the shelling check and the
+    # from the up-cover arrays, leaves the matching, the shelling check and the
     # Morse counts intact; only the subword recheck of the covers under
     # --paranoid sees it
     import coxmorse.cli as cli
@@ -253,7 +253,7 @@ def test_paranoid_matching_rechecks_interval_covers(monkeypatch, capsys):
     li = labeled_interval(b3, x, b3.parse_word("2.3.2.1"))
     lo, hi = li.index[x], li.index[y]
     assert build_matching(li, shortlex_order(b3)).partner[lo] != hi
-    full = b3._covers_up
+    full = [b3.bruhat_covers_up(z) for z in range(b3.size)]
     set_up_covers(b3, [tuple(c for c in ups if (z, c[0]) != (x, y))
                        for z, ups in enumerate(full)])
     monkeypatch.setattr(cli, "_system_from_args", lambda args: b3)
@@ -264,7 +264,7 @@ def test_paranoid_matching_rechecks_interval_covers(monkeypatch, capsys):
                "cover 2 < 2.1 (only in the oracle)\n")
     # a relation of length gap two planted as a cover is named from the other side
     z = b3.parse_word("2.1.3")
-    set_up_covers(b3, full[:x] + (full[x] + ((z, b3.mul(x, b3.inverse(z))),),) + full[x + 1:])
+    set_up_covers(b3, full[:x] + [full[x] + ((z, b3.mul(x, b3.inverse(z))),)] + full[x + 1:])
     assert run(capsys, *argv, "--paranoid") == (
         3, "", "FALSIFIED: interval [2, 2.3.2.1] disagrees with the subword oracle at the "
                "cover 2 < 2.1.3 (only in the extracted interval)\n")

@@ -15,7 +15,8 @@ from coxmorse.errors import (
     TheoremFalsified,
 )
 from coxmorse.matchings import labeled_interval
-from coxmorse.oracles import oracle_bruhat_leq, oracle_group_tables, oracle_reduced_words
+from coxmorse.oracles import (oracle_bruhat_leq, oracle_group_tables, oracle_interval_covers,
+                              oracle_reduced_words)
 from coxmorse.posets import PackedOrder
 from helpers import closure
 
@@ -74,11 +75,19 @@ REDUCIBLE = {
 def test_tables_match_full_enumeration_oracle(system, name):
     s = build_system(REDUCIBLE[name]) if name in REDUCIBLE else system(name)
     for key, want in oracle_group_tables(s.matrix).items():
-        got = getattr(s, "_" + key if key.startswith("covers") else key)
+        if key.startswith("covers"):
+            view = getattr(s, "bruhat_" + key)
+            got = tuple(view(x) for x in range(s.size))
+        else:
+            got = getattr(s, key)
         if isinstance(want, np.ndarray):
             assert got.dtype == want.dtype and np.array_equal(got, want), key
         else:
             assert got == want, key
+    for way in ("up", "down"):
+        start, ids, labels = (getattr(s, f"_{way}_{part}") for part in ("start", "ids", "labels"))
+        assert len(start) == s.size + 1 and start[0] == 0, way
+        assert start[-1] == len(ids) == len(labels), way
 
 
 ORDERS = {"A1": 2, "A7": 40320, "B6": 46080, "D4": 192, "D7": 322560, "E6": 51840,
@@ -293,9 +302,10 @@ def test_h4_closure_and_interval_allocate_no_dense_matrix():
 
 
 def per_cover_closure(s):
-    """The Bruhat order closed by the per-cover loop, over ``_covers_up``:
-    the reference for the layered closure."""
-    up = [[u for u, _ in covers] for covers in s._covers_up]
+    """The Bruhat order closed by the per-cover loop, over the up-cover
+    arrays: the reference for the layered closure."""
+    start, ids = s._up_start.tolist(), s._up_ids.tolist()
+    up = [ids[a:b] for a, b in zip(start, start[1:])]
     return closure(up, range(s.size - 1, -1, -1))
 
 
@@ -307,12 +317,18 @@ def test_layered_closure_matches_the_per_cover_closure(system, name):
 
 
 @pytest.mark.parametrize("name", sorted(KNOWN_SIZES) + ["B5", "D5"] + sorted(REDUCIBLE))
-def test_up_cover_arrays_match_the_tuples(system, name):
+def test_interval_covers_read_from_the_arrays_match_the_subword_oracle(system, name):
+    # seeded intervals of rank 1-4, each reached from its top by random down-covers
     s = build_system(REDUCIBLE[name]) if name in REDUCIBLE else system(name)
-    start, ids, labels = s._up_start.tolist(), s._up_ids.tolist(), s._up_labels.tolist()
-    assert len(start) == s.size + 1 and start[0] == 0 and start[-1] == len(ids) == len(labels)
-    assert s._covers_up == tuple(tuple(zip(ids[a:b], labels[a:b]))
-                                 for a, b in zip(start, start[1:]))
+    rng = np.random.default_rng(2929)
+    for _ in range(12):
+        w = int(rng.integers(1, s.size))
+        v = w
+        for _ in range(min(int(rng.integers(1, 5)), s.len_of(w))):
+            downs = s.bruhat_covers_down(v)
+            v = downs[int(rng.integers(len(downs)))][0]
+        li = labeled_interval(s, v, w)
+        assert li.poset.covers == tuple(oracle_interval_covers(s, li.ids)), (v, w)
 
 
 def test_layered_closure_with_maximal_elements_below_the_top():
@@ -338,6 +354,19 @@ def test_h4_layered_closure():
     for v, w in rng.integers(s.size, size=(2000, 2)).tolist():
         v, w = sorted((v, w), key=s.len_of)
         assert b.leq(v, w) == oracle_bruhat_leq(s, v, w), (s.word_str(v), s.word_str(w))
+
+
+def test_an_h4_system_holds_its_covers_only_as_arrays():
+    tracemalloc.start()
+    try:
+        s = build_system("H4")
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert s.size == 14400
+    # measured: 3.9 MiB with the cover arrays alone, 16.5 MiB with a tuple
+    # of (id, label) pairs per element and direction beside them
+    assert held < 8 << 20, f"{held} bytes held by the H4 system"
 
 
 def test_reflections_are_left_inversions_of_w0(system):

@@ -9,8 +9,8 @@ import pytest
 
 from coxmorse import cli, posets
 from coxmorse.cells import graded_covers, pair_name, pair_poset
-from coxmorse.errors import (ELViolation, IntervalTooLarge, NotComparable, NotPure,
-                             OrderTooLarge, TheoremFalsified)
+from coxmorse.errors import (CoxmorseError, ELViolation, IntervalTooLarge, NotComparable,
+                             NotPure, OrderTooLarge, TheoremFalsified)
 from coxmorse.fibers import build_fiber_poset, build_qk
 from coxmorse.matchings import labeled_interval
 from coxmorse.oracles import oracle_bruhat_leq
@@ -23,9 +23,9 @@ from coxmorse.posets import (
     is_thin,
     poset_to_dot,
 )
-from coxmorse.reflection_orders import order_from_reduced_word
+from coxmorse.reflection_orders import ReflectionOrder, order_from_reduced_word
 from coxmorse.springer import build_springer_poset, springer_matching
-from coxmorse.verify import disjoint_pairs
+from coxmorse.verify import all_orders, check_el_properties, disjoint_pairs
 from helpers import (b3_with_a_cover_across_dims, closed_order, closure_route_covers,
                      packed_from_dense, poset_from_covers)
 
@@ -281,6 +281,32 @@ def test_el_violation_names_the_interval_property_and_witness(system, v, w, rank
                f"{failed}; witness chain {witness}")
     with pytest.raises(ELViolation, match=re.escape(message)):
         check_el_labeling(li.poset, rank, 0, li.poset.n - 1)
+
+
+def test_the_el_check_reports_what_each_order_reports_on_its_own(system, monkeypatch):
+    # the chains of an interval are enumerated once for all orders; under a
+    # cap of 3 chains the enumeration fails on the larger intervals, and the
+    # shuffled rankings fail the word checks on others
+    s = system("A3")
+    rng = np.random.default_rng(29)
+    orders = all_orders(s) + [ReflectionOrder(s, tuple(rng.permutation(s.reflections).tolist()),
+                                              ()) for _ in range(2)]
+    monkeypatch.setattr(posets, "CHAIN_CAP_DEFAULT", 3)
+    want = []
+    for v, w in s.comparable_pairs(strict=True):
+        if s.len_of(w) - s.len_of(v) > 5:   # the check's max_rank: [e, w0] is left out
+            continue
+        li = labeled_interval(s, v, w)
+        for order in orders:
+            try:
+                check_el_labeling(li.poset, order.rank, li.index[v], li.index[w])
+            except CoxmorseError as exc:
+                want.append(str(exc))
+    report = check_el_properties(s, orders)
+    assert report.instances == 188 * len(orders)
+    assert report.failures == want
+    assert "more than 3 maximal chains" in want
+    assert any(f.startswith("expected exactly one increasing chain in ") for f in want)
 
 
 def test_el_labeling_violation_on_bad_ranks(system):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from coxmorse import build_system, cells, cli, springer
+from coxmorse import cells, cli, springer
 from coxmorse.cli import main
 from coxmorse.errors import (
     CyclicMatching,
@@ -26,7 +26,7 @@ from coxmorse.springer import (
     springer_slices,
 )
 from coxmorse.verify import disjoint_pairs
-from helpers import b3_with_a_cover_across_dims, set_up_cover_arrays, with_members
+from helpers import b3_with_a_cover_across_dims, plant_in_partner_table, with_members
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -394,32 +394,29 @@ def run_springer_on(monkeypatch, capsys, s, J, Jp, *flags):
 
 
 @pytest.mark.parametrize("flags", [(), ("--paranoid",)])
-def test_a_wrong_down_cover_label_is_falsified_naming_the_slice(monkeypatch, capsys, flags):
-    # the label of u < y is planted in the up-cover arrays, which the
-    # partner table is built from; the Bruhat order is closed before
-    a3 = build_system("A3")   # fresh: never corrupt the session-cached system
-    x, y, u = matched_down_cover(a3, {1}, {3})
-    lowest = order_for_springer(a3, frozenset({3}), frozenset({1})).sequence[0]
-    ups = list(a3._covers_up)
-    ups[u] = tuple((c, lowest if c == y else t) for c, t in ups[u])
-    assert ups[u] != a3._covers_up[u]
-    set_up_cover_arrays(a3, ups)
-    code, err = run_springer_on(monkeypatch, capsys, a3, "{1}", "{3}", *flags)
+def test_a_wrong_down_cover_label_is_falsified_naming_the_slice(system, monkeypatch, capsys,
+                                                                flags):
+    # the cover u < y is sorted in the partner table as if its label were
+    # ranked lowest; the cover arrays, and so the oracle, stay whole
+    s = system("A3")
+    x, y, u = matched_down_cover(s, {1}, {3})
+    plant_in_partner_table(monkeypatch, [cells, cli], u, y)
+    order = springer_slices(build_springer_poset(s, {1}, {3}))[1]
+    assert (cells.partner_table(s, order) != partner_table(s, order)).any()
+    code, err = run_springer_on(monkeypatch, capsys, s, "{1}", "{3}", *flags)
     assert code == 3 and err.startswith("FALSIFIED: ")
-    assert f"[{a3.word_str(x)}, {a3.word_str(a3.w0)}] in the springer pair poset" in err
+    assert f"[{s.word_str(x)}, {s.word_str(s.w0)}] in the springer pair poset" in err
     if flags:
         assert "disagrees with the full-interval oracle at 1" in err
 
 
-def test_a_dropped_down_cover_is_falsified_naming_the_slice(monkeypatch, capsys):
-    a3 = build_system("A3")   # fresh: never corrupt the session-cached system
-    x, y, u = matched_down_cover(a3, {1}, {3})
-    ups = list(a3._covers_up)
-    ups[u] = tuple(c for c in ups[u] if c[0] != y)
-    set_up_cover_arrays(a3, ups)
-    code, err = run_springer_on(monkeypatch, capsys, a3, "{1}", "{3}")
+def test_a_dropped_down_cover_is_falsified_naming_the_slice(system, monkeypatch, capsys):
+    s = system("A3")
+    x, y, u = matched_down_cover(s, {1}, {3})
+    plant_in_partner_table(monkeypatch, [cells, cli], u, y, drop=True)
+    code, err = run_springer_on(monkeypatch, capsys, s, "{1}", "{3}")
     assert code == 3 and err.startswith("FALSIFIED: ")
-    assert f"[{a3.word_str(x)}, {a3.word_str(a3.w0)}] in the springer pair poset" in err
+    assert f"[{s.word_str(x)}, {s.word_str(s.w0)}] in the springer pair poset" in err
 
 
 @pytest.mark.parametrize("flags", [(), ("--paranoid",)])

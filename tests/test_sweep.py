@@ -1,18 +1,18 @@
 """The interval sweep of ``verify.check_matchings``: it fails exactly the
-instances that the per-interval route fails, reads its own copy of the
-cover table, and stays small."""
+instances that the per-interval route fails, reads each order from its own
+partner table, built from the system's up-cover arrays, and stays small."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from coxmorse import build_system
+from coxmorse import build_system, matchings
 from coxmorse.cli import main
 from coxmorse.matchings import partner_table, sweep_failures
 from coxmorse.reflection_orders import ReflectionOrder
 from coxmorse.verify import all_orders, check_matchings, sampled_orders
-from helpers import (b3_with_a_cover_across_dims, per_interval_failures, set_up_cover_arrays,
+from helpers import (b3_with_a_cover_across_dims, per_interval_failures, plant_in_partner_table,
                      set_up_covers)
 
 # (seed, orders) of the shuffled orders per group, each seed chosen so that
@@ -60,17 +60,13 @@ def test_the_partner_table_sorts_each_element_s_covers_by_decreasing_rank(system
         assert table[x].tolist() == want + [s.size] * (table.shape[1] - len(want))
 
 
-def without_cover(covers_up, x, y):
-    return [tuple(c for c in ups if (z, c[0]) != (x, y)) for z, ups in enumerate(covers_up)]
-
-
-def test_a_cover_dropped_from_the_arrays_only_fails_naming_both_routes(monkeypatch, capsys):
+def test_a_cover_dropped_from_the_partner_table_only_fails_naming_both_routes(
+        system, monkeypatch, capsys):
     import coxmorse.verify as verify
 
-    a3 = build_system("A3")   # fresh: never corrupt the session-cached system
-    a3.bruhat   # the order is closed from the full cover table first
+    a3 = system("A3")
     x, y = a3.parse_word("2"), a3.parse_word("2.1")
-    set_up_cover_arrays(a3, without_cover(a3._covers_up, x, y))
+    plant_in_partner_table(monkeypatch, [matchings], x, y, drop=True)
     orders = all_orders(a3)
     report = check_matchings(a3, orders)
     assert all(f.endswith(", but the per-interval route passes it") for f in report.failures)
@@ -84,11 +80,12 @@ def test_a_cover_dropped_from_the_arrays_only_fails_naming_both_routes(monkeypat
     assert out.endswith("suite quick: FAILURES PRESENT\n")
 
 
-def test_a_cover_dropped_from_both_copies_gives_the_per_interval_messages():
+def test_a_cover_dropped_from_the_up_cover_arrays_gives_the_per_interval_messages():
     a3 = build_system("A3")   # fresh: never corrupt the session-cached system
     a3.bruhat
     x, y = a3.parse_word("2"), a3.parse_word("2.1")
-    set_up_covers(a3, without_cover(a3._covers_up, x, y))
+    set_up_covers(a3, [tuple(c for c in a3.bruhat_covers_up(z) if (z, c[0]) != (x, y))
+                       for z in range(a3.size)])
     orders = all_orders(a3)
     want = [message for *_, message in per_interval_failures(a3, orders)]
     assert check_matchings(a3, orders).failures == want

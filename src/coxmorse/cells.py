@@ -7,12 +7,15 @@ nonnegative cells (Rietsch, Math. Res. Lett. 2006).  The covers below
 (x, y) are the single steps (u, y) for u covering x and (x, u) for u
 covered by y, whenever u <= y, resp. x <= u.
 
-The Springer poset Z and the fiber poset F are lower sets of P, built by
-:func:`ideal_poset` from single steps alone: that every single-step lower
-cover of a cell is a cell is checked, not assumed (:func:`step_covers`,
-the one statement of the step rule), and so is that every cover joins
-adjacent dims; together they make the covers between cells the whole
-Hasse diagram, so Z and F carry no order.  Q_K shifts
+The Springer poset Z and the fiber poset F are lower sets of P, built
+from single steps alone: that every single-step lower cover of a cell is
+a cell is checked, not assumed (the step rule), and so is that every
+cover joins adjacent dims; together they make the covers between cells
+the whole Hasse diagram, so Z and F carry no order.  F is built by
+:func:`ideal_poset`, which runs the step rule one cell at a time
+(:func:`step_covers`); Z's step rule runs in whole arrays
+(:func:`step_cover_arrays`), and where the arrays refuse Z's cells
+:func:`ideal_poset` runs on them to name the failure.  Q_K shifts
 (x', y') on the right by some u in W_K, which is not a restriction of P;
 it is built by :func:`pair_poset`, whose covers are the dimension-gap-one
 comparable pairs of a packed order (:class:`posets.PackedOrder`),
@@ -25,7 +28,8 @@ a slice's interval is read only on the slice and its checked subsets,
 each element's partner the first entry of its row of the partner table
 inside the interval (:func:`slice_partners`; the table is the interval
 sweep's, :func:`matchings.partner_table`), so a slice costs what it
-holds, not its interval.
+holds, not its interval.  The slices of [x, w0], Z's, read their
+partners in whole arrays too (:func:`slice_partner_arrays`).
 """
 
 from __future__ import annotations
@@ -205,6 +209,54 @@ def step_covers(system: CoxeterSystem, members: Sequence[tuple[int, int]],
     return ups
 
 
+def step_cover_arrays(system: CoxeterSystem, v: np.ndarray,
+                      w: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The step rule of :func:`step_covers` in whole arrays, on the cells
+    (v[k], w[k]): (lo, hi), the cells k = hi covering cells j = lo, sorted
+    by (lo, hi), or None where :func:`ideal_poset` refuses the cells (a
+    cell whose ends are not comparable, a single-step lower cover with
+    comparable ends that is not a cell, or a cover that does not join
+    adjacent dims), which then names the failure.
+
+    The cells are sorted by the key v |W| + w.  The up-covers u of each
+    v and the down-covers u of each w are expanded from the cover arrays,
+    in chunks of cells of about 64k expanded covers, and each (u, w),
+    resp. (v, u), is looked up in the sorted keys: a hit is a cover, a
+    miss whose ends the Bruhat order compares is a missing step."""
+    b, n = system.bruhat, system.size
+    if not b[v, w].all():
+        return None
+    key = v * n + w
+    by = np.argsort(key)
+    keys = key[by]
+    los, his = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+    for start, ends, moves_v in ((system._up_start, system._up_ids, True),
+                                 (system._down_start, system._down_ids, False)):
+        moved = v if moves_v else w
+        step = max(1, (1 << 16) // max(1, int(np.diff(start).max(initial=0))))
+        for c in range(0, len(v), step):
+            x = moved[c:c + step]
+            first, degree = start[x], start[x + 1] - start[x]
+            cell = np.repeat(np.arange(c, c + len(x)), degree)
+            # u runs over ends[first[k] .. first[k] + degree[k]] of each cell k
+            u = ends[np.arange(len(cell)) + np.repeat(first - (np.cumsum(degree) - degree),
+                                                      degree)]
+            lower_v, lower_w = (u, w[cell]) if moves_v else (v[cell], u)
+            low = lower_v * n + lower_w
+            at = np.minimum(np.searchsorted(keys, low), len(keys) - 1)
+            hit = keys[at] == low
+            if b[lower_v[~hit], lower_w[~hit]].any():
+                return None
+            los.append(by[at[hit]])
+            his.append(cell[hit])
+    lo, hi = np.concatenate(los), np.concatenate(his)
+    dims = system.length[w] - system.length[v]
+    if (dims[hi] != dims[lo] + 1).any():
+        return None
+    o = np.argsort(lo * len(v) + hi)
+    return lo[o], hi[o]
+
+
 def _missing_step(system: CoxeterSystem, what: str, pair: tuple[int, int],
                   lower: tuple[int, int]) -> TheoremFalsified:
     return TheoremFalsified(
@@ -285,6 +337,31 @@ def slice_partners(system: CoxeterSystem, x: int, top: int, ys: Iterable[int],
                 f"[{system.word_str(x)}, {system.word_str(top)}]"
             )
         partner[y] = u
+    return partner
+
+
+def slice_partner_arrays(system: CoxeterSystem, x: np.ndarray, y: np.ndarray,
+                         table: np.ndarray) -> np.ndarray:
+    """:func:`slice_partners` in whole arrays for the top w0: M(y[k]) in
+    the matching of [x[k], w0] under the reflection order of the partner
+    table ``table`` (:func:`matchings.partner_table`), or -1 where row
+    y[k] reaches its pad first (an isolated element).  An entry u of row
+    y inside [x, w0] is an up-cover (y < u < the pad) or a down-cover
+    with x <= u.  The rows are read one column at a time, only for the
+    pairs still without a partner."""
+    b, pad = system.bruhat, system.size
+    partner = np.full(len(y), -1, dtype=np.intp)
+    todo = np.arange(len(y))
+    for col in range(table.shape[1]):
+        if not todo.size:
+            break
+        at = y[todo]
+        u = table[at, col]
+        inside = (at < u) & (u < pad)
+        down = u < at
+        inside[down] = b[x[todo[down]], u[down]]
+        partner[todo[inside]] = u[inside]
+        todo = todo[~inside]
     return partner
 
 

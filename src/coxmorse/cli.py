@@ -29,7 +29,7 @@ from .oracles import (oracle_bruhat_leq, oracle_convexity, oracle_fiber_members,
                       oracle_slice_partners, oracle_unmatched_scan)
 from .posets import euler_characteristic, poset_to_dot
 from .reflection_orders import order_from_reduced_word, shortlex_order
-from .springer import build_springer_poset, springer_slices
+from .springer import build_springer_poset, springer_matching, springer_slices
 from .verify import iter_level
 
 EXIT_OK = 0
@@ -141,6 +141,20 @@ def _rescan_unmatched(poset, matching, summary) -> None:
     :func:`oracles.oracle_unmatched_scan`, must be the summary's."""
     if tuple(oracle_unmatched_scan(poset, matching)) != summary.unmatched:
         raise Falsification("unmatched rescan disagrees with the morse summary")
+
+
+def _compare_partners(poset, matching, per_slice, what) -> None:
+    """Under ``--paranoid``: the matching of the array route must be the
+    per-slice route's, or the first cell whose partners differ is named."""
+    k = next((k for k, (a, b) in enumerate(zip(matching.partner, per_slice.partner))
+              if a != b), None)
+    if k is not None:
+        names = poset.names
+        raise Falsification(
+            f"the matching of the {what} disagrees with the per-slice route at "
+            f"{names[k]}: partner {names[matching.partner[k]]} against "
+            f"{names[per_slice.partner[k]]}"
+        )
 
 
 def _check_interval(li) -> None:
@@ -270,11 +284,12 @@ def cmd_springer(args) -> int:
     sp = build_springer_poset(system, J, Jp)
     if args.paranoid:
         check_against_pair_poset(system, sp.poset, "springer pair poset")
-    slices, order, apex, what = springer_slices(sp)
-    if args.paranoid:
+        slices, order, apex, what = springer_slices(sp)
         _check_slices(system, slices, order, what)
-    matching, summary = slice_matching(system, sp.poset, slices, order, apex, what)
+        per_slice, _ = slice_matching(system, sp.poset, slices, order, apex, what)
+    matching, summary = springer_matching(sp)
     if args.paranoid:
+        _compare_partners(sp.poset, matching, per_slice, sp.what)
         _rescan_unmatched(sp.poset, matching, summary)
     if args.format == "dot":
         _emit(args, poset_to_dot(sp.poset, matching.pairs))

@@ -603,6 +603,10 @@ class CoxeterSystem:
         # up-covers sorted by (lo, hi), down-covers by (hi, lo)
         self._up_start, self._up_ids, self._up_labels = _cover_rows(n, vs, ws, ts)
         self._down_start, self._down_ids, self._down_labels = _cover_rows(n, ws, vs, ts)
+        # flat memoryviews of them, which the cover views read
+        self._up_views = tuple(map(_flat, (self._up_start, self._up_ids, self._up_labels)))
+        self._down_views = tuple(map(_flat, (self._down_start, self._down_ids,
+                                             self._down_labels)))
 
         # diagram involution i -> i* with s_{i*} = w0 s_i w0
         star = []
@@ -729,15 +733,17 @@ class CoxeterSystem:
 
     def bruhat_covers_down(self, w: int) -> tuple[tuple[int, int], ...]:
         """Pairs (v, t), by increasing v, with v = t*w covered by w; t = v w^{-1}
-        is the edge label.  A view, built from the down-cover arrays on each
-        call; hot loops read the arrays through :func:`_flat` instead."""
-        a, b = self._down_start[w:w + 2].tolist()
-        return tuple(zip(self._down_ids[a:b].tolist(), self._down_labels[a:b].tolist()))
+        is the edge label.  A view, built on each call from flat memoryviews
+        of the down-cover arrays (:func:`_flat`)."""
+        start, ids, labels = self._down_views
+        a, b = start[w], start[w + 1]
+        return tuple(zip(ids[a:b].tolist(), labels[a:b].tolist()))
 
     def bruhat_covers_up(self, v: int) -> tuple[tuple[int, int], ...]:
         """Pairs (w, t), by increasing w, with w = t*v covering v; a view, as above."""
-        a, b = self._up_start[v:v + 2].tolist()
-        return tuple(zip(self._up_ids[a:b].tolist(), self._up_labels[a:b].tolist()))
+        start, ids, labels = self._up_views
+        a, b = start[v], start[v + 1]
+        return tuple(zip(ids[a:b].tolist(), labels[a:b].tolist()))
 
     def comparable_pairs(self, strict: bool = False) -> list[tuple[int, int]]:
         vs, ws = self.bruhat.nonzero()

@@ -230,8 +230,8 @@ def partner_table(system: CoxeterSystem, order: ReflectionOrder) -> np.ndarray:
     the up-cover arrays with one stable argsort of a key that orders the
     rows by x and each row by decreasing rank.  In any interval that
     holds x, the partner of x is the first entry of row x inside the
-    interval; the interval sweep and :func:`cells.slice_partners` both
-    read it so."""
+    interval; the interval sweep, :func:`cells.slice_partners` and
+    :func:`cells.slice_partner_arrays` read it so."""
     start, ids, labels = system._up_start, system._up_ids, system._up_labels
     n, m = system.size, len(order.sequence)
     rank = np.full(n, -1, dtype=np.intp)

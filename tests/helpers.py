@@ -12,6 +12,7 @@ import dataclasses
 import numpy as np
 
 from coxmorse import build_system, matchings
+from coxmorse.coxeter import _flat
 from coxmorse.errors import CoxmorseError, TheoremFalsified
 from coxmorse.fibers import build_fiber_poset, build_qk
 from coxmorse.matchings import build_matching, is_acyclic, labeled_interval
@@ -133,13 +134,15 @@ def b3_with_a_cover_across_dims():
 
 def set_up_covers(system, covers_up):
     """Give ``system`` the up-cover arrays (offsets, ids, labels) of the
-    (id, label) pairs ``covers_up[x]`` of each x, leaving its down-cover
-    arrays as they are."""
+    (id, label) pairs ``covers_up[x]`` of each x, and the flat views of
+    them that ``bruhat_covers_up`` reads, leaving its down-cover arrays
+    as they are."""
     start = np.zeros(len(covers_up) + 1, dtype=np.intp)
     np.cumsum([len(ups) for ups in covers_up], out=start[1:])
     system._up_start = start
     system._up_ids = np.array([u for ups in covers_up for u, _ in ups], dtype=np.intp)
     system._up_labels = np.array([t for ups in covers_up for _, t in ups], dtype=np.int64)
+    system._up_views = tuple(map(_flat, (system._up_start, system._up_ids, system._up_labels)))
 
 
 def plant_in_partner_table(monkeypatch, modules, x, y, drop=False):

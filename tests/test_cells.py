@@ -50,30 +50,61 @@ def test_the_closure_of_the_single_steps_is_the_pair_order(system):
 
 
 def a3_springer_drop(s):
-    """The cells of the A3 Springer poset for J = J' = {} without the
-    non-apex cell (e, e), and the error naming the first cell above it."""
+    """The error naming the first cell above the non-apex cell (e, e) of
+    the A3 Springer poset for J = J' = {}, once (e, e) is dropped."""
     sp = build_springer_poset(s, set(), set())
     drop = 0
     assert sp.members[drop] == (0, 0) != (sp.apex, sp.apex)
     hi = min(h for lo, h, _ in sp.poset.covers if lo == drop)
-    kept = [p for k, p in enumerate(sp.members) if k != drop]
-    message = (f"springer pair poset is not a lower set of the nesting order: the cell "
-               f"{sp.poset.names[hi]} has the lower cover {sp.poset.names[drop]}, "
-               f"which is not a cell")
-    return kept, message
+    return (f"springer pair poset is not a lower set of the nesting order: the cell "
+            f"{sp.poset.names[hi]} has the lower cover {sp.poset.names[drop]}, "
+            f"which is not a cell")
+
+
+def drop_e_e_from_the_block_pass(monkeypatch):
+    real = springer._block_pass
+
+    def dropped(*args):
+        v, w, mate, sliced = real(*args)
+        keep = (v != 0) | (w != 0)
+        return v[keep], w[keep], mate[keep], sliced
+
+    monkeypatch.setattr(springer, "_block_pass", dropped)
 
 
 def test_a_dropped_springer_cell_is_named(system, monkeypatch):
     s = system("A3")
-    kept, message = a3_springer_drop(s)
-    monkeypatch.setattr(springer, "_members", lambda *args: kept)
+    message = a3_springer_drop(s)
+    drop_e_e_from_the_block_pass(monkeypatch)
     with pytest.raises(TheoremFalsified, match=re.escape(message)):
         build_springer_poset(s, set(), set())
 
 
 def test_cli_exits_as_falsification_on_a_dropped_springer_cell(system, monkeypatch, capsys):
-    kept, message = a3_springer_drop(system("A3"))
-    monkeypatch.setattr(springer, "_members", lambda *args: kept)
+    message = a3_springer_drop(system("A3"))
+    drop_e_e_from_the_block_pass(monkeypatch)
+    code = main(["springer", "--group", "A3", "--J", "{}", "--Jprime", "{}"])
+    out = capsys.readouterr()
+    assert code == 3 and out.out == ""
+    assert out.err == f"FALSIFIED: {message}\n"
+
+
+def test_a_cell_that_only_the_arrays_drop_fails_naming_both_routes(system, monkeypatch,
+                                                                  capsys):
+    # the array step rule looks the lower covers up among the cells but
+    # (e, e); the per-cell route, on the same cells, passes them
+    s = system("A3")
+    real = cells.step_cover_arrays
+
+    def dropped(system, v, w):
+        keep = (v != 0) | (w != 0)
+        return real(system, v[keep], w[keep])
+
+    monkeypatch.setattr(springer, "step_cover_arrays", dropped)
+    message = ("the array step rule refuses the springer pair poset (J=[], J'=[]), "
+               "but the per-cell route passes it")
+    with pytest.raises(Falsification, match=re.escape(message)):
+        build_springer_poset(s, set(), set())
     code = main(["springer", "--group", "A3", "--J", "{}", "--Jprime", "{}"])
     out = capsys.readouterr()
     assert code == 3 and out.out == ""

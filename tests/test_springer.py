@@ -3,19 +3,21 @@
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from coxmorse import cells, cli, springer
 from coxmorse.cli import main
 from coxmorse.errors import (
     CyclicMatching,
+    Falsification,
     NotAMatching,
     NotMinimalCosetRep,
     OverlappingSubsets,
     TheoremFalsified,
 )
 from coxmorse.fibers import fiber_matching, fiber_slices
-from coxmorse.matchings import partner_table
+from coxmorse.matchings import Matching, partner_table
 from coxmorse.oracles import oracle_coset_piece, oracle_slice_partners, oracle_springer_member
 from coxmorse.posets import euler_characteristic, is_pure
 from coxmorse.reflection_orders import ReflectionOrder, order_for_springer, shortlex_order
@@ -229,26 +231,46 @@ def swap_across_slice(members):
     return faulty
 
 
+def swap_across_slice_arrays(members):
+    """slice_partner_arrays with the partners swapped as by
+    :func:`swap_across_slice`, for the pairs of each base x."""
+    real = cells.slice_partner_arrays
+
+    def faulty(system, x, y, table):
+        m = real(system, x, y, table)
+        for base in sorted(set(x.tolist())):
+            inside = {w for v, w in members if v == base}
+            at = np.flatnonzero(x == base)
+            outside = [k for k in at.tolist() if y[k] not in inside]
+            if outside:
+                a, c = next(k for k in at.tolist() if y[k] == min(inside)), outside[0]
+                m[a], m[c] = m[c], m[a]
+        return m
+
+    return faulty
+
+
+def per_slice_matching(sp):
+    """The matching of the per-slice route (:func:`springer_slices`,
+    :func:`cells.slice_matching`)."""
+    return cells.slice_matching(sp.system, sp.poset, *springer_slices(sp))
+
+
 def test_slice_matching_rejects_a_partner_outside_the_slice(system, monkeypatch):
     sp = build_springer_poset(system("A3"), {1}, {3})
     monkeypatch.setattr(cells, "slice_partners", swap_across_slice(sp.members))
     with pytest.raises(TheoremFalsified, match="is not preserved by the matching of"):
-        springer_matching(sp)
+        per_slice_matching(sp)
 
 
 def test_slice_matching_rejects_a_wrong_apex(system, monkeypatch):
     sp = build_springer_poset(system("A3"), {1}, {3})
-    apex = sp.index[(sp.apex, sp.apex)]
-
-    def shifted_apex(system, poset, slices, order, apex, what):
-        return cells.slice_matching(system, poset, slices, order, apex + 1, what)
-
-    monkeypatch.setattr(springer, "slice_matching", shifted_apex)
+    slices, order, apex, what = springer_slices(sp)
     names = sp.poset.names
     message = (f"unmatched cells of the springer pair poset (J=[1], J'=[3]) are "
                f"['{names[apex]}'], expected only {names[apex + 1]}")
     with pytest.raises(TheoremFalsified, match=re.escape(message)):
-        springer_matching(sp)
+        cells.slice_matching(sp.system, sp.poset, slices, order, apex + 1, what)
 
 
 def test_slice_matching_rejects_a_cyclic_assembly(system, monkeypatch):
@@ -270,7 +292,7 @@ def test_slice_matching_rejects_a_cyclic_assembly(system, monkeypatch):
     sp = build_springer_poset(system("A2"), set(), set())
     monkeypatch.setattr(cells, "slice_partners", cyclic)
     with pytest.raises(CyclicMatching):
-        springer_matching(sp)
+        per_slice_matching(sp)
 
 
 def test_slice_matching_rejects_partners_that_are_not_an_involution(system, monkeypatch):
@@ -293,13 +315,119 @@ def test_slice_matching_rejects_partners_that_are_not_an_involution(system, monk
 
     monkeypatch.setattr(cells, "slice_partners", faulty)
     with pytest.raises(NotAMatching, match=r"edge selection is not an involution at .* in \[") as exc:
-        springer_matching(sp)
+        per_slice_matching(sp)
     assert f"in [{s.word_str(seen[0])}, {s.word_str(s.w0)}] in the springer pair poset" in str(exc.value)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "A4", "D4"])
+def test_the_array_route_gives_what_the_per_cell_and_per_slice_routes_give(system, name):
+    s = system(name)
+    for J, Jp in disjoint_pairs(s.rank):
+        sp = build_springer_poset(s, J, Jp)
+        ideal = cells.ideal_poset(s, sp.members, "springer pair poset")
+        assert ideal.payload == sp.members and ideal.dims == sp.poset.dims, (J, Jp)
+        assert ideal.covers == sp.poset.covers, (J, Jp)
+        # every candidate v: (Z_v, P_v, Q_v) of the block rows and of build_slices
+        for v, p, q, z in springer._slice_rows(s, sp.J, sp.Jprime):
+            for k, x in enumerate(v.tolist()):
+                rows = tuple(np.flatnonzero(r[k]).tolist() for r in (z, p, q))
+                assert rows == build_slices(sp, x), (J, Jp, x)
+        assert sp.partner is not None
+        matching, summary = springer_matching(sp)
+        per_slice, per_slice_summary = per_slice_matching(sp)
+        assert matching.partner == per_slice.partner, (J, Jp)
+        assert summary.unmatched == per_slice_summary.unmatched == (sp.index[(sp.apex, sp.apex)],)
+
+
+def test_a_partner_that_only_the_arrays_swap_fails_naming_both_routes(system, monkeypatch,
+                                                                     capsys):
+    sp = build_springer_poset(system("A3"), {1}, {3})
+    monkeypatch.setattr(springer, "slice_partner_arrays", swap_across_slice_arrays(sp.members))
+    message = ("the array route fails the slices of the springer pair poset (J=[1], J'=[3]), "
+               "but the per-slice route passes them")
+    with pytest.raises(Falsification, match=re.escape(message)):
+        springer_matching(build_springer_poset(system("A3"), {1}, {3}))
+    code = main(["springer", "--group", "A3", "--J", "{1}", "--Jprime", "{3}"])
+    out = capsys.readouterr()
+    assert code == 3 and out.out == ""
+    assert out.err == f"FALSIFIED: {message}\n"
+
+
+# Plants in the partners M of one base x (m[pos[y]] = M(y)), given Z_x,
+# P_x, Q_x and the lengths; each returns True where it fits.  Each keeps
+# every array test but one.
+
+def cross(m, pos, a, c):
+    """a-b and c-d become a-d and c-b."""
+    b, d = m[pos[a]], m[pos[c]]
+    m[pos[a]], m[pos[d]], m[pos[c]], m[pos[b]] = d, a, b, c
+
+
+def cross_p_v_with_q_v(m, pos, z, p, q, length):
+    # a in P_x minus Q_x, c in Q_x minus P_x: neither set is preserved
+    only_p, only_q = sorted(set(p) - set(q)), sorted(set(q) - set(p))
+    if only_p and only_q:
+        cross(m, pos, only_p[0], only_q[0])
+        return True
+
+
+def break_the_involution(m, pos, z, p, q, length):
+    # M(a) moves to another pair of Q_x minus P_x, so M(M(a)) != a
+    only_q = sorted(set(q) - set(p))
+    if len(only_q) >= 4:
+        a = only_q[0]
+        m[pos[a]] = next(c for c in only_q if c not in (a, m[pos[a]]))
+        return True
+
+
+def match_across_two_lengths(m, pos, z, p, q, length):
+    # a < b and c < d in Z_x with l(c) = l(a) + 1: a-d is no cover
+    lows = [y for y in z if m[pos[y]] > y]
+    steps = [(a, c) for a in lows for c in lows if length[c] == length[a] + 1]
+    if steps:
+        cross(m, pos, *steps[0])
+        return True
+
+
+def leave_a_pair_unmatched(m, pos, z, p, q, length):
+    a = z[0]
+    b = m[pos[a]]
+    m[pos[a]], m[pos[b]] = a, b
+    return True
+
+
+@pytest.mark.parametrize("plant", [cross_p_v_with_q_v, break_the_involution,
+                                   match_across_two_lengths, leave_a_pair_unmatched])
+def test_a_fault_in_the_array_partners_alone_fails_naming_both_routes(system, monkeypatch,
+                                                                     plant):
+    s = system("A3")
+    sp = build_springer_poset(s, {1}, {3})
+    real = cells.slice_partner_arrays
+    planted = []
+
+    def faulty(system, x, y, table):
+        m = real(system, x, y, table)
+        for base in sorted(set(x.tolist())):
+            at = np.flatnonzero(x == base).tolist()
+            pos = dict(zip(y[at].tolist(), at))
+            if not planted and plant(m, pos, *build_slices(sp, base), s.length):
+                planted.append(base)
+        return m
+
+    monkeypatch.setattr(springer, "slice_partner_arrays", faulty)
+    message = ("the array route fails the slices of the springer pair poset (J=[1], J'=[3]), "
+               "but the per-slice route passes them")
+    with pytest.raises(Falsification, match=re.escape(message)):
+        springer_matching(build_springer_poset(s, {1}, {3}))
+    assert planted
 
 
 def test_cli_exits_as_falsification_on_a_partner_outside_the_slice(system, monkeypatch,
                                                                   capsys):
+    # planted in both routes: the array route fails, and the per-slice
+    # route names the failure
     sp = build_springer_poset(system("A3"), {1}, {3})
+    monkeypatch.setattr(springer, "slice_partner_arrays", swap_across_slice_arrays(sp.members))
     monkeypatch.setattr(cells, "slice_partners", swap_across_slice(sp.members))
     code = main(["springer", "--group", "A3", "--J", "{1}", "--Jprime", "{3}"])
     out = capsys.readouterr()
@@ -400,7 +528,7 @@ def test_a_wrong_down_cover_label_is_falsified_naming_the_slice(system, monkeypa
     # ranked lowest; the cover arrays, and so the oracle, stay whole
     s = system("A3")
     x, y, u = matched_down_cover(s, {1}, {3})
-    plant_in_partner_table(monkeypatch, [cells, cli], u, y)
+    plant_in_partner_table(monkeypatch, [cells, cli, springer], u, y)
     order = springer_slices(build_springer_poset(s, {1}, {3}))[1]
     assert (cells.partner_table(s, order) != partner_table(s, order)).any()
     code, err = run_springer_on(monkeypatch, capsys, s, "{1}", "{3}", *flags)
@@ -413,7 +541,7 @@ def test_a_wrong_down_cover_label_is_falsified_naming_the_slice(system, monkeypa
 def test_a_dropped_down_cover_is_falsified_naming_the_slice(system, monkeypatch, capsys):
     s = system("A3")
     x, y, u = matched_down_cover(s, {1}, {3})
-    plant_in_partner_table(monkeypatch, [cells, cli], u, y, drop=True)
+    plant_in_partner_table(monkeypatch, [cells, cli, springer], u, y, drop=True)
     code, err = run_springer_on(monkeypatch, capsys, s, "{1}", "{3}")
     assert code == 3 and err.startswith("FALSIFIED: ")
     assert f"[{s.word_str(x)}, {s.word_str(s.w0)}] in the springer pair poset" in err
@@ -431,8 +559,8 @@ def test_two_swapped_entries_of_a_table_row_are_falsified_naming_the_slice(
         table[y, [i, j]] = table[y, [j, i]]
         return table
 
-    monkeypatch.setattr(cells, "partner_table", swapped)
-    monkeypatch.setattr(cli, "partner_table", swapped)
+    for module in (cells, cli, springer):
+        monkeypatch.setattr(module, "partner_table", swapped)
     code, err = run_springer_on(monkeypatch, capsys, s, "{1}", "{3}", *flags)
     assert code == 3 and err.startswith("FALSIFIED: ")
     assert f"[{s.word_str(x)}, {s.word_str(s.w0)}] in the springer pair poset" in err
@@ -455,6 +583,71 @@ def test_paranoid_springer_builds_each_slice_once(system, monkeypatch, capsys):
     assert capsys.readouterr() == plain
     assert plain.out.encode() == (GOLDEN / "springer_A4_J2_Jp3.json").read_bytes()
     assert sorted(calls) == sorted(build_springer_poset(s, {2}, {3}).slice_members)
+
+
+def test_paranoid_springer_names_the_first_cell_whose_partners_differ(system, monkeypatch,
+                                                                     capsys):
+    # the array route's matched pairs a-b and c-d are planted as a-d and c-b
+    s = system("A3")
+    real = springer.springer_matching
+    crossed = []
+
+    def planted(sp):
+        matching, summary = real(sp)
+        partner = list(matching.partner)
+        (a, b), (c, d) = matching.pairs[:2]
+        partner[a], partner[b], partner[c], partner[d] = d, c, b, a
+        crossed.append((sp.poset.names, a, b, d))
+        return Matching(sp.poset, tuple(partner)), summary
+
+    monkeypatch.setattr(cli, "springer_matching", planted)
+    code, err = run_springer_on(monkeypatch, capsys, s, "{1}", "{3}", "--paranoid")
+    (names, a, b, d), = crossed
+    assert (code, err) == (3, f"FALSIFIED: the matching of the springer pair poset (J=[1], "
+                              f"J'=[3]) disagrees with the per-slice route at {names[a]}: "
+                              f"partner {names[d]} against {names[b]}\n")
+
+
+@pytest.mark.parametrize("flags", [(), ("--paranoid",)])
+def test_a_dropped_top_cell_is_named_by_its_slice(system, monkeypatch, capsys, flags):
+    # Z without a cell of top dim is still a lower set; its slice is not P_v cap Q_v
+    s = system("A3")
+    sp = build_springer_poset(s, {1}, {3})
+    x, y = sp.members[-1]
+    assert (x, y) != (sp.apex, sp.apex)
+    real = springer._block_pass
+
+    def dropped(*args):
+        v, w, mate, sliced = real(*args)
+        keep = (v != x) | (w != y)
+        return v[keep], w[keep], mate[keep], sliced
+
+    monkeypatch.setattr(springer, "_block_pass", dropped)
+    code, err = run_springer_on(monkeypatch, capsys, s, "{1}", "{3}", *flags)
+    assert (code, err) == (3, f"FALSIFIED: slice Z_v at v={s.word_str(x)} is not the "
+                              f"intersection of P_v and Q_v (J=[1], J'=[3])\n")
+
+
+@pytest.mark.parametrize("i, message", [
+    (3, "member (3, 3) leaves the minimal coset representatives of J'=[3]"),
+    (1, "springer pair poset has a cell (1,e) whose ends are not comparable"),
+], ids=["descent-in-Jprime", "incomparable-ends"])
+def test_a_planted_cell_of_the_block_pass_is_named(system, monkeypatch, i, message):
+    # (3, 3) has a left descent in J' and no lower covers; (1, e) is no interval
+    s = system("A3")
+    x = s.simple(i)
+    cell = (x, x) if i == 3 else (x, 0)
+    real = springer._block_pass
+
+    def planted(*args):
+        v, w, mate, sliced = real(*args)
+        at = int(np.searchsorted(v * s.size + w, cell[0] * s.size + cell[1]))
+        return (np.insert(v, at, cell[0]), np.insert(w, at, cell[1]),
+                np.insert(mate, at, cell[1]), sliced)
+
+    monkeypatch.setattr(springer, "_block_pass", planted)
+    with pytest.raises(TheoremFalsified, match=re.escape(message)):
+        build_springer_poset(s, {1}, {3})
 
 
 def test_two_swapped_ranks_are_falsified_naming_a_slice(system, monkeypatch, capsys):

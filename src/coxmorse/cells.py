@@ -14,8 +14,8 @@ cover joins adjacent dims; together they make the covers between cells
 the whole Hasse diagram, so Z and F carry no order.  F is built by
 :func:`ideal_poset`, which runs the step rule one cell at a time
 (:func:`step_covers`); Z's step rule runs in whole arrays
-(:func:`step_cover_arrays`), and where the arrays refuse Z's cells
-:func:`ideal_poset` runs on them to name the failure.  Q_K shifts
+(:func:`step_cover_arrays`), which name the failure that
+:func:`step_covers` meets first, in the same words.  Q_K shifts
 (x', y') on the right by some u in W_K, which is not a restriction of P;
 it is built by :func:`pair_poset`, whose covers are the dimension-gap-one
 comparable pairs of a packed order (:class:`posets.PackedOrder`),
@@ -29,7 +29,8 @@ each element's partner the first entry of its row of the partner table
 inside the interval (:func:`slice_partners`; the table is the interval
 sweep's, :func:`matchings.partner_table`), so a slice costs what it
 holds, not its interval.  The slices of [x, w0], Z's, read their
-partners in whole arrays too (:func:`slice_partner_arrays`).
+partners in whole arrays (:func:`slice_partner_arrays`), and the
+matchings of both are checked by :func:`checked_matching`.
 """
 
 from __future__ import annotations
@@ -192,8 +193,7 @@ def step_covers(system: CoxeterSystem, members: Sequence[tuple[int, int]],
     ups: list[list[int]] = [[] for _ in members]
     for k, (x, y) in enumerate(members):
         if not leq(x, y):
-            raise TheoremFalsified(f"{what} has a cell {pair_name(system, (x, y))} "
-                                   f"whose ends are not comparable")
+            raise _incomparable_ends(system, what, (x, y))
         for u in up[up_start[x]:up_start[x + 1]]:
             j = cell(u * size + y)
             if j is not None:
@@ -209,14 +209,15 @@ def step_covers(system: CoxeterSystem, members: Sequence[tuple[int, int]],
     return ups
 
 
-def step_cover_arrays(system: CoxeterSystem, v: np.ndarray,
-                      w: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+def step_cover_arrays(system: CoxeterSystem, v: np.ndarray, w: np.ndarray,
+                      what: str) -> tuple[np.ndarray, np.ndarray]:
     """The step rule of :func:`step_covers` in whole arrays, on the cells
     (v[k], w[k]): (lo, hi), the cells k = hi covering cells j = lo, sorted
-    by (lo, hi), or None where :func:`ideal_poset` refuses the cells (a
-    cell whose ends are not comparable, a single-step lower cover with
-    comparable ends that is not a cell, or a cover that does not join
-    adjacent dims), which then names the failure.
+    by (lo, hi).  Where the rule fails, :class:`TheoremFalsified` names
+    what :func:`step_covers` meets first: the least failing cell k, and in
+    it ends that are not comparable, else its first missing up-step, else
+    its first missing down-step, in cover-array order.  That the covers
+    join adjacent dims is left to :attr:`FinitePoset.graded_adjacency`.
 
     The cells are sorted by the key v |W| + w.  The up-covers u of each
     v and the down-covers u of each w are expanded from the cover arrays,
@@ -224,14 +225,15 @@ def step_cover_arrays(system: CoxeterSystem, v: np.ndarray,
     resp. (v, u), is looked up in the sorted keys: a hit is a cover, a
     miss whose ends the Bruhat order compares is a missing step."""
     b, n = system.bruhat, system.size
-    if not b[v, w].all():
-        return None
     key = v * n + w
     by = np.argsort(key)
     keys = key[by]
+    # (cell, test, lower cell) at the first failure of each test, tests in
+    # the order step_covers runs them
+    failures = [(k, 0, None) for k in np.flatnonzero(~b[v, w])[:1].tolist()]
     los, his = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
-    for start, ends, moves_v in ((system._up_start, system._up_ids, True),
-                                 (system._down_start, system._down_ids, False)):
+    for test, start, ends, moves_v in ((1, system._up_start, system._up_ids, True),
+                                       (2, system._down_start, system._down_ids, False)):
         moved = v if moves_v else w
         step = max(1, (1 << 16) // max(1, int(np.diff(start).max(initial=0))))
         for c in range(0, len(v), step):
@@ -245,16 +247,29 @@ def step_cover_arrays(system: CoxeterSystem, v: np.ndarray,
             low = lower_v * n + lower_w
             at = np.minimum(np.searchsorted(keys, low), len(keys) - 1)
             hit = keys[at] == low
-            if b[lower_v[~hit], lower_w[~hit]].any():
-                return None
+            miss = np.flatnonzero(~hit)
+            missing = miss[b[lower_v[miss], lower_w[miss]]]
+            if missing.size:
+                f = missing[0]
+                failures.append((int(cell[f]), test, (int(lower_v[f]), int(lower_w[f]))))
+                break
             los.append(by[at[hit]])
             his.append(cell[hit])
+    if failures:
+        k, _, lower = min(failures)
+        pair = int(v[k]), int(w[k])
+        if lower is None:
+            raise _incomparable_ends(system, what, pair)
+        raise _missing_step(system, what, pair, lower)
     lo, hi = np.concatenate(los), np.concatenate(his)
-    dims = system.length[w] - system.length[v]
-    if (dims[hi] != dims[lo] + 1).any():
-        return None
     o = np.argsort(lo * len(v) + hi)
     return lo[o], hi[o]
+
+
+def _incomparable_ends(system: CoxeterSystem, what: str,
+                       pair: tuple[int, int]) -> TheoremFalsified:
+    return TheoremFalsified(f"{what} has a cell {pair_name(system, pair)} "
+                            f"whose ends are not comparable")
 
 
 def _missing_step(system: CoxeterSystem, what: str, pair: tuple[int, int],
@@ -332,10 +347,7 @@ def slice_partners(system: CoxeterSystem, x: int, top: int, ys: Iterable[int],
         else:
             u = pad
         if u == pad:
-            raise NotAMatching(
-                f"isolated element {system.word_str(y)} in the Hasse diagram of "
-                f"[{system.word_str(x)}, {system.word_str(top)}]"
-            )
+            raise _isolated(system, x, top, y)
         partner[y] = u
     return partner
 
@@ -379,14 +391,12 @@ def slice_matching(system: CoxeterSystem, poset: FinitePoset, slices: Iterable[t
     (:func:`slice_partners`, from the :func:`matchings.partner_table` of
     ``order``, built at the first slice): it must preserve each of them
     and be an involution there; then (x, y) and (x, M(y)) are matched for
-    y in z_x.
-    Postconditions: every matched pair is a cover, the matching is
-    acyclic (checked by :func:`morse_counts`), and the cell ``apex`` is
-    the only unmatched one.  ``what`` names the poset in errors.
+    y in z_x, and the matching is checked by :func:`checked_matching`.
+    ``what`` names the poset in errors.
     :func:`oracles.oracle_slice_partners` matches all of [x, top]
     (``--paranoid``).
     """
-    index, name = poset.index, system.word_str
+    index = poset.index
     rows = None
     partner = list(range(poset.n))
     for x, top, subsets, z_x in slices:
@@ -396,21 +406,23 @@ def slice_matching(system: CoxeterSystem, poset: FinitePoset, slices: Iterable[t
         m = slice_partners(system, x, top, set().union(*(s for _, s in checked)), rows)
         for label, inside in checked:
             if not inside.issuperset(map(m.__getitem__, inside)):
-                raise TheoremFalsified(
-                    f"{label} at {name(x)} is not preserved by the matching of "
-                    f"[{name(x)}, {name(top)}] in the {what}"
-                )
+                raise _not_preserved(system, x, top, label, what)
         for y, mate in m.items():
             if m[mate] != y:
-                raise NotAMatching(
-                    f"edge selection is not an involution at {name(y)}: {name(y)} -> "
-                    f"{name(mate)} -> {name(m[mate])} in [{name(x)}, {name(top)}] "
-                    f"in the {what}"
-                )
+                raise _not_an_involution(system, x, top, (y, mate, m[mate]), what)
         for y in z_x:
             if y < m[y]:
                 i, j = index[(x, y)], index[(x, m[y])]
                 partner[i], partner[j] = j, i
+    return checked_matching(poset, partner, apex, what)
+
+
+def checked_matching(poset: FinitePoset, partner: Sequence[int], apex: int,
+                     what: str) -> tuple[Matching, MorseSummary]:
+    """The matching of ``poset`` with ``partner``, checked: every matched
+    pair is a cover, the matching is acyclic (checked by
+    :func:`morse_counts`), and the cell ``apex`` is the only unmatched
+    one.  ``what`` names the poset in errors."""
     matching = Matching(poset, tuple(partner))
     above = poset.graded_adjacency[1]
     for i, j in matching.pairs:
@@ -421,8 +433,34 @@ def slice_matching(system: CoxeterSystem, poset: FinitePoset, slices: Iterable[t
             )
     summary = morse_counts(poset, matching)
     if summary.unmatched != (apex,):
+        names = poset.names
         raise TheoremFalsified(
             f"unmatched cells of the {what} are "
-            f"{[poset.names[i] for i in summary.unmatched]}, expected only {poset.names[apex]}"
+            f"{[names[i] for i in summary.unmatched]}, expected only {names[apex]}"
         )
     return matching, summary
+
+
+# The failures of the matching of a slice, worded once for
+# :func:`slice_matching` and for the Springer block pass
+
+def _isolated(system: CoxeterSystem, x: int, top: int, y: int) -> NotAMatching:
+    name = system.word_str
+    return NotAMatching(f"isolated element {name(y)} in the Hasse diagram of "
+                        f"[{name(x)}, {name(top)}]")
+
+
+def _not_preserved(system: CoxeterSystem, x: int, top: int, label: str,
+                   what: str) -> TheoremFalsified:
+    name = system.word_str
+    return TheoremFalsified(f"{label} at {name(x)} is not preserved by the matching of "
+                            f"[{name(x)}, {name(top)}] in the {what}")
+
+
+def _not_an_involution(system: CoxeterSystem, x: int, top: int, path: tuple[int, int, int],
+                       what: str) -> NotAMatching:
+    """``path`` is y, M(y), M(M(y)) with M(M(y)) != y."""
+    name = system.word_str
+    y, mate, back = map(name, path)
+    return NotAMatching(f"edge selection is not an involution at {y}: {y} -> {mate} -> "
+                        f"{back} in [{name(x)}, {name(top)}] in the {what}")

@@ -28,8 +28,8 @@ from .oracles import (oracle_bruhat_leq, oracle_convexity, oracle_fiber_members,
                       oracle_interval_covers, oracle_interval_ids, oracle_shelling_subsets,
                       oracle_slice_partners, oracle_unmatched_scan)
 from .posets import euler_characteristic, poset_to_dot
-from .reflection_orders import order_from_reduced_word, shortlex_order
-from .springer import build_springer_poset, springer_matching, springer_slices
+from .reflection_orders import order_for_springer, order_from_reduced_word, shortlex_order
+from .springer import build_slices, build_springer_poset, springer_matching
 from .verify import iter_level
 
 EXIT_OK = 0
@@ -143,20 +143,6 @@ def _rescan_unmatched(poset, matching, summary) -> None:
         raise Falsification("unmatched rescan disagrees with the morse summary")
 
 
-def _compare_partners(poset, matching, per_slice, what) -> None:
-    """Under ``--paranoid``: the matching of the array route must be the
-    per-slice route's, or the first cell whose partners differ is named."""
-    k = next((k for k, (a, b) in enumerate(zip(matching.partner, per_slice.partner))
-              if a != b), None)
-    if k is not None:
-        names = poset.names
-        raise Falsification(
-            f"the matching of the {what} disagrees with the per-slice route at "
-            f"{names[k]}: partner {names[matching.partner[k]]} against "
-            f"{names[per_slice.partner[k]]}"
-        )
-
-
 def _check_interval(li) -> None:
     """Under ``--paranoid``: the members of ``li`` must be those of a cover
     search filtered by the subword test, and its labeled covers those of
@@ -196,18 +182,22 @@ def _check_fiber_members(fp) -> None:
         )
 
 
-def _check_slices(system, slices, order, what) -> None:
+def _check_slices(system, slices, order, what, sp=None) -> None:
     """Under ``--paranoid``: on every slice (x, top, subsets, z_x), the
     partners that :func:`cells.slice_partners` reads for each checked
     element from the order's :func:`matchings.partner_table` must be those
     of the matching of all of [x, top]
     (:func:`oracles.oracle_slice_partners`); the slice and the first
-    element whose partners differ are named."""
+    element whose partners differ are named.  On a Springer poset ``sp``
+    whose slices passed the block pass, the partner that the pass gives
+    each cell must be the oracle's too, or the first cell whose partners
+    differ is named."""
     rows = partner_table(system, order).tolist()
+    oracles = {}
     for x, top, subsets, z_x in slices:
         checked = sorted({y for _, subset in (*subsets, ("slice", z_x)) for y in subset})
         local = slice_partners(system, x, top, checked, rows)
-        oracle = oracle_slice_partners(system, x, top, order)
+        oracle = oracles[x] = oracle_slice_partners(system, x, top, order)
         y = next((y for y in checked if local[y] != oracle[y]), None)
         if y is not None:
             name = system.word_str
@@ -216,6 +206,33 @@ def _check_slices(system, slices, order, what) -> None:
                 f"the full-interval oracle at {name(y)}: partner {name(local[y])} against "
                 f"{name(oracle[y])}"
             )
+    if sp is None or sp.partner is None:
+        return
+    # the apex slice is not matched: its cell is its own partner
+    want = [(x, oracles[x][y]) if x in oracles else (x, y) for x, y in sp.members]
+    k = next((k for k, p in enumerate(sp.partner) if sp.members[p] != want[k]), None)
+    if k is not None:
+        names = sp.poset.names
+        raise Falsification(
+            f"the matching of the {what} disagrees with the full-interval oracle at "
+            f"{names[k]}: partner {names[sp.partner[k]]} against {pair_name(system, want[k])}"
+        )
+
+
+def _oracle_slices(sp) -> list[tuple]:
+    """The slices (v, w0, subsets, Z_v) of the Springer poset ``sp`` that
+    :func:`_check_slices` matches: each v with a cell but the apex, with
+    the rows P_v, Q_v and Z_v of :func:`springer.build_slices`.  The
+    subsets are P_v unless J' is empty and Q_v unless J is empty (then
+    it is all of [v, w0])."""
+    system, slices = sp.system, []
+    for x in sorted({v for v, _ in sp.members} - {sp.apex}):
+        p, q, z = (row[0].nonzero()[0].tolist()
+                   for row in build_slices(system, sp.J, sp.Jprime, [x]))
+        subsets = [(label, rows) for label, rows, conditions
+                   in (("P_v", p, sp.Jprime), ("Q_v", q, sp.J)) if conditions]
+        slices.append((x, system.w0, subsets, z))
+    return slices
 
 
 def cmd_matching(args) -> int:
@@ -284,12 +301,10 @@ def cmd_springer(args) -> int:
     sp = build_springer_poset(system, J, Jp)
     if args.paranoid:
         check_against_pair_poset(system, sp.poset, "springer pair poset")
-        slices, order, apex, what = springer_slices(sp)
-        _check_slices(system, slices, order, what)
-        per_slice, _ = slice_matching(system, sp.poset, slices, order, apex, what)
+        _check_slices(system, _oracle_slices(sp), order_for_springer(system, Jp, J),
+                      sp.what, sp)
     matching, summary = springer_matching(sp)
     if args.paranoid:
-        _compare_partners(sp.poset, matching, per_slice, sp.what)
         _rescan_unmatched(sp.poset, matching, summary)
     if args.format == "dot":
         _emit(args, poset_to_dot(sp.poset, matching.pairs))

@@ -9,43 +9,42 @@ unmatched cells then certifies contractibility of the realizing complex.
 The matching of [v, w0] is read only on the slice Z_v = P_v cap Q_v and
 on the supersets P_v and Q_v that it must preserve.
 
-One pass over blocks of rows of the candidate v (:func:`_slice_rows`)
-gives the rows of P_v, Q_v and Z_v, and on the same rows, in whole
-arrays (:func:`_block_pass`), the cells of Z and each cell's partner in
-its slice (:func:`cells.slice_partner_arrays`), whose preservation of
-P_v, Q_v and Z_v and involution are checked there.  Z is a lower set of
-the nesting poset of pairs (the totally nonnegative Springer fiber is a
-closed union of cells): its covers are the single steps between cells,
-found and checked by the step rule in whole arrays
-(:func:`cells.step_cover_arrays`), which proves that lower-set property
-and that every cover joins adjacent dims, so a cover across slices fixes
-w and moves v by one length.  The matched pairs must be covers and the
-apex the only unmatched cell.  Where an array test fails, the per-cell
-route (:func:`cells.ideal_poset`) and the per-slice route
-(:func:`springer_slices`, :func:`build_slices`,
-:func:`cells.slice_matching`) run on the same cells and name the
-failure.  :func:`cells.check_against_pair_poset` rebuilds Z by
+One pass over blocks of rows of the candidate v (:func:`_block_pass`)
+gives the rows of P_v, Q_v and Z_v (:func:`build_slices`, their one
+definition) and, on the same rows in whole arrays, the cells of Z and
+each cell's partner in its slice (:func:`cells.slice_partner_arrays`),
+checked there to preserve P_v, Q_v and Z_v and to be an involution.  Z
+is a lower set of the nesting poset of pairs (the totally nonnegative
+Springer fiber is a closed union of cells): its covers are the single
+steps between cells, found and checked by the step rule in whole arrays
+(:func:`cells.step_cover_arrays`), which proves that lower-set property;
+each joins adjacent dims, so a cover across slices fixes w and moves v
+by one length.  The matched pairs must be covers and the apex the only
+unmatched cell (:func:`cells.checked_matching`).  This is the only
+route: each array test names its own first failure, worded as for
+fibers, and a failure of the slices waits in
+:attr:`SpringerPoset.failure` for :func:`springer_matching`.
+:func:`cells.check_against_pair_poset` rebuilds Z by
 :func:`cells.pair_poset` as an oracle route.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import repeat
 from typing import Mapping
 
 import numpy as np
 
 from . import posets
-from .cells import (ideal_poset, pair_name, slice_matching, slice_partner_arrays,
-                    step_cover_arrays)
+from .cells import (_isolated, _not_an_involution, _not_preserved, checked_matching, pair_name,
+                    slice_partner_arrays, step_cover_arrays)
 from .cells import pair_poset  # noqa: F401  (perfbench patches springer.pair_poset)
 from .coxeter import CoxeterSystem
-from .errors import Falsification, NotMinimalCosetRep, OverlappingSubsets, TheoremFalsified
-from .matchings import Matching, MorseSummary, morse_counts, partner_table
+from .errors import CoxmorseError, OverlappingSubsets, TheoremFalsified
+from .matchings import Matching, MorseSummary, partner_table
 from .posets import FinitePoset
-from .reflection_orders import ReflectionOrder, order_for_springer
+from .reflection_orders import order_for_springer
 
 
 @dataclass(frozen=True)
@@ -55,8 +54,10 @@ class SpringerPoset:
     Jprime: frozenset[int]
     poset: FinitePoset   # its payload: the pairs (v, w)
     # the partner of each cell in the matching, as the block pass read it,
-    # or None where an array test of the slices failed
+    # or None where a test of the slices failed, and then that failure,
+    # which springer_matching raises
     partner: tuple[int, ...] | None = field(compare=False, repr=False)
+    failure: CoxmorseError | None = field(compare=False, repr=False)
 
     @property
     def members(self) -> tuple[tuple[int, int], ...]:
@@ -73,175 +74,161 @@ class SpringerPoset:
 
     @property
     def what(self) -> str:
-        return f"springer pair poset (J={sorted(self.J)}, J'={sorted(self.Jprime)})"
-
-    @cached_property
-    def slice_members(self) -> dict[int, list[int]]:
-        """The slice Z_v = {w : (v, w) in Z} of each v, ascending."""
-        out: dict[int, list[int]] = {}
-        for v, w in self.members:
-            out.setdefault(v, []).append(w)
-        for ws in out.values():
-            ws.sort()
-        return out
+        return _what(self.J, self.Jprime)
 
 
 def _apex(system: CoxeterSystem, Jprime) -> int:
     return system.mul(system.longest(Jprime), system.w0)
 
 
-def _slice_rows(system: CoxeterSystem, J, Jprime):
-    """(v, p, q, z) for blocks of the candidate v, those with every j in
-    J' a left ascent, of at most 1 MiB of unpacked rows each: row k of
-    the boolean arrays p, q and z over all of W is P_v, Q_v and
-    Z_v = P_v cap Q_v for v = v[k].  P_v is [v, w0] without the w with
-    s_j v <= w for a j in J', Q_v is [v, w0] without the w with
-    v <= s_i w for an i in J (which leaves only w with every i in J a
-    left descent).  Without conditions, P_v or Q_v is the row of
-    [v, w0] itself, and then z is the other."""
-    b, left, length = system.bruhat, system.left, system.length
-    v_ok = np.ones(system.size, dtype=bool)
+def build_slices(system: CoxeterSystem, J, Jprime,
+                 v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(p, q, z): row k of the boolean arrays p, q and z over all of W is
+    P_v, Q_v and Z_v = P_v cap Q_v for v = v[k], a v with every j in J'
+    a left ascent.  P_v is [v, w0] without the w with s_j v <= w for a j
+    in J', Q_v is [v, w0] without the w with v <= s_i w for an i in J
+    (which leaves only w with every i in J a left descent).  Without
+    conditions, P_v or Q_v is the row of [v, w0] itself, and then z is
+    the other."""
+    b, left = system.bruhat, system.left
+    above = b.rows(v)                                   # [k, w]: v_k <= w
+    p = above.copy() if Jprime else above
+    for j in Jprime:
+        np.greater(p, b.rows(left[v, j - 1]), out=p)    # and not s_j v_k <= w
+    q = above.copy() if J else above
+    for i in J:
+        np.greater(q, above[:, left[:, i - 1]], out=q)  # and not v_k <= s_i w
+    return p, q, (p & q if J and Jprime else q if J else p)
+
+
+def _block_pass(system: CoxeterSystem, J, Jprime, what: str):
+    """(v, w, mate, failure): the cells (v, w) of Z sorted by (v, w), the
+    partner (v, mate) of each in its slice's matching ((v, w) itself for
+    the apex cell, and past a failure), and the first failure of an array
+    test of the slices, or None.
+
+    The candidate v, those with every j in J' a left ascent, are taken in
+    blocks of at most 1 MiB of unpacked rows, each block's rows of P_v,
+    Q_v and Z_v from one :func:`build_slices` call.  The cells of a block
+    are counted first and kept only while n packed rows, the order that
+    the ``--paranoid`` oracle :func:`cells.check_against_pair_poset`
+    packs, fit ``posets.MAX_ORDER_BYTES``.  The partners of a kept block
+    are read from the :func:`matchings.partner_table` of
+    :func:`reflection_orders.order_for_springer`, built at the first kept
+    block (:func:`_block_mates`), until a block fails."""
+    n, apex, left, length = system.size, _apex(system, Jprime), system.left, system.length
+    v_ok = np.ones(n, dtype=bool)
     for j in Jprime:
         v_ok &= length[left[:, j - 1]] > length
     candidates = np.flatnonzero(v_ok)
-    step = max(1, (1 << 20) // system.size)
+    step = max(1, (1 << 20) // n)
+    table, failure, count, kept = None, None, 0, []
     for start in range(0, len(candidates), step):
         v = candidates[start:start + step]
-        above = b.rows(v)                                   # [k, w]: v_k <= w
-        p = above.copy() if Jprime else above
-        for j in Jprime:
-            np.greater(p, b.rows(left[v, j - 1]), out=p)    # and not s_j v_k <= w
-        q = above.copy() if J else above
-        for i in J:
-            np.greater(q, above[:, left[:, i - 1]], out=q)  # and not v_k <= s_i w
-        yield v, p, q, (p & q if J and Jprime else q if J else p)
-
-
-def _block_pass(system: CoxeterSystem, J, Jprime):
-    """(v, w, mate, sliced): the cells (v, w) of Z sorted by (v, w), the
-    partner (v, mate) of each in its slice's matching ((v, w) itself for
-    the apex cell), and whether every array test of the slices held.
-
-    The cells of each block of :func:`_slice_rows` are counted first and
-    kept only while n packed rows, the order that the ``--paranoid``
-    oracle :func:`cells.check_against_pair_poset` packs, fit
-    ``posets.MAX_ORDER_BYTES``.  The partners of a kept block are read
-    from the :func:`matchings.partner_table` of
-    :func:`reflection_orders.order_for_springer`, built at the first kept
-    block (:func:`_block_mates`)."""
-    n, apex = system.size, _apex(system, Jprime)
-    table, sliced, count, kept = None, True, 0, []
-    for v, p, q, z in _slice_rows(system, J, Jprime):
+        p, q, z = build_slices(system, J, Jprime, v)
         count += int(np.count_nonzero(z))
         if count * ((count + 7) // 8) > posets.MAX_ORDER_BYTES:
             continue
         k, w = np.divmod(np.flatnonzero(z), n)               # 2-D nonzero is slow
-        mate = None
-        if sliced:
+        mate = w
+        if failure is None:
             if table is None:
                 table = partner_table(system, order_for_springer(system, Jprime, J))
-            checked = [rows for rows, conditions in ((p, Jprime), (q, J)) if conditions]
-            mate = _block_mates(system, v, [*checked, z], table, apex, k, w)
-            sliced = mate is not None
-        kept.append((v[k], w, w if mate is None else mate))
+            checked = [(label, rows) for label, rows, conditions
+                       in (("P_v", p, Jprime), ("Q_v", q, J), ("slice", z, True)) if conditions]
+            mate, failure = _block_mates(system, v, checked, table, apex, k, w, what)
+        kept.append((v[k], w, mate))
     posets.check_order_size(count, "springer pair poset")
     if not kept:
-        return (np.zeros(0, dtype=np.intp),) * 3 + (sliced,)
+        return (np.zeros(0, dtype=np.intp),) * 3 + (failure,)
     v, w, mate = (np.concatenate(part) for part in zip(*kept))
-    return v, w, mate, sliced
+    return v, w, mate, failure
 
 
-def _block_mates(system: CoxeterSystem, v: np.ndarray, checked: list[np.ndarray],
-                 table: np.ndarray, apex: int, k: np.ndarray, w: np.ndarray):
-    """The partner of each cell (v[k], w) of one block, in the matching of
-    [v, w0] (:func:`cells.slice_partner_arrays`), w itself at the apex, or
-    None where an array test of the slices fails.  ``checked`` holds the
-    block's rows of P_v (unless J' is empty), Q_v (unless J is empty) and
-    Z_v.  Each checked y of each v but the apex gets its partner M(y); M
-    must preserve each checked set and be an involution there.  As in
-    :func:`springer_slices`, only the v with a nonempty slice are
+def _block_mates(system: CoxeterSystem, v: np.ndarray, checked: list[tuple[str, np.ndarray]],
+                 table: np.ndarray, apex: int, k: np.ndarray, w: np.ndarray, what: str):
+    """(mate, None): the partner of each cell (v[k], w) of one block in
+    the matching of [v, w0] (:func:`cells.slice_partner_arrays`), w
+    itself at the apex; or (w, failure) at the least v where an array
+    test of the slices fails.  At that v an isolated element comes
+    first, then the first checked set that the matching does not
+    preserve, then a break of the involution, each at its least y, as
+    :func:`cells.slice_matching` checks them.  ``checked`` holds the
+    block's labeled rows of P_v (unless J' is empty), Q_v (unless J is
+    empty) and Z_v.  Each checked y of each v but the apex gets its
+    partner M(y).  As for fibers, only the v with a nonempty slice are
     matched; a second cell of the apex slice is left unmatched, which
-    :func:`_checked_partners` refuses."""
-    n = system.size
+    :func:`springer_matching` refuses."""
+    n, w0 = system.size, system.w0
+    sets = [rows for _, rows in checked]
     # Z_v lies in P_v and in Q_v, so the first two sets hold every checked y
-    union = checked[0] | checked[1] if len(checked) == 3 else checked[0]
+    union = sets[0] | sets[1] if len(sets) == 3 else sets[0]
     r, y = np.divmod(np.flatnonzero(union), n)
-    matched = (checked[-1].any(axis=1) & (v != apex))[r]   # the apex slice is not matched
+    matched = (sets[-1].any(axis=1) & (v != apex))[r]      # the apex slice is not matched
     r, y = r[matched], y[matched]
     m = slice_partner_arrays(system, v[r], y, table)
-    if (m < 0).any():
-        return None
-    for rows in checked:
-        inside = rows[r, y]
-        if not rows[r[inside], m[inside]].all():
-            return None
-    # M(y) is checked too, so it is found among the ascending keys
     key = r * n + y
-    if (m[np.searchsorted(key, r * n + m)] != y).any():
-        return None
-    at_apex = v[k] == apex
-    mate = w.copy()
-    mate[~at_apex] = m[np.searchsorted(key, k[~at_apex] * n + w[~at_apex])]
-    return mate
+    # where the sets are preserved, M(y) is checked too and found among the keys
+    back = m.take(np.searchsorted(key, r * n + m), mode="clip")
+    tests = [m < 0, *(rows[r, y] & ~rows[r, m] for rows in sets), back != y]
+    failed = [(r[at], t, at) for t, bad in enumerate(tests) for at in np.flatnonzero(bad)[:1]]
+    if not failed:
+        at_apex = v[k] == apex
+        mate = w.copy()
+        mate[~at_apex] = m[np.searchsorted(key, k[~at_apex] * n + w[~at_apex])]
+        return mate, None
+    row, t, at = min(failed)                                # least v, then the test order
+    x = int(v[row])
+    if t == 0:
+        return w, _isolated(system, x, w0, int(y[at]))
+    if t <= len(sets):
+        return w, _not_preserved(system, x, w0, checked[t - 1][0], what)
+    return w, _not_an_involution(system, x, w0, (int(y[at]), int(m[at]), int(back[at])), what)
 
 
 def build_springer_poset(system: CoxeterSystem, J, Jprime) -> SpringerPoset:
     """Z from one block pass (:func:`_block_pass`): its cells numbered by
     (dimension l(w) - l(v), v, w) and its covers the single steps between
-    them (:func:`cells.step_cover_arrays`).  Where the arrays refuse the
-    cells, the per-cell route :func:`cells.ideal_poset` names why, and
-    if it passes them, :class:`Falsification` names both routes.  Both
-    ends of each cell are checked to lie in W^{J'}, and the matching's
-    partners to join covers with only the apex cell left unmatched."""
+    them (:func:`cells.step_cover_arrays`), each checked to join adjacent
+    dims.  Both ends of each cell are checked to lie in W^{J'}.  The
+    first failure of the slices is kept for :func:`springer_matching`: at
+    the least v, a cell whose partner (v, mate) is no cell, else the
+    block pass's.  Without one, the partner of each cell is the number
+    of its (v, mate)."""
     J = system.check_subset(J)
     Jprime = system.check_subset(Jprime)
     if J & Jprime:
         raise OverlappingSubsets(f"J and J' overlap: {sorted(J & Jprime)}")
-    what = "springer pair poset"
-    v, w, mate, sliced = _block_pass(system, J, Jprime)
+    what = _what(J, Jprime)
+    v, w, mate, failure = _block_pass(system, J, Jprime, what)
     n, length = system.size, system.length
     key, dims = v * n + w, length[w] - length[v]             # key ascending
     by = np.argsort(dims, kind="stable")                     # (dim, v, w)
     v, w, mate, dims = v[by], w[by], mate[by], dims[by]
-    steps = step_cover_arrays(system, v, w)
-    if steps is None:
-        ideal_poset(system, list(zip(v.tolist(), w.tolist())), what)
-        raise Falsification(f"the array step rule refuses the {what} (J={sorted(J)}, "
-                            f"J'={sorted(Jprime)}), but the per-cell route passes it")
-    lo, hi = steps
+    lo, hi = step_cover_arrays(system, v, w, "springer pair poset")
     members = tuple(zip(v.tolist(), w.tolist()))
     ids = np.arange(len(v)).astype(object)   # one int object per cell, shared by the covers
     poset = FinitePoset(tuple(dims.tolist()), None,
                         tuple(zip(ids[lo].tolist(), ids[hi].tolist(), repeat(None))),
                         members, dict(zip(members, ids.tolist())),
                         lambda pair: pair_name(system, pair))
+    poset.graded_adjacency   # raises at a cover that skips a dim
     _check_membership_invariants(system, Jprime, v, w)
-    partner = None
     to = np.searchsorted(key, v * n + mate)
-    if sliced and (key.take(to, mode="clip") == v * n + mate).all():   # (v, mate) are cells
-        rank = np.empty_like(by)
-        rank[by] = np.arange(len(by))
-        partner = _checked_partners(poset, rank[to], lo, hi, _apex(system, Jprime))
-    return SpringerPoset(system, J, Jprime, poset, partner)
+    lost = v[key.take(to, mode="clip") != v * n + mate]      # (v, mate) is no cell
+    if lost.size:   # so the cells at v are not the slice Z_v
+        failure = TheoremFalsified(f"slice Z_v at v={system.word_str(int(lost.min()))} is not "
+                                   f"the intersection of P_v and Q_v (J={sorted(J)}, "
+                                   f"J'={sorted(Jprime)})")
+    if failure is not None:
+        return SpringerPoset(system, J, Jprime, poset, None, failure)
+    rank = np.empty_like(by)
+    rank[by] = np.arange(len(by))
+    return SpringerPoset(system, J, Jprime, poset, tuple(rank[to].tolist()), None)
 
 
-def _checked_partners(poset: FinitePoset, partner: np.ndarray, lo: np.ndarray,
-                      hi: np.ndarray, apex: int) -> tuple[int, ...] | None:
-    """``partner`` as a tuple if each matched pair is a cover (lo, hi) of
-    ``poset`` and the apex cell is the only one matched to itself, else
-    None.  A matched pair lies in one slice, so its lower end has the
-    lower dim and the smaller number."""
-    cell = np.arange(poset.n)
-    a, b = np.minimum(cell, partner), np.maximum(cell, partner)
-    matched = a < b
-    pairs = a[matched] * poset.n + b[matched]
-    # the keys lo n + hi of the covers, ascending, then one past every pair
-    covers = np.append(lo * poset.n + hi, poset.n ** 2)
-    if (covers[np.searchsorted(covers, pairs)] != pairs).any():
-        return None
-    if np.flatnonzero(~matched).tolist() != [poset.index.get((apex, apex))]:
-        return None
-    return tuple(partner.tolist())
+def _what(J, Jprime) -> str:
+    return f"springer pair poset (J={sorted(J)}, J'={sorted(Jprime)})"
 
 
 def _check_membership_invariants(system: CoxeterSystem, Jprime, v: np.ndarray,
@@ -249,9 +236,8 @@ def _check_membership_invariants(system: CoxeterSystem, Jprime, v: np.ndarray,
     """Both ends of every cell (v[k], w[k]) lie in W^{J'}, the minimal
     left coset representatives of J' (the lifting property): neither has
     a left descent in J'.  The covers need no check here: the step rule
-    makes only covers that fix w or fix v, and has proved that each
-    joins adjacent dims, so a cover across slices fixes w and moves v by
-    one length."""
+    makes only covers that fix w or fix v, each proved to join adjacent
+    dims, so a cover across slices fixes w and moves v by one length."""
     bits = system.left_descent_bits
     mask = sum(1 << (j - 1) for j in Jprime)
     bad = np.flatnonzero((bits[v] | bits[w]) & mask)
@@ -263,76 +249,15 @@ def _check_membership_invariants(system: CoxeterSystem, Jprime, v: np.ndarray,
         )
 
 
-def build_slices(sp: SpringerPoset, v: int) -> tuple[list[int], list[int], list[int]]:
-    """The slice Z_v = {w : (v, w) in Z} together with the supersets
-    P_v (ascent conditions for J') and Q_v (descent conditions for J);
-    Z_v = P_v cap Q_v is checked.  P_v (for J' empty) and Q_v (for J
-    empty) are all of [v, w0], as they start from it and no condition
-    removes an element."""
-    system = sp.system
-    if system.descents(v, "left") & sp.Jprime:
-        raise NotMinimalCosetRep(
-            f"{system.word_str(v)} has a left descent in J'={sorted(sp.Jprime)}"
-        )
-    b, left = system.bruhat, system.left
-    above = b.rows(v)
-    p_v = above.copy() if sp.Jprime else above
-    for j in sp.Jprime:
-        np.greater(p_v, b.rows(left[v, j - 1]), out=p_v)   # and not s_j v <= w
-    q_v = above.copy() if sp.J else above
-    for i in sp.J:
-        np.greater(q_v, above[left[:, i - 1]], out=q_v)    # and not v <= s_i w
-    z_v = sp.slice_members.get(v, [])
-    if z_v != (p_v & q_v).nonzero()[0].tolist():
-        raise TheoremFalsified(
-            f"slice Z_v at v={system.word_str(v)} is not the intersection of P_v and Q_v "
-            f"(J={sorted(sp.J)}, J'={sorted(sp.Jprime)})"
-        )
-    return z_v, p_v.nonzero()[0].tolist(), q_v.nonzero()[0].tolist()
-
-
-def springer_slices(sp: SpringerPoset) -> tuple[list[tuple], ReflectionOrder, int, str]:
-    """What :func:`cells.slice_matching` assembles the matching on Z from:
-    the slices, the reflection order, the apex cell and the poset's name.
-
-    Each v with a nonempty slice, except the apex, gives the slice
-    (v, w0, subsets, Z_v) of [v, w0], under a reflection order with
-    T cap W_J' first and T cap W_J last
-    (:func:`reflection_orders.order_for_springer`).  The subsets are P_v
-    unless J' is empty and Q_v unless J is empty: the other is all of
-    [v, w0] (:func:`build_slices`).  The apex slice must be the singleton
-    {w_J' w0}."""
-    system = sp.system
-    order = order_for_springer(system, sp.Jprime, sp.J)
-    apex = sp.apex
-    if (apex, apex) not in sp.index:
-        raise TheoremFalsified("apex pair is missing from the pair poset")
-    slices = []
-    for v in sorted(sp.slice_members):
-        z_v, p_v, q_v = build_slices(sp, v)
-        if v != apex:
-            subsets = [(label, subset) for label, subset, conditions
-                       in (("P_v", p_v, sp.Jprime), ("Q_v", q_v, sp.J)) if conditions]
-            slices.append((v, system.w0, subsets, z_v))
-        elif z_v != [apex]:
-            raise TheoremFalsified(
-                f"apex slice is not a singleton: {[system.word_str(w) for w in z_v]}"
-            )
-    return slices, order, sp.index[(apex, apex)], sp.what
-
-
 def springer_matching(sp: SpringerPoset) -> tuple[Matching, MorseSummary]:
     """The matching on Z with the partners of the block pass
-    (:attr:`SpringerPoset.partner`), checked acyclic with the Euler
-    characteristic by :func:`matchings.morse_counts`.  Where an array
-    test of the slices failed, the per-slice route assembles it instead
-    from the matchings of [v, w0] read on P_v, Q_v and Z_v
-    (:func:`springer_slices`, :func:`cells.slice_matching`) to name the
-    failure, and if it passes, :class:`Falsification` names both
-    routes."""
-    if sp.partner is None:
-        slice_matching(sp.system, sp.poset, *springer_slices(sp))
-        raise Falsification(f"the array route fails the slices of the {sp.what}, "
-                            f"but the per-slice route passes them")
-    matching = Matching(sp.poset, sp.partner)
-    return matching, morse_counts(sp.poset, matching)
+    (:attr:`SpringerPoset.partner`), checked by
+    :func:`cells.checked_matching` as the matching of a fiber is: the
+    apex is the only unmatched cell, so the apex slice is {w_J' w0}.
+    Where a test of the slices failed, that failure
+    (:attr:`SpringerPoset.failure`) is raised instead."""
+    if sp.failure is not None:
+        raise sp.failure
+    if (sp.apex, sp.apex) not in sp.index:
+        raise TheoremFalsified("apex pair is missing from the pair poset")
+    return checked_matching(sp.poset, sp.partner, sp.index[(sp.apex, sp.apex)], sp.what)

@@ -65,9 +65,9 @@ def drop_e_e_from_the_block_pass(monkeypatch):
     real = springer._block_pass
 
     def dropped(*args):
-        v, w, mate, sliced = real(*args)
+        v, w, mate, failure = real(*args)
         keep = (v != 0) | (w != 0)
-        return v[keep], w[keep], mate[keep], sliced
+        return v[keep], w[keep], mate[keep], failure
 
     monkeypatch.setattr(springer, "_block_pass", dropped)
 
@@ -89,21 +89,19 @@ def test_cli_exits_as_falsification_on_a_dropped_springer_cell(system, monkeypat
     assert out.err == f"FALSIFIED: {message}\n"
 
 
-def test_a_cell_that_only_the_arrays_drop_fails_naming_both_routes(system, monkeypatch,
-                                                                  capsys):
+def test_a_cell_that_the_array_step_rule_misses_is_named_by_it(system, monkeypatch, capsys):
     # the array step rule looks the lower covers up among the cells but
-    # (e, e); the per-cell route, on the same cells, passes them
+    # (e, e), and names the first cell above it, as for a dropped cell
     s = system("A3")
+    message = a3_springer_drop(s)
     real = cells.step_cover_arrays
 
-    def dropped(system, v, w):
+    def dropped(system, v, w, what):
         keep = (v != 0) | (w != 0)
-        return real(system, v[keep], w[keep])
+        return real(system, v[keep], w[keep], what)
 
     monkeypatch.setattr(springer, "step_cover_arrays", dropped)
-    message = ("the array step rule refuses the springer pair poset (J=[], J'=[]), "
-               "but the per-cell route passes it")
-    with pytest.raises(Falsification, match=re.escape(message)):
+    with pytest.raises(TheoremFalsified, match=re.escape(message)):
         build_springer_poset(s, set(), set())
     code = main(["springer", "--group", "A3", "--J", "{}", "--Jprime", "{}"])
     out = capsys.readouterr()

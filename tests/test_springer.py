@@ -1,5 +1,6 @@
 """Springer pair posets: membership, slices, coset pieces, certificates."""
 
+import dataclasses
 import re
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from coxmorse import cells, cli, springer
+from coxmorse.cells import pair_name
 from coxmorse.cli import main
 from coxmorse.errors import (
     CyclicMatching,
@@ -21,14 +23,9 @@ from coxmorse.matchings import Matching, partner_table
 from coxmorse.oracles import oracle_coset_piece, oracle_slice_partners, oracle_springer_member
 from coxmorse.posets import euler_characteristic, is_pure
 from coxmorse.reflection_orders import ReflectionOrder, order_for_springer, shortlex_order
-from coxmorse.springer import (
-    build_slices,
-    build_springer_poset,
-    springer_matching,
-    springer_slices,
-)
+from coxmorse.springer import build_slices, build_springer_poset, springer_matching
 from coxmorse.verify import disjoint_pairs
-from helpers import b3_with_a_cover_across_dims, plant_in_partner_table, with_members
+from helpers import b3_with_a_cover_across_dims, plant_in_partner_table, springer_slices
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -80,26 +77,70 @@ def test_membership_conditions(system):
             assert not s.bruhat_leq(sv, w)
 
 
-def test_slices(system):
+def candidates(s, Jp):
+    """The v with every j in J' a left ascent: those whose rows the block
+    pass builds."""
+    return [v for v in range(s.size) if not s.descents(v, "left") & frozenset(Jp)]
+
+
+def rows_at(s, J, Jp, v):
+    """(Z_v, P_v, Q_v) of :func:`build_slices` at one v, ascending."""
+    p, q, z = build_slices(s, frozenset(J), frozenset(Jp), [v])
+    return tuple(np.flatnonzero(rows[0]).tolist() for rows in (z, p, q))
+
+
+def block_rows(monkeypatch):
+    """Record (v, p, q, z) of every :func:`springer.build_slices` call of
+    the block pass."""
+    real, blocks = springer.build_slices, []
+
+    def recorded(system, J, Jp, v):
+        blocks.append((v, *real(system, J, Jp, v)))
+        return blocks[-1][1:]
+
+    monkeypatch.setattr(springer, "build_slices", recorded)
+    return blocks
+
+
+def assert_rows_match_the_oracle(s, J, Jp, blocks, seen):
+    """Row k of each block's p, q and z holds the w that
+    :func:`oracles.oracle_springer_member` admits with v[k] for (∅, J'),
+    (J, ∅) and (J, J'): Z_v is P_v ∩ Q_v, and a row of P_v (Q_v) is
+    compared once per (J', v) ((J, v)) in ``seen``."""
+    empty = frozenset()
+    for v, p, q, z in blocks:
+        assert np.array_equal(z, p & q), (J, Jp)
+        for rows, conditions in ((p, (empty, frozenset(Jp))), (q, (frozenset(J), empty))):
+            for k, x in enumerate(v.tolist()):
+                if (conditions, x) not in seen:
+                    seen.add((conditions, x))
+                    want = [w for w in range(s.size)
+                            if oracle_springer_member(s, x, w, *conditions)]
+                    assert np.flatnonzero(rows[k]).tolist() == want, (J, Jp, x)
+
+
+def test_slices(system, monkeypatch):
     s = system("A2")
-    sp = build_springer_poset(s, set(), set())
-    z_v, p_v, q_v = build_slices(sp, 0)
+    z_v, p_v, q_v = rows_at(s, set(), set(), 0)
     everything = sorted(range(s.size))
     assert z_v == p_v == q_v == everything  # vacuous conditions give [e, w0]
 
-    sp = build_springer_poset(s, {1}, set())
-    z_e, p_e, q_e = build_slices(sp, 0)
+    z_e, p_e, q_e = rows_at(s, {1}, set(), 0)
     # brute force: Q_e = {w : e not<= s1 w} is empty since e <= everything
     assert q_e == [] and z_e == []
 
     # apex slice is a singleton
     a3 = system("A3")
-    sp3 = build_springer_poset(a3, {1}, {3})
-    apex = sp3.apex
-    z_a, _, _ = build_slices(sp3, apex)
+    apex = build_springer_poset(a3, {1}, {3}).apex
+    z_a, _, _ = rows_at(a3, {1}, {3}, apex)
     assert z_a == [apex]
-    with pytest.raises(NotMinimalCosetRep):
-        build_slices(sp3, a3.simple(3))  # has a left descent in J'
+    # the block pass builds the rows of every candidate v, and of no v
+    # with a left descent in J'
+    blocks = block_rows(monkeypatch)
+    build_springer_poset(a3, {1}, {3})
+    assert [x for v, *_ in blocks for x in v.tolist()] == candidates(a3, {3})
+    assert a3.simple(3) not in candidates(a3, {3})
+    assert_rows_match_the_oracle(a3, {1}, {3}, blocks, set())
 
 
 def test_coset_pieces_partition(system):
@@ -113,15 +154,19 @@ def test_coset_pieces_partition(system):
         oracle_coset_piece(s, 0, s.simple(1), {1})
 
 
-def test_coset_piece_membership_rule(system):
+def test_coset_piece_membership_rule(system, monkeypatch):
     # x lies in Q_v iff its whole coset piece is the singleton top element
     s = system("A3")
     J = frozenset({2})
-    sp = build_springer_poset(s, J, frozenset())
+    blocks = block_rows(monkeypatch)
+    build_springer_poset(s, J, frozenset())
+    assert_rows_match_the_oracle(s, J, (), blocks, set())
+    q_rows = {x: set(np.flatnonzero(row).tolist())
+              for v, _, q, _ in blocks for x, row in zip(v.tolist(), q)}
+    assert sorted(q_rows) == list(range(s.size))
     w_j = s.longest(J)
     for v in range(s.size):
-        _, _, q_v = build_slices(sp, v)
-        got = set(q_v)
+        got = q_rows[v]
         alt = set()
         for w in s.parabolic(J).min_left:
             piece = oracle_coset_piece(s, v, w, J)
@@ -204,14 +249,25 @@ def test_members_match_the_per_pair_oracle(system, name):
         assert len(sp.members) == len(want)
 
 
-def test_build_slices_rejects_a_dropped_member(system):
+def test_a_dropped_maximal_cell_is_named_by_its_slice(system, monkeypatch):
+    # without a cell that nothing covers, Z is still a lower set, but the
+    # cell's partner in its slice is no cell: the slice is not P_v cap Q_v
     s = system("A3")
     sp = build_springer_poset(s, {1}, {3})
-    v, w = next(p for p in sp.members if p != (sp.apex, sp.apex))
-    dropped = with_members(sp, tuple(p for p in sp.members if p != (v, w)))
-    message = f"slice Z_v at v={s.word_str(v)} is not the intersection of P_v and Q_v"
-    with pytest.raises(TheoremFalsified, match=re.escape(message)):
-        build_slices(dropped, v)
+    covered = {lo for lo, _, _ in sp.poset.covers}
+    maximal = [p for k, p in enumerate(sp.members) if k not in covered and p != (sp.apex, sp.apex)]
+    assert len(maximal) > 1
+    real = springer._block_pass
+    for x, y in maximal:
+        def dropped(*args):
+            v, w, mate, failure = real(*args)
+            keep = (v != x) | (w != y)
+            return v[keep], w[keep], mate[keep], failure
+
+        monkeypatch.setattr(springer, "_block_pass", dropped)
+        message = f"slice Z_v at v={s.word_str(x)} is not the intersection of P_v and Q_v"
+        with pytest.raises(TheoremFalsified, match=re.escape(message)):
+            springer_matching(build_springer_poset(s, {1}, {3}))
 
 
 def swap_across_slice(members):
@@ -231,9 +287,10 @@ def swap_across_slice(members):
     return faulty
 
 
-def swap_across_slice_arrays(members):
+def swap_across_slice_arrays(members, swapped=None):
     """slice_partner_arrays with the partners swapped as by
-    :func:`swap_across_slice`, for the pairs of each base x."""
+    :func:`swap_across_slice`, for the pairs of each base x; each base
+    and the element c outside its slice are appended to ``swapped``."""
     real = cells.slice_partner_arrays
 
     def faulty(system, x, y, table):
@@ -245,14 +302,16 @@ def swap_across_slice_arrays(members):
             if outside:
                 a, c = next(k for k in at.tolist() if y[k] == min(inside)), outside[0]
                 m[a], m[c] = m[c], m[a]
+                if swapped is not None:
+                    swapped.append((base, int(y[c])))
         return m
 
     return faulty
 
 
 def per_slice_matching(sp):
-    """The matching of the per-slice route (:func:`springer_slices`,
-    :func:`cells.slice_matching`)."""
+    """The matching that the fibers' per-slice route
+    (:func:`cells.slice_matching`) gives the slices of ``sp``."""
     return cells.slice_matching(sp.system, sp.poset, *springer_slices(sp))
 
 
@@ -320,33 +379,45 @@ def test_slice_matching_rejects_partners_that_are_not_an_involution(system, monk
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "A4", "D4"])
-def test_the_array_route_gives_what_the_per_cell_and_per_slice_routes_give(system, name):
+def test_the_array_route_gives_what_the_per_cell_route_and_the_oracles_give(system, monkeypatch,
+                                                                            name):
     s = system(name)
+    blocks, seen = block_rows(monkeypatch), set()
     for J, Jp in disjoint_pairs(s.rank):
+        blocks.clear()
         sp = build_springer_poset(s, J, Jp)
         ideal = cells.ideal_poset(s, sp.members, "springer pair poset")
         assert ideal.payload == sp.members and ideal.dims == sp.poset.dims, (J, Jp)
         assert ideal.covers == sp.poset.covers, (J, Jp)
-        # every candidate v: (Z_v, P_v, Q_v) of the block rows and of build_slices
-        for v, p, q, z in springer._slice_rows(s, sp.J, sp.Jprime):
-            for k, x in enumerate(v.tolist()):
-                rows = tuple(np.flatnonzero(r[k]).tolist() for r in (z, p, q))
-                assert rows == build_slices(sp, x), (J, Jp, x)
-        assert sp.partner is not None
+        # every candidate v: the block rows of P_v, Q_v and Z_v are the oracle's
+        assert [x for v, *_ in blocks for x in v.tolist()] == candidates(s, Jp)
+        assert_rows_match_the_oracle(s, J, Jp, blocks, seen)
+        assert sp.partner is not None and sp.failure is None
         matching, summary = springer_matching(sp)
         per_slice, per_slice_summary = per_slice_matching(sp)
         assert matching.partner == per_slice.partner, (J, Jp)
         assert summary.unmatched == per_slice_summary.unmatched == (sp.index[(sp.apex, sp.apex)],)
 
 
-def test_a_partner_that_only_the_arrays_swap_fails_naming_both_routes(system, monkeypatch,
-                                                                     capsys):
-    sp = build_springer_poset(system("A3"), {1}, {3})
-    monkeypatch.setattr(springer, "slice_partner_arrays", swap_across_slice_arrays(sp.members))
-    message = ("the array route fails the slices of the springer pair poset (J=[1], J'=[3]), "
-               "but the per-slice route passes them")
-    with pytest.raises(Falsification, match=re.escape(message)):
-        springer_matching(build_springer_poset(system("A3"), {1}, {3}))
+def not_preserved(s, label, x):
+    name = s.word_str
+    return (f"{label} at {name(x)} is not preserved by the matching of [{name(x)}, "
+            f"{name(s.w0)}] in the springer pair poset (J=[1], J'=[3])")
+
+
+def test_a_partner_swapped_across_the_slice_is_named_by_the_arrays(system, monkeypatch, capsys):
+    # c outside Z_x lies in P_x or in Q_x, and M(c), the new partner of a
+    # cell, lies in the same one, so the other set is not preserved
+    s = system("A3")
+    sp = build_springer_poset(s, {1}, {3})
+    swapped = []
+    monkeypatch.setattr(springer, "slice_partner_arrays",
+                        swap_across_slice_arrays(sp.members, swapped))
+    with pytest.raises(TheoremFalsified) as exc:
+        springer_matching(build_springer_poset(s, {1}, {3}))
+    x, c = swapped[0]
+    message = not_preserved(s, "Q_v" if c in rows_at(s, {1}, {3}, x)[1] else "P_v", x)
+    assert str(exc.value) == message
     code = main(["springer", "--group", "A3", "--J", "{1}", "--Jprime", "{3}"])
     out = capsys.readouterr()
     assert code == 3 and out.out == ""
@@ -354,30 +425,33 @@ def test_a_partner_that_only_the_arrays_swap_fails_naming_both_routes(system, mo
 
 
 # Plants in the partners M of one base x (m[pos[y]] = M(y)), given Z_x,
-# P_x, Q_x and the lengths; each returns True where it fits.  Each keeps
-# every array test but one.
+# P_x, Q_x and the lengths; each returns, where it fits, the elements
+# that the failure it causes names.  Each keeps every array test but one.
 
 def cross(m, pos, a, c):
     """a-b and c-d become a-d and c-b."""
     b, d = m[pos[a]], m[pos[c]]
     m[pos[a]], m[pos[d]], m[pos[c]], m[pos[b]] = d, a, b, c
+    return a, b, c, d
 
 
 def cross_p_v_with_q_v(m, pos, z, p, q, length):
-    # a in P_x minus Q_x, c in Q_x minus P_x: neither set is preserved
+    # a in P_x minus Q_x, c in Q_x minus P_x: M(a) leaves P_x first
     only_p, only_q = sorted(set(p) - set(q)), sorted(set(q) - set(p))
     if only_p and only_q:
-        cross(m, pos, only_p[0], only_q[0])
-        return True
+        return cross(m, pos, only_p[0], only_q[0])
 
 
 def break_the_involution(m, pos, z, p, q, length):
-    # M(a) moves to another pair of Q_x minus P_x, so M(M(a)) != a
+    # M(a) moves to another pair of Q_x minus P_x, so M(M(a)) != a, and
+    # M(M(b)) != b for b the old M(a): the lesser of a and b is named
     only_q = sorted(set(q) - set(p))
     if len(only_q) >= 4:
         a = only_q[0]
-        m[pos[a]] = next(c for c in only_q if c not in (a, m[pos[a]]))
-        return True
+        b = int(m[pos[a]])
+        m[pos[a]] = next(c for c in only_q if c not in (a, b))
+        y = min(a, b)
+        return y, int(m[pos[y]]), int(m[pos[int(m[pos[y]])]])
 
 
 def match_across_two_lengths(m, pos, z, p, q, length):
@@ -385,21 +459,41 @@ def match_across_two_lengths(m, pos, z, p, q, length):
     lows = [y for y in z if m[pos[y]] > y]
     steps = [(a, c) for a in lows for c in lows if length[c] == length[a] + 1]
     if steps:
-        cross(m, pos, *steps[0])
-        return True
+        return cross(m, pos, *steps[0])
 
 
 def leave_a_pair_unmatched(m, pos, z, p, q, length):
     a = z[0]
-    b = m[pos[a]]
+    b = int(m[pos[a]])
     m[pos[a]], m[pos[b]] = a, b
-    return True
+    return a, b
+
+
+def planted_failure(plant, sp, x, got):
+    """The failure that ``plant`` causes at the base x, from what it
+    returned."""
+    s, name = sp.system, sp.system.word_str
+    where = f"[{name(x)}, {name(s.w0)}] in the springer pair poset (J=[1], J'=[3])"
+    cell = lambda y: pair_name(s, (x, y))  # noqa: E731
+    if plant is cross_p_v_with_q_v:
+        return TheoremFalsified, not_preserved(s, "P_v", x)
+    if plant is break_the_involution:
+        y, mate, back = map(name, got)
+        return NotAMatching, (f"edge selection is not an involution at {y}: {y} -> {mate} -> "
+                              f"{back} in {where}")
+    if plant is match_across_two_lengths:
+        a, _, _, d = got
+        return TheoremFalsified, (f"matched pair {cell(a)} -- {cell(d)} is not a cover of the "
+                                  f"springer pair poset (J=[1], J'=[3])")
+    unmatched = sorted({sp.index[(sp.apex, sp.apex)], *(sp.index[(x, y)] for y in got)})
+    return TheoremFalsified, (f"unmatched cells of the springer pair poset (J=[1], J'=[3]) are "
+                              f"{[sp.poset.names[k] for k in unmatched]}, expected only "
+                              f"{sp.poset.names[sp.index[(sp.apex, sp.apex)]]}")
 
 
 @pytest.mark.parametrize("plant", [cross_p_v_with_q_v, break_the_involution,
                                    match_across_two_lengths, leave_a_pair_unmatched])
-def test_a_fault_in_the_array_partners_alone_fails_naming_both_routes(system, monkeypatch,
-                                                                     plant):
+def test_a_fault_in_the_array_partners_is_named_by_the_arrays(system, monkeypatch, plant):
     s = system("A3")
     sp = build_springer_poset(s, {1}, {3})
     real = cells.slice_partner_arrays
@@ -410,22 +504,24 @@ def test_a_fault_in_the_array_partners_alone_fails_naming_both_routes(system, mo
         for base in sorted(set(x.tolist())):
             at = np.flatnonzero(x == base).tolist()
             pos = dict(zip(y[at].tolist(), at))
-            if not planted and plant(m, pos, *build_slices(sp, base), s.length):
-                planted.append(base)
+            if not planted:
+                got = plant(m, pos, *rows_at(s, {1}, {3}, base), s.length)
+                if got is not None:
+                    planted.append((base, got))
         return m
 
     monkeypatch.setattr(springer, "slice_partner_arrays", faulty)
-    message = ("the array route fails the slices of the springer pair poset (J=[1], J'=[3]), "
-               "but the per-slice route passes them")
-    with pytest.raises(Falsification, match=re.escape(message)):
+    with pytest.raises(Falsification) as exc:
         springer_matching(build_springer_poset(s, {1}, {3}))
-    assert planted
+    (x, got), = planted
+    kind, message = planted_failure(plant, sp, x, got)
+    assert type(exc.value) is kind and str(exc.value) == message
 
 
 def test_cli_exits_as_falsification_on_a_partner_outside_the_slice(system, monkeypatch,
                                                                   capsys):
-    # planted in both routes: the array route fails, and the per-slice
-    # route names the failure
+    # the arrays name the failure; the per-slice reader, swapped alike, is
+    # not run without --paranoid
     sp = build_springer_poset(system("A3"), {1}, {3})
     monkeypatch.setattr(springer, "slice_partner_arrays", swap_across_slice_arrays(sp.members))
     monkeypatch.setattr(cells, "slice_partners", swap_across_slice(sp.members))
@@ -439,12 +535,16 @@ def test_cli_exits_as_falsification_on_a_partner_outside_the_slice(system, monke
 def test_slice_partners_match_the_full_interval_oracle(system, name):
     s = system(name)
     for J, Jp in disjoint_pairs(s.rank):
-        slices, order, _, _ = springer_slices(build_springer_poset(s, J, Jp))
+        sp = build_springer_poset(s, J, Jp)
+        slices, order, _, _ = springer_slices(sp)
         rows = partner_table(s, order).tolist()
-        for x, top, _, _ in slices:
+        for x, top, _, z_x in slices:
             want = oracle_slice_partners(s, x, top, order)
             got = cells.slice_partners(s, x, top, want, rows)
             assert got == want, (J, Jp, x)
+            # the partner that the block pass gives each cell of the slice
+            block = [sp.members[sp.partner[sp.index[(x, y)]]] for y in z_x]
+            assert block == [(x, want[y]) for y in z_x], (J, Jp, x)
 
 
 def test_fiber_slice_partners_match_the_full_interval_oracle(system, a3_fibers):
@@ -529,7 +629,7 @@ def test_a_wrong_down_cover_label_is_falsified_naming_the_slice(system, monkeypa
     s = system("A3")
     x, y, u = matched_down_cover(s, {1}, {3})
     plant_in_partner_table(monkeypatch, [cells, cli, springer], u, y)
-    order = springer_slices(build_springer_poset(s, {1}, {3}))[1]
+    order = order_for_springer(s, frozenset({3}), frozenset({1}))
     assert (cells.partner_table(s, order) != partner_table(s, order)).any()
     code, err = run_springer_on(monkeypatch, capsys, s, "{1}", "{3}", *flags)
     assert code == 3 and err.startswith("FALSIFIED: ")
@@ -569,43 +669,75 @@ def test_two_swapped_entries_of_a_table_row_are_falsified_naming_the_slice(
 
 
 def test_paranoid_springer_builds_each_slice_once(system, monkeypatch, capsys):
-    # the slice-oracle comparison and the matching share one set of slices;
-    # the report is the golden one
+    # the block pass builds the rows of every candidate v once, in one
+    # block, and the slice oracle those of each slice but the apex's once
+    # more; the report is the golden one
     s = system("A4")
+    sp = build_springer_poset(s, {2}, {3})
     argv = ["springer", "--group", "A4", "--J", "{2}", "--Jprime", "{3}", "--format", "json"]
-    assert main(argv) == 0
-    plain = capsys.readouterr()
     calls = []
     build = springer.build_slices
-    monkeypatch.setattr(springer, "build_slices", lambda sp, v: calls.append(v) or build(sp, v))
+
+    def counted(system, J, Jp, v):
+        calls.append(list(v))
+        return build(system, J, Jp, v)
+
+    for module in (springer, cli):
+        monkeypatch.setattr(module, "build_slices", counted)
     monkeypatch.setattr(cli, "_system_from_args", lambda args: s)
+    assert main(argv) == 0
+    plain = capsys.readouterr()
+    assert calls == [candidates(s, {3})]
+    calls.clear()
     assert main([*argv, "--paranoid"]) == 0
     assert capsys.readouterr() == plain
     assert plain.out.encode() == (GOLDEN / "springer_A4_J2_Jp3.json").read_bytes()
-    assert sorted(calls) == sorted(build_springer_poset(s, {2}, {3}).slice_members)
+    slices = sorted({v for v, _ in sp.members} - {sp.apex})
+    assert calls == [candidates(s, {3})] + [[v] for v in slices]
 
 
 def test_paranoid_springer_names_the_first_cell_whose_partners_differ(system, monkeypatch,
                                                                      capsys):
-    # the array route's matched pairs a-b and c-d are planted as a-d and c-b
+    # the block pass's matched pairs a-b and c-d are planted as a-d and c-b
     s = system("A3")
-    real = springer.springer_matching
+    real = springer.build_springer_poset
     crossed = []
 
-    def planted(sp):
-        matching, summary = real(sp)
-        partner = list(matching.partner)
-        (a, b), (c, d) = matching.pairs[:2]
+    def planted(*args):
+        sp = real(*args)
+        partner = list(sp.partner)
+        (a, b), (c, d) = Matching(sp.poset, sp.partner).pairs[:2]
         partner[a], partner[b], partner[c], partner[d] = d, c, b, a
         crossed.append((sp.poset.names, a, b, d))
-        return Matching(sp.poset, tuple(partner)), summary
+        return dataclasses.replace(sp, partner=tuple(partner))
 
-    monkeypatch.setattr(cli, "springer_matching", planted)
+    monkeypatch.setattr(cli, "build_springer_poset", planted)
     code, err = run_springer_on(monkeypatch, capsys, s, "{1}", "{3}", "--paranoid")
     (names, a, b, d), = crossed
     assert (code, err) == (3, f"FALSIFIED: the matching of the springer pair poset (J=[1], "
-                              f"J'=[3]) disagrees with the per-slice route at {names[a]}: "
+                              f"J'=[3]) disagrees with the full-interval oracle at {names[a]}: "
                               f"partner {names[d]} against {names[b]}\n")
+
+
+def test_a_row_of_pads_at_a_cell_is_named_by_the_arrays(system, monkeypatch, capsys):
+    # y, the end of a cell, has no edge in the table: the least v whose
+    # slice checks y names it
+    s = system("A3")
+    slices = springer_slices(build_springer_poset(s, {1}, {3}))[0]
+    y = slices[0][3][0]
+    first = min(x for x, _, subsets, z_x in slices
+                if y in {*z_x, *(e for _, subset in subsets for e in subset)})
+    real = partner_table
+
+    def padded(system, order):
+        table = real(system, order)
+        table[y] = system.size
+        return table
+
+    monkeypatch.setattr(springer, "partner_table", padded)
+    code, err = run_springer_on(monkeypatch, capsys, s, "{1}", "{3}")
+    assert (code, err) == (3, f"FALSIFIED: isolated element {s.word_str(y)} in the Hasse diagram "
+                              f"of [{s.word_str(first)}, {s.word_str(s.w0)}]\n")
 
 
 @pytest.mark.parametrize("flags", [(), ("--paranoid",)])
@@ -618,9 +750,9 @@ def test_a_dropped_top_cell_is_named_by_its_slice(system, monkeypatch, capsys, f
     real = springer._block_pass
 
     def dropped(*args):
-        v, w, mate, sliced = real(*args)
+        v, w, mate, failure = real(*args)
         keep = (v != x) | (w != y)
-        return v[keep], w[keep], mate[keep], sliced
+        return v[keep], w[keep], mate[keep], failure
 
     monkeypatch.setattr(springer, "_block_pass", dropped)
     code, err = run_springer_on(monkeypatch, capsys, s, "{1}", "{3}", *flags)
@@ -640,10 +772,10 @@ def test_a_planted_cell_of_the_block_pass_is_named(system, monkeypatch, i, messa
     real = springer._block_pass
 
     def planted(*args):
-        v, w, mate, sliced = real(*args)
+        v, w, mate, failure = real(*args)
         at = int(np.searchsorted(v * s.size + w, cell[0] * s.size + cell[1]))
         return (np.insert(v, at, cell[0]), np.insert(w, at, cell[1]),
-                np.insert(mate, at, cell[1]), sliced)
+                np.insert(mate, at, cell[1]), failure)
 
     monkeypatch.setattr(springer, "_block_pass", planted)
     with pytest.raises(TheoremFalsified, match=re.escape(message)):

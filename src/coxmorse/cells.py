@@ -23,14 +23,15 @@ checked to be its closure by the layer kernel that closes the Bruhat
 order (:meth:`posets.PackedOrder.is_closure_of`, one layer per
 dimension).  :func:`pair_poset` on the cells of Z or F is
 their independent oracle route (:func:`check_against_pair_poset`).  Such a
-poset is matched slice by slice (:func:`slice_matching`): the matching of
-a slice's interval is read only on the slice and its checked subsets,
-each element's partner the first entry of its row of the partner table
+poset is matched slice by slice.  F's slices (:func:`slice_matching`)
+read the matching of a slice's interval only on the slice, each
+element's partner the first entry of its row of the partner table
 inside the interval (:func:`slice_partners`; the table is the interval
 sweep's, :func:`matchings.partner_table`), so a slice costs what it
-holds, not its interval.  The slices of [x, w0], Z's, read their
-partners in whole arrays (:func:`slice_partner_arrays`), and the
-matchings of both are checked by :func:`checked_matching`.
+holds, not its interval.  Z's slices, of [x, w0], read their partners
+on the slice and on the sets it must preserve in whole arrays
+(:func:`slice_partner_arrays`).  The matchings of both are checked by
+:func:`checked_matching`.
 """
 
 from __future__ import annotations
@@ -338,11 +339,10 @@ def slice_partners(system: CoxeterSystem, x: int, top: int, ys: Iterable[int],
     x <= u.  A row that reaches its pad ``system.size`` first holds no
     edge of [x, top] at y, and raises :class:`NotAMatching`."""
     leq, pad = system.bruhat.leq, system.size
-    below_top = top == system.w0   # then every up-cover of y lies below top
     partner = {}
     for y in ys:
         for u in rows[y]:
-            if u == pad or ((below_top or leq(u, top)) if u > y else leq(x, u)):
+            if u == pad or (leq(u, top) if u > y else leq(x, u)):
                 break
         else:
             u = pad
@@ -383,30 +383,25 @@ def slice_matching(system: CoxeterSystem, poset: FinitePoset, slices: Iterable[t
     """Glue the interval matchings of the slices into one matching of a
     pair poset.
 
-    A slice (x, top, subsets, z_x) has base x, the slice z_x = {y : (x, y)
-    in the poset} inside [x, top], and (label, elements) subsets of
-    [x, top]; a subset that is all of [x, top] is preserved by any
-    matching of it and is left out by the caller.  The matching M of
-    [x, top] under ``order`` is read only on the subsets and z_x
-    (:func:`slice_partners`, from the :func:`matchings.partner_table` of
-    ``order``, built at the first slice): it must preserve each of them
-    and be an involution there; then (x, y) and (x, M(y)) are matched for
-    y in z_x, and the matching is checked by :func:`checked_matching`.
-    ``what`` names the poset in errors.
+    A slice (x, top, z_x) has base x and the slice z_x = {y : (x, y) in
+    the poset} inside [x, top].  The matching M of [x, top] under
+    ``order`` is read only on z_x (:func:`slice_partners`, from the
+    :func:`matchings.partner_table` of ``order``, built at the first
+    slice): it must preserve z_x and be an involution there; then (x, y)
+    and (x, M(y)) are matched for y in z_x, and the matching is checked
+    by :func:`checked_matching`.  ``what`` names the poset in errors.
     :func:`oracles.oracle_slice_partners` matches all of [x, top]
-    (``--paranoid``).
+    (``fiber --paranoid``).
     """
     index = poset.index
     rows = None
     partner = list(range(poset.n))
-    for x, top, subsets, z_x in slices:
+    for x, top, z_x in slices:
         if rows is None:
             rows = partner_table(system, order).tolist()
-        checked = [(label, set(subset)) for label, subset in (*subsets, ("slice", z_x))]
-        m = slice_partners(system, x, top, set().union(*(s for _, s in checked)), rows)
-        for label, inside in checked:
-            if not inside.issuperset(map(m.__getitem__, inside)):
-                raise _not_preserved(system, x, top, label, what)
+        m = slice_partners(system, x, top, z_x, rows)
+        if not set(z_x).issuperset(m.values()):
+            raise _not_preserved(system, x, top, "slice", what)
         for y, mate in m.items():
             if m[mate] != y:
                 raise _not_an_involution(system, x, top, (y, mate, m[mate]), what)

@@ -17,8 +17,10 @@ import json
 import re
 import sys
 
-from . import __version__
-from .cells import check_against_pair_poset, pair_name, slice_matching, slice_partners
+import numpy as np
+
+from . import __version__, springer
+from .cells import _isolated, check_against_pair_poset, pair_name, slice_matching, slice_partners
 from .coxeter import DEFAULT_MAX_ELEMENTS, CoxeterMatrix, CoxeterSystem, build_system
 from .errors import Falsification, InputError, InvalidSubset, TheoremFalsified
 from .fibers import build_fiber_poset, build_qk, fiber_slices
@@ -29,7 +31,7 @@ from .oracles import (oracle_bruhat_leq, oracle_convexity, oracle_fiber_members,
                       oracle_slice_partners, oracle_unmatched_scan)
 from .posets import euler_characteristic, poset_to_dot
 from .reflection_orders import order_for_springer, order_from_reduced_word, shortlex_order
-from .springer import build_slices, build_springer_poset, springer_matching
+from .springer import build_springer_poset, springer_matching
 from .verify import iter_level
 
 EXIT_OK = 0
@@ -182,31 +184,49 @@ def _check_fiber_members(fp) -> None:
         )
 
 
-def _check_slices(system, slices, order, what, sp=None) -> None:
-    """Under ``--paranoid``: on every slice (x, top, subsets, z_x), the
-    partners that :func:`cells.slice_partners` reads for each checked
-    element from the order's :func:`matchings.partner_table` must be those
-    of the matching of all of [x, top]
+def _check_slices(system, slices, order, what, read) -> dict[int, dict[int, int]]:
+    """Under ``--paranoid``: on every slice (x, top, ys), the partner that
+    a production route's reader, ``read(x, top, ys)``, gives each y in ys
+    (-1 for none) must be y's in the matching of all of [x, top]
     (:func:`oracles.oracle_slice_partners`); the slice and the first
-    element whose partners differ are named.  On a Springer poset ``sp``
-    whose slices passed the block pass, the partner that the pass gives
-    each cell must be the oracle's too, or the first cell whose partners
-    differ is named."""
-    rows = partner_table(system, order).tolist()
+    element whose partners differ are named.  Returns the oracle's
+    partners by x."""
     oracles = {}
-    for x, top, subsets, z_x in slices:
-        checked = sorted({y for _, subset in (*subsets, ("slice", z_x)) for y in subset})
-        local = slice_partners(system, x, top, checked, rows)
+    for x, top, ys in slices:
+        local = read(x, top, ys)
         oracle = oracles[x] = oracle_slice_partners(system, x, top, order)
-        y = next((y for y in checked if local[y] != oracle[y]), None)
+        y = next((y for y in ys if local[y] != oracle[y]), None)
         if y is not None:
+            if local[y] < 0:
+                raise _isolated(system, x, top, y)
             name = system.word_str
             raise Falsification(
                 f"slice matching of [{name(x)}, {name(top)}] in the {what} disagrees with "
                 f"the full-interval oracle at {name(y)}: partner {name(local[y])} against "
                 f"{name(oracle[y])}"
             )
-    if sp is None or sp.partner is None:
+    return oracles
+
+
+def _check_springer_partners(sp) -> None:
+    """Under ``springer --paranoid``: at each v with a cell but the apex,
+    the block pass's reader and table, looked up in :mod:`springer` as
+    the pass looks them up, are checked on all of [v, w0], a superset of
+    what the pass reads (:func:`_check_slices`); then the partner that
+    the pass gives each cell must be the oracle's, or the first cell
+    whose partners differ is named."""
+    system, w0 = sp.system, sp.system.w0
+    order = order_for_springer(system, sp.Jprime, sp.J)
+    table = springer.partner_table(system, order)
+
+    def read(x, top, ys):
+        m = springer.slice_partner_arrays(system, np.full(len(ys), x), np.array(ys), table)
+        return dict(zip(ys, m.tolist()))
+
+    bases = sorted({v for v, _ in sp.members} - {sp.apex})
+    oracles = _check_slices(system, ((x, w0, system.interval_ids(x, w0)) for x in bases),
+                            order, sp.what, read)
+    if sp.partner is None:
         return
     # the apex slice is not matched: its cell is its own partner
     want = [(x, oracles[x][y]) if x in oracles else (x, y) for x, y in sp.members]
@@ -214,25 +234,9 @@ def _check_slices(system, slices, order, what, sp=None) -> None:
     if k is not None:
         names = sp.poset.names
         raise Falsification(
-            f"the matching of the {what} disagrees with the full-interval oracle at "
+            f"the matching of the {sp.what} disagrees with the full-interval oracle at "
             f"{names[k]}: partner {names[sp.partner[k]]} against {pair_name(system, want[k])}"
         )
-
-
-def _oracle_slices(sp) -> list[tuple]:
-    """The slices (v, w0, subsets, Z_v) of the Springer poset ``sp`` that
-    :func:`_check_slices` matches: each v with a cell but the apex, with
-    the rows P_v, Q_v and Z_v of :func:`springer.build_slices`.  The
-    subsets are P_v unless J' is empty and Q_v unless J is empty (then
-    it is all of [v, w0])."""
-    system, slices = sp.system, []
-    for x in sorted({v for v, _ in sp.members} - {sp.apex}):
-        p, q, z = (row[0].nonzero()[0].tolist()
-                   for row in build_slices(system, sp.J, sp.Jprime, [x]))
-        subsets = [(label, rows) for label, rows, conditions
-                   in (("P_v", p, sp.Jprime), ("Q_v", q, sp.J)) if conditions]
-        slices.append((x, system.w0, subsets, z))
-    return slices
 
 
 def cmd_matching(args) -> int:
@@ -263,7 +267,15 @@ def cmd_matching(args) -> int:
         names = {t: system.word_str(t) for t in system.reflections}
         _emit(args, poset_to_dot(li.poset, matching.pairs, names))
         return EXIT_OK
-    doc = {
+    if args.format == "text":
+        lines = [f"interval [{system.word_str(v)}, {system.word_str(w)}] in "
+                 f"{system.matrix.label}: {li.poset.n} elements, rank {li.rank}"]
+        for a, b in matching.pairs:
+            lines.append(f"  matched {li.poset.names[a]} -- {li.poset.names[b]}")
+        lines.append(f"  complete=True acyclic={summary.acyclic}")
+        _emit(args, "\n".join(lines) + "\n")
+        return EXIT_OK
+    _emit(args, _json_dump({
         "group": system.matrix.label,
         "interval": {"v": system.word_str(v), "w": system.word_str(w),
                      "size": li.poset.n, "rank": li.rank},
@@ -281,16 +293,7 @@ def cmd_matching(args) -> int:
         "shelling": {"coatom_prefixes": shelling.coatom_prefixes,
                      "atom_prefixes": shelling.atom_prefixes,
                      "partition_ok": True},  # the check raises otherwise
-    }
-    if args.format == "json":
-        _emit(args, _json_dump(doc))
-    else:
-        lines = [f"interval [{doc['interval']['v']}, {doc['interval']['w']}] in "
-                 f"{doc['group']}: {li.poset.n} elements, rank {li.rank}"]
-        for a, b in matching.pairs:
-            lines.append(f"  matched {li.poset.names[a]} -- {li.poset.names[b]}")
-        lines.append(f"  complete={doc['complete']} acyclic={summary.acyclic}")
-        _emit(args, "\n".join(lines) + "\n")
+    }))
     return EXIT_OK
 
 
@@ -301,15 +304,21 @@ def cmd_springer(args) -> int:
     sp = build_springer_poset(system, J, Jp)
     if args.paranoid:
         check_against_pair_poset(system, sp.poset, "springer pair poset")
-        _check_slices(system, _oracle_slices(sp), order_for_springer(system, Jp, J),
-                      sp.what, sp)
+        _check_springer_partners(sp)
     matching, summary = springer_matching(sp)
     if args.paranoid:
         _rescan_unmatched(sp.poset, matching, summary)
     if args.format == "dot":
         _emit(args, poset_to_dot(sp.poset, matching.pairs))
         return EXIT_OK
-    doc = {
+    if args.format == "text":
+        _emit(args, (f"springer poset for J={sorted(J)}, J'={sorted(Jp)} on "
+                     f"{system.matrix.label}: {len(sp.members)} cells, "
+                     f"{len(matching.pairs)} matched pairs, unmatched "
+                     f"{[sp.poset.names[i] for i in summary.unmatched]}, "
+                     f"certificate={summary.certificate}\n"))
+        return EXIT_OK
+    _emit(args, _json_dump({
         "group": system.matrix.label,
         "J": sorted(J),
         "Jprime": sorted(Jp),
@@ -322,15 +331,7 @@ def cmd_springer(args) -> int:
         "acyclic": summary.acyclic,
         "certificate": summary.certificate,
         "euler": euler_characteristic(sp.poset),
-    }
-    if args.format == "json":
-        _emit(args, _json_dump(doc))
-    else:
-        _emit(args, (f"springer poset for J={sorted(J)}, J'={sorted(Jp)} on "
-                     f"{system.matrix.label}: {len(sp.members)} cells, "
-                     f"{len(matching.pairs)} matched pairs, unmatched "
-                     f"{[sp.poset.names[i] for i in summary.unmatched]}, "
-                     f"certificate={summary.certificate}\n"))
+    }))
     return EXIT_OK
 
 
@@ -349,21 +350,29 @@ def cmd_fiber(args) -> int:
         oracle_convexity(fp)
     slices, order, apex, what = fiber_slices(fp)
     if args.paranoid:
-        _check_slices(system, slices, order, what)
+        rows = partner_table(system, order).tolist()
+        _check_slices(system, slices, order, what,
+                      lambda x, top, ys: slice_partners(system, x, top, ys, rows))
     matching, summary = slice_matching(system, fp.poset, slices, order, apex, what)
     if args.paranoid:
         _rescan_unmatched(fp.poset, matching, summary)
     if args.format == "dot":
         _emit(args, poset_to_dot(fp.poset, matching.pairs))
         return EXIT_OK
-    doc = {
+    z, z_prime, z_tilde = map(system.word_str, (fp.z, fp.z_prime, fp.members[apex][0]))
+    if args.format == "text":
+        _emit(args, (f"fiber poset for K={sorted(K)} on {system.matrix.label}: "
+                     f"{len(fp.members)} cells, z={z}, z'={z_prime}, "
+                     f"z~={z_tilde}, certificate={summary.certificate}\n"))
+        return EXIT_OK
+    _emit(args, _json_dump({
         "group": system.matrix.label,
         "K": sorted(K),
         "anchors": {"vprime": system.word_str(vp), "wprime": system.word_str(wp),
                     "v": system.word_str(v), "w": system.word_str(w)},
-        "z": system.word_str(fp.z),
-        "z_prime": system.word_str(fp.z_prime),
-        "z_tilde": system.word_str(fp.members[apex][0]),
+        "z": z,
+        "z_prime": z_prime,
+        "z_tilde": z_tilde,
         "members": [{"id": i, "a": system.word_str(p[0]), "b": system.word_str(p[1]),
                      "dim": fp.poset.dims[i]} for i, p in enumerate(fp.members)],
         "matching": [list(p) for p in matching.pairs],
@@ -371,13 +380,7 @@ def cmd_fiber(args) -> int:
         "morse": {str(d): c for d, c in sorted(summary.counts.items())},
         "convex": True,  # the build raises otherwise
         "certificate": summary.certificate,
-    }
-    if args.format == "json":
-        _emit(args, _json_dump(doc))
-    else:
-        _emit(args, (f"fiber poset for K={sorted(K)} on {system.matrix.label}: "
-                     f"{len(fp.members)} cells, z={doc['z']}, z'={doc['z_prime']}, "
-                     f"z~={doc['z_tilde']}, certificate={summary.certificate}\n"))
+    }))
     return EXIT_OK
 
 

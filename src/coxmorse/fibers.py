@@ -319,7 +319,7 @@ def fiber_slices(fp: FiberPoset) -> tuple[list[tuple], ReflectionOrder, int, str
     the slices, the reflection order, the apex cell and the poset's name.
 
     Each a of the generalized quotient but z~ gives the slice
-    (a, z', (), P_a) of [a, z'], P_a = {b : (a, b) in F}, under a
+    (a, z', P_a) of [a, z'], P_a = {b : (a, b) in F}, under a
     reflection order with N_R(v') first
     (:func:`reflection_orders.order_for_fiber`); P_a must be a singleton
     iff a = z~, and the apex is (z~, z~).  The P_a are read off F in one
@@ -339,7 +339,7 @@ def fiber_slices(fp: FiberPoset) -> tuple[list[tuple], ReflectionOrder, int, str
                 f"slice at {system.word_str(a)} is a singleton iff a = z~ failed"
             )
         if a != gq.z_tilde:
-            slices.append((a, fp.z_prime, (), p_a))
+            slices.append((a, fp.z_prime, p_a))
     what = f"fiber pair poset (K={sorted(fp.K)})"
     return slices, order, fp.index[(gq.z_tilde, gq.z_tilde)], what
 

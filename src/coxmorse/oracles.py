@@ -198,10 +198,11 @@ def oracle_slice_partners(system: CoxeterSystem, x: int, top: int,
     the up-covers inside it (:func:`matchings.labeled_interval`) and
     matched there (:func:`matchings.build_matching` over ``order.rank``,
     which checks that the selection is a complete matching).  It reads
-    the system's up-cover arrays but not the partner table, where
-    :func:`cells.slice_partners` reads each element's row of the
-    :func:`matchings.partner_table` built from those arrays and one order
-    bit per entry."""
+    the system's up-cover arrays but not the partner table, where the
+    routes it checks, :func:`cells.slice_partners` (a fiber's slices) and
+    :func:`cells.slice_partner_arrays` (the Springer block pass), read
+    each element's row of the :func:`matchings.partner_table` built from
+    those arrays and one order bit per entry."""
     li = labeled_interval(system, x, top)
     partner = build_matching(li, order).partner
     return {y: li.ids[partner[k]] for k, y in enumerate(li.ids)}

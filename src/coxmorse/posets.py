@@ -20,7 +20,7 @@ chains read its covers, and an interval's shelling check reads
 Python-int lower and upper set masks (:class:`matchings.LabeledInterval`).
 Each element carries an integer dimension (cell dimension for face
 posets, rank from the bottom for interval posets) and a payload, from
-which its display name is built on first use.  Posets are immutable,
+which its display name is built when read.  Posets are immutable,
 so what is derived from the covers (the adjacency, the Euler
 characteristic) is built once, when first read, and shared by every
 matching of the poset.
@@ -29,9 +29,10 @@ matching of the poset.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -241,9 +242,9 @@ class FinitePoset:
     (checked by :attr:`graded_adjacency`).  ``leq`` is the order its
     builder made (:func:`cells.pair_poset`), or None for a poset given by
     its ``covers`` alone, which nothing closes.  ``index`` maps each
-    payload entry to its element.  The display names, the graded
-    adjacency and the Euler characteristic are each built on first read
-    and kept."""
+    payload entry to its element.  Each display name is built when it is
+    read; the graded adjacency and the Euler characteristic are each
+    built on first read and kept."""
 
     dims: tuple[int, ...]
     leq: PackedOrder | None   # leq[i, j] iff i <= j
@@ -279,14 +280,28 @@ class FinitePoset:
     def _euler(self) -> int:
         return int(sum((-1) ** d for d in self.dims))
 
-    @cached_property
-    def names(self) -> tuple[str, ...]:
-        """Display names, built from the payload when first read (reports
-        and error messages only)."""
-        return tuple(map(self.name_of, self.payload))
+    @property
+    def names(self) -> Sequence[str]:
+        """Display names (reports and error messages only), each built
+        from its payload entry when read, so one name costs one name."""
+        return _Names(self)
 
     def __repr__(self) -> str:
         return f"FinitePoset(n={self.n}, covers={len(self.covers)})"
+
+
+@dataclass(frozen=True)
+class _Names(Sequence):
+    """The display names of a poset, each built from its payload entry
+    when read; indexed by element, not by slice."""
+
+    poset: FinitePoset
+
+    def __len__(self) -> int:
+        return self.poset.n
+
+    def __getitem__(self, i: int) -> str:
+        return self.poset.name_of(self.poset.payload[i])
 
 
 @dataclass(frozen=True)

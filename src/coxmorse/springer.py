@@ -25,7 +25,9 @@ route: each array test names its own first failure, worded as for
 fibers, and a failure of the slices waits in
 :attr:`SpringerPoset.failure` for :func:`springer_matching`.
 :func:`cells.check_against_pair_poset` rebuilds Z by
-:func:`cells.pair_poset` as an oracle route.
+:func:`cells.pair_poset` as an oracle route, and ``springer --paranoid``
+runs this module's reader on all of each [v, w0] against the matching of
+the whole interval (:func:`oracles.oracle_slice_partners`).
 """
 
 from __future__ import annotations
@@ -152,13 +154,13 @@ def _block_mates(system: CoxeterSystem, v: np.ndarray, checked: list[tuple[str, 
     itself at the apex; or (w, failure) at the least v where an array
     test of the slices fails.  At that v an isolated element comes
     first, then the first checked set that the matching does not
-    preserve, then a break of the involution, each at its least y, as
-    :func:`cells.slice_matching` checks them.  ``checked`` holds the
-    block's labeled rows of P_v (unless J' is empty), Q_v (unless J is
-    empty) and Z_v.  Each checked y of each v but the apex gets its
-    partner M(y).  As for fibers, only the v with a nonempty slice are
-    matched; a second cell of the apex slice is left unmatched, which
-    :func:`springer_matching` refuses."""
+    preserve, then a break of the involution, each at its least y, in the
+    order :func:`cells.slice_matching` checks a fiber's slice.
+    ``checked`` holds the block's labeled rows of P_v (unless J' is
+    empty), Q_v (unless J is empty) and Z_v.  Each checked y of each v
+    but the apex gets its partner M(y).  As for fibers, only the v with a
+    nonempty slice are matched; a second cell of the apex slice is left
+    unmatched, which :func:`springer_matching` refuses."""
     n, w0 = system.size, system.w0
     sets = [rows for _, rows in checked]
     # Z_v lies in P_v and in Q_v, so the first two sets hold every checked y

@@ -2,9 +2,8 @@
 covers, packed orders given as dense matrices, the per-cover closure (the
 reference for the layered one) and the order it gives a poset given by
 covers, the closure route of the order check, the fiber posets of a fiber
-sweep, Springer and fiber posets with tampered cells, the slices of a
-Springer poset for the per-slice matching, the M-subset test on an
-interval matching, a B3 system with a planted cover that skips two
+sweep, Springer and fiber posets with tampered cells, the M-subset test
+on an interval matching, a B3 system with a planted cover that skips two
 lengths, up-cover arrays replaced, a cover planted in the partner table
 alone, and the per-interval route of the interval matching check."""
 
@@ -12,13 +11,12 @@ import dataclasses
 
 import numpy as np
 
-from coxmorse import build_system, cli, matchings
+from coxmorse import build_system, matchings
 from coxmorse.coxeter import _flat
 from coxmorse.errors import CoxmorseError, TheoremFalsified
 from coxmorse.fibers import build_fiber_poset, build_qk
 from coxmorse.matchings import build_matching, is_acyclic, labeled_interval
 from coxmorse.posets import FinitePoset, PackedOrder
-from coxmorse.reflection_orders import order_for_springer
 
 
 def poset_from_covers(names, dims, covers):
@@ -114,16 +112,6 @@ def with_members(cells, members):
     poset = FinitePoset(tuple(length(w) - length(v) for v, w in members), None, (), members,
                         {p: k for k, p in enumerate(members)}, cells.poset.name_of)
     return dataclasses.replace(cells, poset=poset)
-
-
-def springer_slices(sp):
-    """What :func:`cells.slice_matching` assembles a matching of the
-    Springer poset ``sp`` from, as it does for a fiber: the slices of
-    ``sp``, with the rows of :func:`springer.build_slices`
-    (:func:`cli._oracle_slices`), the reflection order, the apex cell
-    and the poset's name."""
-    order = order_for_springer(sp.system, sp.Jprime, sp.J)
-    return cli._oracle_slices(sp), order, sp.index[(sp.apex, sp.apex)], sp.what
 
 
 def is_M_subset(matching, subset):

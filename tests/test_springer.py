@@ -18,14 +18,14 @@ from coxmorse.errors import (
     OverlappingSubsets,
     TheoremFalsified,
 )
-from coxmorse.fibers import fiber_matching, fiber_slices
+from coxmorse.fibers import build_fiber_poset, build_qk, fiber_matching, fiber_slices
 from coxmorse.matchings import Matching, partner_table
 from coxmorse.oracles import oracle_coset_piece, oracle_slice_partners, oracle_springer_member
 from coxmorse.posets import euler_characteristic, is_pure
 from coxmorse.reflection_orders import ReflectionOrder, order_for_springer, shortlex_order
 from coxmorse.springer import build_slices, build_springer_poset, springer_matching
 from coxmorse.verify import disjoint_pairs
-from helpers import b3_with_a_cover_across_dims, plant_in_partner_table, springer_slices
+from helpers import b3_with_a_cover_across_dims, plant_in_partner_table
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -81,6 +81,22 @@ def candidates(s, Jp):
     """The v with every j in J' a left ascent: those whose rows the block
     pass builds."""
     return [v for v in range(s.size) if not s.descents(v, "left") & frozenset(Jp)]
+
+
+def slice_bases(sp):
+    """The v with a cell but the apex, ascending: those whose slices the
+    block pass matches."""
+    return sorted({v for v, _ in sp.members} - {sp.apex})
+
+
+def oracle_partners(sp):
+    """The partner of each cell (v, w) of ``sp``: (v, M(w)) for M the
+    matching of the whole interval [v, w0]
+    (:func:`oracles.oracle_slice_partners`), the apex cell itself."""
+    s = sp.system
+    order = order_for_springer(s, sp.Jprime, sp.J)
+    oracles = {x: oracle_slice_partners(s, x, s.w0, order) for x in slice_bases(sp)}
+    return tuple(sp.index[(x, oracles[x][y] if x in oracles else y)] for x, y in sp.members)
 
 
 def rows_at(s, J, Jp, v):
@@ -270,23 +286,6 @@ def test_a_dropped_maximal_cell_is_named_by_its_slice(system, monkeypatch):
             springer_matching(build_springer_poset(s, {1}, {3}))
 
 
-def swap_across_slice(members):
-    """slice_partners with the partners of one cell of the slice at x and
-    of one checked element outside that slice swapped."""
-    real = cells.slice_partners
-
-    def faulty(system, x, top, ys, rows):
-        m = real(system, x, top, ys, rows)
-        inside = {w for v, w in members if v == x}
-        outside = sorted(set(m) - inside)
-        if outside:
-            a, c = min(inside), outside[0]
-            m[a], m[c] = m[c], m[a]
-        return m
-
-    return faulty
-
-
 def swap_across_slice_arrays(members, swapped=None):
     """slice_partner_arrays with the partners swapped as by
     :func:`swap_across_slice`, for the pairs of each base x; each base
@@ -309,27 +308,38 @@ def swap_across_slice_arrays(members, swapped=None):
     return faulty
 
 
-def per_slice_matching(sp):
-    """The matching that the fibers' per-slice route
-    (:func:`cells.slice_matching`) gives the slices of ``sp``."""
-    return cells.slice_matching(sp.system, sp.poset, *springer_slices(sp))
+def b3_fiber(system):
+    """The fiber poset of B3, K = {1, 2}, at the anchors
+    e:e:e:2.1.3.2.3 (19 cells): its slice at e is [e, z'] = W_K, where 1
+    and 2 have the two common upper covers 1.2 and 2.1."""
+    s = system("B3")
+    return build_fiber_poset(build_qk(s, {1, 2}), (0, 0), (0, s.parse_word("2.1.3.2.3")))
 
 
 def test_slice_matching_rejects_a_partner_outside_the_slice(system, monkeypatch):
-    sp = build_springer_poset(system("A3"), {1}, {3})
-    monkeypatch.setattr(cells, "slice_partners", swap_across_slice(sp.members))
-    with pytest.raises(TheoremFalsified, match="is not preserved by the matching of"):
-        per_slice_matching(sp)
+    # the least element of each slice is sent to an up-cover outside it
+    real = cells.slice_partners
+
+    def faulty(system, x, top, ys, rows):
+        m = real(system, x, top, ys, rows)
+        m[min(ys)] = next(u for u, _ in system.bruhat_covers_up(min(ys)) if u not in ys)
+        return m
+
+    monkeypatch.setattr(cells, "slice_partners", faulty)
+    message = ("slice at e is not preserved by the matching of [e, 1.2.1] in the fiber pair "
+               "poset (K=[1, 2])")
+    with pytest.raises(TheoremFalsified, match=re.escape(message)):
+        fiber_matching(b3_fiber(system))
 
 
-def test_slice_matching_rejects_a_wrong_apex(system, monkeypatch):
-    sp = build_springer_poset(system("A3"), {1}, {3})
-    slices, order, apex, what = springer_slices(sp)
-    names = sp.poset.names
-    message = (f"unmatched cells of the springer pair poset (J=[1], J'=[3]) are "
+def test_slice_matching_rejects_a_wrong_apex(system):
+    fp = b3_fiber(system)
+    slices, order, apex, what = fiber_slices(fp)
+    names = fp.poset.names
+    message = (f"unmatched cells of the fiber pair poset (K=[1, 2]) are "
                f"['{names[apex]}'], expected only {names[apex + 1]}")
     with pytest.raises(TheoremFalsified, match=re.escape(message)):
-        cells.slice_matching(sp.system, sp.poset, slices, order, apex + 1, what)
+        cells.slice_matching(fp.system, fp.poset, slices, order, apex + 1, what)
 
 
 def test_slice_matching_rejects_a_cyclic_assembly(system, monkeypatch):
@@ -348,24 +358,23 @@ def test_slice_matching_rejects_a_cyclic_assembly(system, monkeypatch):
         partner[x0], partner[y0], partner[x1], partner[y1] = y0, x0, y1, x1
         return partner
 
-    sp = build_springer_poset(system("A2"), set(), set())
+    fp = b3_fiber(system)
     monkeypatch.setattr(cells, "slice_partners", cyclic)
     with pytest.raises(CyclicMatching):
-        per_slice_matching(sp)
+        fiber_matching(fp)
 
 
 def test_slice_matching_rejects_partners_that_are_not_an_involution(system, monkeypatch):
-    # on the first slice with two matched pairs y-u and y2-u2 inside it, y
-    # is sent to u2: every checked set is still preserved, but y -> u2 -> y2
-    s = system("A3")
-    sp = build_springer_poset(s, {1}, {3})
+    # on the first slice with two matched pairs y-u and y2-u2, y is sent
+    # to u2: the slice is still preserved, but y -> u2 -> y2
+    fp = b3_fiber(system)
+    s = fp.system
     real = cells.slice_partners
     seen = []
 
     def faulty(system, x, top, ys, rows):
         m = real(system, x, top, ys, rows)
-        inside = {w for v, w in sp.members if v == x}
-        pairs = sorted((y, u) for y, u in m.items() if y < u and {y, u} <= inside)
+        pairs = sorted((y, u) for y, u in m.items() if y < u)
         if not seen and len(pairs) >= 2:
             (y, _), (_, u2) = pairs[:2]
             m[y] = u2
@@ -374,8 +383,9 @@ def test_slice_matching_rejects_partners_that_are_not_an_involution(system, monk
 
     monkeypatch.setattr(cells, "slice_partners", faulty)
     with pytest.raises(NotAMatching, match=r"edge selection is not an involution at .* in \[") as exc:
-        per_slice_matching(sp)
-    assert f"in [{s.word_str(seen[0])}, {s.word_str(s.w0)}] in the springer pair poset" in str(exc.value)
+        fiber_matching(fp)
+    assert (f"in [{s.word_str(seen[0])}, {s.word_str(fp.z_prime)}] in the fiber pair poset "
+            f"(K=[1, 2])") in str(exc.value)
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "A4", "D4"])
@@ -394,9 +404,8 @@ def test_the_array_route_gives_what_the_per_cell_route_and_the_oracles_give(syst
         assert_rows_match_the_oracle(s, J, Jp, blocks, seen)
         assert sp.partner is not None and sp.failure is None
         matching, summary = springer_matching(sp)
-        per_slice, per_slice_summary = per_slice_matching(sp)
-        assert matching.partner == per_slice.partner, (J, Jp)
-        assert summary.unmatched == per_slice_summary.unmatched == (sp.index[(sp.apex, sp.apex)],)
+        assert matching.partner == oracle_partners(sp), (J, Jp)
+        assert summary.unmatched == (sp.index[(sp.apex, sp.apex)],)
 
 
 def not_preserved(s, label, x):
@@ -520,11 +529,8 @@ def test_a_fault_in_the_array_partners_is_named_by_the_arrays(system, monkeypatc
 
 def test_cli_exits_as_falsification_on_a_partner_outside_the_slice(system, monkeypatch,
                                                                   capsys):
-    # the arrays name the failure; the per-slice reader, swapped alike, is
-    # not run without --paranoid
     sp = build_springer_poset(system("A3"), {1}, {3})
     monkeypatch.setattr(springer, "slice_partner_arrays", swap_across_slice_arrays(sp.members))
-    monkeypatch.setattr(cells, "slice_partners", swap_across_slice(sp.members))
     code = main(["springer", "--group", "A3", "--J", "{1}", "--Jprime", "{3}"])
     out = capsys.readouterr()
     assert code == 3 and out.out == ""
@@ -533,16 +539,19 @@ def test_cli_exits_as_falsification_on_a_partner_outside_the_slice(system, monke
 
 @pytest.mark.parametrize("name", ["A3", "B3", "A4", "D4", "B4"])
 def test_slice_partners_match_the_full_interval_oracle(system, name):
+    # the block pass's reader on all of [x, w0], which holds what it checks
     s = system(name)
     for J, Jp in disjoint_pairs(s.rank):
         sp = build_springer_poset(s, J, Jp)
-        slices, order, _, _ = springer_slices(sp)
-        rows = partner_table(s, order).tolist()
-        for x, top, _, z_x in slices:
-            want = oracle_slice_partners(s, x, top, order)
-            got = cells.slice_partners(s, x, top, want, rows)
-            assert got == want, (J, Jp, x)
+        order = order_for_springer(s, frozenset(Jp), frozenset(J))
+        table = partner_table(s, order)
+        for x in slice_bases(sp):
+            want = oracle_slice_partners(s, x, s.w0, order)
+            ys = np.array(sorted(want))
+            got = cells.slice_partner_arrays(s, np.full(len(ys), x), ys, table)
+            assert dict(zip(ys.tolist(), got.tolist())) == want, (J, Jp, x)
             # the partner that the block pass gives each cell of the slice
+            z_x = [w for v, w in sp.members if v == x]
             block = [sp.members[sp.partner[sp.index[(x, y)]]] for y in z_x]
             assert block == [(x, want[y]) for y in z_x], (J, Jp, x)
 
@@ -552,7 +561,7 @@ def test_fiber_slice_partners_match_the_full_interval_oracle(system, a3_fibers):
     for fp in a3_fibers:
         slices, order, _, _ = fiber_slices(fp)
         rows = partner_table(s, order).tolist()
-        for x, top, _, _ in slices:
+        for x, top, _ in slices:
             want = oracle_slice_partners(s, x, top, order)
             got = cells.slice_partners(s, x, top, want, rows)
             assert got == want, fp.anchors
@@ -572,7 +581,7 @@ def test_a_fiber_builds_a_partner_table_only_if_it_has_a_slice(system, a3_fibers
 
 @pytest.mark.parametrize("top", ["1.2.1.3.2.1", "1.2.3"])
 def test_a_row_of_pads_is_an_isolated_element(system, top):
-    # the top w0 reads no order bit for an up-cover; any other top does
+    # the top w0, and a top below it
     s = system("A3")
     rows = partner_table(s, shortlex_order(s)).tolist()
     y = s.parse_word("2")
@@ -583,31 +592,27 @@ def test_a_row_of_pads_is_an_isolated_element(system, top):
 
 
 def matched_down_cover(s, J, Jp):
-    """(x, y, u): the first slice at x of the Springer poset of (J, J') on
-    ``s`` with a cell (x, y) matched to (x, u) for u covered by y."""
+    """(x, y, u): the first cell (x, y), in order of x, of the Springer
+    poset of (J, J') on ``s`` that the block pass matches to (x, u) for u
+    covered by y."""
     sp = build_springer_poset(s, J, Jp)
-    slices, order, _, _ = springer_slices(sp)
-    rows = partner_table(s, order).tolist()
-    for x, top, _, z_x in slices:
-        m = cells.slice_partners(s, x, top, z_x, rows)
-        for y in z_x:
-            if any(u == m[y] for u, _ in s.bruhat_covers_down(y)):
-                return x, y, m[y]
+    for x, y in sorted(sp.members):
+        _, u = sp.members[sp.partner[sp.index[(x, y)]]]
+        if any(u == d for d, _ in s.bruhat_covers_down(y)):
+            return x, y, u
     raise AssertionError("no cell is matched downwards")
 
 
 def two_edges_in_a_row(s, J, Jp):
-    """(x, y, i, j): the first slice at x of the Springer poset of (J, J')
-    on ``s`` with a cell (x, y) whose partner table row holds two edges of
-    the slice's interval, the first at position i and the next at j."""
+    """(x, y, i, j): the first cell (x, y), in order of x, of a slice of
+    the Springer poset of (J, J') on ``s`` whose partner table row holds
+    two edges of [x, w0], the first at position i and the next at j."""
     sp = build_springer_poset(s, J, Jp)
-    slices, order, _, _ = springer_slices(sp)
-    table = partner_table(s, order)
-    leq = s.bruhat_leq
-    for x, top, _, z_x in slices:
-        for y in z_x:
+    table = partner_table(s, order_for_springer(s, frozenset(Jp), frozenset(J)))
+    for x, y in sorted(sp.members):
+        if x != sp.apex:
             inside = [k for k, u in enumerate(table[y].tolist())
-                      if u < s.size and leq(x, u) and leq(u, top)]
+                      if u < s.size and s.bruhat_leq(x, u)]
             if len(inside) >= 2:
                 return x, y, inside[0], inside[1]
     raise AssertionError("no row holds two edges of its slice")
@@ -670,10 +675,8 @@ def test_two_swapped_entries_of_a_table_row_are_falsified_naming_the_slice(
 
 def test_paranoid_springer_builds_each_slice_once(system, monkeypatch, capsys):
     # the block pass builds the rows of every candidate v once, in one
-    # block, and the slice oracle those of each slice but the apex's once
-    # more; the report is the golden one
+    # block, and --paranoid builds none again; the report is the golden one
     s = system("A4")
-    sp = build_springer_poset(s, {2}, {3})
     argv = ["springer", "--group", "A4", "--J", "{2}", "--Jprime", "{3}", "--format", "json"]
     calls = []
     build = springer.build_slices
@@ -682,8 +685,7 @@ def test_paranoid_springer_builds_each_slice_once(system, monkeypatch, capsys):
         calls.append(list(v))
         return build(system, J, Jp, v)
 
-    for module in (springer, cli):
-        monkeypatch.setattr(module, "build_slices", counted)
+    monkeypatch.setattr(springer, "build_slices", counted)
     monkeypatch.setattr(cli, "_system_from_args", lambda args: s)
     assert main(argv) == 0
     plain = capsys.readouterr()
@@ -692,8 +694,47 @@ def test_paranoid_springer_builds_each_slice_once(system, monkeypatch, capsys):
     assert main([*argv, "--paranoid"]) == 0
     assert capsys.readouterr() == plain
     assert plain.out.encode() == (GOLDEN / "springer_A4_J2_Jp3.json").read_bytes()
-    slices = sorted({v for v, _ in sp.members} - {sp.apex})
-    assert calls == [candidates(s, {3})] + [[v] for v in slices]
+    assert calls == [candidates(s, {3})]
+
+
+def test_paranoid_springer_checks_the_partners_that_the_block_pass_read(system, monkeypatch,
+                                                                       capsys):
+    # at the least x with two matched pairs a-b and c-d of checked elements
+    # outside Z_x, all four in P_x minus Q_x (or in Q_x minus P_x), the
+    # block pass's reader crosses them to a-d and c-b: P_x, Q_x and Z_x are
+    # still preserved and the cells keep their partners, so only the
+    # comparison of that reader with the oracle sees it
+    s = system("A3")
+    real = cells.slice_partner_arrays
+    planted = []
+
+    def faulty(system, x, y, table):
+        m = real(system, x, y, table)
+        for base in sorted(set(x.tolist())):
+            at = np.flatnonzero(x == base).tolist()
+            pos = dict(zip(y[at].tolist(), at))
+            _, p, q = map(set, rows_at(s, {2}, {3}, base))
+            for side in (p - q, q - p):
+                lows = sorted(a for a in side if a < m[pos[a]])
+                if len(lows) >= 2:
+                    planted.append((base, *cross(m, pos, *lows[:2])))
+                    return m
+        return m
+
+    monkeypatch.setattr(springer, "slice_partner_arrays", faulty)
+    monkeypatch.setattr(cli, "_system_from_args", lambda args: s)
+    argv = ["springer", "--group", "A3", "--J", "{2}", "--Jprime", "{3}", "--format", "text"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.endswith(" certificate=True\n")
+    assert main([*argv, "--paranoid"]) == 3
+    out = capsys.readouterr()
+    (x, a, b, _, d), = set(planted)
+    name = s.word_str
+    assert (name(x), name(a)) == ("2", "1.2")
+    assert out.out == "" and out.err == (
+        f"FALSIFIED: slice matching of [{name(x)}, {name(s.w0)}] in the springer pair poset "
+        f"(J=[2], J'=[3]) disagrees with the full-interval oracle at {name(a)}: partner "
+        f"{name(d)} against {name(b)}\n")
 
 
 def test_paranoid_springer_names_the_first_cell_whose_partners_differ(system, monkeypatch,
@@ -723,10 +764,33 @@ def test_a_row_of_pads_at_a_cell_is_named_by_the_arrays(system, monkeypatch, cap
     # y, the end of a cell, has no edge in the table: the least v whose
     # slice checks y names it
     s = system("A3")
-    slices = springer_slices(build_springer_poset(s, {1}, {3}))[0]
-    y = slices[0][3][0]
-    first = min(x for x, _, subsets, z_x in slices
-                if y in {*z_x, *(e for _, subset in subsets for e in subset)})
+    sp = build_springer_poset(s, {1}, {3})
+    y = min(w for v, w in sp.members if v == slice_bases(sp)[0])
+    # the block pass checks P_x and Q_x at x
+    first = min(x for x in slice_bases(sp) if y in {*rows_at(s, {1}, {3}, x)[1],
+                                                     *rows_at(s, {1}, {3}, x)[2]})
+    pad_the_row(monkeypatch, y)
+    code, err = run_springer_on(monkeypatch, capsys, s, "{1}", "{3}")
+    assert (code, err) == (3, f"FALSIFIED: isolated element {s.word_str(y)} in the Hasse diagram "
+                              f"of [{s.word_str(first)}, {s.word_str(s.w0)}]\n")
+
+
+def test_paranoid_springer_names_an_element_that_the_reader_leaves_isolated(system, monkeypatch,
+                                                                            capsys):
+    # --paranoid runs the block pass's reader on all of [x, w0] before the
+    # pass's failure is raised: the least v whose interval holds y names it
+    s = system("A3")
+    sp = build_springer_poset(s, {1}, {3})
+    y = min(w for v, w in sp.members if v == slice_bases(sp)[0])
+    first = min(x for x in slice_bases(sp) if s.bruhat_leq(x, y))
+    pad_the_row(monkeypatch, y)
+    code, err = run_springer_on(monkeypatch, capsys, s, "{1}", "{3}", "--paranoid")
+    assert (code, err) == (3, f"FALSIFIED: isolated element {s.word_str(y)} in the Hasse diagram "
+                              f"of [{s.word_str(first)}, {s.word_str(s.w0)}]\n")
+
+
+def pad_the_row(monkeypatch, y):
+    """Give row y of the block pass's partner tables only pads."""
     real = partner_table
 
     def padded(system, order):
@@ -735,9 +799,6 @@ def test_a_row_of_pads_at_a_cell_is_named_by_the_arrays(system, monkeypatch, cap
         return table
 
     monkeypatch.setattr(springer, "partner_table", padded)
-    code, err = run_springer_on(monkeypatch, capsys, s, "{1}", "{3}")
-    assert (code, err) == (3, f"FALSIFIED: isolated element {s.word_str(y)} in the Hasse diagram "
-                              f"of [{s.word_str(first)}, {s.word_str(s.w0)}]\n")
 
 
 @pytest.mark.parametrize("flags", [(), ("--paranoid",)])

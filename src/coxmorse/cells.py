@@ -21,8 +21,11 @@ it is built by :func:`pair_poset`, whose covers are the dimension-gap-one
 comparable pairs of a packed order (:class:`posets.PackedOrder`),
 checked to be its closure by the layer kernel that closes the Bruhat
 order (:meth:`posets.PackedOrder.is_closure_of`, one layer per
-dimension).  :func:`pair_poset` on the cells of Z or F is
-their independent oracle route (:func:`check_against_pair_poset`).  Such a
+dimension).  Z and Q_K keep their covers as sorted int arrays
+(:class:`posets.CoverArrayPoset`), F as tuples, since a
+fiber is small.  :func:`pair_poset` on the cells of Z or F is their
+independent oracle route (:func:`check_against_pair_poset`, which
+compares cover arrays).  Such a
 poset is matched slice by slice.  F's slices (:func:`slice_matching`)
 read the matching of a slice's interval only on the slice, each
 element's partner the first entry of its row of the partner table
@@ -30,13 +33,13 @@ inside the interval (:func:`slice_partners`; the table is the interval
 sweep's, :func:`matchings.partner_table`), so a slice costs what it
 holds, not its interval.  Z's slices, of [x, w0], read their partners
 on the slice and on the sets it must preserve in whole arrays
-(:func:`slice_partner_arrays`).  The matchings of both are checked by
-:func:`checked_matching`.
+(:func:`slice_partner_arrays`).  F's matching is checked by
+:func:`checked_matching`, and Z's by the same checks in whole arrays
+(:func:`springer.springer_matching`), worded once here.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -44,12 +47,12 @@ import numpy as np
 from .coxeter import CoxeterSystem, _flat
 from .errors import Falsification, NotAMatching, TheoremFalsified
 from .matchings import Matching, MorseSummary, morse_counts, partner_table
-from .posets import FinitePoset, PackedOrder, check_order_size
+from .posets import CoverArrayPoset, FinitePoset, PackedOrder, check_order_size
 from .reflection_orders import ReflectionOrder
 
 
 def graded_covers(leq: PackedOrder, dims: Sequence[int], what: str,
-                  name: Callable[[int], str] = str) -> tuple[tuple[int, int, None], ...]:
+                  name: Callable[[int], str] = str) -> tuple[np.ndarray, np.ndarray]:
     """The covers of the order ``leq``, checked to be graded by ``dims``
     (ascending, as every caller numbers its cells by dim).
 
@@ -63,8 +66,8 @@ def graded_covers(leq: PackedOrder, dims: Sequence[int], what: str,
     step of one dim, and the padding bits zero.  Otherwise the covers are
     closed (:meth:`PackedOrder.layered_closure`) and
     :class:`TheoremFalsified` names the first entry that disagrees with
-    ``leq`` (``name`` formats an index) and what it breaks.  Covers come
-    sorted by (lo, hi)."""
+    ``leq`` (``name`` formats an index) and what it breaks.  The covers
+    come as int arrays (lo, hi), sorted by (lo, hi)."""
     dim_arr = np.asarray(dims)
     if (dim_arr[1:] < dim_arr[:-1]).any():
         raise ValueError("graded_covers needs its elements numbered by ascending dim")
@@ -90,8 +93,7 @@ def graded_covers(leq: PackedOrder, dims: Sequence[int], what: str,
     layers = np.asarray(first[:-1])
     if not leq.is_closure_of(start, hi, layers):
         _name_the_first_bad_entry(leq, start, hi, layers, what, name)
-    ids = np.arange(leq.size).astype(object)   # one int object per element, shared by the covers
-    return tuple(zip(ids[lo].tolist(), ids[hi].tolist(), repeat(None)))
+    return lo, hi
 
 
 def _name_the_first_bad_entry(leq: PackedOrder, start: np.ndarray, up: np.ndarray,
@@ -161,17 +163,17 @@ def pair_poset(system: CoxeterSystem, pairs, what: str = "pair poset",
 
     Cells are numbered by (dimension l(w) - l(v), v, w).  The size guard
     runs before the packed order is allocated, and the order is checked by
-    :func:`graded_covers`, whose covers the poset keeps."""
+    :func:`graded_covers`, whose cover arrays the poset keeps."""
     v, w = np.asarray(pairs, dtype=np.intp).reshape(-1, 2).T
     check_order_size(len(v), what)
     dims = system.length[w] - system.length[v]
     order = np.lexsort((w, v, dims))
-    v, w, dims = v[order], w[order], tuple(dims[order].tolist())
-    members = tuple(zip(v.tolist(), w.tolist()))
+    v, w, dims = v[order], w[order], dims[order]
     leq = nested_pair_order(system, v, w, K)
-    covers = graded_covers(leq, dims, what, lambda k: pair_name(system, members[k]))
-    return FinitePoset(dims, leq, covers, members, {p: k for k, p in enumerate(members)},
-                       lambda p: pair_name(system, p))
+    lo, hi = graded_covers(leq, dims, what, lambda k: pair_name(system, (int(v[k]), int(w[k]))))
+    return CoverArrayPoset(dims, leq, lo, hi,
+                                         lambda: tuple(zip(v.tolist(), w.tolist())),
+                                         lambda p: pair_name(system, p))
 
 
 def step_covers(system: CoxeterSystem, members: Sequence[tuple[int, int]],
@@ -218,7 +220,7 @@ def step_cover_arrays(system: CoxeterSystem, v: np.ndarray, w: np.ndarray,
     what :func:`step_covers` meets first: the least failing cell k, and in
     it ends that are not comparable, else its first missing up-step, else
     its first missing down-step, in cover-array order.  That the covers
-    join adjacent dims is left to :attr:`FinitePoset.graded_adjacency`.
+    join adjacent dims is left to :class:`CoverArrayPoset`.
 
     The cells are sorted by the key v |W| + w.  The up-covers u of each
     v and the down-covers u of each w are expanded from the cover arrays,
@@ -309,20 +311,23 @@ def ideal_poset(system: CoxeterSystem, pairs: Sequence[tuple[int, int]],
 
 
 def check_against_pair_poset(system: CoxeterSystem, poset: FinitePoset, what: str) -> None:
-    """The oracle route of a poset built by :func:`ideal_poset`: its cells
-    rebuilt by :func:`pair_poset` (a packed nested order checked by
-    :func:`graded_covers`) must have the same numbering, dims and covers,
-    or :class:`Falsification` names the first cell or cover that differs
-    and, for a cover, the route that has it."""
+    """The oracle route of Z (:func:`step_cover_arrays`) and of a poset
+    built by :func:`ideal_poset`: its cells rebuilt by :func:`pair_poset`
+    (a packed nested order checked by :func:`graded_covers`) must have
+    the same numbering, dims and cover arrays, or :class:`Falsification`
+    names the first cell or cover that differs and, for a cover, the
+    route that has it."""
     oracle = pair_poset(system, poset.payload, what)
     cells = list(zip(poset.payload, poset.dims))
     if cells != list(zip(oracle.payload, oracle.dims)):
         k = next(k for k, cell in enumerate(zip(oracle.payload, oracle.dims)) if cell != cells[k])
         raise Falsification(f"{what} numbers or grades its cells unlike the pair-poset "
                             f"oracle at {poset.names[k]}")
-    if oracle.covers != poset.covers:
-        lo, hi, _ = min(set(oracle.covers) ^ set(poset.covers))
-        side = "the oracle" if (lo, hi, None) in oracle.covers else "the ideal route"
+    n = poset.n
+    ours, theirs = ((lo * n + hi) for lo, hi in (poset.cover_arrays, oracle.cover_arrays))
+    if not np.array_equal(ours, theirs):
+        lo, hi = divmod(int(np.setxor1d(ours, theirs)[0]), n)
+        side = "the oracle" if lo * n + hi in theirs else "the ideal route"
         raise Falsification(
             f"{what} disagrees with the pair-poset oracle at the cover "
             f"{poset.names[lo]} < {poset.names[hi]} (only in {side})"
@@ -422,18 +427,26 @@ def checked_matching(poset: FinitePoset, partner: Sequence[int], apex: int,
     above = poset.graded_adjacency[1]
     for i, j in matching.pairs:
         if j not in above[i] and i not in above[j]:
-            raise TheoremFalsified(
-                f"matched pair {poset.names[i]} -- {poset.names[j]} is not a cover "
-                f"of the {what}"
-            )
+            raise _not_a_cover(poset, i, j, what)
     summary = morse_counts(poset, matching)
     if summary.unmatched != (apex,):
-        names = poset.names
-        raise TheoremFalsified(
-            f"unmatched cells of the {what} are "
-            f"{[names[i] for i in summary.unmatched]}, expected only {names[apex]}"
-        )
+        raise _not_only_the_apex(poset, summary.unmatched, apex, what)
     return matching, summary
+
+
+# The failures of a matching of a pair poset, worded once for
+# :func:`checked_matching` and for the Springer matching's array checks
+
+def _not_a_cover(poset: FinitePoset, i: int, j: int, what: str) -> TheoremFalsified:
+    return TheoremFalsified(f"matched pair {poset.names[i]} -- {poset.names[j]} is not a cover "
+                            f"of the {what}")
+
+
+def _not_only_the_apex(poset: FinitePoset, unmatched: Sequence[int], apex: int,
+                       what: str) -> TheoremFalsified:
+    names = poset.names
+    return TheoremFalsified(f"unmatched cells of the {what} are "
+                            f"{[names[i] for i in unmatched]}, expected only {names[apex]}")
 
 
 # The failures of the matching of a slice, worded once for

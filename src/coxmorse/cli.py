@@ -24,11 +24,11 @@ from .cells import _isolated, check_against_pair_poset, pair_name, slice_matchin
 from .coxeter import DEFAULT_MAX_ELEMENTS, CoxeterMatrix, CoxeterSystem, build_system
 from .errors import Falsification, InputError, InvalidSubset, TheoremFalsified
 from .fibers import build_fiber_poset, build_qk, fiber_slices
-from .matchings import (build_matching, labeled_interval, morse_counts, partner_table,
+from .matchings import (Matching, build_matching, labeled_interval, morse_counts, partner_table,
                         verify_shelling_subsets)
-from .oracles import (oracle_bruhat_leq, oracle_convexity, oracle_fiber_members,
-                      oracle_interval_covers, oracle_interval_ids, oracle_shelling_subsets,
-                      oracle_slice_partners, oracle_unmatched_scan)
+from .oracles import (oracle_bruhat_leq, oracle_convexity, oracle_directed_cycle,
+                      oracle_fiber_members, oracle_interval_covers, oracle_interval_ids,
+                      oracle_shelling_subsets, oracle_slice_partners, oracle_unmatched_scan)
 from .posets import euler_characteristic, poset_to_dot
 from .reflection_orders import order_for_springer, order_from_reduced_word, shortlex_order
 from .springer import build_springer_poset, springer_matching
@@ -239,6 +239,28 @@ def _check_springer_partners(sp) -> None:
         )
 
 
+def _check_springer_cycles(sp) -> None:
+    """Under ``springer --paranoid``: once every matched pair of the block
+    pass's partners is a cover, the V-path peel
+    (:func:`matchings.v_path_cycle`, looked up in :mod:`springer` as
+    :func:`springer_matching` looks it up) must find a directed cycle iff
+    :func:`oracles.oracle_directed_cycle` finds one; a verdict that
+    differs names the cycle that one of them finds."""
+    if sp.partner is None:
+        return   # springer_matching raises the failure of the slices
+    matching = Matching(sp.poset, tuple(map(int, sp.partner)))
+    if not {(lo, hi) for lo, hi, _ in sp.poset.covers}.issuperset(matching.pairs):
+        return   # springer_matching names the first matched pair that is no cover
+    cycle = springer.v_path_cycle(sp.poset.dims, np.asarray(sp.partner), *sp.poset.cover_arrays)
+    oracle = oracle_directed_cycle(sp.poset, matching)
+    if cycle is None and oracle is not None:
+        raise Falsification(f"the V-path peel of the {sp.what} misses the directed cycle "
+                            f"{oracle} that the cycle oracle finds")
+    if cycle is not None and oracle is None:
+        raise Falsification(f"the V-path peel of the {sp.what} reports the directed cycle "
+                            f"{cycle}, which the cycle oracle does not find")
+
+
 def cmd_matching(args) -> int:
     system = _system_from_args(args)
     v = system.parse_word(args.interval[0])
@@ -305,6 +327,7 @@ def cmd_springer(args) -> int:
     if args.paranoid:
         check_against_pair_poset(system, sp.poset, "springer pair poset")
         _check_springer_partners(sp)
+        _check_springer_cycles(sp)
     matching, summary = springer_matching(sp)
     if args.paranoid:
         _rescan_unmatched(sp.poset, matching, summary)
@@ -312,9 +335,10 @@ def cmd_springer(args) -> int:
         _emit(args, poset_to_dot(sp.poset, matching.pairs))
         return EXIT_OK
     if args.format == "text":
+        # every cell but the unmatched ones is in one matched pair
         _emit(args, (f"springer poset for J={sorted(J)}, J'={sorted(Jp)} on "
-                     f"{system.matrix.label}: {len(sp.members)} cells, "
-                     f"{len(matching.pairs)} matched pairs, unmatched "
+                     f"{system.matrix.label}: {sp.poset.n} cells, "
+                     f"{(sp.poset.n - len(summary.unmatched)) // 2} matched pairs, unmatched "
                      f"{[sp.poset.names[i] for i in summary.unmatched]}, "
                      f"certificate={summary.certificate}\n"))
         return EXIT_OK
@@ -323,8 +347,8 @@ def cmd_springer(args) -> int:
         "J": sorted(J),
         "Jprime": sorted(Jp),
         "size": len(sp.members),
-        "pairs_poset": [{"id": i, "v": system.word_str(p[0]), "w": system.word_str(p[1]),
-                         "dim": sp.poset.dims[i]} for i, p in enumerate(sp.members)],
+        "pairs_poset": [{"id": i, "v": system.word_str(v), "w": system.word_str(w), "dim": d}
+                        for i, ((v, w), d) in enumerate(zip(sp.members, sp.poset.dims.tolist()))],
         "matching": [list(p) for p in matching.pairs],
         "unmatched": [sp.poset.names[i] for i in summary.unmatched],
         "morse": {str(d): c for d, c in sorted(summary.counts.items())},

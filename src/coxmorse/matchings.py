@@ -20,7 +20,10 @@ check run.
 A whole group's intervals are matched in whole-array steps by
 :func:`sweep_failures`, which reads each order from one
 :func:`partner_table`; the per-interval route above is its oracle and
-names what it finds.
+names what it finds.  The sweep and the matching of a Springer poset Z,
+whose covers are arrays, share one V-path peel (:func:`peel`): Z's
+verdict and cycle witness come from :func:`v_path_cycle`, the array
+route of :func:`is_acyclic`, which intervals and fibers keep.
 """
 
 from __future__ import annotations
@@ -305,10 +308,9 @@ def _block_failures(member: np.ndarray, above: np.ndarray, tables: list[np.ndarr
       inside the interval; a position with none, or whose partner's
       partner is another position, fails its interval;
     - the V-path edges x -> y (see :func:`is_acyclic`) are the inside
-      covers y < h with M(y) above y and M(h) = x != y below h.  Sources,
-      the positions with no in-edge, are peeled as in Kahn's topological
-      sort; once a round removes no edge, every interval that still holds
-      an edge has a cycle."""
+      covers y < h with M(y) above y and M(h) = x != y below h, peeled
+      by :func:`peel`; every interval that still holds an edge has a
+      cycle."""
     size, width = member.shape
     member = member.reshape(-1)
     flat = np.flatnonzero(member)
@@ -338,14 +340,53 @@ def _block_failures(member: np.ndarray, above: np.ndarray, tables: list[np.ndarr
         failed[interval[partner[partner] != np.arange(count)]] = True
         raised = length[spot - base] > length[element]
         keep = raised[y] & ~raised[h] & (partner[h] != y) & ~failed[interval[y]]
-        src, dst = partner[h[keep]], y[keep]
-        while src.size:
-            held = np.bincount(dst, minlength=count)[src] > 0
-            if held.all():
-                failed[interval[src]] = True
-                break
-            src, dst = src[held], dst[held]
+        src, _ = peel(partner[h[keep]], y[keep], count)
+        failed[interval[src]] = True
     return bad
+
+
+def peel(src: np.ndarray, dst: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The edges src[k] -> dst[k] between nodes 0 .. count - 1 that are
+    left once no source remains to peel.  As in Kahn's topological sort,
+    each round removes the edges whose source has no in-edge, until a
+    round removes none.  An edge on a directed cycle is never removed,
+    and each source of what is left has an in-edge that is left, so what
+    is left is empty iff the edges have no directed cycle."""
+    while src.size:
+        held = np.bincount(dst, minlength=count)[src] > 0
+        if held.all():
+            break
+        src, dst = src[held], dst[held]
+    return src, dst
+
+
+def v_path_cycle(dims: np.ndarray, partner: np.ndarray, lo: np.ndarray,
+                 hi: np.ndarray) -> tuple[int, ...] | None:
+    """A directed cycle of the Hasse digraph on the covers lo[k] < hi[k],
+    with the pairs of ``partner`` (matched covers, or fixed points)
+    oriented up and all other covers down, or None if there is none.
+
+    The route of :func:`is_acyclic` in whole arrays: the V-path edges
+    x -> y are the covers y < h with y matched up and h matched down to
+    x = M(h) != y, and they are peeled by :func:`peel`.  If edges are
+    left, walking back from the source of the first one along the first
+    in-edge left at each node comes back to a node it passed; that
+    cycle x0 -> x1 -> ..., from its least node, is the closed walk x0,
+    M(x0), x1, M(x1), ..., x0."""
+    mate_dims = dims[partner]
+    keep = (mate_dims[lo] > dims[lo]) & (mate_dims[hi] < dims[hi]) & (partner[hi] != lo)
+    src, dst = peel(partner[hi[keep]], lo[keep], len(partner))
+    if not src.size:
+        return None
+    into = dict(zip(dst.tolist()[::-1], src.tolist()[::-1]))   # the first in-edge wins
+    walked, x = {}, int(src[0])
+    while x not in walked:
+        walked[x] = len(walked)
+        x = into[x]
+    cycle = list(walked)[walked[x]:][::-1]
+    first = cycle.index(min(cycle))
+    cycle = cycle[first:] + cycle[:first]
+    return tuple(z for x in cycle for z in (x, int(partner[x]))) + (cycle[0],)
 
 
 @dataclass(frozen=True)
@@ -371,6 +412,14 @@ def morse_counts(poset: FinitePoset, matching: Matching) -> MorseSummary:
     fixed = matching.fixed
     for x in fixed:
         counts[poset.dims[x]] = counts.get(poset.dims[x], 0) + 1
+    return unmatched_summary(poset, fixed, counts)
+
+
+def unmatched_summary(poset: FinitePoset, fixed: tuple[int, ...],
+                      counts: dict[int, int]) -> MorseSummary:
+    """The summary of an acyclic matching of ``poset`` whose unmatched
+    cells ``fixed`` are ``counts[d]`` of each dim d, once their
+    alternating sum is checked to be the Euler characteristic."""
     euler = euler_characteristic(poset)
     if sum((-1) ** d * c for d, c in counts.items()) != euler:
         raise TheoremFalsified(

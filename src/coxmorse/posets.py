@@ -4,11 +4,15 @@ with :class:`IntervalTooLarge` past ``CHAIN_CAP_DEFAULT`` chains.
 
 A :class:`FinitePoset` is graded by its ``dims``: every cover joins
 adjacent dims (Bruhat intervals are graded by length, the Springer,
-fiber and Q_K cells by l(w) - l(v)).  The invariant is checked once, by
-the one adjacency built from the covers,
+fiber and Q_K cells by l(w) - l(v)).  Its covers are (lo, hi, label)
+tuples (intervals and fibers, which are small) or sorted int arrays
+(Z and Q_K, :class:`CoverArrayPoset`), and each form is built from the
+other only when read.  The invariant is checked once: on the arrays
+when they are given, else by the one adjacency built from the tuples,
 :attr:`FinitePoset.graded_adjacency`, which the maximal chains, purity
 and thinness all read.  A poset also carries its one cell index, the
-payload -> element dict its builder made.
+payload -> element dict its builder made, or for Z and Q_K one built
+when first read.
 
 Orders are :class:`PackedOrder` bits (the Bruhat order too).  One layer
 plan, :meth:`PackedOrder._layer_blocks`, both closes covers into an
@@ -20,10 +24,10 @@ chains read its covers, and an interval's shelling check reads
 Python-int lower and upper set masks (:class:`matchings.LabeledInterval`).
 Each element carries an integer dimension (cell dimension for face
 posets, rank from the bottom for interval posets) and a payload, from
-which its display name is built when read.  Posets are immutable,
-so what is derived from the covers (the adjacency, the Euler
-characteristic) is built once, when first read, and shared by every
-matching of the poset.
+which its display name is built when read.  Posets are not changed
+once built, so what is derived from the covers (the other form of the
+covers, the adjacency, the Euler characteristic) is built once, when
+first read, and shared by every matching of the poset.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from collections import Counter
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import Any
 
 import numpy as np
@@ -236,26 +241,36 @@ class PackedOrder:
         return np.concatenate(xs), np.concatenate(ys)
 
 
-@dataclass(frozen=True)
 class FinitePoset:
     """A finite poset graded by ``dims``: every cover joins adjacent dims
     (checked by :attr:`graded_adjacency`).  ``leq`` is the order its
     builder made (:func:`cells.pair_poset`), or None for a poset given by
     its ``covers`` alone, which nothing closes.  ``index`` maps each
     payload entry to its element.  Each display name is built when it is
-    read; the graded adjacency and the Euler characteristic are each
-    built on first read and kept."""
+    read; the cover arrays, the graded adjacency and the Euler
+    characteristic are each built on first read and kept.  Interval and
+    fiber posets, which are small, are given so; Z and Q_K are
+    :class:`CoverArrayPoset`."""
 
-    dims: tuple[int, ...]
-    leq: PackedOrder | None   # leq[i, j] iff i <= j
-    covers: tuple[tuple[int, int, int | None], ...]  # (lo, hi, label)
-    payload: tuple  # one entry per element
-    index: Mapping[Any, int]  # payload entry -> element
-    name_of: Callable[[Any], str] = str  # display name of a payload entry
+    def __init__(self, dims: Sequence[int], leq: PackedOrder | None,
+                 covers: tuple[tuple[int, int, int | None], ...], payload: Sequence,
+                 index: Mapping[Any, int], name_of: Callable[[Any], str] = str):
+        self.dims = dims
+        self.leq = leq   # leq[i, j] iff i <= j
+        self.covers = covers   # (lo, hi, label)
+        self.payload = payload   # one entry per element
+        self.index = index   # payload entry -> element
+        self.name_of = name_of   # display name of a payload entry
 
     @property
     def n(self) -> int:
         return len(self.dims)
+
+    @cached_property
+    def cover_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lo, hi): the ends of the covers as int arrays, in cover order."""
+        ends = np.array([(lo, hi) for lo, hi, _ in self.covers], dtype=np.intp).reshape(-1, 2)
+        return ends[:, 0], ends[:, 1]
 
     @cached_property
     def graded_adjacency(self) -> tuple[list[list[int]], list[list[int]]]:
@@ -269,12 +284,15 @@ class FinitePoset:
         above: list[list[int]] = [[] for _ in dims]
         for lo, hi, _ in self.covers:
             if dims[hi] != dims[lo] + 1:
-                raise TheoremFalsified(
-                    f"cover {self.names[lo]} < {self.names[hi]} does not join adjacent dims"
-                )
+                self._not_graded(lo, hi)
             below[hi].append(lo)
             above[lo].append(hi)
         return below, above
+
+    def _not_graded(self, lo: int, hi: int) -> None:
+        raise TheoremFalsified(
+            f"cover {self.names[lo]} < {self.names[hi]} does not join adjacent dims"
+        )
 
     @cached_property
     def _euler(self) -> int:
@@ -287,7 +305,46 @@ class FinitePoset:
         return _Names(self)
 
     def __repr__(self) -> str:
-        return f"FinitePoset(n={self.n}, covers={len(self.covers)})"
+        return f"{type(self).__name__}(n={self.n})"
+
+
+class CoverArrayPoset(FinitePoset):
+    """A poset given by its covers lo[k] < hi[k] as int arrays sorted by
+    (lo, hi) (``cover_arrays``), unlabeled, and its dims as an int array:
+    Z and Q_K.  The first cover that does not join adjacent dims raises
+    :class:`TheoremFalsified` at once.  The cover tuples, the payload
+    (``payload()`` builds it) and the index are each built on first read
+    and kept, so the certificates, which read the arrays, build none of
+    them; the chains, purity, thinness, :func:`poset_to_dot` and the
+    oracles read the tuples."""
+
+    def __init__(self, dims: np.ndarray, leq: PackedOrder | None, lo: np.ndarray,
+                 hi: np.ndarray, payload: Callable[[], Sequence],
+                 name_of: Callable[[Any], str] = str):
+        self.dims, self.leq, self.name_of = dims, leq, name_of
+        self.cover_arrays = lo, hi
+        self._build_payload = payload
+        skips = np.flatnonzero(dims[hi] != dims[lo] + 1)
+        if skips.size:
+            self._not_graded(int(lo[skips[0]]), int(hi[skips[0]]))
+
+    @cached_property
+    def covers(self) -> tuple[tuple[int, int, None], ...]:
+        lo, hi = self.cover_arrays
+        ids = np.arange(self.n).astype(object)   # one int object per element, shared
+        return tuple(zip(ids[lo].tolist(), ids[hi].tolist(), repeat(None)))
+
+    @cached_property
+    def payload(self) -> Sequence:
+        return self._build_payload()
+
+    @cached_property
+    def index(self) -> Mapping[Any, int]:
+        return dict(zip(self.payload, range(self.n)))
+
+    @cached_property
+    def _euler(self) -> int:
+        return self.n - 2 * int(np.count_nonzero(self.dims & 1))
 
 
 @dataclass(frozen=True)

@@ -19,33 +19,39 @@ Springer fiber is a closed union of cells): its covers are the single
 steps between cells, found and checked by the step rule in whole arrays
 (:func:`cells.step_cover_arrays`), which proves that lower-set property;
 each joins adjacent dims, so a cover across slices fixes w and moves v
-by one length.  The matched pairs must be covers and the apex the only
-unmatched cell (:func:`cells.checked_matching`).  This is the only
+by one length.  Z keeps them as sorted int arrays, and its dims as an
+int array (:class:`posets.CoverArrayPoset`); its cover
+tuples, cell tuples and cell index are built only for what reads them.
+The matching is checked on those arrays, as :func:`cells.checked_matching`
+checks a fiber's, in the same order and words: the matched pairs must be
+covers, the V-path peel (:func:`matchings.v_path_cycle`, which the
+interval sweep shares) must leave no cycle, and the apex must be the
+only unmatched cell (:func:`springer_matching`).  This is the only
 route: each array test names its own first failure, worded as for
 fibers, and a failure of the slices waits in
 :attr:`SpringerPoset.failure` for :func:`springer_matching`.
 :func:`cells.check_against_pair_poset` rebuilds Z by
-:func:`cells.pair_poset` as an oracle route, and ``springer --paranoid``
-runs this module's reader on all of each [v, w0] against the matching of
-the whole interval (:func:`oracles.oracle_slice_partners`).
+:func:`cells.pair_poset` as an oracle route.  ``springer --paranoid``
+also runs this module's reader on all of each [v, w0] against the
+matching of the whole interval (:func:`oracles.oracle_slice_partners`),
+and the peel's verdict against :func:`oracles.oracle_directed_cycle`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Mapping
 
 import numpy as np
 
 from . import posets
-from .cells import (_isolated, _not_an_involution, _not_preserved, checked_matching, pair_name,
-                    slice_partner_arrays, step_cover_arrays)
+from .cells import (_isolated, _not_a_cover, _not_an_involution, _not_only_the_apex,
+                    _not_preserved, pair_name, slice_partner_arrays, step_cover_arrays)
 from .cells import pair_poset  # noqa: F401  (perfbench patches springer.pair_poset)
 from .coxeter import CoxeterSystem
-from .errors import CoxmorseError, OverlappingSubsets, TheoremFalsified
-from .matchings import Matching, MorseSummary, partner_table
-from .posets import FinitePoset
+from .errors import CoxmorseError, CyclicMatching, OverlappingSubsets, TheoremFalsified
+from .matchings import Matching, MorseSummary, partner_table, unmatched_summary, v_path_cycle
+from .posets import CoverArrayPoset, FinitePoset
 from .reflection_orders import order_for_springer
 
 
@@ -55,10 +61,12 @@ class SpringerPoset:
     J: frozenset[int]
     Jprime: frozenset[int]
     poset: FinitePoset   # its payload: the pairs (v, w)
+    # the cell (w_J' w0, w_J' w0), or None if it is missing
+    apex_cell: int | None
     # the partner of each cell in the matching, as the block pass read it,
     # or None where a test of the slices failed, and then that failure,
     # which springer_matching raises
-    partner: tuple[int, ...] | None = field(compare=False, repr=False)
+    partner: np.ndarray | None = field(compare=False, repr=False)
     failure: CoxmorseError | None = field(compare=False, repr=False)
 
     @property
@@ -192,11 +200,11 @@ def build_springer_poset(system: CoxeterSystem, J, Jprime) -> SpringerPoset:
     """Z from one block pass (:func:`_block_pass`): its cells numbered by
     (dimension l(w) - l(v), v, w) and its covers the single steps between
     them (:func:`cells.step_cover_arrays`), each checked to join adjacent
-    dims.  Both ends of each cell are checked to lie in W^{J'}.  The
-    first failure of the slices is kept for :func:`springer_matching`: at
-    the least v, a cell whose partner (v, mate) is no cell, else the
-    block pass's.  Without one, the partner of each cell is the number
-    of its (v, mate)."""
+    dims, kept as arrays.  Both ends of each cell are checked to lie in
+    W^{J'}.  The first failure of the slices is kept for
+    :func:`springer_matching`: at the least v, a cell whose partner
+    (v, mate) is no cell, else the block pass's.  Without one, the
+    partner of each cell is the number of its (v, mate)."""
     J = system.check_subset(J)
     Jprime = system.check_subset(Jprime)
     if J & Jprime:
@@ -208,14 +216,14 @@ def build_springer_poset(system: CoxeterSystem, J, Jprime) -> SpringerPoset:
     by = np.argsort(dims, kind="stable")                     # (dim, v, w)
     v, w, mate, dims = v[by], w[by], mate[by], dims[by]
     lo, hi = step_cover_arrays(system, v, w, "springer pair poset")
-    members = tuple(zip(v.tolist(), w.tolist()))
-    ids = np.arange(len(v)).astype(object)   # one int object per cell, shared by the covers
-    poset = FinitePoset(tuple(dims.tolist()), None,
-                        tuple(zip(ids[lo].tolist(), ids[hi].tolist(), repeat(None))),
-                        members, dict(zip(members, ids.tolist())),
-                        lambda pair: pair_name(system, pair))
-    poset.graded_adjacency   # raises at a cover that skips a dim
+    # raises at a cover that skips a dim
+    poset = CoverArrayPoset(dims, None, lo, hi,
+                                          lambda: tuple(zip(v.tolist(), w.tolist())),
+                                          lambda pair: pair_name(system, pair))
     _check_membership_invariants(system, Jprime, v, w)
+    apex = _apex(system, Jprime)
+    at_apex = np.flatnonzero((v == apex) & (w == apex))
+    apex_cell = int(at_apex[0]) if at_apex.size else None
     to = np.searchsorted(key, v * n + mate)
     lost = v[key.take(to, mode="clip") != v * n + mate]      # (v, mate) is no cell
     if lost.size:   # so the cells at v are not the slice Z_v
@@ -223,10 +231,10 @@ def build_springer_poset(system: CoxeterSystem, J, Jprime) -> SpringerPoset:
                                    f"the intersection of P_v and Q_v (J={sorted(J)}, "
                                    f"J'={sorted(Jprime)})")
     if failure is not None:
-        return SpringerPoset(system, J, Jprime, poset, None, failure)
+        return SpringerPoset(system, J, Jprime, poset, apex_cell, None, failure)
     rank = np.empty_like(by)
     rank[by] = np.arange(len(by))
-    return SpringerPoset(system, J, Jprime, poset, tuple(rank[to].tolist()), None)
+    return SpringerPoset(system, J, Jprime, poset, apex_cell, rank[to], None)
 
 
 def _what(J, Jprime) -> str:
@@ -253,13 +261,33 @@ def _check_membership_invariants(system: CoxeterSystem, Jprime, v: np.ndarray,
 
 def springer_matching(sp: SpringerPoset) -> tuple[Matching, MorseSummary]:
     """The matching on Z with the partners of the block pass
-    (:attr:`SpringerPoset.partner`), checked by
-    :func:`cells.checked_matching` as the matching of a fiber is: the
-    apex is the only unmatched cell, so the apex slice is {w_J' w0}.
-    Where a test of the slices failed, that failure
+    (:attr:`SpringerPoset.partner`), checked as
+    :func:`cells.checked_matching` checks the matching of a fiber, in the
+    same order and words, but in whole arrays on Z's cover arrays: every
+    matched pair is a cover, the matching is acyclic (the V-path peel of
+    :func:`matchings.v_path_cycle`), the unmatched cells agree with the
+    Euler characteristic, and the apex is the only one, so the apex slice
+    is {w_J' w0}.  Where a test of the slices failed, that failure
     (:attr:`SpringerPoset.failure`) is raised instead."""
     if sp.failure is not None:
         raise sp.failure
-    if (sp.apex, sp.apex) not in sp.index:
+    if sp.apex_cell is None:
         raise TheoremFalsified("apex pair is missing from the pair poset")
-    return checked_matching(sp.poset, sp.partner, sp.index[(sp.apex, sp.apex)], sp.what)
+    poset, partner, apex = sp.poset, np.asarray(sp.partner), sp.apex_cell
+    n, dims = poset.n, poset.dims
+    lo, hi = poset.cover_arrays
+    # cells are numbered by dim, so a cover lo < hi has lo < hi as numbers
+    i = np.flatnonzero(partner > np.arange(n))
+    pairs, covers = i * n + partner[i], lo * n + hi
+    bad = np.flatnonzero(covers.take(np.searchsorted(covers, pairs), mode="clip") != pairs)
+    if bad.size:
+        raise _not_a_cover(poset, int(i[bad[0]]), int(partner[i[bad[0]]]), sp.what)
+    cycle = v_path_cycle(dims, partner, lo, hi)
+    if cycle is not None:
+        raise CyclicMatching(f"matching has a directed cycle: {cycle}")
+    fixed = np.flatnonzero(partner == np.arange(n))
+    counts = {d: c for d, c in enumerate(np.bincount(dims[fixed]).tolist()) if c}
+    summary = unmatched_summary(poset, tuple(fixed.tolist()), counts)
+    if summary.unmatched != (apex,):
+        raise _not_only_the_apex(poset, summary.unmatched, apex, sp.what)
+    return Matching(poset, tuple(partner.tolist())), summary

@@ -61,7 +61,9 @@ def closure_route_covers(leq, dims, what, name=str):
     """The covers of ``leq`` by the route that :func:`cells.graded_covers`
     replaced: the comparable pairs whose dims differ by one, closed by
     :func:`closure`, must give ``leq`` byte for byte, or
-    :class:`TheoremFalsified` names the first entry that differs."""
+    :class:`TheoremFalsified` names the first entry that differs.  The
+    covers come as :func:`cells.graded_covers` gives them: int arrays
+    (lo, hi) sorted by (lo, hi)."""
     dims, n = np.asarray(dims), leq.size
     dense = np.asarray(leq)
     up = [np.flatnonzero(dense[x] & (dims == dims[x] + 1)).tolist() for x in range(n)]
@@ -85,7 +87,8 @@ def closure_route_covers(leq, dims, what, name=str):
             f"{what} is not graded by dimension: relation between {name(i)} and "
             f"{name(j)} disagrees with the cover closure"
         )
-    return tuple((lo, hi, None) for lo, ups in enumerate(up) for hi in ups)
+    lo = np.repeat(np.arange(n), [len(ups) for ups in up])
+    return lo, np.array([hi for ups in up for hi in ups], dtype=np.intp)
 
 
 def fiber_posets(s, len_cap):

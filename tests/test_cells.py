@@ -20,7 +20,8 @@ from helpers import closed_order
 def assert_same_route(system, poset, what):
     oracle = pair_poset(system, poset.payload, what)
     assert oracle.payload == poset.payload
-    assert oracle.dims == poset.dims
+    assert list(oracle.dims) == list(poset.dims)
+    assert all(map(np.array_equal, oracle.cover_arrays, poset.cover_arrays))
     assert oracle.covers == poset.covers
 
 
@@ -158,8 +159,9 @@ def test_oracle_mismatch_names_the_first_differing_cover(system):
     with pytest.raises(Falsification, match=re.escape(message)):
         check_against_pair_poset(s, broken, "springer pair poset")
     last = poset.n - 1
-    regraded = FinitePoset(poset.dims[:-1] + (poset.dims[-1] + 1,), None, poset.covers,
-                           poset.payload, poset.index, poset.name_of)
+    dims = poset.dims.copy()
+    dims[-1] += 1
+    regraded = FinitePoset(dims, None, poset.covers, poset.payload, poset.index, poset.name_of)
     with pytest.raises(Falsification, match=re.escape(
             f"numbers or grades its cells unlike the pair-poset oracle at {poset.names[last]}")):
         check_against_pair_poset(s, regraded, "springer pair poset")

@@ -9,7 +9,7 @@ from coxmorse import build_system, cli, posets
 from coxmorse.cli import main, parse_subset
 from coxmorse.errors import InvalidSubset
 from coxmorse.fibers import build_qk
-from coxmorse.posets import FinitePoset, PackedOrder
+from coxmorse.posets import CoverArrayPoset, FinitePoset, PackedOrder
 from coxmorse.verify import CheckReport, all_orders, check_el_properties
 from helpers import b3_with_a_cover_across_dims, set_up_covers, with_members
 
@@ -474,13 +474,16 @@ def test_production_never_closes_a_poset_given_by_covers(monkeypatch, capsys):
 
     monkeypatch.setattr(PackedOrder, "layered_closure", refuse)
     monkeypatch.setattr(cli, "build_system", lambda matrix, max_elements: s)
-    built, init = [], FinitePoset.__init__
+    built = []
 
-    def record(poset, *args):
-        init(poset, *args)
-        built.append(poset)
+    def recorded(init):
+        def record(poset, *args):
+            init(poset, *args)
+            built.append(poset)
+        return record
 
-    monkeypatch.setattr(FinitePoset, "__init__", record)
+    for cls in (FinitePoset, CoverArrayPoset):   # Z and Q_K are CoverArrayPoset
+        monkeypatch.setattr(cls, "__init__", recorded(cls.__init__))
     for argv in (["matching", "--interval", "e", s.word_str(s.w0)],
                  ["springer", "--J", "{}", "--Jprime", "{}"],
                  ["fiber", "--K", "{1,2}", "--anchors", "e:e:e:1.2.3"]):

@@ -15,6 +15,7 @@ from coxmorse.fibers import build_fiber_poset, build_qk
 from coxmorse.matchings import labeled_interval
 from coxmorse.oracles import oracle_bruhat_leq
 from coxmorse.posets import (
+    CoverArrayPoset,
     PackedOrder,
     all_maximal_chains,
     check_el_labeling,
@@ -45,7 +46,9 @@ def boolean_2():
 def test_closure_reduction_roundtrip():
     p = boolean_2()
     leq = closed_order(p)
-    q = poset_from_covers(p.names, p.dims, graded_covers(leq, p.dims, "diamond"))
+    q = CoverArrayPoset(np.asarray(p.dims), None,
+                                      *graded_covers(leq, p.dims, "diamond"), lambda: p.payload)
+    assert q.payload == p.payload and q.index == p.index
     assert q.covers == tuple((lo, hi, None) for lo, hi, _ in p.covers)
     assert np.array_equal(closed_order(q), leq)
 
@@ -350,7 +353,7 @@ def test_order_check_names_the_failed_axiom():
     # x < m < y by dims 0, 1, 2; each matrix breaks one axiom
     dims = [0, 1, 2]
     chain = packed_from_dense([[1, 1, 1], [0, 1, 1], [0, 0, 1]])
-    assert graded_covers(chain, dims, "chain") == ((0, 1, None), (1, 2, None))
+    assert [ends.tolist() for ends in graded_covers(chain, dims, "chain")] == [[0, 1], [1, 2]]
     broken = {
         "not transitive": [[1, 1, 0], [0, 1, 1], [0, 0, 1]],
         "not graded by dimension": [[1, 0, 1], [0, 1, 0], [0, 0, 1]],
@@ -422,10 +425,10 @@ def test_flipped_bit_in_a_packed_pair_order_names_the_axiom_and_cells(system):
 
 
 def order_check_outcome(route, leq, dims, name):
-    """The covers that ``route`` finds in ``leq``, or the message of the
-    :class:`TheoremFalsified` it raises."""
+    """The covers that ``route`` finds in ``leq``, as lists (lo, hi), or
+    the message of the :class:`TheoremFalsified` it raises."""
     try:
-        return route(leq, dims, "q_k relation", name)
+        return [ends.tolist() for ends in route(leq, dims, "q_k relation", name)]
     except TheoremFalsified as exc:
         return str(exc)
 
@@ -458,8 +461,9 @@ def test_row_check_agrees_with_the_closure_route_on_edited_orders(system, monkey
         n, width = leq.packed.shape
         label = lambda k: pair_name(s, qk.members[k])   # noqa: E731
         blocks.clear()
-        want = closure_route_covers(leq, dims, "q_k relation", label)
-        assert graded_covers(leq, dims, "q_k relation", label) == want == qk.poset.covers
+        want = order_check_outcome(closure_route_covers, leq, dims, label)
+        assert order_check_outcome(graded_covers, leq, dims, label) == want
+        assert [ends.tolist() for ends in qk.poset.cover_arrays] == want
         block_dims = [dims[rows[0]] for rows in blocks]
         spanned |= len(block_dims) > len(set(block_dims))
         rng = random.Random(f"{name} {sorted(K)}")
@@ -514,7 +518,7 @@ def test_the_order_check_of_a_large_qk_holds_no_full_size_copy(system):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert covers == qk.poset.covers
+    assert all(map(np.array_equal, covers, qk.poset.cover_arrays))
     assert peak < leq.nbytes / 2, f"{peak} bytes to check a {leq.nbytes}-byte order"
 
 

@@ -1,6 +1,8 @@
 """Springer pair posets: membership, slices, coset pieces, certificates."""
 
+import ast
 import dataclasses
+import random
 import re
 from pathlib import Path
 
@@ -19,8 +21,9 @@ from coxmorse.errors import (
     TheoremFalsified,
 )
 from coxmorse.fibers import build_fiber_poset, build_qk, fiber_matching, fiber_slices
-from coxmorse.matchings import Matching, partner_table
-from coxmorse.oracles import oracle_coset_piece, oracle_slice_partners, oracle_springer_member
+from coxmorse.matchings import Matching, is_acyclic, partner_table, v_path_cycle
+from coxmorse.oracles import (oracle_coset_piece, oracle_directed_cycle, oracle_slice_partners,
+                              oracle_springer_member)
 from coxmorse.posets import euler_characteristic, is_pure
 from coxmorse.reflection_orders import ReflectionOrder, order_for_springer, shortlex_order
 from coxmorse.springer import build_slices, build_springer_poset, springer_matching
@@ -397,7 +400,7 @@ def test_the_array_route_gives_what_the_per_cell_route_and_the_oracles_give(syst
         blocks.clear()
         sp = build_springer_poset(s, J, Jp)
         ideal = cells.ideal_poset(s, sp.members, "springer pair poset")
-        assert ideal.payload == sp.members and ideal.dims == sp.poset.dims, (J, Jp)
+        assert ideal.payload == sp.members and ideal.dims == tuple(sp.poset.dims), (J, Jp)
         assert ideal.covers == sp.poset.covers, (J, Jp)
         # every candidate v: the block rows of P_v, Q_v and Z_v are the oracle's
         assert [x for v, *_ in blocks for x in v.tolist()] == candidates(s, Jp)
@@ -405,7 +408,14 @@ def test_the_array_route_gives_what_the_per_cell_route_and_the_oracles_give(syst
         assert sp.partner is not None and sp.failure is None
         matching, summary = springer_matching(sp)
         assert matching.partner == oracle_partners(sp), (J, Jp)
-        assert summary.unmatched == (sp.index[(sp.apex, sp.apex)],)
+        assert summary.unmatched == (sp.index[(sp.apex, sp.apex)],) == (sp.apex_cell,)
+        # the per-cell check on the cover tuples (the DFS of is_acyclic) and
+        # the cycle oracle give what the array checks give
+        want, by_cell = cells.checked_matching(ideal, sp.partner.tolist(), sp.apex_cell, sp.what)
+        assert want.partner == matching.partner, (J, Jp)
+        assert (by_cell.counts, by_cell.unmatched) == (summary.counts, summary.unmatched)
+        assert euler_characteristic(sp.poset) == euler_characteristic(ideal) == 1
+        assert oracle_directed_cycle(sp.poset, matching) is None
 
 
 def not_preserved(s, label, x):
@@ -853,3 +863,121 @@ def test_two_swapped_ranks_are_falsified_naming_a_slice(system, monkeypatch, cap
     code, err = run_springer_on(monkeypatch, capsys, s, "{1}", "{3}")
     assert code == 3 and err.startswith("FALSIFIED: ")
     assert re.search(r"\[[\d.e]+, 1\.2\.1\.3\.2\.1\] in the springer pair poset", err)
+
+
+def closed_walk_of_the_hasse_digraph(poset, partner, walk):
+    """Whether ``walk`` is a closed walk of the Hasse digraph of ``poset``
+    with the covers matched by ``partner`` oriented up and the others
+    down, read from the cover tuples."""
+    edges = {(lo, hi) if partner[lo] == hi else (hi, lo) for lo, hi, _ in poset.covers}
+    return (len(walk) >= 5 and walk[0] == walk[-1]
+            and all(step in edges for step in zip(walk, walk[1:])))
+
+
+@pytest.mark.parametrize("name", ["A3", "B3"])
+def test_the_v_path_peel_agrees_with_the_cycle_oracle_on_rematched_covers(system, name):
+    # seeded faults: a few covers of each Z are matched, their ends' old
+    # partners left unmatched; the peel, the DFS and the oracle agree
+    s, rng, verdicts = system(name), random.Random(name), set()
+    for J, Jp in disjoint_pairs(s.rank):
+        sp = build_springer_poset(s, J, Jp)
+        lo, hi = sp.poset.cover_arrays
+        for _ in range(4 if len(lo) else 0):
+            partner = sp.partner.copy()
+            for k in rng.sample(range(len(lo)), min(3, len(lo))):
+                for x in (lo[k], hi[k]):
+                    partner[partner[x]], partner[x] = partner[x], x
+                partner[lo[k]], partner[hi[k]] = hi[k], lo[k]
+            matching = Matching(sp.poset, tuple(partner.tolist()))
+            cycle = v_path_cycle(sp.poset.dims, partner, lo, hi)
+            acyclic = oracle_directed_cycle(sp.poset, matching) is None
+            assert (cycle is None) == acyclic == is_acyclic(sp.poset, matching).acyclic
+            assert acyclic or closed_walk_of_the_hasse_digraph(sp.poset, partner, cycle)
+            verdicts.add(acyclic)
+    assert verdicts == {True, False}
+
+
+def plant_a_two_cycle(monkeypatch):
+    """Make the block pass's reader leave every cell of the first slice
+    with x0 and x1 both covered by y0 and y1 unmatched, but for x0-y0
+    and x1-y1: x0 -> y0 -> x1 -> y1 -> x0.  Returns the list that each
+    call appends its (base, x0, x1, y0, y1) to."""
+    real, planted = cells.slice_partner_arrays, []
+
+    def cyclic(system, x, y, table):
+        m = real(system, x, y, table)
+        for base in sorted(set(x.tolist())):
+            at = np.flatnonzero(x == base)
+            ys = sorted(y[at].tolist())
+            up = {a: {u for u, _ in system.bruhat_covers_up(a)} & set(ys) for a in ys}
+            quad = next(((a, b, *sorted(up[a] & up[b])[:2]) for a in ys for b in ys
+                         if a < b and len(up[a] & up[b]) >= 2), None)
+            if quad is not None:
+                x0, x1, y0, y1 = quad
+                pos = dict(zip(y[at].tolist(), at.tolist()))
+                m[at] = y[at]
+                m[pos[x0]], m[pos[y0]], m[pos[x1]], m[pos[y1]] = y0, x0, y1, x1
+                planted.append((base, *quad))
+                break
+        return m
+
+    monkeypatch.setattr(springer, "slice_partner_arrays", cyclic)
+    return planted
+
+
+def test_a_planted_two_cycle_in_a_slice_exits_with_a_closed_walk(system, monkeypatch, capsys):
+    s = system("A3")
+    planted = plant_a_two_cycle(monkeypatch)
+    code, err = run_springer_on(monkeypatch, capsys, s, "{}", "{}")
+    prefix = "FALSIFIED: matching has a directed cycle: "
+    assert code == 3 and err.startswith(prefix)
+    walk = ast.literal_eval(err[len(prefix):])
+    sp = build_springer_poset(s, set(), set())
+    base, *quad = planted[0]
+    assert sorted(set(walk)) == sorted(sp.index[(base, y)] for y in quad)
+    assert closed_walk_of_the_hasse_digraph(sp.poset, sp.partner, walk)
+    with pytest.raises(CyclicMatching, match=re.escape(f"directed cycle: {walk}")):
+        springer_matching(sp)
+
+
+def test_a_planted_partner_that_is_no_cover_is_named(system):
+    # the first two matched pairs a-b and c-d of Z, in different slices,
+    # become a-d and c-b; the lesser of a-d and b-c is named
+    s = system("A3")
+    sp = build_springer_poset(s, {1}, set())
+    pairs = Matching(sp.poset, sp.partner).pairs
+    a, b = pairs[0]
+    c, d = next(p for p in pairs if sp.members[p[0]][0] != sp.members[a][0])
+    partner = sp.partner.copy()
+    partner[a], partner[d], partner[c], partner[b] = d, a, b, c
+    i, j = min((a, d), tuple(sorted((b, c))))
+    names = sp.poset.names
+    with pytest.raises(TheoremFalsified, match=re.escape(
+            f"matched pair {names[i]} -- {names[j]} is not a cover of the {sp.what}")):
+        springer_matching(dataclasses.replace(sp, partner=partner))
+
+
+def test_paranoid_springer_names_the_cycle_that_the_peel_misses(system, monkeypatch, capsys):
+    # the peel sees no cycle; with the partner check left out, only the
+    # cycle oracle sees the planted one
+    s = system("A3")
+    plant_a_two_cycle(monkeypatch)
+    monkeypatch.setattr(springer, "v_path_cycle", lambda *args: None)
+    monkeypatch.setattr(cli, "_check_springer_partners", lambda sp: None)
+    sp = build_springer_poset(s, set(), set())
+    cycle = oracle_directed_cycle(sp.poset, Matching(sp.poset, tuple(sp.partner.tolist())))
+    assert cycle is not None
+    code, err = run_springer_on(monkeypatch, capsys, s, "{}", "{}", "--paranoid")
+    assert (code, err) == (3, f"FALSIFIED: the V-path peel of the {sp.what} misses the "
+                              f"directed cycle {cycle} that the cycle oracle finds\n")
+
+
+def test_paranoid_springer_names_a_cycle_that_only_the_peel_reports(system, monkeypatch, capsys):
+    s = system("A3")
+    monkeypatch.setattr(springer, "v_path_cycle", lambda *args: (0, 1, 0))
+    code, err = run_springer_on(monkeypatch, capsys, s, "{1}", "{3}")
+    assert (code, err) == (3, "FALSIFIED: matching has a directed cycle: (0, 1, 0)\n")
+    code, err = run_springer_on(monkeypatch, capsys, s, "{1}", "{3}", "--paranoid")
+    assert (code, err) == (3, "FALSIFIED: the V-path peel of the springer pair poset (J=[1], "
+                              "J'=[3]) reports the directed cycle (0, 1, 0), which the cycle "
+                              "oracle does not find\n")

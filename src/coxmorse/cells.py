@@ -26,24 +26,22 @@ dimension).  Z and Q_K keep their covers as sorted int arrays
 fiber is small.  :func:`pair_poset` on the cells of Z or F is their
 independent oracle route (:func:`check_against_pair_poset`, which
 compares cover arrays).  Such a
-poset is matched slice by slice.  F's slices (:func:`slice_matching`)
-read the matching of a slice's interval only on the slice, each
-element's partner the first entry of its row of the partner table
-inside the interval (:func:`slice_partners`; the table is the interval
-sweep's, :func:`matchings.partner_table`), so a slice costs what it
-holds, not its interval.  Z's slices, of [x, w0], read their partners
-on the slice and on the sets it must preserve in whole arrays
-(:func:`slice_partner_arrays`).  F's matching is checked by
-:func:`checked_matching`, and Z's by the same checks in whole arrays
-(:func:`springer.springer_matching`), worded once here.
+poset is matched slice by slice, each slice's interval matching read
+only where needed, by the reader shared with the interval sweep
+(:func:`matchings.first_inside`).  F's slices are read at once
+(:func:`slice_partners`) and checked by :func:`slice_matching` and
+:func:`checked_matching`; Z's in whole arrays (:mod:`springer`), in the
+same words, worded once here.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from . import matchings
 from .coxeter import CoxeterSystem, _flat
 from .errors import Falsification, NotAMatching, TheoremFalsified
 from .matchings import Matching, MorseSummary, morse_counts, partner_table
@@ -334,55 +332,24 @@ def check_against_pair_poset(system: CoxeterSystem, poset: FinitePoset, what: st
         )
 
 
-def slice_partners(system: CoxeterSystem, x: int, top: int, ys: Iterable[int],
-                   rows: Sequence[Sequence[int]]) -> dict[int, int]:
-    """M(y) for each y in ``ys``, M the matching of [x, top] under the
-    reflection order of the partner table ``rows``
-    (:func:`matchings.partner_table`, as lists): M(y) is the first entry u
-    of row y inside [x, top], that is an up-cover (l(u) > l(y), so u > y,
-    as ids are sorted by length) with u <= top or a down-cover with
-    x <= u.  A row that reaches its pad ``system.size`` first holds no
-    edge of [x, top] at y, and raises :class:`NotAMatching`."""
-    leq, pad = system.bruhat.leq, system.size
-    partner = {}
-    for y in ys:
-        for u in rows[y]:
-            if u == pad or (leq(u, top) if u > y else leq(x, u)):
-                break
-        else:
-            u = pad
-        if u == pad:
-            raise _isolated(system, x, top, y)
-        partner[y] = u
-    return partner
+def slice_partners(system: CoxeterSystem, slices: Sequence[tuple],
+                   table: np.ndarray) -> list[dict[int, int]]:
+    """M(y), or -1 for none, for each y of each slice (x, top, ys), M the
+    matching of [x, top] under the order of ``table``: one call of
+    :func:`matchings.first_inside` on all the [x, top]."""
+    x = np.array([s[0] for s in slices], dtype=np.intp)
+    top = np.array([s[1] for s in slices], dtype=np.intp)
+    sizes = [len(s[2]) for s in slices]
+    y = np.fromiter(chain.from_iterable(s[2] for s in slices), dtype=np.intp,
+                    count=sum(sizes))
+    member = matchings.interval_members(system.bruhat, x, top)
+    base = np.repeat(np.arange(len(x)) * member.shape[1], sizes)
+    mate = matchings.first_inside(table, member.reshape(-1), y, base).tolist()
+    ends = np.cumsum(sizes).tolist()
+    return [dict(zip(s[2], mate[end - size:end])) for s, size, end in zip(slices, sizes, ends)]
 
 
-def slice_partner_arrays(system: CoxeterSystem, x: np.ndarray, y: np.ndarray,
-                         table: np.ndarray) -> np.ndarray:
-    """:func:`slice_partners` in whole arrays for the top w0: M(y[k]) in
-    the matching of [x[k], w0] under the reflection order of the partner
-    table ``table`` (:func:`matchings.partner_table`), or -1 where row
-    y[k] reaches its pad first (an isolated element).  An entry u of row
-    y inside [x, w0] is an up-cover (y < u < the pad) or a down-cover
-    with x <= u.  The rows are read one column at a time, only for the
-    pairs still without a partner."""
-    b, pad = system.bruhat, system.size
-    partner = np.full(len(y), -1, dtype=np.intp)
-    todo = np.arange(len(y))
-    for col in range(table.shape[1]):
-        if not todo.size:
-            break
-        at = y[todo]
-        u = table[at, col]
-        inside = (at < u) & (u < pad)
-        down = u < at
-        inside[down] = b[x[todo[down]], u[down]]
-        partner[todo[inside]] = u[inside]
-        todo = todo[~inside]
-    return partner
-
-
-def slice_matching(system: CoxeterSystem, poset: FinitePoset, slices: Iterable[tuple],
+def slice_matching(system: CoxeterSystem, poset: FinitePoset, slices: Sequence[tuple],
                    order: ReflectionOrder, apex: int,
                    what: str) -> tuple[Matching, MorseSummary]:
     """Glue the interval matchings of the slices into one matching of a
@@ -390,21 +357,21 @@ def slice_matching(system: CoxeterSystem, poset: FinitePoset, slices: Iterable[t
 
     A slice (x, top, z_x) has base x and the slice z_x = {y : (x, y) in
     the poset} inside [x, top].  The matching M of [x, top] under
-    ``order`` is read only on z_x (:func:`slice_partners`, from the
-    :func:`matchings.partner_table` of ``order``, built at the first
-    slice): it must preserve z_x and be an involution there; then (x, y)
-    and (x, M(y)) are matched for y in z_x, and the matching is checked
-    by :func:`checked_matching`.  ``what`` names the poset in errors.
-    :func:`oracles.oracle_slice_partners` matches all of [x, top]
-    (``fiber --paranoid``).
+    ``order`` is read only on z_x (:func:`slice_partners`; the
+    :func:`matchings.partner_table` is built only if there is a slice):
+    each y must have a partner, and M must preserve z_x and be an
+    involution there; then (x, y) and (x, M(y)) are matched, and the
+    matching is checked by :func:`checked_matching`.  ``what`` names the
+    poset in errors.  :func:`oracles.oracle_slice_partners` matches all
+    of [x, top] (``fiber --paranoid``).
     """
     index = poset.index
-    rows = None
     partner = list(range(poset.n))
-    for x, top, z_x in slices:
-        if rows is None:
-            rows = partner_table(system, order).tolist()
-        m = slice_partners(system, x, top, z_x, rows)
+    reads = slice_partners(system, slices, partner_table(system, order)) if slices else []
+    for (x, top, z_x), m in zip(slices, reads):
+        isolated = next((y for y in z_x if m[y] < 0), None)
+        if isolated is not None:
+            raise _isolated(system, x, top, isolated)
         if not set(z_x).issuperset(m.values()):
             raise _not_preserved(system, x, top, "slice", what)
         for y, mate in m.items():

@@ -184,16 +184,15 @@ def _check_fiber_members(fp) -> None:
         )
 
 
-def _check_slices(system, slices, order, what, read) -> dict[int, dict[int, int]]:
+def _check_slices(system, slices, order, what, table) -> dict[int, dict[int, int]]:
     """Under ``--paranoid``: on every slice (x, top, ys), the partner that
-    a production route's reader, ``read(x, top, ys)``, gives each y in ys
-    (-1 for none) must be y's in the matching of all of [x, top]
-    (:func:`oracles.oracle_slice_partners`); the slice and the first
-    element whose partners differ are named.  Returns the oracle's
+    the shared reader gives each y in ys from ``table``
+    (:func:`cells.slice_partners`) must be y's in the matching of all of
+    [x, top] (:func:`oracles.oracle_slice_partners`); the slice and the
+    first element whose partners differ are named.  Returns the oracle's
     partners by x."""
     oracles = {}
-    for x, top, ys in slices:
-        local = read(x, top, ys)
+    for (x, top, ys), local in zip(slices, slice_partners(system, slices, table)):
         oracle = oracles[x] = oracle_slice_partners(system, x, top, order)
         y = next((y for y in ys if local[y] != oracle[y]), None)
         if y is not None:
@@ -210,22 +209,15 @@ def _check_slices(system, slices, order, what, read) -> dict[int, dict[int, int]
 
 def _check_springer_partners(sp) -> None:
     """Under ``springer --paranoid``: at each v with a cell but the apex,
-    the block pass's reader and table, looked up in :mod:`springer` as
-    the pass looks them up, are checked on all of [v, w0], a superset of
-    what the pass reads (:func:`_check_slices`); then the partner that
-    the pass gives each cell must be the oracle's, or the first cell
-    whose partners differ is named."""
+    the shared reader on the block pass's table (looked up in
+    :mod:`springer`) is checked on all of [v, w0] (:func:`_check_slices`);
+    then the partner that the pass gives each cell must be the oracle's,
+    or the first cell whose partners differ is named."""
     system, w0 = sp.system, sp.system.w0
     order = order_for_springer(system, sp.Jprime, sp.J)
-    table = springer.partner_table(system, order)
-
-    def read(x, top, ys):
-        m = springer.slice_partner_arrays(system, np.full(len(ys), x), np.array(ys), table)
-        return dict(zip(ys, m.tolist()))
-
     bases = sorted({v for v, _ in sp.members} - {sp.apex})
-    oracles = _check_slices(system, ((x, w0, system.interval_ids(x, w0)) for x in bases),
-                            order, sp.what, read)
+    oracles = _check_slices(system, [(x, w0, system.interval_ids(x, w0)) for x in bases],
+                            order, sp.what, springer.partner_table(system, order))
     if sp.partner is None:
         return
     # the apex slice is not matched: its cell is its own partner
@@ -374,9 +366,7 @@ def cmd_fiber(args) -> int:
         oracle_convexity(fp)
     slices, order, apex, what = fiber_slices(fp)
     if args.paranoid:
-        rows = partner_table(system, order).tolist()
-        _check_slices(system, slices, order, what,
-                      lambda x, top, ys: slice_partners(system, x, top, ys, rows))
+        _check_slices(system, slices, order, what, partner_table(system, order))
     matching, summary = slice_matching(system, fp.poset, slices, order, apex, what)
     if args.paranoid:
         _rescan_unmatched(fp.poset, matching, summary)

@@ -14,10 +14,9 @@ route over all of W_K x W_K by the subword test (``fiber --paranoid``).
 A reflection order with N_R(v') first, built once per v' and group
 (:func:`reflection_orders.order_for_fiber`), induces a matching on F with
 unique unmatched element (z~, z~), the top of the generalized quotient,
-giving the contractibility certificate.  Its partners are read slice by
-slice from the order's partner table (:func:`matchings.partner_table`,
-shared with the interval sweep), built only for a fiber with a slice: a
-one-cell fiber builds none.
+giving the contractibility certificate.  Its partners are read for all
+slices at once by the shared reader (:func:`cells.slice_partners`),
+from a partner table built only for a fiber with a slice.
 
 F is order convex, so it is a lower set of the nesting poset of pairs and
 is built from single steps by :func:`cells.ideal_poset`, which checks that

@@ -18,12 +18,12 @@ selection, the acyclicity search and one sweep per side of the shelling
 check run.
 
 A whole group's intervals are matched in whole-array steps by
-:func:`sweep_failures`, which reads each order from one
-:func:`partner_table`; the per-interval route above is its oracle and
-names what it finds.  The sweep and the matching of a Springer poset Z,
-whose covers are arrays, share one V-path peel (:func:`peel`): Z's
-verdict and cycle witness come from :func:`v_path_cycle`, the array
-route of :func:`is_acyclic`, which intervals and fibers keep.
+:func:`sweep_failures`; the per-interval route above is its oracle and
+names what it finds.  The sweep, the Springer block pass and the fiber
+slices read partners from a :func:`partner_table` by one reader
+(:func:`first_inside`).  The sweep and the matching of a Springer poset
+Z share one V-path peel (:func:`peel`): Z's verdict and cycle witness
+come from :func:`v_path_cycle`, the array route of :func:`is_acyclic`.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .errors import (
     NotComparable,
     TheoremFalsified,
 )
-from .posets import FinitePoset, euler_characteristic
+from .posets import FinitePoset, PackedOrder, euler_characteristic
 from .reflection_orders import ReflectionOrder
 
 
@@ -233,8 +233,7 @@ def partner_table(system: CoxeterSystem, order: ReflectionOrder) -> np.ndarray:
     the up-cover arrays with one stable argsort of a key that orders the
     rows by x and each row by decreasing rank.  In any interval that
     holds x, the partner of x is the first entry of row x inside the
-    interval; the interval sweep, :func:`cells.slice_partners` and
-    :func:`cells.slice_partner_arrays` read it so."""
+    interval; every route reads it so, through :func:`first_inside`."""
     start, ids, labels = system._up_start, system._up_ids, system._up_labels
     n, m = system.size, len(order.sequence)
     rank = np.full(n, -1, dtype=np.intp)
@@ -251,6 +250,35 @@ def partner_table(system: CoxeterSystem, order: ReflectionOrder) -> np.ndarray:
     table = np.full((n, int(degree.max(initial=0))), n, dtype=np.intp)
     table[at, slot] = np.concatenate((ids, lows))[o]
     return table
+
+
+def interval_members(bruhat: PackedOrder, v: np.ndarray, w) -> np.ndarray:
+    """Row k: [v[k], w[k]] as row v[k] of ``bruhat`` ANDed with column
+    w[k] (``w`` may be one top), and a last, pad column that is unset."""
+    packed, n, w = bruhat.packed, bruhat.size, np.asarray(w)
+    member = np.zeros((len(v), n + 1), dtype=bool)
+    member[:, :n] = np.unpackbits(packed[v], axis=1, count=n, bitorder="little")
+    member[:, :n] &= ((packed[:, w >> 3] >> (w & 7).astype(np.uint8)) & 1).T.view(bool)
+    return member
+
+
+def first_inside(table: np.ndarray, member: np.ndarray, element: np.ndarray,
+                 base: np.ndarray) -> np.ndarray:
+    """For each position k, the first entry u of row element[k] of
+    ``table`` (:func:`partner_table`) with member[base[k] + u] set: the
+    partner of element[k] in the interval set in the flat ``member`` from
+    base[k] on, whose pad column is never set; -1 where there is none.
+    Read a column at a time, at the positions without a partner yet."""
+    mate = np.full(len(element), -1, dtype=np.intp)
+    todo = np.arange(len(element))
+    for column in table.T:
+        if not todo.size:
+            break
+        u = column[element[todo]]
+        hit = member[base[todo] + u]
+        mate[todo[hit]] = u[hit]
+        todo = todo[~hit]
+    return mate
 
 
 def sweep_failures(system: CoxeterSystem,
@@ -279,15 +307,11 @@ def sweep_failures(system: CoxeterSystem,
     above = np.full((n, int(np.diff(start).max(initial=0))), n, dtype=np.intp)
     above[lows, np.arange(len(ups)) - start[lows]] = ups
     tables = [partner_table(system, order) for order in orders]
-    packed, width = bruhat.packed, n + 1    # column n: the dummy end, in no interval
     failing: list[tuple[int, int, int]] = []
-    step = max(1, SWEEP_BLOCK_BYTES // width)
+    step = max(1, SWEEP_BLOCK_BYTES // (n + 1))
     for a in range(0, len(vs), step):
         v, w = vs[a:a + step], ws[a:a + step]
-        # row v of the order ANDed with column w
-        member = np.zeros((len(v), width), dtype=bool)
-        member[:, :n] = np.unpackbits(packed[v], axis=1, count=n, bitorder="little")
-        member[:, :n] &= ((packed[:, w >> 3] >> (w & 7).astype(np.uint8)) & 1).T.view(bool)
+        member = interval_members(bruhat, v, w)
         bad = _block_failures(member, above, tables, length)
         bad |= (member[:, skip_lo] & member[:, skip_hi]).any(axis=1)
         i, k = np.nonzero(bad.T)
@@ -305,8 +329,8 @@ def _block_failures(member: np.ndarray, above: np.ndarray, tables: list[np.ndarr
     covers y < h are read once from ``above``.  Then, per order:
 
     - the partner of each position is the first entry of its table row
-      inside the interval; a position with none, or whose partner's
-      partner is another position, fails its interval;
+      inside the interval (:func:`first_inside`); a position with none,
+      or whose partner's partner is another position, fails its interval;
     - the V-path edges x -> y (see :func:`is_acyclic`) are the inside
       covers y < h with M(y) above y and M(h) = x != y below h, peeled
       by :func:`peel`; every interval that still holds an edge has a
@@ -324,19 +348,12 @@ def _block_failures(member: np.ndarray, above: np.ndarray, tables: list[np.ndarr
     h = position[ups[y, j]]
     bad = np.zeros((len(tables), size), dtype=bool)
     for table, failed in zip(tables, bad):
-        # the partner's index into member, by table columns over the
-        # positions not yet matched; a position with none keeps its own
-        spot = flat.copy()
-        todo = np.arange(count)
-        for column in table.T:
-            ends = column[element[todo]] + base[todo]
-            hit = member[ends]
-            spot[todo[hit]] = ends[hit]
-            todo = todo[~hit]
-            if not todo.size:
-                break
+        # the partner's index into member; a position with none keeps its own
+        mate = first_inside(table, member, element, base)
+        none = mate < 0
+        spot = np.where(none, flat, base + mate)
         partner = position[spot]
-        failed[interval[todo]] = True
+        failed[interval[none]] = True
         failed[interval[partner[partner] != np.arange(count)]] = True
         raised = length[spot - base] > length[element]
         keep = raised[y] & ~raised[h] & (partner[h] != y) & ~failed[interval[y]]

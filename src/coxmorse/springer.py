@@ -12,7 +12,7 @@ on the supersets P_v and Q_v that it must preserve.
 One pass over blocks of rows of the candidate v (:func:`_block_pass`)
 gives the rows of P_v, Q_v and Z_v (:func:`build_slices`, their one
 definition) and, on the same rows in whole arrays, the cells of Z and
-each cell's partner in its slice (:func:`cells.slice_partner_arrays`),
+each cell's partner in its slice (:func:`matchings.first_inside`),
 checked there to preserve P_v, Q_v and Z_v and to be an involution.  Z
 is a lower set of the nesting poset of pairs (the totally nonnegative
 Springer fiber is a closed union of cells): its covers are the single
@@ -32,9 +32,9 @@ fibers, and a failure of the slices waits in
 :attr:`SpringerPoset.failure` for :func:`springer_matching`.
 :func:`cells.check_against_pair_poset` rebuilds Z by
 :func:`cells.pair_poset` as an oracle route.  ``springer --paranoid``
-also runs this module's reader on all of each [v, w0] against the
-matching of the whole interval (:func:`oracles.oracle_slice_partners`),
-and the peel's verdict against :func:`oracles.oracle_directed_cycle`.
+also runs the shared reader on this module's table on all of each
+[v, w0] against :func:`oracles.oracle_slice_partners`, and the peel's
+verdict against :func:`oracles.oracle_directed_cycle`.
 """
 
 from __future__ import annotations
@@ -44,9 +44,9 @@ from typing import Mapping
 
 import numpy as np
 
-from . import posets
+from . import matchings, posets
 from .cells import (_isolated, _not_a_cover, _not_an_involution, _not_only_the_apex,
-                    _not_preserved, pair_name, slice_partner_arrays, step_cover_arrays)
+                    _not_preserved, pair_name, step_cover_arrays)
 from .cells import pair_poset  # noqa: F401  (perfbench patches springer.pair_poset)
 from .coxeter import CoxeterSystem
 from .errors import CoxmorseError, CyclicMatching, OverlappingSubsets, TheoremFalsified
@@ -158,7 +158,7 @@ def _block_pass(system: CoxeterSystem, J, Jprime, what: str):
 def _block_mates(system: CoxeterSystem, v: np.ndarray, checked: list[tuple[str, np.ndarray]],
                  table: np.ndarray, apex: int, k: np.ndarray, w: np.ndarray, what: str):
     """(mate, None): the partner of each cell (v[k], w) of one block in
-    the matching of [v, w0] (:func:`cells.slice_partner_arrays`), w
+    the matching of [v, w0] (:func:`matchings.first_inside`), w
     itself at the apex; or (w, failure) at the least v where an array
     test of the slices fails.  At that v an isolated element comes
     first, then the first checked set that the matching does not
@@ -176,7 +176,8 @@ def _block_mates(system: CoxeterSystem, v: np.ndarray, checked: list[tuple[str, 
     r, y = np.divmod(np.flatnonzero(union), n)
     matched = (sets[-1].any(axis=1) & (v != apex))[r]      # the apex slice is not matched
     r, y = r[matched], y[matched]
-    m = slice_partner_arrays(system, v[r], y, table)
+    member = matchings.interval_members(system.bruhat, v, w0)
+    m = matchings.first_inside(table, member.reshape(-1), y, r * (n + 1))
     key = r * n + y
     # where the sets are preserved, M(y) is checked too and found among the keys
     back = m.take(np.searchsorted(key, r * n + m), mode="clip")

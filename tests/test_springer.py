@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coxmorse import cells, cli, springer
+from coxmorse import cells, cli, matchings, springer
 from coxmorse.cells import pair_name
 from coxmorse.cli import main
 from coxmorse.errors import (
@@ -21,13 +21,14 @@ from coxmorse.errors import (
     TheoremFalsified,
 )
 from coxmorse.fibers import build_fiber_poset, build_qk, fiber_matching, fiber_slices
-from coxmorse.matchings import Matching, is_acyclic, partner_table, v_path_cycle
+from coxmorse.matchings import Matching, is_acyclic, partner_table, sweep_failures, v_path_cycle
 from coxmorse.oracles import (oracle_coset_piece, oracle_directed_cycle, oracle_slice_partners,
                               oracle_springer_member)
 from coxmorse.posets import euler_characteristic, is_pure
-from coxmorse.reflection_orders import ReflectionOrder, order_for_springer, shortlex_order
+from coxmorse.reflection_orders import (ReflectionOrder, order_for_fiber, order_for_springer,
+                                        shortlex_order)
 from coxmorse.springer import build_slices, build_springer_poset, springer_matching
-from coxmorse.verify import disjoint_pairs
+from coxmorse.verify import disjoint_pairs, sampled_orders
 from helpers import b3_with_a_cover_across_dims, plant_in_partner_table
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -289,26 +290,42 @@ def test_a_dropped_maximal_cell_is_named_by_its_slice(system, monkeypatch):
             springer_matching(build_springer_poset(s, {1}, {3}))
 
 
-def swap_across_slice_arrays(members, swapped=None):
-    """slice_partner_arrays with the partners swapped as by
-    :func:`swap_across_slice`, for the pairs of each base x; each base
-    and the element c outside its slice are appended to ``swapped``."""
-    real = cells.slice_partner_arrays
+def plant_in_reader(monkeypatch, plant):
+    """Patch the shared reader, :func:`matchings.first_inside`, where every
+    route looks it up, so that the partners m of each call pass through
+    ``plant(m, x, pos)`` at each interval that the call reads, by
+    increasing bottom x (the least element of the interval's row of the
+    member mask), with pos mapping the elements read there, in the order
+    read, to their positions in m.  A plant that returns True ends the
+    planting for that call."""
+    real = matchings.first_inside
 
-    def faulty(system, x, y, table):
-        m = real(system, x, y, table)
-        for base in sorted(set(x.tolist())):
-            inside = {w for v, w in members if v == base}
-            at = np.flatnonzero(x == base)
-            outside = [k for k in at.tolist() if y[k] not in inside]
-            if outside:
-                a, c = next(k for k in at.tolist() if y[k] == min(inside)), outside[0]
-                m[a], m[c] = m[c], m[a]
-                if swapped is not None:
-                    swapped.append((base, int(y[c])))
+    def planted(table, member, element, base):
+        m = real(table, member, element, base)
+        for x, b in sorted((int(member[b:].argmax()), b) for b in set(base.tolist())):
+            at = np.flatnonzero(base == b).tolist()
+            if plant(m, x, dict(zip(element[at].tolist(), at))):
+                break
         return m
 
-    return faulty
+    monkeypatch.setattr(matchings, "first_inside", planted)
+
+
+def swap_across_slice(members, swapped=None):
+    """A plant (:func:`plant_in_reader`) that swaps the partners of the
+    least element of the slice Z_x = {w : (x, w) in ``members``} and of
+    the first element read at x outside it; each x and that element are
+    appended to ``swapped``."""
+    def plant(m, x, pos):
+        inside = {w for v, w in members if v == x}
+        outside = [y for y in pos if y not in inside]
+        if outside:
+            a, c = pos[min(inside)], pos[outside[0]]
+            m[a], m[c] = m[c], m[a]
+            if swapped is not None:
+                swapped.append((x, outside[0]))
+
+    return plant
 
 
 def b3_fiber(system):
@@ -321,14 +338,13 @@ def b3_fiber(system):
 
 def test_slice_matching_rejects_a_partner_outside_the_slice(system, monkeypatch):
     # the least element of each slice is sent to an up-cover outside it
-    real = cells.slice_partners
+    s = system("B3")
 
-    def faulty(system, x, top, ys, rows):
-        m = real(system, x, top, ys, rows)
-        m[min(ys)] = next(u for u, _ in system.bruhat_covers_up(min(ys)) if u not in ys)
-        return m
+    def outside(m, x, pos):
+        least = min(pos)
+        m[pos[least]] = next(u for u, _ in s.bruhat_covers_up(least) if u not in pos)
 
-    monkeypatch.setattr(cells, "slice_partners", faulty)
+    plant_in_reader(monkeypatch, outside)
     message = ("slice at e is not preserved by the matching of [e, 1.2.1] in the fiber pair "
                "poset (K=[1, 2])")
     with pytest.raises(TheoremFalsified, match=re.escape(message)):
@@ -348,21 +364,20 @@ def test_slice_matching_rejects_a_wrong_apex(system):
 def test_slice_matching_rejects_a_cyclic_assembly(system, monkeypatch):
     # on the slice at e, x0, x1 both covered by y0 and y1 are matched
     # x0-y0 and x1-y1: x0 -> y0 -> x1 -> y1 -> x0 within one slice
-    real = cells.slice_partners
+    s = system("B3")
 
-    def cyclic(system, x, top, ys, rows):
-        up = {y: {u for u, _ in system.bruhat_covers_up(y)} & set(ys) for y in ys}
+    def cyclic(m, x, pos):
+        up = {y: {u for u, _ in s.bruhat_covers_up(y)} & set(pos) for y in pos}
         quad = next(((a, b, *sorted(up[a] & up[b])[:2]) for a in sorted(up) for b in sorted(up)
                      if a < b and len(up[a] & up[b]) >= 2), None)
-        if quad is None:
-            return real(system, x, top, ys, rows)
-        x0, x1, y0, y1 = quad
-        partner = {y: y for y in ys}
-        partner[x0], partner[y0], partner[x1], partner[y1] = y0, x0, y1, x1
-        return partner
+        if quad is not None:
+            x0, x1, y0, y1 = quad
+            for y, k in pos.items():
+                m[k] = y
+            m[pos[x0]], m[pos[y0]], m[pos[x1]], m[pos[y1]] = y0, x0, y1, x1
 
     fp = b3_fiber(system)
-    monkeypatch.setattr(cells, "slice_partners", cyclic)
+    plant_in_reader(monkeypatch, cyclic)
     with pytest.raises(CyclicMatching):
         fiber_matching(fp)
 
@@ -372,19 +387,16 @@ def test_slice_matching_rejects_partners_that_are_not_an_involution(system, monk
     # to u2: the slice is still preserved, but y -> u2 -> y2
     fp = b3_fiber(system)
     s = fp.system
-    real = cells.slice_partners
     seen = []
 
-    def faulty(system, x, top, ys, rows):
-        m = real(system, x, top, ys, rows)
-        pairs = sorted((y, u) for y, u in m.items() if y < u)
+    def faulty(m, x, pos):
+        pairs = sorted((y, int(m[k])) for y, k in pos.items() if y < m[k])
         if not seen and len(pairs) >= 2:
             (y, _), (_, u2) = pairs[:2]
-            m[y] = u2
+            m[pos[y]] = u2
             seen.append(x)
-        return m
 
-    monkeypatch.setattr(cells, "slice_partners", faulty)
+    plant_in_reader(monkeypatch, faulty)
     with pytest.raises(NotAMatching, match=r"edge selection is not an involution at .* in \[") as exc:
         fiber_matching(fp)
     assert (f"in [{s.word_str(seen[0])}, {s.word_str(fp.z_prime)}] in the fiber pair poset "
@@ -430,8 +442,7 @@ def test_a_partner_swapped_across_the_slice_is_named_by_the_arrays(system, monke
     s = system("A3")
     sp = build_springer_poset(s, {1}, {3})
     swapped = []
-    monkeypatch.setattr(springer, "slice_partner_arrays",
-                        swap_across_slice_arrays(sp.members, swapped))
+    plant_in_reader(monkeypatch, swap_across_slice(sp.members, swapped))
     with pytest.raises(TheoremFalsified) as exc:
         springer_matching(build_springer_poset(s, {1}, {3}))
     x, c = swapped[0]
@@ -515,21 +526,15 @@ def planted_failure(plant, sp, x, got):
 def test_a_fault_in_the_array_partners_is_named_by_the_arrays(system, monkeypatch, plant):
     s = system("A3")
     sp = build_springer_poset(s, {1}, {3})
-    real = cells.slice_partner_arrays
     planted = []
 
-    def faulty(system, x, y, table):
-        m = real(system, x, y, table)
-        for base in sorted(set(x.tolist())):
-            at = np.flatnonzero(x == base).tolist()
-            pos = dict(zip(y[at].tolist(), at))
-            if not planted:
-                got = plant(m, pos, *rows_at(s, {1}, {3}, base), s.length)
-                if got is not None:
-                    planted.append((base, got))
-        return m
+    def faulty(m, x, pos):
+        if not planted:
+            got = plant(m, pos, *rows_at(s, {1}, {3}, x), s.length)
+            if got is not None:
+                planted.append((x, got))
 
-    monkeypatch.setattr(springer, "slice_partner_arrays", faulty)
+    plant_in_reader(monkeypatch, faulty)
     with pytest.raises(Falsification) as exc:
         springer_matching(build_springer_poset(s, {1}, {3}))
     (x, got), = planted
@@ -540,7 +545,7 @@ def test_a_fault_in_the_array_partners_is_named_by_the_arrays(system, monkeypatc
 def test_cli_exits_as_falsification_on_a_partner_outside_the_slice(system, monkeypatch,
                                                                   capsys):
     sp = build_springer_poset(system("A3"), {1}, {3})
-    monkeypatch.setattr(springer, "slice_partner_arrays", swap_across_slice_arrays(sp.members))
+    plant_in_reader(monkeypatch, swap_across_slice(sp.members))
     code = main(["springer", "--group", "A3", "--J", "{1}", "--Jprime", "{3}"])
     out = capsys.readouterr()
     assert code == 3 and out.out == ""
@@ -557,9 +562,8 @@ def test_slice_partners_match_the_full_interval_oracle(system, name):
         table = partner_table(s, order)
         for x in slice_bases(sp):
             want = oracle_slice_partners(s, x, s.w0, order)
-            ys = np.array(sorted(want))
-            got = cells.slice_partner_arrays(s, np.full(len(ys), x), ys, table)
-            assert dict(zip(ys.tolist(), got.tolist())) == want, (J, Jp, x)
+            got, = cells.slice_partners(s, [(x, s.w0, sorted(want))], table)
+            assert got == want, (J, Jp, x)
             # the partner that the block pass gives each cell of the slice
             z_x = [w for v, w in sp.members if v == x]
             block = [sp.members[sp.partner[sp.index[(x, y)]]] for y in z_x]
@@ -570,11 +574,9 @@ def test_fiber_slice_partners_match_the_full_interval_oracle(system, a3_fibers):
     s = system("A3")
     for fp in a3_fibers:
         slices, order, _, _ = fiber_slices(fp)
-        rows = partner_table(s, order).tolist()
-        for x, top, _ in slices:
-            want = oracle_slice_partners(s, x, top, order)
-            got = cells.slice_partners(s, x, top, want, rows)
-            assert got == want, fp.anchors
+        wants = [oracle_slice_partners(s, x, top, order) for x, top, _ in slices]
+        whole = [(x, top, sorted(want)) for (x, top, _), want in zip(slices, wants)]
+        assert cells.slice_partners(s, whole, partner_table(s, order)) == wants, fp.anchors
 
 
 def test_a_fiber_builds_a_partner_table_only_if_it_has_a_slice(system, a3_fibers,
@@ -590,15 +592,73 @@ def test_a_fiber_builds_a_partner_table_only_if_it_has_a_slice(system, a3_fibers
 
 
 @pytest.mark.parametrize("top", ["1.2.1.3.2.1", "1.2.3"])
-def test_a_row_of_pads_is_an_isolated_element(system, top):
-    # the top w0, and a top below it
+def test_a_row_of_pads_is_an_isolated_element(system, monkeypatch, a3_fibers, top):
+    # the top w0, and a top below it: the slice {2} of [e, top], matched
+    # as a fiber's slices are, by a reader whose tables have row 2 padded
     s = system("A3")
-    rows = partner_table(s, shortlex_order(s)).tolist()
     y = s.parse_word("2")
-    rows[y] = [s.size] * len(rows[y])
+    real = matchings.first_inside
+
+    def padded(table, member, element, base):
+        table = table.copy()
+        table[y] = s.size
+        return real(table, member, element, base)
+
+    monkeypatch.setattr(matchings, "first_inside", padded)
     message = f"isolated element 2 in the Hasse diagram of [e, {top}]"
     with pytest.raises(NotAMatching, match=re.escape(message)):
-        cells.slice_partners(s, 0, s.parse_word(top), [y], rows)
+        cells.slice_matching(s, a3_fibers[0].poset, [(0, s.parse_word(top), [y])],
+                             shortlex_order(s), 0, "fiber pair poset")
+
+
+def skip_the_first_inside_entry(monkeypatch):
+    """Patch the shared reader, where every route looks it up, so that
+    each element gets the second entry of its table row inside the
+    interval, or -1 if there is none."""
+    def second_inside(table, member, element, base):
+        return np.array([([u for u in table[y].tolist() if member[b + u]] + [-1, -1])[1]
+                         for y, b in zip(element.tolist(), base.tolist())], dtype=np.intp)
+
+    monkeypatch.setattr(matchings, "first_inside", second_inside)
+
+
+def first_two_inside(s, order, x, top):
+    """The first two entries of row x of the partner table of ``order``
+    inside [x, top], checked against the oracle's partner of x."""
+    inside = [u for u in partner_table(s, order)[x].tolist()
+              if u < s.size and s.bruhat_leq(x, u) and s.bruhat_leq(u, top)]
+    assert oracle_slice_partners(s, x, top, order)[x] == inside[0]
+    return inside[:2]
+
+
+def test_a_reader_that_skips_the_first_inside_entry_fails_every_route(system, monkeypatch,
+                                                                      capsys):
+    s, b3 = system("A3"), system("B3")
+    orders = sampled_orders(s)
+    assert sweep_failures(s, orders) == []
+    skip_the_first_inside_entry(monkeypatch)
+    assert sweep_failures(s, orders)
+    with pytest.raises(Falsification):
+        springer_matching(build_springer_poset(s, set(), set()))
+    with pytest.raises(Falsification):
+        fiber_matching(b3_fiber(system))
+    # --paranoid names the first element whose partner differs: the base itself
+    first, second = first_two_inside(s, order_for_springer(s, frozenset(), frozenset()), 0, s.w0)
+    code, err = run_springer_on(monkeypatch, capsys, s, "{}", "{}", "--paranoid")
+    assert (code, err) == (3, f"FALSIFIED: slice matching of [e, {s.word_str(s.w0)}] in the "
+                              f"springer pair poset (J=[], J'=[]) disagrees with the "
+                              f"full-interval oracle at e: partner {s.word_str(second)} against "
+                              f"{s.word_str(first)}\n")
+    top = b3.parse_word("1.2.1")
+    first, second = first_two_inside(b3, order_for_fiber(b3, 0), 0, top)
+    monkeypatch.setattr(cli, "_system_from_args", lambda args: b3)
+    code = main(["fiber", "--group", "B3", "--K", "{1,2}", "--anchors", "e:e:e:2.1.3.2.3",
+                 "--paranoid", "--format", "text"])
+    out = capsys.readouterr()
+    assert (code, out.out) == (3, "")
+    assert out.err == (f"FALSIFIED: slice matching of [e, 1.2.1] in the fiber pair poset "
+                       f"(K=[1, 2]) disagrees with the full-interval oracle at e: partner "
+                       f"{b3.word_str(second)} against {b3.word_str(first)}\n")
 
 
 def matched_down_cover(s, J, Jp):
@@ -715,23 +775,17 @@ def test_paranoid_springer_checks_the_partners_that_the_block_pass_read(system, 
     # still preserved and the cells keep their partners, so only the
     # comparison of that reader with the oracle sees it
     s = system("A3")
-    real = cells.slice_partner_arrays
     planted = []
 
-    def faulty(system, x, y, table):
-        m = real(system, x, y, table)
-        for base in sorted(set(x.tolist())):
-            at = np.flatnonzero(x == base).tolist()
-            pos = dict(zip(y[at].tolist(), at))
-            _, p, q = map(set, rows_at(s, {2}, {3}, base))
-            for side in (p - q, q - p):
-                lows = sorted(a for a in side if a < m[pos[a]])
-                if len(lows) >= 2:
-                    planted.append((base, *cross(m, pos, *lows[:2])))
-                    return m
-        return m
+    def faulty(m, x, pos):
+        _, p, q = map(set, rows_at(s, {2}, {3}, x))
+        for side in (p - q, q - p):
+            lows = sorted(a for a in side if a < m[pos[a]])
+            if len(lows) >= 2:
+                planted.append((x, *cross(m, pos, *lows[:2])))
+                return True
 
-    monkeypatch.setattr(springer, "slice_partner_arrays", faulty)
+    plant_in_reader(monkeypatch, faulty)
     monkeypatch.setattr(cli, "_system_from_args", lambda args: s)
     argv = ["springer", "--group", "A3", "--J", "{2}", "--Jprime", "{3}", "--format", "text"]
     assert main(argv) == 0
@@ -897,37 +951,33 @@ def test_the_v_path_peel_agrees_with_the_cycle_oracle_on_rematched_covers(system
     assert verdicts == {True, False}
 
 
-def plant_a_two_cycle(monkeypatch):
-    """Make the block pass's reader leave every cell of the first slice
-    with x0 and x1 both covered by y0 and y1 unmatched, but for x0-y0
-    and x1-y1: x0 -> y0 -> x1 -> y1 -> x0.  Returns the list that each
-    call appends its (base, x0, x1, y0, y1) to."""
-    real, planted = cells.slice_partner_arrays, []
+def plant_a_two_cycle(monkeypatch, s):
+    """Make the shared reader leave every element of the first interval
+    of ``s`` with x0 and x1 both covered by y0 and y1 unmatched, but for
+    x0-y0 and x1-y1: x0 -> y0 -> x1 -> y1 -> x0.  Returns the list that
+    each call appends its (base, x0, x1, y0, y1) to."""
+    planted = []
 
-    def cyclic(system, x, y, table):
-        m = real(system, x, y, table)
-        for base in sorted(set(x.tolist())):
-            at = np.flatnonzero(x == base)
-            ys = sorted(y[at].tolist())
-            up = {a: {u for u, _ in system.bruhat_covers_up(a)} & set(ys) for a in ys}
-            quad = next(((a, b, *sorted(up[a] & up[b])[:2]) for a in ys for b in ys
-                         if a < b and len(up[a] & up[b]) >= 2), None)
-            if quad is not None:
-                x0, x1, y0, y1 = quad
-                pos = dict(zip(y[at].tolist(), at.tolist()))
-                m[at] = y[at]
-                m[pos[x0]], m[pos[y0]], m[pos[x1]], m[pos[y1]] = y0, x0, y1, x1
-                planted.append((base, *quad))
-                break
-        return m
+    def cyclic(m, x, pos):
+        ys = sorted(pos)
+        up = {a: {u for u, _ in s.bruhat_covers_up(a)} & set(ys) for a in ys}
+        quad = next(((a, b, *sorted(up[a] & up[b])[:2]) for a in ys for b in ys
+                     if a < b and len(up[a] & up[b]) >= 2), None)
+        if quad is not None:
+            x0, x1, y0, y1 = quad
+            for y, k in pos.items():
+                m[k] = y
+            m[pos[x0]], m[pos[y0]], m[pos[x1]], m[pos[y1]] = y0, x0, y1, x1
+            planted.append((x, *quad))
+            return True
 
-    monkeypatch.setattr(springer, "slice_partner_arrays", cyclic)
+    plant_in_reader(monkeypatch, cyclic)
     return planted
 
 
 def test_a_planted_two_cycle_in_a_slice_exits_with_a_closed_walk(system, monkeypatch, capsys):
     s = system("A3")
-    planted = plant_a_two_cycle(monkeypatch)
+    planted = plant_a_two_cycle(monkeypatch, s)
     code, err = run_springer_on(monkeypatch, capsys, s, "{}", "{}")
     prefix = "FALSIFIED: matching has a directed cycle: "
     assert code == 3 and err.startswith(prefix)
@@ -961,7 +1011,7 @@ def test_paranoid_springer_names_the_cycle_that_the_peel_misses(system, monkeypa
     # the peel sees no cycle; with the partner check left out, only the
     # cycle oracle sees the planted one
     s = system("A3")
-    plant_a_two_cycle(monkeypatch)
+    plant_a_two_cycle(monkeypatch, s)
     monkeypatch.setattr(springer, "v_path_cycle", lambda *args: None)
     monkeypatch.setattr(cli, "_check_springer_partners", lambda sp: None)
     sp = build_springer_poset(s, set(), set())

@@ -2,6 +2,7 @@
 instances that the per-interval route fails, reads each order from its own
 partner table, built from the system's up-cover arrays, and stays small."""
 
+import random
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 
 from coxmorse import build_system, matchings
 from coxmorse.cli import main
-from coxmorse.matchings import partner_table, sweep_failures
+from coxmorse.matchings import first_inside, interval_members, partner_table, sweep_failures
+from coxmorse.oracles import oracle_slice_partners
 from coxmorse.reflection_orders import ReflectionOrder
 from coxmorse.verify import all_orders, check_matchings, sampled_orders
 from helpers import (b3_with_a_cover_across_dims, per_interval_failures, plant_in_partner_table,
@@ -48,6 +50,23 @@ def test_both_routes_pass_every_reflection_order(system, name):
     assert sweep_failures(s, sampled_orders(s)) == []
     # H3 has 286 orders, too many for the per-interval route here
     assert per_interval_failures(s, orders if name != "H3" else sampled_orders(s)) == []
+
+
+@pytest.mark.parametrize("name, sample", [("A3", None), ("B3", None), ("H3", 500)])
+def test_the_shared_reader_gives_the_oracle_partners_on_every_interval(system, name, sample):
+    # every element of every nontrivial interval, or of a seeded sample of
+    # them, at once: the reader against the matching of the whole interval
+    s = system(name)
+    pairs = s.comparable_pairs(strict=True)
+    if sample:
+        pairs = random.Random(name).sample(pairs, sample)
+    v, w = np.array(pairs).T
+    member = interval_members(s.bruhat, v, w)
+    r, y = np.nonzero(member)
+    for order in sampled_orders(s):
+        got = first_inside(partner_table(s, order), member.reshape(-1), y, r * member.shape[1])
+        want = [(x, u) for a, b in pairs for x, u in oracle_slice_partners(s, a, b, order).items()]
+        assert list(zip(y.tolist(), got.tolist())) == want, order.word
 
 
 def test_the_partner_table_sorts_each_element_s_covers_by_decreasing_rank(system):

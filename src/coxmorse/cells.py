@@ -25,18 +25,18 @@ dimension).  Z and Q_K keep their covers as sorted int arrays
 (:class:`posets.CoverArrayPoset`), F as tuples, since a
 fiber is small.  :func:`pair_poset` on the cells of Z or F is their
 independent oracle route (:func:`check_against_pair_poset`, which
-compares cover arrays).  Such a
-poset is matched slice by slice, each slice's interval matching read
-only where needed, by the reader shared with the interval sweep
-(:func:`matchings.first_inside`).  F's slices are read at once
-(:func:`slice_partners`) and checked by :func:`slice_matching` and
-:func:`checked_matching`; Z's in whole arrays (:mod:`springer`), in the
-same words, worded once here.
+compares cover arrays).  Such a poset is matched slice by slice.  One
+check, :func:`slice_mates`, reads each slice's interval matching only
+where needed, by the reader shared with the interval sweep
+(:func:`matchings.first_inside`), and names its first failure to
+preserve the slice or to be an involution there: for Z's block pass
+(:mod:`springer`), for F (:func:`slice_matching`, then
+:func:`checked_matching`) and for ``--paranoid``.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+from functools import reduce
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -332,54 +332,79 @@ def check_against_pair_poset(system: CoxeterSystem, poset: FinitePoset, what: st
         )
 
 
-def slice_partners(system: CoxeterSystem, slices: Sequence[tuple],
-                   table: np.ndarray) -> list[dict[int, int]]:
-    """M(y), or -1 for none, for each y of each slice (x, top, ys), M the
-    matching of [x, top] under the order of ``table``: one call of
-    :func:`matchings.first_inside` on all the [x, top]."""
-    x = np.array([s[0] for s in slices], dtype=np.intp)
-    top = np.array([s[1] for s in slices], dtype=np.intp)
-    sizes = [len(s[2]) for s in slices]
-    y = np.fromiter(chain.from_iterable(s[2] for s in slices), dtype=np.intp,
-                    count=sum(sizes))
-    member = matchings.interval_members(system.bruhat, x, top)
-    base = np.repeat(np.arange(len(x)) * member.shape[1], sizes)
-    mate = matchings.first_inside(table, member.reshape(-1), y, base).tolist()
-    ends = np.cumsum(sizes).tolist()
-    return [dict(zip(s[2], mate[end - size:end])) for s, size, end in zip(slices, sizes, ends)]
+def slice_mates(system: CoxeterSystem, bases: np.ndarray, top: int,
+                checked: Sequence[tuple[str, np.ndarray]], table: np.ndarray, what: str,
+                apex: int = -1) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                         Falsification | None]:
+    """(r, y, mate, failure): the matching M of each [x, top], x in
+    ``bases``, under the order of ``table``, read on the sets that it must
+    preserve (:func:`matchings.first_inside`) and checked there.
+
+    ``checked`` holds labeled boolean rows over W, row k at x = bases[k],
+    with the slice last: the slice lies in each other set, so those hold
+    every checked y.  Only the x with a nonempty slice, and not the base
+    ``apex`` of a slice left unmatched, are read.  Each checked y of row
+    r is given, by increasing (r, y), with its mate M(y), or -1 for none.
+    ``failure`` is None, or the first failure at the least base: an
+    isolated element, then the first set that M does not preserve, then a
+    break of the involution, each at its least y; ``what`` names the
+    poset."""
+    n = system.size
+    sets = [rows for _, rows in checked]
+    union = reduce(np.logical_or, sets[:-1] or sets)
+    r, y = np.divmod(np.flatnonzero(union), n)                  # 2-D nonzero is slow
+    read = (sets[-1].any(axis=1) & (bases != apex))[r]
+    r, y = r[read], y[read]
+    member = matchings.interval_members(system.bruhat, bases, top)
+    mate = matchings.first_inside(table, member.reshape(-1), y, r * (n + 1))
+    # where the sets are preserved, M(y) is checked too and found among the (r, y)
+    back = mate.take(np.searchsorted(r * n + y, r * n + mate), mode="clip")
+    tests = np.array([mate < 0, *(rows[r, y] & ~rows[r, mate] for rows in sets), back != y])
+    t, at = np.nonzero(tests)
+    if not at.size:
+        return r, y, mate, None
+    first = np.lexsort((at, t, r[at]))[0]                       # least base, then test, then y
+    t, at = int(t[first]), at[first]
+    x = int(bases[r[at]])
+    if t == 0:
+        return r, y, mate, _isolated(system, x, top, int(y[at]))
+    name = system.word_str
+    interval = f"[{name(x)}, {name(top)}] in the {what}"
+    if t <= len(sets):
+        return r, y, mate, TheoremFalsified(f"{checked[t - 1][0]} at {name(x)} is not "
+                                            f"preserved by the matching of {interval}")
+    path = " -> ".join(name(int(u[at])) for u in (y, mate, back))   # M(M(y)) != y
+    return r, y, mate, NotAMatching(f"edge selection is not an involution at "
+                                    f"{name(int(y[at]))}: {path} in {interval}")
 
 
-def slice_matching(system: CoxeterSystem, poset: FinitePoset, slices: Sequence[tuple],
+def slice_matching(system: CoxeterSystem, poset: FinitePoset, slices: tuple | None,
                    order: ReflectionOrder, apex: int,
                    what: str) -> tuple[Matching, MorseSummary]:
     """Glue the interval matchings of the slices into one matching of a
     pair poset.
 
-    A slice (x, top, z_x) has base x and the slice z_x = {y : (x, y) in
-    the poset} inside [x, top].  The matching M of [x, top] under
-    ``order`` is read only on z_x (:func:`slice_partners`; the
-    :func:`matchings.partner_table` is built only if there is a slice):
-    each y must have a partner, and M must preserve z_x and be an
-    involution there; then (x, y) and (x, M(y)) are matched, and the
-    matching is checked by :func:`checked_matching`.  ``what`` names the
-    poset in errors.  :func:`oracles.oracle_slice_partners` matches all
-    of [x, top] (``fiber --paranoid``).
+    ``slices`` is None or (bases, top, rows): row k is the slice
+    z_x = {y : (x, y) in the poset} inside [x, top] at x = bases[k].  The
+    matching M of [x, top] under ``order`` is read and checked on z_x by
+    :func:`slice_mates` (the :func:`matchings.partner_table` is built
+    only if there is a slice), which the first failure raises; then (x, y)
+    and (x, M(y)) are matched, and the matching is checked by
+    :func:`checked_matching`.  ``what`` names the poset in errors.
+    :func:`oracles.oracle_slice_partners` matches all of [x, top]
+    (``fiber --paranoid``).
     """
-    index = poset.index
     partner = list(range(poset.n))
-    reads = slice_partners(system, slices, partner_table(system, order)) if slices else []
-    for (x, top, z_x), m in zip(slices, reads):
-        isolated = next((y for y in z_x if m[y] < 0), None)
-        if isolated is not None:
-            raise _isolated(system, x, top, isolated)
-        if not set(z_x).issuperset(m.values()):
-            raise _not_preserved(system, x, top, "slice", what)
-        for y, mate in m.items():
-            if m[mate] != y:
-                raise _not_an_involution(system, x, top, (y, mate, m[mate]), what)
-        for y in z_x:
-            if y < m[y]:
-                i, j = index[(x, y)], index[(x, m[y])]
+    if slices is not None:
+        bases, top, rows = slices
+        r, ys, mate, failure = slice_mates(system, bases, top, [("slice", rows)],
+                                           partner_table(system, order), what)
+        if failure is not None:
+            raise failure
+        index = poset.index
+        for x, y, m in zip(bases[r].tolist(), ys.tolist(), mate.tolist()):
+            if y < m:
+                i, j = index[(x, y)], index[(x, m)]
                 partner[i], partner[j] = j, i
     return checked_matching(poset, partner, apex, what)
 
@@ -416,26 +441,8 @@ def _not_only_the_apex(poset: FinitePoset, unmatched: Sequence[int], apex: int,
                             f"{[names[i] for i in unmatched]}, expected only {names[apex]}")
 
 
-# The failures of the matching of a slice, worded once for
-# :func:`slice_matching` and for the Springer block pass
-
 def _isolated(system: CoxeterSystem, x: int, top: int, y: int) -> NotAMatching:
+    """Worded once for :func:`slice_mates` and for ``--paranoid``."""
     name = system.word_str
     return NotAMatching(f"isolated element {name(y)} in the Hasse diagram of "
                         f"[{name(x)}, {name(top)}]")
-
-
-def _not_preserved(system: CoxeterSystem, x: int, top: int, label: str,
-                   what: str) -> TheoremFalsified:
-    name = system.word_str
-    return TheoremFalsified(f"{label} at {name(x)} is not preserved by the matching of "
-                            f"[{name(x)}, {name(top)}] in the {what}")
-
-
-def _not_an_involution(system: CoxeterSystem, x: int, top: int, path: tuple[int, int, int],
-                       what: str) -> NotAMatching:
-    """``path`` is y, M(y), M(M(y)) with M(M(y)) != y."""
-    name = system.word_str
-    y, mate, back = map(name, path)
-    return NotAMatching(f"edge selection is not an involution at {y}: {y} -> {mate} -> "
-                        f"{back} in [{name(x)}, {name(top)}] in the {what}")

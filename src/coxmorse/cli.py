@@ -19,13 +19,13 @@ import sys
 
 import numpy as np
 
-from . import __version__, springer
-from .cells import _isolated, check_against_pair_poset, pair_name, slice_matching, slice_partners
+from . import __version__, cells, springer
+from .cells import _isolated, check_against_pair_poset, pair_name, slice_matching
 from .coxeter import DEFAULT_MAX_ELEMENTS, CoxeterMatrix, CoxeterSystem, build_system
 from .errors import Falsification, InputError, InvalidSubset, TheoremFalsified
 from .fibers import build_fiber_poset, build_qk, fiber_slices
-from .matchings import (Matching, build_matching, labeled_interval, morse_counts, partner_table,
-                        verify_shelling_subsets)
+from .matchings import (Matching, build_matching, interval_members, labeled_interval, morse_counts,
+                        partner_table, verify_shelling_subsets)
 from .oracles import (oracle_bruhat_leq, oracle_convexity, oracle_directed_cycle,
                       oracle_fiber_members, oracle_interval_covers, oracle_interval_ids,
                       oracle_shelling_subsets, oracle_slice_partners, oracle_unmatched_scan)
@@ -184,40 +184,43 @@ def _check_fiber_members(fp) -> None:
         )
 
 
-def _check_slices(system, slices, order, what, table) -> dict[int, dict[int, int]]:
-    """Under ``--paranoid``: on every slice (x, top, ys), the partner that
-    the shared reader gives each y in ys from ``table``
-    (:func:`cells.slice_partners`) must be y's in the matching of all of
-    [x, top] (:func:`oracles.oracle_slice_partners`); the slice and the
-    first element whose partners differ are named.  Returns the oracle's
-    partners by x."""
+def _check_slices(system, bases, top, rows, order, what, table) -> dict[int, dict[int, int]]:
+    """Under ``--paranoid``: at each x in ``bases``, the partner that the
+    shared slice check (:func:`cells.slice_mates`) reads from ``table``
+    for each y of row x of ``rows`` must be y's in the matching of all of
+    [x, top] (:func:`oracles.oracle_slice_partners`); the interval and the
+    first element whose partners differ are named.  The check's own
+    failure is left to the route.  Returns the oracle's partners by x."""
+    r, ys, mate, _ = cells.slice_mates(system, bases, top, [("slice", rows)], table, what)
     oracles = {}
-    for (x, top, ys), local in zip(slices, slice_partners(system, slices, table)):
-        oracle = oracles[x] = oracle_slice_partners(system, x, top, order)
-        y = next((y for y in ys if local[y] != oracle[y]), None)
-        if y is not None:
-            if local[y] < 0:
+    for x, y, m in zip(bases[r].tolist(), ys.tolist(), mate.tolist()):
+        if x not in oracles:
+            oracles[x] = oracle_slice_partners(system, x, top, order)
+        if m != oracles[x][y]:
+            if m < 0:
                 raise _isolated(system, x, top, y)
             name = system.word_str
             raise Falsification(
                 f"slice matching of [{name(x)}, {name(top)}] in the {what} disagrees with "
-                f"the full-interval oracle at {name(y)}: partner {name(local[y])} against "
-                f"{name(oracle[y])}"
+                f"the full-interval oracle at {name(y)}: partner {name(m)} against "
+                f"{name(oracles[x][y])}"
             )
     return oracles
 
 
 def _check_springer_partners(sp) -> None:
     """Under ``springer --paranoid``: at each v with a cell but the apex,
-    the shared reader on the block pass's table (looked up in
-    :mod:`springer`) is checked on all of [v, w0] (:func:`_check_slices`);
+    the shared slice check on the block pass's table (looked up in
+    :mod:`springer`) is checked on all of [v, w0], whose rows come from
+    one :func:`matchings.interval_members` call (:func:`_check_slices`);
     then the partner that the pass gives each cell must be the oracle's,
     or the first cell whose partners differ is named."""
     system, w0 = sp.system, sp.system.w0
     order = order_for_springer(system, sp.Jprime, sp.J)
-    bases = sorted({v for v, _ in sp.members} - {sp.apex})
-    oracles = _check_slices(system, [(x, w0, system.interval_ids(x, w0)) for x in bases],
-                            order, sp.what, springer.partner_table(system, order))
+    bases = np.array(sorted({v for v, _ in sp.members} - {sp.apex}), dtype=np.intp)
+    rows = interval_members(system.bruhat, bases, w0)[:, :-1]
+    oracles = _check_slices(system, bases, w0, rows, order, sp.what,
+                            springer.partner_table(system, order))
     if sp.partner is None:
         return
     # the apex slice is not matched: its cell is its own partner
@@ -365,8 +368,8 @@ def cmd_fiber(args) -> int:
         check_against_pair_poset(system, fp.poset, "fiber pair poset")
         oracle_convexity(fp)
     slices, order, apex, what = fiber_slices(fp)
-    if args.paranoid:
-        _check_slices(system, slices, order, what, partner_table(system, order))
+    if args.paranoid and slices is not None:
+        _check_slices(system, *slices, order, what, partner_table(system, order))
     matching, summary = slice_matching(system, fp.poset, slices, order, apex, what)
     if args.paranoid:
         _rescan_unmatched(fp.poset, matching, summary)

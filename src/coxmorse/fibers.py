@@ -14,9 +14,10 @@ route over all of W_K x W_K by the subword test (``fiber --paranoid``).
 A reflection order with N_R(v') first, built once per v' and group
 (:func:`reflection_orders.order_for_fiber`), induces a matching on F with
 unique unmatched element (z~, z~), the top of the generalized quotient,
-giving the contractibility certificate.  Its partners are read for all
-slices at once by the shared reader (:func:`cells.slice_partners`),
-from a partner table built only for a fiber with a slice.
+giving the contractibility certificate.  Its partners are read and
+checked for all slices at once by the slice check that Z shares
+(:func:`cells.slice_mates`), from a partner table built only for a
+fiber with a slice.
 
 F is order convex, so it is a lower set of the nesting poset of pairs and
 is built from single steps by :func:`cells.ideal_poset`, which checks that
@@ -313,16 +314,16 @@ def generalized_quotient(fp: FiberPoset) -> GeneralizedQuotient:
     return GeneralizedQuotient(vp, fp.z, fp.z_prime, tuple(members), zt)
 
 
-def fiber_slices(fp: FiberPoset) -> tuple[list[tuple], ReflectionOrder, int, str]:
+def fiber_slices(fp: FiberPoset) -> tuple[tuple | None, ReflectionOrder, int, str]:
     """What :func:`cells.slice_matching` assembles the fiber matching from:
     the slices, the reflection order, the apex cell and the poset's name.
 
     Each a of the generalized quotient but z~ gives the slice
-    (a, z', P_a) of [a, z'], P_a = {b : (a, b) in F}, under a
-    reflection order with N_R(v') first
-    (:func:`reflection_orders.order_for_fiber`); P_a must be a singleton
-    iff a = z~, and the apex is (z~, z~).  The P_a are read off F in one
-    pass."""
+    P_a = {b : (a, b) in F} of [a, z'], under a reflection order with
+    N_R(v') first (:func:`reflection_orders.order_for_fiber`); P_a must
+    be a singleton iff a = z~, and the apex is (z~, z~).  The P_a are
+    read off F in one pass.  The slices are (bases, z', rows), row k the
+    P_a of a = bases[k] over W, or None if z~ is the only a."""
     system = fp.system
     gq = generalized_quotient(fp)
     order = order_for_fiber(system, fp.vprime)
@@ -330,15 +331,18 @@ def fiber_slices(fp: FiberPoset) -> tuple[list[tuple], ReflectionOrder, int, str
     for a, b in fp.members:
         if a in p:
             p[a].append(b)
-    slices = []
     for a, p_a in p.items():
-        p_a.sort()
         if (p_a == [a]) != (a == gq.z_tilde):
             raise TheoremFalsified(
                 f"slice at {system.word_str(a)} is a singleton iff a = z~ failed"
             )
-        if a != gq.z_tilde:
-            slices.append((a, fp.z_prime, p_a))
+    bases = [a for a in p if a != gq.z_tilde]
+    slices = None
+    if bases:
+        rows = np.zeros((len(bases), system.size), dtype=bool)
+        for k, a in enumerate(bases):
+            rows[k, p[a]] = True
+        slices = np.array(bases), fp.z_prime, rows
     what = f"fiber pair poset (K={sorted(fp.K)})"
     return slices, order, fp.index[(gq.z_tilde, gq.z_tilde)], what
 

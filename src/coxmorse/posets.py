@@ -59,10 +59,15 @@ CHAIN_CAP_DEFAULT = 1_000_000
 MAX_ORDER_BYTES = 1 << 29
 
 
+def order_bytes(n: int) -> int:
+    """The bytes of the packed rows of an order on n elements."""
+    return n * ((n + 7) // 8)
+
+
 def check_order_size(n: int, what: str) -> None:
     """Raise :class:`OrderTooLarge` before the packed order of ``what`` on n
     elements is allocated beyond ``MAX_ORDER_BYTES``."""
-    need = n * ((n + 7) // 8)
+    need = order_bytes(n)
     if need > MAX_ORDER_BYTES:
         raise OrderTooLarge(
             f"{what} on {n} elements needs {need / 2**20:.0f} MiB of packed rows, "

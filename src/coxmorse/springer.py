@@ -12,8 +12,9 @@ on the supersets P_v and Q_v that it must preserve.
 One pass over blocks of rows of the candidate v (:func:`_block_pass`)
 gives the rows of P_v, Q_v and Z_v (:func:`build_slices`, their one
 definition) and, on the same rows in whole arrays, the cells of Z and
-each cell's partner in its slice (:func:`matchings.first_inside`),
-checked there to preserve P_v, Q_v and Z_v and to be an involution.  Z
+each cell's partner in its slice, read and checked to preserve P_v, Q_v
+and Z_v and to be an involution by the one slice check, which fibers and
+``--paranoid`` share (:func:`cells.slice_mates`).  Z
 is a lower set of the nesting poset of pairs (the totally nonnegative
 Springer fiber is a closed union of cells): its covers are the single
 steps between cells, found and checked by the step rule in whole arrays
@@ -32,7 +33,7 @@ fibers, and a failure of the slices waits in
 :attr:`SpringerPoset.failure` for :func:`springer_matching`.
 :func:`cells.check_against_pair_poset` rebuilds Z by
 :func:`cells.pair_poset` as an oracle route.  ``springer --paranoid``
-also runs the shared reader on this module's table on all of each
+also runs the slice check on this module's table on all of each
 [v, w0] against :func:`oracles.oracle_slice_partners`, and the peel's
 verdict against :func:`oracles.oracle_directed_cycle`.
 """
@@ -44,9 +45,8 @@ from typing import Mapping
 
 import numpy as np
 
-from . import matchings, posets
-from .cells import (_isolated, _not_a_cover, _not_an_involution, _not_only_the_apex,
-                    _not_preserved, pair_name, step_cover_arrays)
+from . import cells, posets
+from .cells import _not_a_cover, _not_only_the_apex, pair_name, step_cover_arrays
 from .cells import pair_poset  # noqa: F401  (perfbench patches springer.pair_poset)
 from .coxeter import CoxeterSystem
 from .errors import CoxmorseError, CyclicMatching, OverlappingSubsets, TheoremFalsified
@@ -122,10 +122,14 @@ def _block_pass(system: CoxeterSystem, J, Jprime, what: str):
     Q_v and Z_v from one :func:`build_slices` call.  The cells of a block
     are counted first and kept only while n packed rows, the order that
     the ``--paranoid`` oracle :func:`cells.check_against_pair_poset`
-    packs, fit ``posets.MAX_ORDER_BYTES``.  The partners of a kept block
-    are read from the :func:`matchings.partner_table` of
+    packs, fit ``posets.MAX_ORDER_BYTES``.  Until a block fails, the
+    partners of a kept block are read and checked on P_v (unless J' is
+    empty), Q_v (unless J is empty) and Z_v by the slice check that fibers
+    share (:func:`cells.slice_mates`), from the
+    :func:`matchings.partner_table` of
     :func:`reflection_orders.order_for_springer`, built at the first kept
-    block (:func:`_block_mates`), until a block fails."""
+    block.  The apex slice is not matched: a second cell there is left
+    unmatched, which :func:`springer_matching` refuses."""
     n, apex, left, length = system.size, _apex(system, Jprime), system.left, system.length
     v_ok = np.ones(n, dtype=bool)
     for j in Jprime:
@@ -137,7 +141,7 @@ def _block_pass(system: CoxeterSystem, J, Jprime, what: str):
         v = candidates[start:start + step]
         p, q, z = build_slices(system, J, Jprime, v)
         count += int(np.count_nonzero(z))
-        if count * ((count + 7) // 8) > posets.MAX_ORDER_BYTES:
+        if posets.order_bytes(count) > posets.MAX_ORDER_BYTES:
             continue
         k, w = np.divmod(np.flatnonzero(z), n)               # 2-D nonzero is slow
         mate = w
@@ -146,55 +150,16 @@ def _block_pass(system: CoxeterSystem, J, Jprime, what: str):
                 table = partner_table(system, order_for_springer(system, Jprime, J))
             checked = [(label, rows) for label, rows, conditions
                        in (("P_v", p, Jprime), ("Q_v", q, J), ("slice", z, True)) if conditions]
-            mate, failure = _block_mates(system, v, checked, table, apex, k, w, what)
+            r, y, m, failure = cells.slice_mates(system, v, system.w0, checked, table, what, apex)
+            if failure is None:
+                mate, off = w.copy(), v[k] != apex
+                mate[off] = m[np.searchsorted(r * n + y, k[off] * n + w[off])]
         kept.append((v[k], w, mate))
     posets.check_order_size(count, "springer pair poset")
     if not kept:
         return (np.zeros(0, dtype=np.intp),) * 3 + (failure,)
     v, w, mate = (np.concatenate(part) for part in zip(*kept))
     return v, w, mate, failure
-
-
-def _block_mates(system: CoxeterSystem, v: np.ndarray, checked: list[tuple[str, np.ndarray]],
-                 table: np.ndarray, apex: int, k: np.ndarray, w: np.ndarray, what: str):
-    """(mate, None): the partner of each cell (v[k], w) of one block in
-    the matching of [v, w0] (:func:`matchings.first_inside`), w
-    itself at the apex; or (w, failure) at the least v where an array
-    test of the slices fails.  At that v an isolated element comes
-    first, then the first checked set that the matching does not
-    preserve, then a break of the involution, each at its least y, in the
-    order :func:`cells.slice_matching` checks a fiber's slice.
-    ``checked`` holds the block's labeled rows of P_v (unless J' is
-    empty), Q_v (unless J is empty) and Z_v.  Each checked y of each v
-    but the apex gets its partner M(y).  As for fibers, only the v with a
-    nonempty slice are matched; a second cell of the apex slice is left
-    unmatched, which :func:`springer_matching` refuses."""
-    n, w0 = system.size, system.w0
-    sets = [rows for _, rows in checked]
-    # Z_v lies in P_v and in Q_v, so the first two sets hold every checked y
-    union = sets[0] | sets[1] if len(sets) == 3 else sets[0]
-    r, y = np.divmod(np.flatnonzero(union), n)
-    matched = (sets[-1].any(axis=1) & (v != apex))[r]      # the apex slice is not matched
-    r, y = r[matched], y[matched]
-    member = matchings.interval_members(system.bruhat, v, w0)
-    m = matchings.first_inside(table, member.reshape(-1), y, r * (n + 1))
-    key = r * n + y
-    # where the sets are preserved, M(y) is checked too and found among the keys
-    back = m.take(np.searchsorted(key, r * n + m), mode="clip")
-    tests = [m < 0, *(rows[r, y] & ~rows[r, m] for rows in sets), back != y]
-    failed = [(r[at], t, at) for t, bad in enumerate(tests) for at in np.flatnonzero(bad)[:1]]
-    if not failed:
-        at_apex = v[k] == apex
-        mate = w.copy()
-        mate[~at_apex] = m[np.searchsorted(key, k[~at_apex] * n + w[~at_apex])]
-        return mate, None
-    row, t, at = min(failed)                                # least v, then the test order
-    x = int(v[row])
-    if t == 0:
-        return w, _isolated(system, x, w0, int(y[at]))
-    if t <= len(sets):
-        return w, _not_preserved(system, x, w0, checked[t - 1][0], what)
-    return w, _not_an_involution(system, x, w0, (int(y[at]), int(m[at]), int(back[at])), what)
 
 
 def build_springer_poset(system: CoxeterSystem, J, Jprime) -> SpringerPoset:

@@ -351,6 +351,57 @@ def test_slice_matching_rejects_a_partner_outside_the_slice(system, monkeypatch)
         fiber_matching(b3_fiber(system))
 
 
+def first_slice_failures(size, case, planted):
+    """A plant (:func:`plant_in_reader`) on the first slice read that
+    misses an element of W: by ``case``, its least element gets no
+    partner (-1) and its largest one the least element outside it, or
+    only the latter; with "outside, then isolated", the next slice read
+    also gets -1 at its least element.  Each planted (x, least element)
+    is appended to ``planted``."""
+    def plant(m, x, pos):
+        if planted:
+            if case == "outside, then isolated":
+                m[pos[min(pos)]] = -1
+                planted.append((x, min(pos)))
+            return True
+        outside = [u for u in range(size) if u not in pos]
+        if outside:
+            if case == "isolated and outside":
+                m[pos[min(pos)]] = -1
+            m[pos[max(pos)]] = outside[0]
+            planted.append((x, min(pos)))
+
+    return plant
+
+
+@pytest.mark.parametrize("case", ["isolated and outside", "outside", "outside, then isolated"])
+def test_the_failure_order_is_one_rule_for_both_routes(system, monkeypatch, case):
+    # Z and a fiber check their slices by one rule and name its first
+    # failure in the same words: at the least base, an isolated element
+    # before a set that is not preserved, whatever later bases hold
+    a3, fp = system("A3"), b3_fiber(system)
+    routes = [(a3, a3.w0, "springer pair poset (J=[], J'=[])",
+               lambda: springer_matching(build_springer_poset(a3, set(), set()))),
+              (fp.system, fp.z_prime, "fiber pair poset (K=[1, 2])", lambda: fiber_matching(fp))]
+    for s, top, what, run in routes:
+        planted = []
+        with monkeypatch.context() as patch:
+            plant_in_reader(patch, first_slice_failures(s.size, case, planted))
+            with pytest.raises(Falsification) as exc:
+                run()
+        (x, least), *later = planted
+        assert len(later) == (case == "outside, then isolated"), what
+        name = s.word_str
+        if case == "isolated and outside":
+            kind, message = NotAMatching, (f"isolated element {name(least)} in the Hasse "
+                                           f"diagram of [{name(x)}, {name(top)}]")
+        else:
+            kind, message = TheoremFalsified, (f"slice at {name(x)} is not preserved by the "
+                                               f"matching of [{name(x)}, {name(top)}] in the "
+                                               f"{what}")
+        assert type(exc.value) is kind and str(exc.value) == message, what
+
+
 def test_slice_matching_rejects_a_wrong_apex(system):
     fp = b3_fiber(system)
     slices, order, apex, what = fiber_slices(fp)
@@ -552,17 +603,35 @@ def test_cli_exits_as_falsification_on_a_partner_outside_the_slice(system, monke
     assert out.err.startswith("FALSIFIED: ") and "is not preserved by the matching" in out.err
 
 
+def slice_partners(s, bases, top, wants, table):
+    """M(y), or -1 for none, for each y of each dict in ``wants`` at the
+    base of the same place in ``bases``, M the matching of [x, top] under
+    the order of ``table``, as the shared slice check
+    (:func:`cells.slice_mates`) reads it on the slices of the keys of
+    ``wants``, which it must find unbroken."""
+    rows = np.zeros((len(bases), s.size), dtype=bool)
+    for row, want in zip(rows, wants):
+        row[list(want)] = True
+    r, y, mate, failure = cells.slice_mates(s, np.array(bases, dtype=np.intp), top,
+                                            [("slice", rows)], table, "poset")
+    assert failure is None
+    got = [{} for _ in bases]
+    for k, u, m in zip(r.tolist(), y.tolist(), mate.tolist()):
+        got[k][u] = m
+    return got
+
+
 @pytest.mark.parametrize("name", ["A3", "B3", "A4", "D4", "B4"])
 def test_slice_partners_match_the_full_interval_oracle(system, name):
-    # the block pass's reader on all of [x, w0], which holds what it checks
+    # the block pass's check on all of [x, w0], which holds what it checks
     s = system(name)
     for J, Jp in disjoint_pairs(s.rank):
         sp = build_springer_poset(s, J, Jp)
         order = order_for_springer(s, frozenset(Jp), frozenset(J))
-        table = partner_table(s, order)
-        for x in slice_bases(sp):
-            want = oracle_slice_partners(s, x, s.w0, order)
-            got, = cells.slice_partners(s, [(x, s.w0, sorted(want))], table)
+        bases = slice_bases(sp)
+        wants = [oracle_slice_partners(s, x, s.w0, order) for x in bases]
+        gots = slice_partners(s, bases, s.w0, wants, partner_table(s, order))
+        for x, got, want in zip(bases, gots, wants):
             assert got == want, (J, Jp, x)
             # the partner that the block pass gives each cell of the slice
             z_x = [w for v, w in sp.members if v == x]
@@ -574,9 +643,11 @@ def test_fiber_slice_partners_match_the_full_interval_oracle(system, a3_fibers):
     s = system("A3")
     for fp in a3_fibers:
         slices, order, _, _ = fiber_slices(fp)
-        wants = [oracle_slice_partners(s, x, top, order) for x, top, _ in slices]
-        whole = [(x, top, sorted(want)) for (x, top, _), want in zip(slices, wants)]
-        assert cells.slice_partners(s, whole, partner_table(s, order)) == wants, fp.anchors
+        if slices is not None:
+            bases, top, _ = slices
+            wants = [oracle_slice_partners(s, x, top, order) for x in bases.tolist()]
+            got = slice_partners(s, bases, top, wants, partner_table(s, order))
+            assert got == wants, fp.anchors
 
 
 def test_a_fiber_builds_a_partner_table_only_if_it_has_a_slice(system, a3_fibers,
@@ -605,9 +676,11 @@ def test_a_row_of_pads_is_an_isolated_element(system, monkeypatch, a3_fibers, to
         return real(table, member, element, base)
 
     monkeypatch.setattr(matchings, "first_inside", padded)
+    rows = np.zeros((1, s.size), dtype=bool)
+    rows[0, y] = True
     message = f"isolated element 2 in the Hasse diagram of [e, {top}]"
     with pytest.raises(NotAMatching, match=re.escape(message)):
-        cells.slice_matching(s, a3_fibers[0].poset, [(0, s.parse_word(top), [y])],
+        cells.slice_matching(s, a3_fibers[0].poset, (np.array([0]), s.parse_word(top), rows),
                              shortlex_order(s), 0, "fiber pair poset")
 
 

@@ -293,9 +293,8 @@ def ideal_poset(system: CoxeterSystem, pairs: Sequence[tuple[int, int]],
     by (lo, hi); each must join adjacent dims
     (:attr:`FinitePoset.graded_adjacency`, cached for the matching).  The
     poset is given by them alone: its ``leq`` is None, as no certificate
-    reads an order.  The size guard runs first; it bounds the cells to
-    what the oracle route (:func:`check_against_pair_poset`) can pack."""
-    check_order_size(len(pairs), what)
+    reads an order.  It has no size guard, as it packs no order: the
+    oracle route (:func:`check_against_pair_poset`) guards its own."""
     length = system.len_of
     cells = sorted([(length(w) - length(v), v, w) for v, w in pairs])
     members = tuple([(v, w) for _, v, w in cells])

@@ -67,7 +67,7 @@ class CapExceeded(InputError):
 
 
 class OrderTooLarge(InputError):
-    pass
+    """Past ``posets.MAX_ORDER_BYTES``: a packed order, or Z's cells at their price."""
 
 
 class CyclicMatching(Falsification):

@@ -53,21 +53,17 @@ from .errors import (
 
 CHAIN_CAP_DEFAULT = 1_000_000
 
-# Largest order a query may allocate, in bytes of packed rows.  A pair
-# order's cover-closure check holds the order and row blocks of at most
-# 256 KiB; only its failure path closes the covers into a second order.
+# Largest order a query may allocate, in bytes of packed rows (and the
+# budget of Z's cells at ``springer.CELL_BYTES`` each).  A pair order's
+# cover-closure check holds the order and row blocks of at most 256 KiB.
 MAX_ORDER_BYTES = 1 << 29
-
-
-def order_bytes(n: int) -> int:
-    """The bytes of the packed rows of an order on n elements."""
-    return n * ((n + 7) // 8)
 
 
 def check_order_size(n: int, what: str) -> None:
     """Raise :class:`OrderTooLarge` before the packed order of ``what`` on n
-    elements is allocated beyond ``MAX_ORDER_BYTES``."""
-    need = order_bytes(n)
+    elements, n x ceil(n/8) bytes, is allocated beyond ``MAX_ORDER_BYTES``:
+    the Bruhat order, :func:`cells.pair_poset` and Q_K's pre-count."""
+    need = n * ((n + 7) // 8)
     if need > MAX_ORDER_BYTES:
         raise OrderTooLarge(
             f"{what} on {n} elements needs {need / 2**20:.0f} MiB of packed rows, "

@@ -14,7 +14,9 @@ gives the rows of P_v, Q_v and Z_v (:func:`build_slices`, their one
 definition) and, on the same rows in whole arrays, the cells of Z and
 each cell's partner in its slice, read and checked to preserve P_v, Q_v
 and Z_v and to be an involution by the one slice check, which fibers and
-``--paranoid`` share (:func:`cells.slice_mates`).  Z
+``--paranoid`` share (:func:`cells.slice_mates`).  As Z packs no order,
+the pass prices its cells at ``CELL_BYTES`` and refuses Z (exit 2) at
+the first block past ``posets.MAX_ORDER_BYTES``.  Z
 is a lower set of the nesting poset of pairs (the totally nonnegative
 Springer fiber is a closed union of cells): its covers are the single
 steps between cells, found and checked by the step rule in whole arrays
@@ -49,10 +51,13 @@ from . import cells, posets
 from .cells import _not_a_cover, _not_only_the_apex, pair_name, step_cover_arrays
 from .cells import pair_poset  # noqa: F401  (perfbench patches springer.pair_poset)
 from .coxeter import CoxeterSystem
-from .errors import CoxmorseError, CyclicMatching, OverlappingSubsets, TheoremFalsified
+from .errors import CoxmorseError, CyclicMatching, OrderTooLarge, OverlappingSubsets, TheoremFalsified
 from .matchings import Matching, MorseSummary, partner_table, unmatched_summary, v_path_cycle
 from .posets import CoverArrayPoset, FinitePoset
 from .reflection_orders import order_for_springer
+
+# Peak RSS a cell of Z costs: 550-590 B on A5, F4 and H4 pairs of 98407-3612603 cells
+CELL_BYTES = 600
 
 
 @dataclass(frozen=True)
@@ -119,30 +124,32 @@ def _block_pass(system: CoxeterSystem, J, Jprime, what: str):
 
     The candidate v, those with every j in J' a left ascent, are taken in
     blocks of at most 1 MiB of unpacked rows, each block's rows of P_v,
-    Q_v and Z_v from one :func:`build_slices` call.  The cells of a block
-    are counted first and kept only while n packed rows, the order that
-    the ``--paranoid`` oracle :func:`cells.check_against_pair_poset`
-    packs, fit ``posets.MAX_ORDER_BYTES``.  Until a block fails, the
-    partners of a kept block are read and checked on P_v (unless J' is
-    empty), Q_v (unless J is empty) and Z_v by the slice check that fibers
-    share (:func:`cells.slice_mates`), from the
-    :func:`matchings.partner_table` of
-    :func:`reflection_orders.order_for_springer`, built at the first kept
+    Q_v and Z_v from one :func:`build_slices` call.  The running count of
+    cells is priced at ``CELL_BYTES`` a cell, and the first block past
+    ``posets.MAX_ORDER_BYTES`` raises :class:`OrderTooLarge` before its
+    cells are kept.  Until a block fails, the partners of a block are read
+    and checked on P_v (unless J' is empty), Q_v (unless J is empty) and
+    Z_v by the slice check that fibers share (:func:`cells.slice_mates`),
+    from the :func:`matchings.partner_table` of
+    :func:`reflection_orders.order_for_springer`, built at the first
     block.  The apex slice is not matched: a second cell there is left
     unmatched, which :func:`springer_matching` refuses."""
     n, apex, left, length = system.size, _apex(system, Jprime), system.left, system.length
     v_ok = np.ones(n, dtype=bool)
     for j in Jprime:
         v_ok &= length[left[:, j - 1]] > length
-    candidates = np.flatnonzero(v_ok)
+    candidates = np.flatnonzero(v_ok)                        # e is always one
     step = max(1, (1 << 20) // n)
     table, failure, count, kept = None, None, 0, []
     for start in range(0, len(candidates), step):
         v = candidates[start:start + step]
         p, q, z = build_slices(system, J, Jprime, v)
         count += int(np.count_nonzero(z))
-        if posets.order_bytes(count) > posets.MAX_ORDER_BYTES:
-            continue
+        if count * CELL_BYTES > posets.MAX_ORDER_BYTES:
+            raise OrderTooLarge(
+                f"springer pair poset has {count} cells up to v={system.word_str(int(v[-1]))}, "
+                f"which at {CELL_BYTES} B a cell need {count * CELL_BYTES / 2**20:.0f} MiB, "
+                f"above the limit of {posets.MAX_ORDER_BYTES / 2**20:.0f} MiB")
         k, w = np.divmod(np.flatnonzero(z), n)               # 2-D nonzero is slow
         mate = w
         if failure is None:
@@ -155,9 +162,6 @@ def _block_pass(system: CoxeterSystem, J, Jprime, what: str):
                 mate, off = w.copy(), v[k] != apex
                 mate[off] = m[np.searchsorted(r * n + y, k[off] * n + w[off])]
         kept.append((v[k], w, mate))
-    posets.check_order_size(count, "springer pair poset")
-    if not kept:
-        return (np.zeros(0, dtype=np.intp),) * 3 + (failure,)
     v, w, mate = (np.concatenate(part) for part in zip(*kept))
     return v, w, mate, failure
 

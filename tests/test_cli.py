@@ -412,7 +412,20 @@ def test_oversized_pair_order_exits_as_usage_error(capsys, monkeypatch):
     monkeypatch.setattr(posets, "MAX_ORDER_BYTES", 19 * 3 - 1)
     code, out, err = run(capsys, "springer", "--group", "A2", "--J", "{}", "--Jprime", "{}")
     assert code == 2 and out == ""
-    assert err.startswith("error: springer pair poset on 19 elements needs 0 MiB of packed rows")
+    assert err.startswith("error: springer pair poset has 19 cells up to v=1.2.1, which at "
+                          "600 B a cell need 0 MiB, above the limit of 0 MiB")
+
+
+def test_the_paranoid_oracle_keeps_its_own_order_guard(capsys, monkeypatch):
+    # Z's 9817 cells at their price fit 8 MiB; the oracle's packed order does not
+    monkeypatch.setattr(posets, "MAX_ORDER_BYTES", 8 << 20)
+    argv = ["springer", "--group", "D4", "--J", "{}", "--Jprime", "{}", "--format", "text"]
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and "9817 cells" in out and "certificate=True" in out
+    code, out, err = run(capsys, *argv, "--paranoid")
+    assert (code, out) == (2, "")
+    assert err == ("error: springer pair poset on 9817 elements needs 11 MiB of packed rows, "
+                   "above the limit of 8 MiB\n")
 
 
 def test_oversized_bruhat_order_exits_as_usage_error(capsys, monkeypatch):

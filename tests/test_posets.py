@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from coxmorse import cli, posets
+from coxmorse import cli, posets, springer
 from coxmorse.cells import graded_covers, pair_name, pair_poset
 from coxmorse.errors import (CoxmorseError, ELViolation, IntervalTooLarge, NotComparable,
                              NotPure, OrderTooLarge, TheoremFalsified)
@@ -377,12 +377,12 @@ def test_pair_order_guard_fires_before_allocating(system, monkeypatch, name):
     # exceeds A3's packed order of 5751 bytes, so the bound has a 32 KiB floor
     bound = max(need, 32 * 1024)
     monkeypatch.setattr(posets, "MAX_ORDER_BYTES", need - 1)
-    builds = [("springer pair poset", lambda: build_springer_poset(s, set(), set())),
-              ("q_k relation", lambda: build_qk(s, set()))]
+    builds = [(f"springer pair poset has {n} cells", lambda: build_springer_poset(s, set(), set())),
+              (f"q_k relation on {n} elements", lambda: build_qk(s, set()))]
     for what, build in builds:
         tracemalloc.start()
         try:
-            with pytest.raises(OrderTooLarge, match=f"{what} on {n} elements"):
+            with pytest.raises(OrderTooLarge, match=what):
                 build()
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -393,14 +393,17 @@ def test_pair_order_guard_fires_before_allocating(system, monkeypatch, name):
 
 
 def test_a4_springer_poset_fits_a_budget_below_its_dense_size(system, monkeypatch):
-    s = system("A4")
-    n = 3781
-    monkeypatch.setattr(posets, "MAX_ORDER_BYTES", 2 * n * ((n + 7) // 8))
-    assert posets.MAX_ORDER_BYTES < n * n
-    sp = build_springer_poset(s, set(), set())
-    assert sp.poset.n == n and sp.poset.leq is None
-    _, summary = springer_matching(sp)
-    assert summary.certificate
+    # the cells are the Bruhat intervals of S_5 and S_6 (OEIS A007767); A5
+    # runs under the default budget, which its packed order passes
+    inputs = [("A4", 3781, 2 * 3781 * ((3781 + 7) // 8)), ("A5", 98407, posets.MAX_ORDER_BYTES)]
+    for name, n, budget in inputs:
+        monkeypatch.setattr(posets, "MAX_ORDER_BYTES", budget)
+        assert posets.MAX_ORDER_BYTES < n * n
+        sp = build_springer_poset(system(name), set(), set())
+        assert sp.poset.n == n and sp.poset.leq is None
+        _, summary = springer_matching(sp)
+        assert summary.certificate
+    assert posets.MAX_ORDER_BYTES < n * ((n + 7) // 8)   # A5's 1154 MiB
 
 
 def a3_springer_order(system):
@@ -537,7 +540,7 @@ def test_springer_pair_order_guard_fires_before_storing_members(system, monkeypa
     monkeypatch.setattr(posets, "MAX_ORDER_BYTES", 1)
     tracemalloc.start()
     try:
-        with pytest.raises(OrderTooLarge, match="springer pair poset on 3781 elements"):
+        with pytest.raises(OrderTooLarge, match="springer pair poset has 3781 cells"):
             build_springer_poset(s, set(), set())
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -553,7 +556,7 @@ def test_springer_member_blocks_are_counted_before_they_are_stored(system, monke
     monkeypatch.setattr(posets, "MAX_ORDER_BYTES", 1)
     tracemalloc.start()
     try:
-        with pytest.raises(OrderTooLarge, match=f"springer pair poset on {pairs} elements"):
+        with pytest.raises(OrderTooLarge, match=f"springer pair poset has {pairs} cells"):
             build_springer_poset(s, set(), set())
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -564,7 +567,33 @@ def test_springer_member_blocks_are_counted_before_they_are_stored(system, monke
     assert cli.main(["springer", "--group", "B3", "--J", "{}", "--Jprime", "{}"]) == 2
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err.startswith(f"error: springer pair poset on {pairs} elements")
+    assert out.err.startswith(f"error: springer pair poset has {pairs} cells")
+
+
+def test_springer_pass_stops_at_the_first_block_past_the_budget(system, monkeypatch):
+    real, default, blocks = springer.build_slices, posets.MAX_ORDER_BYTES, []
+
+    def counted(system, J, Jprime, v):
+        blocks.append(len(v))
+        return real(system, J, Jprime, v)
+
+    monkeypatch.setattr(springer, "build_slices", counted)
+    # F4, J = J' = {}: 1152 candidate v in blocks of 910 and 242 rows, the
+    # first holding 387194 cells, priced past a budget of 128 MiB
+    monkeypatch.setattr(posets, "MAX_ORDER_BYTES", 128 << 20)
+    with pytest.raises(OrderTooLarge, match=r"springer pair poset has 387194 cells up to v=\S+, "
+                                            r"which at 600 B a cell need 222 MiB, above the "
+                                            r"limit of 128 MiB$"):
+        build_springer_poset(system("F4"), set(), set())
+    assert blocks == [910]
+    # H4, J = J' = {}: the first block of 72 v already passes the default budget
+    monkeypatch.setattr(posets, "MAX_ORDER_BYTES", default)
+    blocks.clear()
+    with pytest.raises(OrderTooLarge, match=r"springer pair poset has 1019010 cells up to v=\S+, "
+                                            r"which at 600 B a cell need 583 MiB, above the "
+                                            r"limit of 512 MiB$"):
+        build_springer_poset(system("H4"), set(), set())
+    assert blocks == [72]
 
 
 def test_qk_guard_fires_before_pair_arrays(system, monkeypatch):

@@ -224,15 +224,18 @@ def step_cover_arrays(system: CoxeterSystem, v: np.ndarray, w: np.ndarray,
     v and the down-covers u of each w are expanded from the cover arrays,
     in chunks of cells of about 64k expanded covers, and each (u, w),
     resp. (v, u), is looked up in the sorted keys: a hit is a cover, a
-    miss whose ends the Bruhat order compares is a missing step."""
-    b, n = system.bruhat, system.size
-    key = v * n + w
-    by = np.argsort(key)
-    keys = key[by]
+    miss whose ends the Bruhat order compares is a missing step.  Each
+    cover is kept as one packed key lo * cells + hi; the chunks are freed
+    once concatenated, and the keys sorted in place and split by one
+    division, so no argsort or gather copies the covers again."""
+    b, n, cells = system.bruhat, system.size, len(v)
+    keys = v * n + w
+    by = np.argsort(keys)
+    keys = keys[by]
     # (cell, test, lower cell) at the first failure of each test, tests in
     # the order step_covers runs them
     failures = [(k, 0, None) for k in np.flatnonzero(~b[v, w])[:1].tolist()]
-    los, his = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+    covers = [np.zeros(0, dtype=np.intp)]   # chunks of packed keys lo * cells + hi
     for test, start, ends, moves_v in ((1, system._up_start, system._up_ids, True),
                                        (2, system._down_start, system._down_ids, False)):
         moved = v if moves_v else w
@@ -254,17 +257,19 @@ def step_cover_arrays(system: CoxeterSystem, v: np.ndarray, w: np.ndarray,
                 f = missing[0]
                 failures.append((int(cell[f]), test, (int(lower_v[f]), int(lower_w[f]))))
                 break
-            los.append(by[at[hit]])
-            his.append(cell[hit])
+            covers.append(by[at[hit]] * cells + cell[hit])
     if failures:
         k, _, lower = min(failures)
         pair = int(v[k]), int(w[k])
         if lower is None:
             raise _incomparable_ends(system, what, pair)
         raise _missing_step(system, what, pair, lower)
-    lo, hi = np.concatenate(los), np.concatenate(his)
-    o = np.argsort(lo * len(v) + hi)
-    return lo[o], hi[o]
+    lo = np.concatenate(covers)
+    covers.clear()
+    lo.sort()
+    hi = lo % cells
+    lo //= cells
+    return lo, hi
 
 
 def _incomparable_ends(system: CoxeterSystem, what: str,

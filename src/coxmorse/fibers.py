@@ -87,8 +87,9 @@ def build_qk(system: CoxeterSystem, K) -> QKPoset:
     bru = system.bruhat
     # the members are the lower sets [e, w] of w in W^K: count them (in row
     # blocks) before any pair array exists
-    check_order_size(bru.count(sub.min_right), "q_k relation")
-    v, w = bru.nonzero(sub.min_right)
+    counts = bru.block_counts(sub.min_right)
+    check_order_size(sum(counts), "q_k relation")
+    v, w = bru.nonzero(sub.min_right, counts)
     poset = pair_poset(system, np.column_stack((v, w)), "q_k relation", K)
     return QKPoset(system, K, poset)
 

@@ -385,14 +385,19 @@ def v_path_cycle(dims: np.ndarray, partner: np.ndarray, lo: np.ndarray,
 
     The route of :func:`is_acyclic` in whole arrays: the V-path edges
     x -> y are the covers y < h with y matched up and h matched down to
-    x = M(h) != y, and they are peeled by :func:`peel`.  If edges are
-    left, walking back from the source of the first one along the first
-    in-edge left at each node comes back to a node it passed; that
-    cycle x0 -> x1 -> ..., from its least node, is the closed walk x0,
-    M(x0), x1, M(x1), ..., x0."""
+    x = M(h) != y, and they are peeled by :func:`peel`.  Each cover reads
+    only the per-cell masks ``raised`` and ``lowered`` (one byte a cover),
+    and M(h) is gathered only at the candidate covers they leave.  If
+    edges are left, walking back from the source of the first one along
+    the first in-edge left at each node comes back to a node it passed;
+    that cycle x0 -> x1 -> ..., from its least node, is the closed walk
+    x0, M(x0), x1, M(x1), ..., x0."""
     mate_dims = dims[partner]
-    keep = (mate_dims[lo] > dims[lo]) & (mate_dims[hi] < dims[hi]) & (partner[hi] != lo)
-    src, dst = peel(partner[hi[keep]], lo[keep], len(partner))
+    raised, lowered = mate_dims > dims, mate_dims < dims
+    at = np.flatnonzero(raised[lo] & lowered[hi])   # candidate covers, in cover order
+    y, x = lo[at], partner[hi[at]]
+    keep = x != y
+    src, dst = peel(x[keep], y[keep], len(partner))
     if not src.size:
         return None
     into = dict(zip(dst.tolist()[::-1], src.tolist()[::-1]))   # the first in-edge wins

@@ -212,34 +212,49 @@ class PackedOrder:
         return np.flatnonzero(hits) + lo
 
     def blocks(self, columns: Sequence[int] | None = None):
-        """(first row, boolean rows) in blocks of at most 1 MiB, with only
-        the bits of ``columns`` kept if given."""
+        """(first row, boolean rows) in blocks of at most 128 KiB, with only
+        the bits of ``columns`` kept if given.  A block's flat indices then
+        take at most 1 MiB, which bounds what :meth:`nonzero` allocates
+        beside its output."""
         mask = None
         if columns is not None:
             keep = np.zeros(self.size, dtype=bool)
             keep[np.asarray(columns, dtype=np.intp)] = True
             mask = np.packbits(keep, bitorder="little")
-        step = max(1, (1 << 20) // self.size)
+        step = max(1, (1 << 17) // self.size)
         for i in range(0, self.size, step):
             block = self.packed[i:i + step]
             if mask is not None:
                 block = block & mask
             yield i, np.unpackbits(block, axis=1, count=self.size, bitorder="little").view(bool)
 
+    def block_counts(self, columns: Sequence[int] | None = None) -> list[int]:
+        """The number of pairs x <= y in each block of :meth:`blocks`, with
+        y in ``columns`` if given."""
+        return [int(np.count_nonzero(block)) for _, block in self.blocks(columns)]
+
     def count(self, columns: Sequence[int] | None = None) -> int:
         """The number of pairs x <= y, with y in ``columns`` if given."""
-        return sum(int(np.count_nonzero(block)) for _, block in self.blocks(columns))
+        return sum(self.block_counts(columns))
 
-    def nonzero(self, columns: Sequence[int] | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def nonzero(self, columns: Sequence[int] | None = None,
+                counts: Sequence[int] | None = None) -> tuple[np.ndarray, np.ndarray]:
         """The pairs x <= y as arrays (x, y) sorted by (x, y), with y in
-        ``columns`` if given; built in row blocks, so no n x n array is
-        allocated."""
-        xs, ys = [], []
-        for i, block in self.blocks(columns):
-            x, y = np.divmod(np.flatnonzero(block), self.size)   # 2-D nonzero is slow
-            xs.append(x + i)
-            ys.append(y)
-        return np.concatenate(xs), np.concatenate(ys)
+        ``columns`` if given.  Both arrays are allocated at their exact
+        size from the :meth:`block_counts` (``counts``, if the caller has
+        them already) and filled block by block, so the pairs are held
+        once and no n x n array is allocated."""
+        if counts is None:
+            counts = self.block_counts(columns)
+        x = np.empty(sum(counts), dtype=np.intp)
+        y = np.empty_like(x)
+        at = 0
+        for (i, block), count in zip(self.blocks(columns), counts):
+            xs, ys = x[at:at + count], y[at:at + count]
+            np.divmod(np.flatnonzero(block), self.size, out=(xs, ys))   # 2-D nonzero is slow
+            xs += i
+            at += count
+        return x, y
 
 
 class FinitePoset:
@@ -325,7 +340,9 @@ class CoverArrayPoset(FinitePoset):
         self.dims, self.leq, self.name_of = dims, leq, name_of
         self.cover_arrays = lo, hi
         self._build_payload = payload
-        skips = np.flatnonzero(dims[hi] != dims[lo] + 1)
+        step = dims[hi]
+        step -= dims[lo]   # in place: one full-size temporary beside the covers
+        skips = np.flatnonzero(step != 1)
         if skips.size:
             self._not_graded(int(lo[skips[0]]), int(hi[skips[0]]))
 

@@ -56,8 +56,12 @@ from .matchings import Matching, MorseSummary, partner_table, unmatched_summary,
 from .posets import CoverArrayPoset, FinitePoset
 from .reflection_orders import order_for_springer
 
-# Peak RSS a cell of Z costs: 550-590 B on A5, F4 and H4 pairs of 98407-3612603 cells
-CELL_BYTES = 600
+# Peak RSS a cell of Z costs, build and matching, over the RSS before the
+# build, for J = J' = {} unless named: 289-297 B on A5 (98407 cells), 356 B
+# on F4 (396809) and 315-316 B on H4 J = {3}, J' = {4} (1147017), the
+# largest H4 pair the budget admits at this price; the maximum, rounded up
+# to 50 B (tracemalloc: 240 B on A5, 273 B on F4)
+CELL_BYTES = 400
 
 
 @dataclass(frozen=True)
@@ -229,6 +233,23 @@ def _check_membership_invariants(system: CoxeterSystem, Jprime, v: np.ndarray,
         )
 
 
+def _check_matched_covers(poset: CoverArrayPoset, partner: np.ndarray, what: str) -> None:
+    """Every matched pair i < partner[i] is a cover of ``poset``: its key
+    i n + partner[i] is found among the cover keys lo n + hi, which
+    ascend with the covers.  The keys are built in place and dropped on
+    return, before :func:`matchings.v_path_cycle` allocates its own."""
+    n = poset.n
+    lo, hi = poset.cover_arrays
+    # cells are numbered by dim, so a cover lo < hi has lo < hi as numbers
+    i = np.flatnonzero(partner > np.arange(n))
+    pairs = i * n + partner[i]
+    covers = lo * n
+    covers += hi
+    bad = np.flatnonzero(covers.take(np.searchsorted(covers, pairs), mode="clip") != pairs)
+    if bad.size:
+        raise _not_a_cover(poset, int(i[bad[0]]), int(partner[i[bad[0]]]), what)
+
+
 def springer_matching(sp: SpringerPoset) -> tuple[Matching, MorseSummary]:
     """The matching on Z with the partners of the block pass
     (:attr:`SpringerPoset.partner`), checked as
@@ -245,14 +266,8 @@ def springer_matching(sp: SpringerPoset) -> tuple[Matching, MorseSummary]:
         raise TheoremFalsified("apex pair is missing from the pair poset")
     poset, partner, apex = sp.poset, np.asarray(sp.partner), sp.apex_cell
     n, dims = poset.n, poset.dims
-    lo, hi = poset.cover_arrays
-    # cells are numbered by dim, so a cover lo < hi has lo < hi as numbers
-    i = np.flatnonzero(partner > np.arange(n))
-    pairs, covers = i * n + partner[i], lo * n + hi
-    bad = np.flatnonzero(covers.take(np.searchsorted(covers, pairs), mode="clip") != pairs)
-    if bad.size:
-        raise _not_a_cover(poset, int(i[bad[0]]), int(partner[i[bad[0]]]), sp.what)
-    cycle = v_path_cycle(dims, partner, lo, hi)
+    _check_matched_covers(poset, partner, sp.what)
+    cycle = v_path_cycle(dims, partner, *poset.cover_arrays)
     if cycle is not None:
         raise CyclicMatching(f"matching has a directed cycle: {cycle}")
     fixed = np.flatnonzero(partner == np.arange(n))

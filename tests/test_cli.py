@@ -413,7 +413,7 @@ def test_oversized_pair_order_exits_as_usage_error(capsys, monkeypatch):
     code, out, err = run(capsys, "springer", "--group", "A2", "--J", "{}", "--Jprime", "{}")
     assert code == 2 and out == ""
     assert err.startswith("error: springer pair poset has 19 cells up to v=1.2.1, which at "
-                          "600 B a cell need 0 MiB, above the limit of 0 MiB")
+                          "400 B a cell need 0 MiB, above the limit of 0 MiB")
 
 
 def test_the_paranoid_oracle_keeps_its_own_order_guard(capsys, monkeypatch):

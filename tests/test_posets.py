@@ -582,18 +582,64 @@ def test_springer_pass_stops_at_the_first_block_past_the_budget(system, monkeypa
     # first holding 387194 cells, priced past a budget of 128 MiB
     monkeypatch.setattr(posets, "MAX_ORDER_BYTES", 128 << 20)
     with pytest.raises(OrderTooLarge, match=r"springer pair poset has 387194 cells up to v=\S+, "
-                                            r"which at 600 B a cell need 222 MiB, above the "
+                                            r"which at 400 B a cell need 148 MiB, above the "
                                             r"limit of 128 MiB$"):
         build_springer_poset(system("F4"), set(), set())
     assert blocks == [910]
-    # H4, J = J' = {}: the first block of 72 v already passes the default budget
+    # H4, J = J' = {}: the first block of 72 v (1019010 cells) fits the
+    # default budget, and the second passes it
     monkeypatch.setattr(posets, "MAX_ORDER_BYTES", default)
     blocks.clear()
-    with pytest.raises(OrderTooLarge, match=r"springer pair poset has 1019010 cells up to v=\S+, "
-                                            r"which at 600 B a cell need 583 MiB, above the "
+    with pytest.raises(OrderTooLarge, match=r"springer pair poset has 2018356 cells up to v=\S+, "
+                                            r"which at 400 B a cell need 770 MiB, above the "
                                             r"limit of 512 MiB$"):
         build_springer_poset(system("H4"), set(), set())
-    assert blocks == [72]
+    assert blocks == [72, 72]
+
+
+def test_springer_price_covers_the_traced_peak(system):
+    # A5, J = J' = {}: what the build and the matching allocate at their
+    # peak stays within the price of the cells that the block pass charges
+    s = system("A5")
+    s.bruhat
+    tracemalloc.start()
+    try:
+        sp = build_springer_poset(s, set(), set())
+        _, summary = springer_matching(sp)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sp.poset.n == 98407 and summary.certificate
+    assert peak <= springer.CELL_BYTES * sp.poset.n, \
+        f"{peak / sp.poset.n:.0f} B a cell traced, above the price of {springer.CELL_BYTES} B"
+
+
+def test_packed_nonzero_holds_its_pairs_once(system):
+    # A4's Q_K(∅) order: its pairs as two intp arrays take 16 B a pair, and a
+    # block's scratch stays under 2 MiB; a list of per-block arrays and their
+    # concatenation would hold the pairs twice
+    leq = build_qk(system("A4"), set()).leq
+    tracemalloc.start()
+    try:
+        x, y = np.nonzero(leq)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(x) == 437325
+    assert peak <= 16 * len(x) + (2 << 20), f"{peak} bytes traced for {len(x)} pairs"
+    expected = np.nonzero(np.asarray(leq))
+    assert np.array_equal(x, expected[0]) and np.array_equal(y, expected[1])
+    # B3's Bruhat order on the columns W^K of K = {1, 3}
+    s = system("B3")
+    b, columns = s.bruhat, s.parabolic({1, 3}).min_right
+    keep = np.zeros(s.size, dtype=bool)
+    keep[np.asarray(columns)] = True
+    for cols, mask in ((None, True), (columns, keep)):
+        dense = np.asarray(b) & mask
+        got = b.nonzero(cols)
+        assert all(a.dtype == np.intp for a in got)
+        assert all(np.array_equal(a, e) for a, e in zip(got, np.nonzero(dense)))
+        assert b.count(cols) == np.count_nonzero(dense)
 
 
 def test_qk_guard_fires_before_pair_arrays(system, monkeypatch):
